@@ -35,6 +35,7 @@ from .errors import (
 )
 from .grid import Trajectory, build_grid, sample_profile, write_field_file
 from .linear import (
+    DEFAULT_EPS_RES,
     MultipointSpec,
     multipoint_denominator,
     multipoint_residual,
@@ -42,13 +43,15 @@ from .linear import (
     verify_dispersive,
     verify_strichartz,
 )
-from .nonlinear import PowerNonlinearity, solve_nls_multipoint
+from .nonlinear import (
+    DEFAULT_MAX_ITER,
+    DEFAULT_TOL_FP,
+    PowerNonlinearity,
+    check_regularity,
+    solve_nls_multipoint,
+)
 from .norms import canonical_pairs, critical_exponent, energy, is_admissible, lebesgue_norm, mass, sobolev_norm
 from .symbol import validate_symbol
-
-DEFAULT_EPS_RES = 1e-8
-DEFAULT_TOL_FP = 1e-10
-DEFAULT_MAX_ITER = 50
 
 SUMMARY_KEYS = (
     "version", "config_echo", "s_c", "class", "eta", "iterations", "d_history",
@@ -317,6 +320,11 @@ def parse_config(text: str) -> SolveConfig:
     regularity = _as_number(raw.get("regularity", 0.0), "regularity")
     if not (0.0 <= regularity <= 2.0):
         raise ValidationError(f"regularity must be in [0, 2], got {regularity}")
+    if nl_cfg is not None:
+        try:
+            check_regularity(regularity)
+        except MpnlsError as exc:
+            raise ValidationError(str(exc)) from exc
 
     tol_raw = raw.get("tolerances", {})
     _check_keys(tol_raw, {"eps_res", "tol_fp", "max_iter"}, "tolerances.")

@@ -11,6 +11,12 @@ D(ξ) nearly vanishes make the problem ill-posed (resonance); the solver
 refuses to divide when min|D| drops below eps_res.  The Duhamel integral uses
 the incremental trapezoidal recurrence, second order in Δt and linear in the
 number of frames.
+
+Every solver and verifier, here and in the nonlinear module, runs on one
+private multipoint core: `_MultipointCore` checks the grids and the time axis
+once and makes the only datum solve, `_propagate` is the only propagation pass
+(a spectral datum plus an optional Ĝ, inverse-transformed frame by frame), and
+`_transform_frames` is the only per-frame transform loop.
 """
 
 from __future__ import annotations
@@ -86,8 +92,7 @@ def apply_propagator(sym: EllipticSymbol, grid: SpectralGrid, t: float, f: Field
     if f.grid != grid:
         raise GridMismatchError("field does not live on the given grid")
     larr = symbol_lattice(sym, grid)
-    spec = forward_transform(f)
-    return inverse_transform(Field._wrap(grid, np.exp(-1j * t * larr) * spec.values))
+    return Field._wrap(grid, _propagate(grid, larr, forward_transform(f).values, [t])[0])
 
 
 def multipoint_denominator(sym: EllipticSymbol, grid: SpectralGrid,
@@ -100,7 +105,7 @@ def multipoint_denominator(sym: EllipticSymbol, grid: SpectralGrid,
     return DenominatorProfile(d, float(np.min(np.abs(d))))
 
 
-# --- internals shared by the linear and nonlinear solvers ---------------------
+# --- the multipoint core --------------------------------------------------------
 
 
 def _lambda_indices(mp: MultipointSpec, t0: float, T: float, nt: int) -> list[int]:
@@ -117,10 +122,11 @@ def _lambda_indices(mp: MultipointSpec, t0: float, T: float, nt: int) -> list[in
     return idxs
 
 
-def _spectral_frames(traj: Trajectory) -> np.ndarray:
-    out = np.empty_like(traj.values)
-    for m in range(traj.nt + 1):
-        out[m] = forward_transform(traj.frame(m)).values
+def _transform_frames(transform, grid: SpectralGrid, values: np.ndarray) -> np.ndarray:
+    """Apply forward_transform or inverse_transform to each frame of a stack."""
+    out = np.empty_like(values)
+    for m in range(values.shape[0]):
+        out[m] = transform(Field._wrap(grid, values[m])).values
     return out
 
 
@@ -134,33 +140,81 @@ def _duhamel_spectral(larr: np.ndarray, dt: float, fhat: np.ndarray) -> np.ndarr
     return ghat
 
 
-def _check_forcing(grid: SpectralGrid, mp: MultipointSpec, forcing: Trajectory | None,
-                   nt: int | None = None):
-    if forcing is None:
-        return
-    if forcing.grid != grid:
-        raise GridMismatchError("forcing does not live on the solver grid")
-    if abs(forcing.t0 - mp.t0) > LAMBDA_GRID_TOL or abs(forcing.T - mp.T) > LAMBDA_GRID_TOL:
-        raise GridMismatchError(
-            f"forcing spans [{forcing.t0},{forcing.T}], solver spans [{mp.t0},{mp.T}]"
-        )
-    if nt is not None and forcing.nt != nt:
-        raise GridMismatchError(f"forcing has nt={forcing.nt}, solver expects nt={nt}")
+def _propagate(grid: SpectralGrid, larr: np.ndarray, u_hat: np.ndarray, times,
+               t0: float = 0.0, ghat: np.ndarray | None = None,
+               phases: np.ndarray | None = None) -> np.ndarray:
+    """The propagation kernel: frames F⁻¹[e^{-i(tₘ-t0)L(ξ)}û + Ĝ(tₘ)] for each tₘ.
+
+    The phase is computed frame by frame unless a table `phases`, indexed
+    like `times`, is given.
+    """
+    frames = np.empty((len(times),) + grid.shape, dtype=np.complex128)
+    for m, t in enumerate(times):
+        uhat = (np.exp(-1j * (t - t0) * larr) if phases is None else phases[m]) * u_hat
+        if ghat is not None:
+            uhat = uhat + ghat[m]
+        frames[m] = inverse_transform(Field._wrap(grid, uhat)).values
+    return frames
 
 
-def _resolve_datum_spectral(phi_hat: np.ndarray, denom: DenominatorProfile,
-                            ghat: np.ndarray | None, lam_idx: list[int],
-                            alphas: list[complex], eps_res: float) -> np.ndarray:
-    if denom.min_abs <= eps_res:
-        raise ResonanceError(
-            f"multipoint denominator min |D(xi)| = {denom.min_abs:.6e} <= eps_res = {eps_res:.1e}",
-            min_abs=denom.min_abs, eps_res=eps_res,
-        )
-    rhs = phi_hat.copy()
-    if ghat is not None:
-        for alpha, idx in zip(alphas, lam_idx):
-            rhs = rhs + alpha * ghat[idx]
-    return rhs / denom.values
+class _MultipointCore:
+    """Per-solve context: checks once, then resolves û₀ and propagates it.
+
+    Checks the datum and forcing grids and the time axis, and holds L(ξ),
+    D(ξ), the frame indices of the λₖ and φ̂.  nt=None is a datum-only solve
+    without forcing, which has no time axis.  phase_table=True precomputes
+    e^{-i(tₘ-t0)L(ξ)} for every frame, for a caller that propagates many times.
+    """
+
+    def __init__(self, sym: EllipticSymbol, grid: SpectralGrid, mp: MultipointSpec, phi: Field,
+                 nt: int | None, eps_res: float, forcing: Trajectory | None = None,
+                 phase_table: bool = False):
+        if phi.grid != grid:
+            raise GridMismatchError("datum does not live on the solver grid")
+        if forcing is not None:
+            if forcing.grid != grid:
+                raise GridMismatchError("forcing does not live on the solver grid")
+            if abs(forcing.t0 - mp.t0) > LAMBDA_GRID_TOL or abs(forcing.T - mp.T) > LAMBDA_GRID_TOL:
+                raise GridMismatchError(
+                    f"forcing spans [{forcing.t0},{forcing.T}], solver spans [{mp.t0},{mp.T}]"
+                )
+            if forcing.nt != nt:
+                raise GridMismatchError(f"forcing has nt={forcing.nt}, solver expects nt={nt}")
+        self.grid = grid
+        self.mp = mp
+        self.nt = nt
+        self.lam_idx = [] if nt is None else _lambda_indices(mp, mp.t0, mp.T, nt)
+        self.times = None if nt is None else np.linspace(mp.t0, mp.T, nt + 1)
+        self.larr = symbol_lattice(sym, grid)
+        self.denom = multipoint_denominator(sym, grid, mp)
+        if self.denom.min_abs <= eps_res:
+            raise ResonanceError(
+                f"multipoint denominator min |D(xi)| = {self.denom.min_abs:.6e} <= eps_res = {eps_res:.1e}",
+                min_abs=self.denom.min_abs, eps_res=eps_res,
+            )
+        self.phi_hat = forward_transform(phi).values
+        self.props = None
+        if phase_table:
+            self.props = np.exp(-1j * np.multiply.outer(self.times - mp.t0, self.larr))
+
+    def duhamel(self, forcing: np.ndarray) -> np.ndarray:
+        """Ĝ on the time axis for a stack of physical forcing frames."""
+        fhat = _transform_frames(forward_transform, self.grid, forcing)
+        return _duhamel_spectral(self.larr, (self.mp.T - self.mp.t0) / self.nt, fhat)
+
+    def datum(self, ghat: np.ndarray | None = None) -> np.ndarray:
+        """û₀ = [φ̂ + Σₖ αₖ Ĝ(λₖ)] / D(ξ)."""
+        rhs = self.phi_hat
+        if ghat is not None:
+            for (alpha, _), idx in zip(self.mp.points, self.lam_idx):
+                rhs = rhs + alpha * ghat[idx]
+        return rhs / self.denom.values
+
+    def trajectory(self, ghat: np.ndarray | None = None) -> Trajectory:
+        """u(tₘ) = U_L(tₘ-t0)u₀ + G(tₘ) on every frame of the time axis."""
+        frames = _propagate(self.grid, self.larr, self.datum(ghat), self.times, self.mp.t0,
+                            ghat, self.props)
+        return Trajectory._wrap(self.grid, self.mp.t0, self.mp.T, frames)
 
 
 # --- public solver operations --------------------------------------------------
@@ -171,10 +225,9 @@ def duhamel(sym: EllipticSymbol, grid: SpectralGrid, forcing: Trajectory) -> Tra
     if forcing.grid != grid:
         raise GridMismatchError("forcing does not live on the given grid")
     larr = symbol_lattice(sym, grid)
-    ghat = _duhamel_spectral(larr, forcing.dt, _spectral_frames(forcing))
-    frames = np.empty_like(ghat)
-    for m in range(forcing.nt + 1):
-        frames[m] = inverse_transform(Field._wrap(grid, ghat[m])).values
+    ghat = _duhamel_spectral(larr, forcing.dt,
+                             _transform_frames(forward_transform, grid, forcing.values))
+    frames = _transform_frames(inverse_transform, grid, ghat)
     return Trajectory._wrap(grid, forcing.t0, forcing.T, frames)
 
 
@@ -182,46 +235,18 @@ def solve_initial_data(sym: EllipticSymbol, grid: SpectralGrid, mp: MultipointSp
                        phi: Field, forcing: Trajectory | None = None,
                        eps_res: float = DEFAULT_EPS_RES) -> Field:
     """Datum u₀ such that the propagated solution meets the multipoint condition."""
-    if phi.grid != grid:
-        raise GridMismatchError("datum does not live on the solver grid")
-    _check_forcing(grid, mp, forcing)
-    denom = multipoint_denominator(sym, grid, mp)
-    alphas = [a for a, _ in mp.points]
-    ghat = None
-    lam_idx: list[int] = []
-    if forcing is not None and mp.m > 0:
-        lam_idx = _lambda_indices(mp, forcing.t0, forcing.T, forcing.nt)
-        larr = symbol_lattice(sym, grid)
-        ghat = _duhamel_spectral(larr, forcing.dt, _spectral_frames(forcing))
-    u0_hat = _resolve_datum_spectral(forward_transform(phi).values, denom, ghat,
-                                     lam_idx, alphas, eps_res)
-    return inverse_transform(Field._wrap(grid, u0_hat))
+    nt = None if forcing is None else forcing.nt
+    core = _MultipointCore(sym, grid, mp, phi, nt, eps_res, forcing)
+    ghat = None if forcing is None or mp.m == 0 else core.duhamel(forcing.values)
+    return inverse_transform(Field._wrap(grid, core.datum(ghat)))
 
 
 def solve_linear_multipoint(sym: EllipticSymbol, grid: SpectralGrid, mp: MultipointSpec,
                             phi: Field, forcing: Trajectory | None = None,
                             nt: int = 200, eps_res: float = DEFAULT_EPS_RES) -> Trajectory:
     """Full trajectory u(tₘ) = U_L(tₘ-t0)u₀ + G(tₘ) on nt uniform intervals."""
-    if phi.grid != grid:
-        raise GridMismatchError("datum does not live on the solver grid")
-    _check_forcing(grid, mp, forcing, nt)
-    lam_idx = _lambda_indices(mp, mp.t0, mp.T, nt)
-    larr = symbol_lattice(sym, grid)
-    denom = multipoint_denominator(sym, grid, mp)
-    fhat = None if forcing is None else _spectral_frames(forcing)
-    dt = (mp.T - mp.t0) / nt
-    ghat = None if fhat is None else _duhamel_spectral(larr, dt, fhat)
-    alphas = [a for a, _ in mp.points]
-    u0_hat = _resolve_datum_spectral(forward_transform(phi).values, denom, ghat,
-                                     lam_idx, alphas, eps_res)
-    times = np.linspace(mp.t0, mp.T, nt + 1)
-    frames = np.empty((nt + 1,) + grid.shape, dtype=np.complex128)
-    for m, t in enumerate(times):
-        uhat = np.exp(-1j * (t - mp.t0) * larr) * u0_hat
-        if ghat is not None:
-            uhat = uhat + ghat[m]
-        frames[m] = inverse_transform(Field._wrap(grid, uhat)).values
-    return Trajectory._wrap(grid, mp.t0, mp.T, frames)
+    core = _MultipointCore(sym, grid, mp, phi, nt, eps_res, forcing)
+    return core.trajectory(None if forcing is None else core.duhamel(forcing.values))
 
 
 def multipoint_residual(traj: Trajectory, mp: MultipointSpec, phi: Field) -> float:
@@ -292,7 +317,7 @@ def verify_dispersive(sym: EllipticSymbol, grid: SpectralGrid, phi: Field,
     phi_hat = forward_transform(phi).values
     norms, quotients, fractions = [], [], []
     for t in ts:
-        u_t = inverse_transform(Field._wrap(grid, np.exp(-1j * t * larr) * phi_hat))
+        u_t = Field._wrap(grid, _propagate(grid, larr, phi_hat, [t])[0])
         nrm = lebesgue_norm(u_t, p)
         norms.append(nrm)
         quotients.append(nrm / (t ** (-decay_rate) * phi_dual))
@@ -334,12 +359,7 @@ def verify_strichartz(sym: EllipticSymbol, grid: SpectralGrid, t0: float = 0.0,
     ratios, data_norms = [], []
     for _ in range(num_samples):
         phi = random_band_limited(grid, band, rng)
-        phi_hat = forward_transform(phi).values
-        frames = np.empty((nt + 1,) + grid.shape, dtype=np.complex128)
-        for m, t in enumerate(times):
-            frames[m] = inverse_transform(
-                Field._wrap(grid, np.exp(-1j * (t - t0) * larr) * phi_hat)
-            ).values
+        frames = _propagate(grid, larr, forward_transform(phi).values, times, t0)
         traj = Trajectory._wrap(grid, t0, T, frames)
         l2 = lebesgue_norm(phi, 2.0)
         ratios.append(strichartz_norm(traj, pairs) / l2)

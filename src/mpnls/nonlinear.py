@@ -9,6 +9,10 @@ r = 2n(p+2)/(2(n-2)+np), clamped to 2 (and flagged) when the formula leaves
 [2, ∞).  Smallness of the free evolution in that norm (the indicator η) is
 the regime where contraction is expected; the solver reports η and the
 measured contraction ratios rather than asserting a threshold.
+
+Every propagation goes through the multipoint core of the linear module:
+each Φ application is one `_MultipointCore` datum solve and one `_propagate`
+pass, and the indicator η is one `_propagate` pass of |∇|^s φ.
 """
 
 from __future__ import annotations
@@ -25,16 +29,8 @@ from .errors import (
     NoConvergenceError,
     NonFiniteError,
 )
-from .grid import Field, SpectralGrid, Trajectory, forward_transform, inverse_transform
-from .linear import (
-    DEFAULT_EPS_RES,
-    MultipointSpec,
-    _duhamel_spectral,
-    _lambda_indices,
-    _resolve_datum_spectral,
-    multipoint_denominator,
-    symbol_lattice,
-)
+from .grid import Field, SpectralGrid, Trajectory, forward_transform
+from .linear import DEFAULT_EPS_RES, MultipointSpec, _MultipointCore, _propagate, symbol_lattice
 from .norms import apply_riesz, canonical_pairs, critical_exponent, energy, mass, mixed_norm, sobolev_norm, strichartz_norm
 from .symbol import EllipticSymbol
 
@@ -114,89 +110,59 @@ def lipschitz_check(u: Field, v: Field, nl: PowerNonlinearity) -> float:
     return float(np.max(num[mask] / den[mask]))
 
 
+def check_regularity(s: float) -> None:
+    """The nonlinear solve's bound on the regularity of η: s ∈ [0, 1]."""
+    if s < 0.0:
+        raise NegativeSError(f"regularity s must be nonnegative, got {s}")
+    if s > 1.0:
+        raise BadExponentError(f"regularity s must be in [0, 1] for the nonlinear solve, got {s}")
+
+
 def smallness_indicator(sym: EllipticSymbol, grid: SpectralGrid, phi: Field, s: float,
                         nl: PowerNonlinearity, T: float, sigma: float | None = None,
                         t0: float = 0.0, nt: int = 200) -> float:
     """η = ‖|∇|^s U_L(t)φ‖ in L_t^{p+2}L_x^σ over [t0, T]; σ defaults to r(p,n)."""
-    if s < 0.0:
-        raise NegativeSError(f"regularity s must be nonnegative, got {s}")
-    if s > 1.0:
-        raise BadExponentError(f"smallness indicator needs s in [0,1], got {s}")
+    check_regularity(s)
     if sigma is None:
         sigma, _ = metric_exponent(grid.n, nl.p)
     larr = symbol_lattice(sym, grid)
     psi_hat = forward_transform(apply_riesz(phi, s)).values
-    times = np.linspace(t0, T, nt + 1)
-    frames = np.empty((nt + 1,) + grid.shape, dtype=np.complex128)
-    for m, t in enumerate(times):
-        frames[m] = inverse_transform(Field._wrap(grid, np.exp(-1j * (t - t0) * larr) * psi_hat)).values
-    traj = Trajectory._wrap(grid, t0, T, frames)
-    return mixed_norm(traj, nl.p + 2.0, sigma)
+    frames = _propagate(grid, larr, psi_hat, np.linspace(t0, T, nt + 1), t0)
+    return mixed_norm(Trajectory._wrap(grid, t0, T, frames), nl.p + 2.0, sigma)
 
 
 # --- the solution map ----------------------------------------------------------
 
 
-class _PicardContext:
-    """Per-solve precomputation: lattice symbol, denominator, frame propagators."""
-
-    def __init__(self, sym, grid, mp, phi, nt, eps_res):
-        if phi.grid != grid:
-            raise GridMismatchError("datum does not live on the solver grid")
-        self.sym = sym
-        self.grid = grid
-        self.mp = mp
-        self.nt = nt
-        self.eps_res = eps_res
-        self.dt = (mp.T - mp.t0) / nt
-        self.times = np.linspace(mp.t0, mp.T, nt + 1)
-        self.larr = symbol_lattice(sym, grid)
-        self.denom = multipoint_denominator(sym, grid, mp)
-        self.alphas = [a for a, _ in mp.points]
-        self.lam_idx = _lambda_indices(mp, mp.t0, mp.T, nt)
-        self.phi_hat = forward_transform(phi).values
-        self.props = np.exp(-1j * np.multiply.outer(self.times - mp.t0, self.larr))
-
-    def apply(self, fhat: np.ndarray | None) -> Trajectory:
-        """Trajectory of û(tₘ) = e^{-i(tₘ-t0)L}û₀ + Ĝ(tₘ) for spectral forcing fhat."""
-        ghat = None if fhat is None else _duhamel_spectral(self.larr, self.dt, fhat)
-        u0_hat = _resolve_datum_spectral(self.phi_hat, self.denom, ghat,
-                                         self.lam_idx, self.alphas, self.eps_res)
-        frames = np.empty((self.nt + 1,) + self.grid.shape, dtype=np.complex128)
-        for m in range(self.nt + 1):
-            uhat = self.props[m] * u0_hat
-            if ghat is not None:
-                uhat = uhat + ghat[m]
-            frames[m] = inverse_transform(Field._wrap(self.grid, uhat)).values
-        if not np.all(np.isfinite(frames)):
-            raise NonFiniteError("solution map produced non-finite values")
-        return Trajectory._wrap(self.grid, self.mp.t0, self.mp.T, frames)
-
-    def step(self, current: Trajectory, nl: PowerNonlinearity) -> Trajectory:
-        if current.grid != self.grid or current.nt != self.nt:
+def _solution_map(core: _MultipointCore, current: Trajectory | None,
+                  nl: PowerNonlinearity) -> Trajectory:
+    """Φ(current): the multipoint solution forced by -F(current); unforced for None."""
+    ghat = None
+    if current is not None:
+        if current.grid != core.grid or current.nt != core.nt:
             raise GridMismatchError("iterate does not live on the solver grid")
-        forcing = -_power_block(current.values, nl)  # i∂ₜu + Lu = -F(u)
-        fhat = np.empty_like(forcing)
-        for m in range(self.nt + 1):
-            fhat[m] = forward_transform(Field._wrap(self.grid, forcing[m])).values
-        return self.apply(fhat)
+        ghat = core.duhamel(-_power_block(current.values, nl))  # i∂ₜu + Lu = -F(u)
+    traj = core.trajectory(ghat)
+    if not np.all(np.isfinite(traj.values)):
+        raise NonFiniteError("solution map produced non-finite values")
+    return traj
 
 
 def picard_step(sym: EllipticSymbol, grid: SpectralGrid, mp: MultipointSpec, phi: Field,
                 nl: PowerNonlinearity, current: Trajectory,
                 eps_res: float = DEFAULT_EPS_RES) -> Trajectory:
     """One application of the solution map Φ(current)."""
-    ctx = _PicardContext(sym, grid, mp, phi, current.nt, eps_res)
-    return ctx.step(current, nl)
+    core = _MultipointCore(sym, grid, mp, phi, current.nt, eps_res)
+    return _solution_map(core, current, nl)
 
 
 def integral_residual(sym: EllipticSymbol, grid: SpectralGrid, mp: MultipointSpec,
                       phi: Field, nl: PowerNonlinearity, traj: Trajectory,
                       eps_res: float = DEFAULT_EPS_RES) -> float:
     """Defect d(u, Φ(u)) of the integral equation in the contraction metric."""
-    ctx = _PicardContext(sym, grid, mp, phi, traj.nt, eps_res)
+    core = _MultipointCore(sym, grid, mp, phi, traj.nt, eps_res)
     r_metric, _ = metric_exponent(grid.n, nl.p)
-    return mixed_norm(ctx.step(traj, nl) - traj, nl.p + 2.0, r_metric)
+    return mixed_norm(_solution_map(core, traj, nl) - traj, nl.p + 2.0, r_metric)
 
 
 def _relative_drift(values: list[float]) -> float:
@@ -218,18 +184,19 @@ def solve_nls_multipoint(sym: EllipticSymbol, grid: SpectralGrid, mp: Multipoint
         raise ValueError(f"tol_fp must be positive, got {tol_fp}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    ctx = _PicardContext(sym, grid, mp, phi, nt, eps_res)
+    check_regularity(s)
+    core = _MultipointCore(sym, grid, mp, phi, nt, eps_res, phase_table=True)
     q_metric = nl.p + 2.0
     r_metric, clamped = metric_exponent(grid.n, nl.p)
     if sigma is None:
         sigma = r_metric
 
-    current = ctx.apply(None)  # linear multipoint solution
+    current = _solution_map(core, None, nl)  # linear multipoint solution
     d_history: list[float] = []
     converged = False
     iterations = 0
     for _ in range(max_iter):
-        nxt = ctx.step(current, nl)
+        nxt = _solution_map(core, current, nl)
         d = mixed_norm(nxt - current, q_metric, r_metric)
         if not np.isfinite(d):
             raise NonFiniteError(
@@ -252,7 +219,7 @@ def solve_nls_multipoint(sym: EllipticSymbol, grid: SpectralGrid, mp: Multipoint
             diagnostics={"d_history": tuple(d_history), "eta": eta},
         )
 
-    final_residual = mixed_norm(ctx.step(current, nl) - current, q_metric, r_metric)
+    final_residual = mixed_norm(_solution_map(core, current, nl) - current, q_metric, r_metric)
 
     masses = [mass(current.frame(m)) for m in range(nt + 1)]
     energies = [energy(current.frame(m), sym, nl) for m in range(nt + 1)]

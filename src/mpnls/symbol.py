@@ -17,8 +17,6 @@ from .errors import DimensionMismatchError, NotEllipticError, NotSymmetricError
 
 SYMMETRY_TOL = 1e-12
 ELLIPTICITY_FLOOR = 1e-12
-_JACOBI_TOL = 1e-12
-_JACOBI_MAX_SWEEPS = 100
 
 
 class EllipticSymbol:
@@ -37,44 +35,6 @@ class EllipticSymbol:
 
     def __repr__(self):
         return f"EllipticSymbol(n={self.n}, m1={self.m1:.6g}, m2={self.m2:.6g})"
-
-
-def _eigenvalues_symmetric(a: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a small real symmetric matrix, ascending.
-
-    Closed form for n ≤ 2; cyclic Jacobi sweeps otherwise.  Adequate for the
-    spatial dimensions this package targets.
-    """
-    n = a.shape[0]
-    if n == 1:
-        return np.array([a[0, 0]])
-    if n == 2:
-        half_tr = 0.5 * (a[0, 0] + a[1, 1])
-        disc = math.hypot(0.5 * (a[0, 0] - a[1, 1]), a[0, 1])
-        return np.array([half_tr - disc, half_tr + disc])
-
-    m = a.astype(float).copy()
-    scale = np.linalg.norm(m)
-    if scale == 0.0:
-        return np.zeros(n)
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        off = math.sqrt(sum(m[p, q] ** 2 for p in range(n) for q in range(n) if p != q))
-        if off <= _JACOBI_TOL * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                if abs(m[p, q]) <= _JACOBI_TOL * scale / n:
-                    continue
-                tau = (m[q, q] - m[p, p]) / (2.0 * m[p, q])
-                t = math.copysign(1.0, tau) / (abs(tau) + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                rot = np.eye(n)
-                rot[p, p] = rot[q, q] = c
-                rot[p, q] = s
-                rot[q, p] = -s
-                m = rot.T @ m @ rot
-    return np.sort(np.diag(m))
 
 
 def validate_symbol(a) -> EllipticSymbol:
@@ -100,7 +60,7 @@ def validate_symbol(a) -> EllipticSymbol:
         raise NotSymmetricError(f"asymmetry {asym:.3e} exceeds {SYMMETRY_TOL:.0e}")
     sym = 0.5 * (arr + arr.T)
     sym.flags.writeable = False
-    eigs = _eigenvalues_symmetric(sym)
+    eigs = np.linalg.eigvalsh(sym)
     if eigs[0] <= ELLIPTICITY_FLOOR:
         raise NotEllipticError(
             f"smallest eigenvalue {eigs[0]:.3e} is at or below {ELLIPTICITY_FLOOR:.0e}"

@@ -70,6 +70,9 @@ def test_parse_named_precondition_failures():
         parse_config(json.dumps(make_config(grid={"n": 1, "N": 7, "R": 1.0})))
     with pytest.raises(ValidationError, match="regularity"):
         parse_config(json.dumps(make_config(regularity=3.0)))
+    with pytest.raises(ValidationError, match="regularity"):  # the nonlinear solve needs s <= 1
+        parse_config(json.dumps(make_config(nonlinearity={"lambda": -1.0, "p": 2.0},
+                                            regularity=1.5)))
     with pytest.raises(ValidationError, match="mode"):
         parse_config(json.dumps(make_config(
             initial={"kind": "plane_wave", "amplitude": 1.0, "mode": [0.5]})))
@@ -81,6 +84,10 @@ def test_parse_named_precondition_failures():
         parse_config(json.dumps(make_config(multipoint=[
             {"alpha_re": 0.1, "alpha_im": 0.0, "lambda": 0.5},
             {"alpha_re": 0.2, "alpha_im": 0.0, "lambda": 0.5}])))
+
+
+def test_parse_regularity_bound_without_nonlinearity():
+    assert parse_config(json.dumps(make_config(regularity=1.5))).regularity == 1.5
 
 
 def test_parse_serialize_roundtrip():

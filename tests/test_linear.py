@@ -112,6 +112,20 @@ def test_initial_data_resonance_refused(grid1, sym1):
     assert err.value.eps_res == 1e-8
 
 
+def test_initial_data_forced_is_trajectory_first_frame(grid1, sym1, rng):
+    nt = 40
+    base = random_band_limited(grid1, 6, rng)
+    envelope = np.sin(np.linspace(0.0, 1.0, nt + 1)) + 0.5j
+    forcing = Trajectory(grid1, 0.0, 1.0, envelope[:, None] * base.values[None, :])
+    mp = MultipointSpec(0.0, 1.0, ((0.35 + 0.1j, 0.5), (-0.25, 0.9)))
+    phi = random_band_limited(grid1, 6, rng)
+    u0 = solve_initial_data(sym1, grid1, mp, phi, forcing)
+    traj = solve_linear_multipoint(sym1, grid1, mp, phi, forcing, nt=nt)
+    assert np.array_equal(u0.values, traj.frame(0).values)
+    # the forcing moves the datum: Ĝ(λₖ) enters the right-hand side
+    assert not np.allclose(u0.values, solve_initial_data(sym1, grid1, mp, phi).values)
+
+
 # --- Duhamel -------------------------------------------------------------------------
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from mpnls import (
+    BadExponentError,
     BadPowerError,
     Field,
     MultipointSpec,
@@ -243,6 +244,16 @@ def test_solver_blowup_is_loud(setup):
                                  "center": [0.0]})
     with pytest.raises((NoConvergenceError, NonFiniteError)):
         solve_nls_multipoint(sym, grid, mp, huge, NL, nt=50)
+
+
+def test_solver_checks_regularity_before_any_work(setup):
+    sym, grid, phi = setup
+    mp = MultipointSpec(0.0, 1.0, ())
+    elsewhere = build_grid(1, 64, 10.0)  # a core built first would raise GridMismatchError
+    with pytest.raises(BadExponentError, match="regularity"):
+        solve_nls_multipoint(sym, elsewhere, mp, phi, NL, s=1.5, nt=50)
+    with pytest.raises(BadExponentError, match="regularity"):
+        smallness_indicator(sym, grid, phi, 1.5, NL, 1.0)
 
 
 def test_solver_no_convergence_reports_history(setup):
