@@ -50,7 +50,7 @@ from .nonlinear import (
     check_regularity,
     solve_nls_multipoint,
 )
-from .norms import canonical_pairs, critical_exponent, energy, is_admissible, lebesgue_norm, mass, sobolev_norm
+from .norms import canonical_pairs, critical_exponent, frame_observables, is_admissible
 from .symbol import validate_symbol
 
 SUMMARY_KEYS = (
@@ -452,11 +452,9 @@ def _build_runtime(cfg: SolveConfig):
 class RunResult:
     kind: str
     traj: Trajectory | None = None
-    sym: object = None
-    nl: object = None
+    observables: object = None
     mp_residual: float | None = None
     min_abs_denominator: float | None = None
-    eta: float | None = None
     diagnostics: object = None
     dispersive: object = None
     strichartz: object = None
@@ -467,23 +465,11 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def _timeseries_csv(result: RunResult, cfg: SolveConfig) -> str:
-    traj = result.traj
-    nl = result.nl
-    lines = ["t,mass,energy,l2,linf,sobolev_s,multipoint_residual"]
-    res = result.mp_residual if result.mp_residual is not None else math.nan
-    for m, t in enumerate(traj.times):
-        f = traj.frame(m)
-        lines.append(",".join([
-            _fmt(t),
-            _fmt(mass(f)),
-            _fmt(energy(f, result.sym, nl)),
-            _fmt(lebesgue_norm(f, 2.0)),
-            _fmt(lebesgue_norm(f, math.inf)),
-            _fmt(sobolev_norm(f, cfg.regularity, homogeneous=True, p=2.0)),
-            _fmt(res),
-        ]))
-    return "\n".join(lines) + "\n"
+def _timeseries_csv(result: RunResult) -> str:
+    obs = result.observables
+    rows = zip(result.traj.times, obs.mass, obs.energy, obs.l2, obs.linf, obs.sobolev_s)
+    lines = [",".join(_fmt(x) for x in row + (result.mp_residual,)) for row in rows]
+    return "\n".join(["t,mass,energy,l2,linf,sobolev_s,multipoint_residual"] + lines) + "\n"
 
 
 def _dispersive_csv(result: RunResult) -> str:
@@ -512,10 +498,7 @@ def _summary_json(result: RunResult, cfg: SolveConfig) -> str:
         rep = critical_exponent(cfg.grid.n, cfg.nonlinearity.p, cfg.regularity)
         doc["s_c"] = rep.s_c
         doc["class"] = rep.classification
-    if result.min_abs_denominator is not None:
-        doc["min_abs_denominator"] = result.min_abs_denominator
-    if result.eta is not None:
-        doc["eta"] = result.eta
+    doc["min_abs_denominator"] = result.min_abs_denominator
     diags = result.diagnostics
     if diags is not None:
         doc["eta"] = diags.eta
@@ -542,7 +525,7 @@ def write_report(result: RunResult, cfg: SolveConfig) -> list[str]:
     csv_path = base.with_name(base.name + ".csv")
     json_path = base.with_name(base.name + ".json")
     if result.kind in ("solve-linear", "solve-nls"):
-        csv_text = _timeseries_csv(result, cfg)
+        csv_text = _timeseries_csv(result)
     elif result.kind == "verify-dispersive":
         csv_text = _dispersive_csv(result)
     else:
@@ -577,7 +560,8 @@ def _run_solve_linear(cfg: SolveConfig) -> RunResult:
     traj = solve_linear_multipoint(sym, grid, mp, phi, forcing, cfg.time.nt,
                                    eps_res=cfg.tolerances.eps_res)
     return RunResult(
-        kind="solve-linear", traj=traj, sym=sym, nl=nl,
+        kind="solve-linear", traj=traj,
+        observables=frame_observables(traj, sym, nl, cfg.regularity),
         mp_residual=multipoint_residual(traj, mp, phi),
         min_abs_denominator=denom.min_abs,
     )
@@ -598,7 +582,7 @@ def _run_solve_nls(cfg: SolveConfig) -> RunResult:
     if diags.metric_clamped:
         warnings = ("contraction metric exponent clamped to r=2 (formula left [2,inf))",)
     return RunResult(
-        kind="solve-nls", traj=traj, sym=sym, nl=nl,
+        kind="solve-nls", traj=traj, observables=diags.observables,
         mp_residual=multipoint_residual(traj, mp, phi),
         min_abs_denominator=denom.min_abs, diagnostics=diags, warnings=warnings,
     )
@@ -614,7 +598,7 @@ def _run_verify_dispersive(cfg: SolveConfig) -> RunResult:
     if rep.wraparound:
         warnings = ("wrap-around: more than 1% of mass in the outer 10% shell; "
                     "increase R for trustworthy decay rates",)
-    return RunResult(kind="verify-dispersive", sym=sym, dispersive=rep, warnings=warnings)
+    return RunResult(kind="verify-dispersive", dispersive=rep, warnings=warnings)
 
 
 def _run_verify_strichartz(cfg: SolveConfig) -> RunResult:
@@ -622,7 +606,7 @@ def _run_verify_strichartz(cfg: SolveConfig) -> RunResult:
     st = cfg.strichartz or StrichartzConfig()
     rep = verify_strichartz(sym, grid, t0=cfg.time.t0, T=cfg.time.T, nt=cfg.time.nt,
                             num_samples=st.num_samples, seed=st.seed, band=st.band)
-    return RunResult(kind="verify-strichartz", sym=sym, strichartz=rep)
+    return RunResult(kind="verify-strichartz", strichartz=rep)
 
 
 _RUNNERS = {

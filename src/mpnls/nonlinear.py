@@ -31,7 +31,7 @@ from .errors import (
 )
 from .grid import Field, SpectralGrid, Trajectory, forward_transform
 from .linear import DEFAULT_EPS_RES, MultipointSpec, _MultipointCore, _propagate, symbol_lattice
-from .norms import apply_riesz, canonical_pairs, critical_exponent, energy, mass, mixed_norm, sobolev_norm, strichartz_norm
+from .norms import FrameObservables, apply_riesz, canonical_pairs, critical_exponent, frame_observables, mixed_norm, strichartz_norm
 from .symbol import EllipticSymbol
 
 DEFAULT_TOL_FP = 1e-10
@@ -66,8 +66,7 @@ class PicardDiagnostics:
     metric_clamped: bool
     grad_s_mixed: float
     strichartz_value: float
-    sup_sobolev: float
-    data_sobolev: float
+    observables: FrameObservables  # per-frame mass, energy, l2, linf, sobolev_s
 
 
 def metric_exponent(n: int, p: float) -> tuple[float, bool]:
@@ -165,7 +164,7 @@ def integral_residual(sym: EllipticSymbol, grid: SpectralGrid, mp: MultipointSpe
     return mixed_norm(_solution_map(core, traj, nl) - traj, nl.p + 2.0, r_metric)
 
 
-def _relative_drift(values: list[float]) -> float:
+def _relative_drift(values: tuple[float, ...]) -> float:
     ref = values[0]
     floor = float(np.finfo(np.float64).eps)
     return max(abs(v - ref) for v in values) / max(abs(ref), floor)
@@ -221,8 +220,7 @@ def solve_nls_multipoint(sym: EllipticSymbol, grid: SpectralGrid, mp: Multipoint
 
     final_residual = mixed_norm(_solution_map(core, current, nl) - current, q_metric, r_metric)
 
-    masses = [mass(current.frame(m)) for m in range(nt + 1)]
-    energies = [energy(current.frame(m), sym, nl) for m in range(nt + 1)]
+    observables = frame_observables(current, sym, nl, s)
     grad_traj = Trajectory._wrap(
         grid, mp.t0, mp.T,
         np.stack([apply_riesz(current.frame(m), s).values for m in range(nt + 1)]),
@@ -234,8 +232,8 @@ def solve_nls_multipoint(sym: EllipticSymbol, grid: SpectralGrid, mp: Multipoint
         contraction_ratios=ratios,
         final_residual=final_residual,
         eta=eta,
-        mass_drift=_relative_drift(masses),
-        energy_drift=_relative_drift(energies),
+        mass_drift=_relative_drift(observables.mass),
+        energy_drift=_relative_drift(observables.energy),
         s=float(s),
         s_c=report.s_c,
         r_metric=r_metric,
@@ -243,8 +241,6 @@ def solve_nls_multipoint(sym: EllipticSymbol, grid: SpectralGrid, mp: Multipoint
         metric_clamped=clamped,
         grad_s_mixed=mixed_norm(grad_traj, q_metric, sigma),
         strichartz_value=strichartz_norm(grad_traj, canonical_pairs(grid.n)),
-        sup_sobolev=max(sobolev_norm(current.frame(m), s, homogeneous=True, p=2.0)
-                        for m in range(nt + 1)),
-        data_sobolev=sobolev_norm(phi, s, homogeneous=True, p=2.0),
+        observables=observables,
     )
     return current, diags

@@ -67,7 +67,8 @@ def mixed_norm(traj: Trajectory, q: float, r: float) -> float:
     qf = float(q)
     weights = np.ones(traj.nt + 1)
     weights[0] = weights[-1] = 0.5
-    return float((traj.dt * np.sum(weights * np.asarray(frames) ** qf)) ** (1.0 / qf))
+    with np.errstate(over="ignore"):  # as in lebesgue_norm: a diverging iterate reads inf
+        return float((traj.dt * np.sum(weights * np.asarray(frames) ** qf)) ** (1.0 / qf))
 
 
 def sobolev_norm(field: Field, s: float, homogeneous: bool = True, p: float = 2.0) -> float:
@@ -253,3 +254,21 @@ def energy(field: Field, sym, nl=None) -> float:
     if abs(total.imag) > 1e-10 * scale:
         raise NonFiniteError(f"energy integrand not real: imag part {total.imag:.3e}")
     return float(total.real)
+
+
+@dataclass(frozen=True)
+class FrameObservables:  # per-frame columns of a solve report, one entry per frame
+    mass: tuple
+    energy: tuple
+    l2: tuple
+    linf: tuple
+    sobolev_s: tuple  # homogeneous ‖|∇|^s u‖_{L²}
+
+
+def frame_observables(traj: Trajectory, sym, nl, s: float) -> FrameObservables:
+    """Mass, energy (nl as for `energy`), L², L^∞ and Ḣ^s norm of every frame: the
+    only place these are computed, read by the Picard drifts and the solve CSV."""
+    rows = [(mass(f), energy(f, sym, nl), lebesgue_norm(f, 2.0), lebesgue_norm(f, INF),
+             sobolev_norm(f, s, homogeneous=True, p=2.0))
+            for f in (traj.frame(m) for m in range(traj.nt + 1))]
+    return FrameObservables(*zip(*rows))

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -174,6 +175,53 @@ def test_nls_run_summary(tmp_path):
     assert summary["energy_drift"] < 1e-4
     assert summary["strichartz_value"] > 0
     assert any("clamped" in w for w in summary["warnings"])
+
+
+def _small_nls_doc(tmp_path, nt):
+    return make_config(
+        grid={"n": 1, "N": 64, "R": 10.0},
+        initial={"kind": "gaussian", "amplitude": 0.05, "width": 1.0, "center": [0.0]},
+        multipoint=[{"alpha_re": 0.3, "alpha_im": 0.0, "lambda": 0.5}],
+        nonlinearity={"lambda": -1.0, "p": 2.0},
+        regularity=0.5,
+        time={"t0": 0.0, "T": 1.0, "Nt": nt},
+        outputs={"report_path": str(tmp_path / "nls")})
+
+
+def test_nls_observables_computed_once(tmp_path, monkeypatch):
+    from mpnls import norms
+
+    calls = {"energy": 0, "sobolev_norm": 0}
+    for name in calls:
+        original = getattr(norms, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for modname, mod in list(sys.modules.items()):
+            if modname.split(".")[0] == "mpnls" and vars(mod).get(name) is original:
+                monkeypatch.setattr(mod, name, counted)
+    nt = 20
+    doc = _small_nls_doc(tmp_path, nt)
+    assert run_command(["solve-nls", "--config", write_config(tmp_path, doc)]) == 0
+    assert calls == {"energy": nt + 1, "sobolev_norm": nt + 1}
+
+
+def test_nls_drifts_match_csv_columns(tmp_path):
+    doc = _small_nls_doc(tmp_path, 40)
+    assert run_command(["solve-nls", "--config", write_config(tmp_path, doc)]) == 0
+    summary = json.loads((tmp_path / "nls.json").read_text())
+    header, *rows = (tmp_path / "nls.csv").read_text().splitlines()
+    columns = dict(zip(header.split(","), zip(*(map(float, r.split(",")) for r in rows))))
+
+    def drift(values):
+        ref = values[0]
+        return max(abs(v - ref) for v in values) / max(abs(ref), float(np.finfo(np.float64).eps))
+
+    assert summary["mass_drift"] == drift(columns["mass"])
+    assert summary["energy_drift"] == drift(columns["energy"])
+    assert summary["mass_drift"] > 0.0 and summary["energy_drift"] > 0.0
 
 
 def test_nls_requires_nonlinearity(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from mpnls import (
     smallness_indicator,
     solve_linear_multipoint,
     solve_nls_multipoint,
+    validate_symbol,
 )
 
 NL = PowerNonlinearity(-1.0, 2.0)
@@ -244,6 +247,19 @@ def test_solver_blowup_is_loud(setup):
                                  "center": [0.0]})
     with pytest.raises((NoConvergenceError, NonFiniteError)):
         solve_nls_multipoint(sym, grid, mp, huge, NL, nt=50)
+
+
+def test_solver_overflow_raises_without_numpy_warnings():
+    # at amplitude 1.5 the metric distance overflows after a few iterations
+    sym = validate_symbol([[1.0]])
+    grid = build_grid(1, 256, 10.0)
+    phi = sample_profile(grid, {"kind": "gaussian", "amplitude": 1.5, "width": 1.0,
+                                "center": [0.0]})
+    mp = MultipointSpec(0.0, 1.0, ((0.3, 0.5),))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteError):
+            solve_nls_multipoint(sym, grid, mp, phi, NL, nt=200, max_iter=100)
 
 
 def test_solver_checks_regularity_before_any_work(setup):

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -28,6 +29,7 @@ from mpnls import (
     strichartz_norm,
     validate_symbol,
 )
+from mpnls.norms import frame_observables
 
 INF = math.inf
 
@@ -79,6 +81,14 @@ def test_mixed_equals_flat_spacetime_for_q_eq_r(grid1, rng):
 def test_mixed_zero_and_sup(grid1):
     assert mixed_norm(constant_traj(grid1, 0.0), 2.0, 2.0) == 0.0
     assert mixed_norm(constant_traj(grid1, 3.0), INF, INF) == pytest.approx(3.0, abs=1e-14)
+
+
+def test_mixed_overflow_is_inf_without_warnings(grid1):
+    # each frame's L² norm is finite (~1e101), its 4th power is not
+    traj = constant_traj(grid1, 1e100)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert mixed_norm(traj, 4.0, 2.0) == INF
 
 
 # --- Sobolev --------------------------------------------------------------------
@@ -272,3 +282,21 @@ def test_absolute_homogeneity(grid1, rng):
     for q, r in ((2.0, 2.0), (4.0, INF), (INF, 3.0)):
         assert mixed_norm(scaled, q, r) == pytest.approx(abs(c) * mixed_norm(traj, q, r), rel=1e-12)
     assert sobolev_norm(c * f, 0.8) == pytest.approx(abs(c) * sobolev_norm(f, 0.8), rel=1e-12)
+
+
+# --- per-frame observables ----------------------------------------------------
+
+
+def test_frame_observables_columns_are_the_norms(grid1, sym1, rng):
+    nt = 6
+    vals = rng.standard_normal((nt + 1, 64)) + 1j * rng.standard_normal((nt + 1, 64))
+    traj = Trajectory(grid1, 0.0, 1.0, vals)
+    nl = PowerNonlinearity(-1.0, 2.0)
+    obs = frame_observables(traj, sym1, nl, 0.5)
+    frames = [traj.frame(m) for m in range(nt + 1)]
+    assert obs.mass == tuple(mass(f) for f in frames)
+    assert obs.energy == tuple(energy(f, sym1, nl) for f in frames)
+    assert obs.l2 == tuple(lebesgue_norm(f, 2.0) for f in frames)
+    assert obs.linf == tuple(lebesgue_norm(f, INF) for f in frames)
+    assert obs.sobolev_s == tuple(sobolev_norm(f, 0.5, homogeneous=True, p=2.0) for f in frames)
+    assert frame_observables(traj, sym1, None, 0.5).energy == tuple(energy(f, sym1) for f in frames)
