@@ -16,7 +16,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -33,10 +33,15 @@ from .errors import (
     UnknownKeyError,
     ValidationError,
 )
-from .grid import Trajectory, build_grid, sample_profile, write_field_file
+from .grid import Trajectory, build_grid, check_profile, sample_profile, write_field_file
 from .linear import (
     DEFAULT_EPS_RES,
+    DEFAULT_STRICHARTZ_BAND,
+    DEFAULT_STRICHARTZ_SAMPLES,
+    DEFAULT_STRICHARTZ_SEED,
     MultipointSpec,
+    check_dispersive,
+    check_strichartz,
     multipoint_denominator,
     multipoint_residual,
     solve_linear_multipoint,
@@ -47,11 +52,17 @@ from .nonlinear import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL_FP,
     PowerNonlinearity,
+    check_picard_tolerances,
     check_regularity,
     solve_nls_multipoint,
 )
-from .norms import canonical_pairs, critical_exponent, frame_observables, is_admissible
+from .norms import (canonical_pairs, check_sobolev_order, critical_exponent, frame_observables,
+                    is_admissible)
 from .symbol import validate_symbol
+
+# The exit code of an error is that of the first class it is an instance of.
+EXIT_CODES = ((ResonanceError, 3), (NoConvergenceError, 4), (NonFiniteError, 5),
+              (MpnlsError, 2), (OSError, 1))
 
 SUMMARY_KEYS = (
     "version", "config_echo", "s_c", "class", "eta", "iterations", "d_history",
@@ -106,15 +117,15 @@ class OutputConfig:
 
 @dataclass(frozen=True)
 class DispersiveConfig:
-    times: tuple
-    p: float
+    times: tuple = tuple(float(t) for t in np.geomspace(2.0, 20.0, 8))
+    p: float = math.inf
 
 
 @dataclass(frozen=True)
 class StrichartzConfig:
-    num_samples: int = 20
-    seed: int = 0
-    band: int = 8
+    num_samples: int = DEFAULT_STRICHARTZ_SAMPLES
+    seed: int = DEFAULT_STRICHARTZ_SEED
+    band: int = DEFAULT_STRICHARTZ_BAND
 
 
 @dataclass(frozen=True)
@@ -143,6 +154,15 @@ def _need(obj: dict, key: str, path: str):
     if key not in obj:
         raise ValidationError(f"missing required key '{path}{key}'")
     return obj[key]
+
+
+def _checked(path: str, check, *args):
+    """Call the module function that owns a value rule; its error becomes a
+    ValidationError naming the config path."""
+    try:
+        return check(*args)
+    except (MpnlsError, ValueError) as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
 
 
 def _as_number(v, where: str) -> float:
@@ -174,60 +194,33 @@ _PROFILE_KEYS = {
 }
 
 
-def _validate_profile(spec, n: int, half_modes: int, path: str) -> dict:
+def _validate_profile(spec, grid, path: str) -> dict:
+    """A profile's schema here; its defaults and value rules in grid.check_profile."""
     if not isinstance(spec, dict):
         raise ValidationError(f"{path} must be an object")
     kind = spec.get("kind")
     if kind not in _PROFILE_KEYS:
         raise ValidationError(f"{path}.kind must be one of {sorted(_PROFILE_KEYS)}, got {kind!r}")
     _check_keys(spec, _PROFILE_KEYS[kind], path + ".")
-    out = {"kind": kind}
     if kind == "from_file":
-        p = _need(spec, "path", path + ".")
-        if not isinstance(p, str):
+        if not isinstance(_need(spec, "path", path + "."), str):
             raise ValidationError(f"{path}.path must be a string")
-        out["path"] = p
-        return out
-    amp = spec.get("amplitude", 1.0)
-    if isinstance(amp, list):
-        if len(amp) != 2:
-            raise ValidationError(f"{path}.amplitude pair must be [re, im]")
-        out["amplitude"] = [_as_number(amp[0], f"{path}.amplitude[0]"),
-                            _as_number(amp[1], f"{path}.amplitude[1]")]
-    else:
-        out["amplitude"] = _as_number(amp, f"{path}.amplitude")
-    if kind == "gaussian":
-        width = _as_number(spec.get("width", 1.0), f"{path}.width")
-        if width <= 0.0:
-            raise ValidationError(f"{path}.width must be positive")
-        center = spec.get("center", [0.0] * n)
-        if not isinstance(center, list):
-            center = [center]
-        if len(center) != n:
-            raise ValidationError(f"{path}.center must have {n} entries")
-        out["width"] = width
-        out["center"] = [_as_number(c, f"{path}.center") for c in center]
-    else:  # plane_wave
-        mode = _need(spec, "mode", path + ".")
-        if not isinstance(mode, list):
-            mode = [mode]
-        if len(mode) != n:
-            raise ValidationError(f"{path}.mode must have {n} entries")
-        jvals = []
-        for j in mode:
-            jf = _as_number(j, f"{path}.mode")
-            if jf != round(jf):
-                raise ValidationError(f"{path}.mode entries must be integers, got {j!r}")
-            if abs(jf) > half_modes:
-                raise ValidationError(f"{path}.mode entry {j!r} exceeds the lattice half-width")
-            jvals.append(int(jf))
-        out["mode"] = jvals
-    return out
+        return dict(spec)
+    if kind == "plane_wave":
+        _need(spec, "mode", path + ".")
+    typed = {key: _as_number(v, f"{path}.{key}") if key == "width" or not isinstance(v, list)
+             else [_as_number(x, f"{path}.{key}") for x in v]  # amplitude, center, mode
+             for key, v in spec.items() if key != "kind"}
+    return _checked(path, check_profile, grid, dict(typed, kind=kind))
 
 
 def parse_config(text: str) -> SolveConfig:
-    """Parse and validate a JSON config; every module precondition is checked
-    here so a config that parses will build its runtime objects."""
+    """Parse and validate a JSON config, so that a config that parses runs.
+
+    The strict schema (keys, JSON types, required fields) and the rules no
+    module owns are checked here; every other value rule by calling the module
+    function that owns it.
+    """
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -243,10 +236,8 @@ def parse_config(text: str) -> SolveConfig:
     a = _need(sym_raw, "a", "symbol.")
     if not isinstance(a, list) or not all(isinstance(row, list) for row in a):
         raise ValidationError("symbol.a must be a matrix (list of rows)")
-    try:
-        sym = validate_symbol([[_as_number(v, "symbol.a entry") for v in row] for row in a])
-    except MpnlsError as exc:
-        raise ValidationError(f"symbol.a: {exc}") from exc
+    sym = _checked("symbol.a", validate_symbol,
+                   [[_as_number(v, "symbol.a entry") for v in row] for row in a])
     symbol_a = tuple(tuple(float(v) for v in row) for row in sym.a)
 
     grid_raw = _need(raw, "grid", "")
@@ -256,18 +247,14 @@ def parse_config(text: str) -> SolveConfig:
                     _as_number(_need(grid_raw, "R", "grid."), "grid.R"))
     if sym.n != gc.n:
         raise ValidationError(f"symbol dimension {sym.n} does not match grid.n = {gc.n}")
-    try:
-        build_grid(gc.n, gc.N, gc.R)
-    except MpnlsError as exc:
-        raise ValidationError(f"grid: {exc}") from exc
+    grid = _checked("grid", build_grid, gc.n, gc.N, gc.R)
 
     time_raw = _need(raw, "time", "")
     _check_keys(time_raw, {"t0", "T", "Nt"}, "time.")
     tc = TimeConfig(_as_number(_need(time_raw, "t0", "time."), "time.t0"),
                     _as_number(_need(time_raw, "T", "time."), "time.T"),
                     _as_int(_need(time_raw, "Nt", "time."), "time.Nt"))
-    if not (tc.T > tc.t0):
-        raise ValidationError(f"time: T={tc.T} must exceed t0={tc.t0}")
+    _checked("time", MultipointSpec, tc.t0, tc.T)
     if tc.nt < 1:
         raise ValidationError(f"time.Nt must be >= 1, got {tc.nt}")
 
@@ -278,20 +265,19 @@ def parse_config(text: str) -> SolveConfig:
         term = MultipointTerm(_as_number(item.get("alpha_re", 0.0), path + "alpha_re"),
                               _as_number(item.get("alpha_im", 0.0), path + "alpha_im"),
                               _as_number(_need(item, "lambda", path), path + "lambda"))
-        if not (tc.t0 < term.lam <= tc.T):
-            raise ValidationError(f"{path}lambda out of (t0,T]: {term.lam}")
+        # a one-term spec checks λ ∈ (t0, T]; its frame index, that λ is a grid time
+        _checked(path + "lambda",
+                 lambda: MultipointSpec(tc.t0, tc.T, ((0.0, term.lam),)).frame_indices(tc.nt))
         terms.append(term)
-    if len({t.lam for t in terms}) != len(terms):
-        raise ValidationError("multipoint lambda values must be distinct")
+    # and one spec of all the terms, that the λ are distinct
+    _checked("multipoint", MultipointSpec, tc.t0, tc.T, tuple((0.0, t.lam) for t in terms))
 
-    half_modes = gc.N // 2
-    initial = _validate_profile(_need(raw, "initial", ""), gc.n, half_modes, "initial")
+    initial = _validate_profile(_need(raw, "initial", ""), grid, "initial")
 
     forcing = raw.get("forcing")
     if forcing is not None:
         _check_keys(forcing, {"profile", "envelope"}, "forcing.")
-        prof = _validate_profile(_need(forcing, "profile", "forcing."), gc.n, half_modes,
-                                 "forcing.profile")
+        prof = _validate_profile(_need(forcing, "profile", "forcing."), grid, "forcing.profile")
         env = forcing.get("envelope", {"kind": "constant"})
         kind = env.get("kind") if isinstance(env, dict) else None
         if kind == "constant":
@@ -314,25 +300,20 @@ def parse_config(text: str) -> SolveConfig:
                                                "nonlinearity.lambda"),
                                     _as_number(_need(nl_raw, "p", "nonlinearity."),
                                                "nonlinearity.p"))
-        if not (nl_cfg.p > 0.0):
-            raise ValidationError(f"nonlinearity.p must be positive, got {nl_cfg.p}")
+        _checked("nonlinearity.p", PowerNonlinearity, nl_cfg.lam, nl_cfg.p)
 
     regularity = _as_number(raw.get("regularity", 0.0), "regularity")
-    if not (0.0 <= regularity <= 2.0):
-        raise ValidationError(f"regularity must be in [0, 2], got {regularity}")
+    _checked("regularity", check_sobolev_order, regularity)
     if nl_cfg is not None:
-        try:
-            check_regularity(regularity)
-        except MpnlsError as exc:
-            raise ValidationError(str(exc)) from exc
+        _checked("regularity", check_regularity, regularity)
 
     tol_raw = raw.get("tolerances", {})
     _check_keys(tol_raw, {"eps_res", "tol_fp", "max_iter"}, "tolerances.")
-    tol = ToleranceConfig(_as_number(tol_raw.get("eps_res", DEFAULT_EPS_RES), "tolerances.eps_res"),
-                          _as_number(tol_raw.get("tol_fp", DEFAULT_TOL_FP), "tolerances.tol_fp"),
-                          _as_int(tol_raw.get("max_iter", DEFAULT_MAX_ITER), "tolerances.max_iter"))
-    if tol.eps_res <= 0.0 or tol.tol_fp <= 0.0 or tol.max_iter < 1:
-        raise ValidationError("tolerances must satisfy eps_res > 0, tol_fp > 0, max_iter >= 1")
+    tol = ToleranceConfig(**{k: (_as_int if k == "max_iter" else _as_number)(v, f"tolerances.{k}")
+                             for k, v in tol_raw.items()})
+    if not (tol.eps_res > 0.0):
+        raise ValidationError(f"tolerances.eps_res must be positive, got {tol.eps_res}")
+    _checked("tolerances", check_picard_tolerances, tol.tol_fp, tol.max_iter)
 
     out_raw = raw.get("outputs", {})
     _check_keys(out_raw, {"report_path", "fields_path", "snapshot_frames"}, "outputs.")
@@ -353,31 +334,26 @@ def parse_config(text: str) -> SolveConfig:
     dispersive = None
     if disp_raw is not None:
         _check_keys(disp_raw, {"times", "p"}, "dispersive.")
-        times_raw = disp_raw.get("times", [float(t) for t in np.geomspace(2.0, 20.0, 8)])
-        if not isinstance(times_raw, list) or not times_raw:
-            raise ValidationError("dispersive.times must be a nonempty list")
-        times = tuple(_as_number(t, "dispersive.times entry") for t in times_raw)
-        for t in times:
-            if t <= 0.0:
-                raise ValidationError(f"dispersive.times entries must be positive, got {t}")
-        if any(b <= a for a, b in zip(times, times[1:])):
-            raise ValidationError("dispersive.times must be strictly increasing")
-        p_exp = _as_exponent(disp_raw.get("p", "inf"), "dispersive.p")
-        if p_exp < 2.0:
-            raise ValidationError(f"dispersive.p must be >= 2, got {p_exp}")
-        dispersive = DispersiveConfig(times, p_exp)
+        given = {}
+        if "times" in disp_raw:
+            if not isinstance(disp_raw["times"], list) or not disp_raw["times"]:
+                raise ValidationError("dispersive.times must be a nonempty list")
+            given["times"] = tuple(_as_number(t, "dispersive.times entry")
+                                   for t in disp_raw["times"])
+        if "p" in disp_raw:
+            given["p"] = _as_exponent(disp_raw["p"], "dispersive.p")
+        dispersive = DispersiveConfig(**given)
+        _checked("dispersive", check_dispersive, dispersive.times, dispersive.p)
 
     st_raw = raw.get("strichartz")
     strichartz = None
     if st_raw is not None:
         _check_keys(st_raw, {"num_samples", "seed", "band"}, "strichartz.")
-        strichartz = StrichartzConfig(_as_int(st_raw.get("num_samples", 20), "strichartz.num_samples"),
-                                      _as_int(st_raw.get("seed", 0), "strichartz.seed"),
-                                      _as_int(st_raw.get("band", 8), "strichartz.band"))
-        if strichartz.num_samples < 1 or strichartz.band < 1:
-            raise ValidationError("strichartz.num_samples and strichartz.band must be >= 1")
-        if strichartz.band >= gc.N // 2:
-            raise ValidationError(f"strichartz.band must be < N/2 = {gc.N // 2}")
+        strichartz = StrichartzConfig(**{k: _as_int(v, f"strichartz.{k}")
+                                         for k, v in st_raw.items()})
+        if strichartz.band < 1:
+            raise ValidationError(f"strichartz.band must be >= 1, got {strichartz.band}")
+        _checked("strichartz", check_strichartz, grid, strichartz.num_samples, strichartz.band)
 
     return SolveConfig(symbol_a, gc, tc, tuple(terms), initial, forcing, nl_cfg,
                        regularity, tol, outputs, dispersive, strichartz)
@@ -393,7 +369,7 @@ def config_to_dict(cfg: SolveConfig) -> dict:
     """Canonical JSON-ready form; parse(serialize(cfg)) == cfg."""
     doc = {
         "symbol": {"a": [list(row) for row in cfg.symbol_a]},
-        "grid": {"n": cfg.grid.n, "N": cfg.grid.N, "R": cfg.grid.R},
+        "grid": asdict(cfg.grid),
         "time": {"t0": cfg.time.t0, "T": cfg.time.T, "Nt": cfg.time.nt},
         "multipoint": [{"alpha_re": t.alpha_re, "alpha_im": t.alpha_im, "lambda": t.lam}
                        for t in cfg.multipoint],
@@ -402,8 +378,7 @@ def config_to_dict(cfg: SolveConfig) -> dict:
         "nonlinearity": None if cfg.nonlinearity is None else
             {"lambda": cfg.nonlinearity.lam, "p": cfg.nonlinearity.p},
         "regularity": cfg.regularity,
-        "tolerances": {"eps_res": cfg.tolerances.eps_res, "tol_fp": cfg.tolerances.tol_fp,
-                       "max_iter": cfg.tolerances.max_iter},
+        "tolerances": asdict(cfg.tolerances),
         "outputs": {"report_path": cfg.outputs.report_path,
                     "fields_path": cfg.outputs.fields_path,
                     "snapshot_frames": list(cfg.outputs.snapshot_frames)},
@@ -411,8 +386,7 @@ def config_to_dict(cfg: SolveConfig) -> dict:
     if cfg.dispersive is not None:
         doc["dispersive"] = {"times": list(cfg.dispersive.times), "p": _num_out(cfg.dispersive.p)}
     if cfg.strichartz is not None:
-        doc["strichartz"] = {"num_samples": cfg.strichartz.num_samples,
-                             "seed": cfg.strichartz.seed, "band": cfg.strichartz.band}
+        doc["strichartz"] = asdict(cfg.strichartz)
     return doc
 
 
@@ -590,9 +564,7 @@ def _run_solve_nls(cfg: SolveConfig) -> RunResult:
 
 def _run_verify_dispersive(cfg: SolveConfig) -> RunResult:
     sym, grid, _, phi, _, _ = _build_runtime(cfg)
-    disp = cfg.dispersive
-    if disp is None:
-        disp = DispersiveConfig(tuple(float(t) for t in np.geomspace(2.0, 20.0, 8)), math.inf)
+    disp = cfg.dispersive or DispersiveConfig()
     rep = verify_dispersive(sym, grid, phi, disp.times, disp.p)
     warnings = ()
     if rep.wraparound:
@@ -670,21 +642,9 @@ def run_command(argv) -> int:
         for path in write_report(result, cfg):
             print(path)
         return 0
-    except ResonanceError as exc:
+    except (MpnlsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except NoConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except NonFiniteError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
-    except MpnlsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return next(code for kind, code in EXIT_CODES if isinstance(exc, kind))
 
 
 def main() -> None:

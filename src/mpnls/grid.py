@@ -226,8 +226,8 @@ def inverse_transform(field: Field) -> Field:
 # --- initial-data profiles ---------------------------------------------------
 
 
-def sample_profile(grid: SpectralGrid, profile: dict) -> Field:
-    """Sample a named profile on the grid.
+def check_profile(grid: SpectralGrid, profile: dict) -> dict:
+    """Check a profile spec against the grid without sampling it.
 
     Supported kinds::
 
@@ -235,44 +235,56 @@ def sample_profile(grid: SpectralGrid, profile: dict) -> Field:
         {"kind": "plane_wave", "amplitude": A, "mode": [j...]}   # ξ = (π/R)·j
         {"kind": "from_file", "path": "..."}                     # binary field file
 
-    Scalar amplitude may be given as a number or [re, im] pair.
+    Scalar amplitude may be given as a number or [re, im] pair.  Returns the
+    spec with its defaults filled in, which is what sample_profile samples.  A
+    from_file spec is returned as is: its header is checked when the file is read.
     """
     if not isinstance(profile, dict) or "kind" not in profile:
         raise ValueError("profile must be a dict with a 'kind' key")
     kind = profile["kind"]
-    if kind == "gaussian":
-        amp = _as_complex(profile.get("amplitude", 1.0))
-        width = float(profile.get("width", 1.0))
-        if width <= 0.0:
-            raise ValueError("gaussian width must be positive")
-        center = _as_vector(profile.get("center", [0.0] * grid.n), grid.n, "center")
-        mesh = grid.x_mesh()
-        r2 = np.zeros(grid.shape)
-        for ax, c in zip(mesh, center):
-            r2 = r2 + (ax - c) ** 2
-        return Field(grid, amp * np.exp(-r2 / (2.0 * width**2)))
-    if kind == "plane_wave":
-        amp = _as_complex(profile.get("amplitude", 1.0))
-        mode = profile.get("mode", [0] * grid.n)
-        mode = np.atleast_1d(np.asarray(mode, dtype=float))
-        if mode.shape != (grid.n,):
-            raise ValueError(f"mode must have {grid.n} entries")
-        if np.any(mode != np.round(mode)):
-            raise ModeNotOnLatticeError(f"mode {mode.tolist()} has non-integer entries")
-        if np.any(np.abs(mode) > grid.N // 2):
-            raise ModeNotOnLatticeError(f"mode {mode.tolist()} exceeds the lattice half-width")
-        mesh = grid.x_mesh()
-        phase = np.zeros(grid.shape)
-        for ax, j in zip(mesh, mode):
-            phase = phase + (np.pi / grid.R) * j * ax
-        return Field(grid, amp * np.exp(1j * phase))
     if kind == "from_file":
-        return read_field_file(profile["path"], grid=grid)
-    raise ValueError(f"unknown profile kind {kind!r}")
+        return profile
+    if kind not in ("gaussian", "plane_wave"):
+        raise ValueError(f"unknown profile kind {kind!r}")
+    spec = {"kind": kind, "amplitude": profile.get("amplitude", 1.0)}
+    _as_complex(spec["amplitude"])
+    if kind == "gaussian":
+        spec["width"] = float(profile.get("width", 1.0))
+        if spec["width"] <= 0.0:
+            raise ValueError("gaussian width must be positive")
+        spec["center"] = _as_vector(profile.get("center", [0.0] * grid.n), grid.n, "center").tolist()
+        return spec
+    mode = _as_vector(profile.get("mode", [0] * grid.n), grid.n, "mode")
+    if np.any(mode != np.round(mode)):
+        raise ModeNotOnLatticeError(f"mode {mode.tolist()} has non-integer entries")
+    if np.any(np.abs(mode) > grid.N // 2):
+        raise ModeNotOnLatticeError(f"mode {mode.tolist()} exceeds the lattice half-width")
+    spec["mode"] = [int(j) for j in mode]
+    return spec
+
+
+def sample_profile(grid: SpectralGrid, profile: dict) -> Field:
+    """Sample a profile spec (see check_profile) on the grid."""
+    spec = check_profile(grid, profile)
+    if spec["kind"] == "from_file":
+        return read_field_file(spec["path"], grid=grid)
+    amp = _as_complex(spec["amplitude"])
+    mesh = grid.x_mesh()
+    if spec["kind"] == "gaussian":
+        r2 = np.zeros(grid.shape)
+        for ax, c in zip(mesh, spec["center"]):
+            r2 = r2 + (ax - c) ** 2
+        return Field(grid, amp * np.exp(-r2 / (2.0 * spec["width"]**2)))
+    phase = np.zeros(grid.shape)
+    for ax, j in zip(mesh, spec["mode"]):
+        phase = phase + (np.pi / grid.R) * j * ax
+    return Field(grid, amp * np.exp(1j * phase))
 
 
 def _as_complex(v) -> complex:
-    if isinstance(v, (list, tuple)) and len(v) == 2:
+    if isinstance(v, (list, tuple)):
+        if len(v) != 2:
+            raise ValueError(f"amplitude pair must be [re, im], got {len(v)} entries")
         return complex(float(v[0]), float(v[1]))
     return complex(v)
 
@@ -284,6 +296,13 @@ def _as_vector(v, n: int, name: str) -> np.ndarray:
     return arr
 
 
+def check_band(grid: SpectralGrid, band: int) -> None:
+    """A band of modes |j|∞ ≤ band fits on the lattice only for band < N/2."""
+    if band >= grid.N // 2:
+        raise ModeNotOnLatticeError(f"band {band} does not fit on an N={grid.N} grid "
+                                    f"(needs band < N/2 = {grid.N // 2})")
+
+
 def random_band_limited(grid: SpectralGrid, band: int, rng: np.random.Generator,
                         amplitude: float = 1.0) -> Field:
     """Random smooth field: unit-variance complex coefficients on modes |j|∞ ≤ band.
@@ -292,8 +311,7 @@ def random_band_limited(grid: SpectralGrid, band: int, rng: np.random.Generator,
     seed produces the same function on refined grids (used by the resolution
     stability checks).
     """
-    if band >= grid.N // 2:
-        raise ModeNotOnLatticeError(f"band {band} does not fit on an N={grid.N} grid")
+    check_band(grid, band)
     width = 2 * band + 1
     coeffs = rng.standard_normal((width,) * grid.n) + 1j * rng.standard_normal((width,) * grid.n)
     spec = np.zeros(grid.shape, dtype=np.complex128)

@@ -33,12 +33,16 @@ from .errors import (
     NonpositiveTimeError,
     ResonanceError,
 )
-from .grid import Field, SpectralGrid, Trajectory, forward_transform, inverse_transform, random_band_limited
+from .grid import (Field, SpectralGrid, Trajectory, check_band, forward_transform,
+                   inverse_transform, random_band_limited)
 from .norms import canonical_pairs, lebesgue_norm, strichartz_norm
 from .symbol import EllipticSymbol
 
 DEFAULT_EPS_RES = 1e-8
 LAMBDA_GRID_TOL = 1e-12
+DEFAULT_STRICHARTZ_SAMPLES = 20
+DEFAULT_STRICHARTZ_SEED = 0
+DEFAULT_STRICHARTZ_BAND = 8
 
 
 @dataclass(frozen=True)
@@ -56,7 +60,7 @@ class MultipointSpec:
         lams = [lam for _, lam in pts]
         for lam in lams:
             if not (self.t0 < lam <= self.T):
-                raise ValueError(f"lambda={lam} out of (t0,T]=({self.t0},{self.T}]")
+                raise ValueError(f"lambda out of (t0,T]=({self.t0},{self.T}]: {lam}")
         if len(set(lams)) != len(lams):
             raise ValueError("lambda_k values must be distinct")
         object.__setattr__(self, "points", pts)
@@ -64,6 +68,20 @@ class MultipointSpec:
     @property
     def m(self) -> int:
         return len(self.points)
+
+    def frame_indices(self, nt: int) -> list[int]:
+        """Frame index k of each λ on the time grid t0 + k·(T−t0)/nt; a λ farther
+        than LAMBDA_GRID_TOL from every grid time raises LambdaOffGridError."""
+        times = np.linspace(self.t0, self.T, nt + 1)
+        dt = (self.T - self.t0) / nt
+        idxs = []
+        for _, lam in self.points:
+            idx = int(round((lam - self.t0) / dt))
+            if idx < 0 or idx > nt or abs(times[idx] - lam) > LAMBDA_GRID_TOL:
+                raise LambdaOffGridError(f"lambda={lam} is not on the time grid t0 + k*(T-t0)/nt "
+                                         f"(t0={self.t0}, T={self.T}, nt={nt})")
+            idxs.append(idx)
+        return idxs
 
 
 @dataclass(frozen=True)
@@ -106,20 +124,6 @@ def multipoint_denominator(sym: EllipticSymbol, grid: SpectralGrid,
 
 
 # --- the multipoint core --------------------------------------------------------
-
-
-def _lambda_indices(mp: MultipointSpec, t0: float, T: float, nt: int) -> list[int]:
-    times = np.linspace(t0, T, nt + 1)
-    dt = (T - t0) / nt
-    idxs = []
-    for _, lam in mp.points:
-        idx = int(round((lam - t0) / dt))
-        if idx < 0 or idx > nt or abs(times[idx] - lam) > LAMBDA_GRID_TOL:
-            raise LambdaOffGridError(
-                f"lambda={lam} is not on the time grid (t0={t0}, T={T}, nt={nt})"
-            )
-        idxs.append(idx)
-    return idxs
 
 
 def _transform_frames(transform, grid: SpectralGrid, values: np.ndarray) -> np.ndarray:
@@ -183,7 +187,7 @@ class _MultipointCore:
         self.grid = grid
         self.mp = mp
         self.nt = nt
-        self.lam_idx = [] if nt is None else _lambda_indices(mp, mp.t0, mp.T, nt)
+        self.lam_idx = [] if nt is None else mp.frame_indices(nt)
         self.times = None if nt is None else np.linspace(mp.t0, mp.T, nt + 1)
         self.larr = symbol_lattice(sym, grid)
         self.denom = multipoint_denominator(sym, grid, mp)
@@ -255,9 +259,8 @@ def multipoint_residual(traj: Trajectory, mp: MultipointSpec, phi: Field) -> flo
         raise GridMismatchError("datum does not live on the trajectory grid")
     if abs(traj.t0 - mp.t0) > LAMBDA_GRID_TOL or abs(traj.T - mp.T) > LAMBDA_GRID_TOL:
         raise GridMismatchError("trajectory time span does not match the multipoint spec")
-    lam_idx = _lambda_indices(mp, traj.t0, traj.T, traj.nt)
     defect = traj.values[0] - phi.values
-    for (alpha, _), idx in zip(mp.points, lam_idx):
+    for (alpha, _), idx in zip(mp.points, mp.frame_indices(traj.nt)):
         defect = defect - alpha * traj.values[idx]
     num = lebesgue_norm(Field._wrap(traj.grid, defect), 2.0)
     den = max(lebesgue_norm(phi, 2.0), float(np.finfo(np.float64).eps))
@@ -293,6 +296,19 @@ def boundary_mass_fraction(f: Field) -> float:
     return float(np.sum(weights[shell]) / total)
 
 
+def check_dispersive(times, p: float) -> list[float]:
+    """p ∈ [2, ∞] and times positive and strictly increasing; returns the times as floats."""
+    if not (2.0 <= p):
+        raise BadExponentError(f"dispersive check needs p in [2, inf], got {p}")
+    ts = [float(t) for t in times]
+    for t in ts:
+        if not (t > 0.0):
+            raise NonpositiveTimeError(f"times must be positive, got {t}")
+    if any(b <= a for a, b in zip(ts, ts[1:])):
+        raise ValueError("times must be strictly increasing")
+    return ts
+
+
 def verify_dispersive(sym: EllipticSymbol, grid: SpectralGrid, phi: Field,
                       times, p: float = math.inf) -> DispersiveReport:
     """Decay check ‖U_L(t)φ‖_p vs t^{-n(1/2-1/p)}‖φ‖_{p'}.
@@ -302,14 +318,7 @@ def verify_dispersive(sym: EllipticSymbol, grid: SpectralGrid, phi: Field,
     more than 1% of its mass in the outer 10% shell of the box (the torus
     surrogate is no longer trustworthy past that point).
     """
-    if not (2.0 <= p):
-        raise BadExponentError(f"dispersive check needs p in [2, inf], got {p}")
-    ts = [float(t) for t in times]
-    for t in ts:
-        if not (t > 0.0):
-            raise NonpositiveTimeError(f"times must be positive, got {t}")
-    if any(b <= a for a, b in zip(ts, ts[1:])):
-        raise ValueError("times must be strictly increasing")
+    ts = check_dispersive(times, p)
     p_conj = 1.0 if p == math.inf else p / (p - 1.0)
     decay_rate = grid.n * (0.5 - (0.0 if p == math.inf else 1.0 / p))
     phi_dual = lebesgue_norm(phi, p_conj)
@@ -341,17 +350,25 @@ class StrichartzReport:
         return [p.label() for p in self.pairs]
 
 
+def check_strichartz(grid: SpectralGrid, num_samples: int, band: int) -> None:
+    """The Strichartz check's preconditions: a sample, and a band that fits the grid."""
+    if num_samples < 1:
+        raise ValueError("num_samples must be >= 1")
+    check_band(grid, band)
+
+
 def verify_strichartz(sym: EllipticSymbol, grid: SpectralGrid, t0: float = 0.0,
-                      T: float = 1.0, nt: int = 64, num_samples: int = 20,
-                      seed: int = 0, band: int = 8) -> StrichartzReport:
+                      T: float = 1.0, nt: int = 64,
+                      num_samples: int = DEFAULT_STRICHARTZ_SAMPLES,
+                      seed: int = DEFAULT_STRICHARTZ_SEED,
+                      band: int = DEFAULT_STRICHARTZ_BAND) -> StrichartzReport:
     """Empirical homogeneous Strichartz quotients S⁰(u)/‖φ‖₂ for random smooth data.
 
     Data are band-limited with a seeded generator, so the same seed produces
     the same functions on refined grids and the max ratio is a grid-convergent
     statistic.
     """
-    if num_samples < 1:
-        raise ValueError("num_samples must be >= 1")
+    check_strichartz(grid, num_samples, band)
     pairs = tuple(canonical_pairs(grid.n))
     larr = symbol_lattice(sym, grid)
     times = np.linspace(t0, T, nt + 1)

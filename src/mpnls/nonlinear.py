@@ -21,17 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BadExponentError,
-    BadPowerError,
-    GridMismatchError,
-    NegativeSError,
-    NoConvergenceError,
-    NonFiniteError,
-)
+from .errors import BadExponentError, GridMismatchError, NoConvergenceError, NonFiniteError
 from .grid import Field, SpectralGrid, Trajectory, forward_transform
 from .linear import DEFAULT_EPS_RES, MultipointSpec, _MultipointCore, _propagate, symbol_lattice
-from .norms import FrameObservables, apply_riesz, canonical_pairs, critical_exponent, frame_observables, mixed_norm, strichartz_norm
+from .norms import (FrameObservables, apply_riesz, canonical_pairs, check_power, check_sobolev_order,
+                    critical_exponent, frame_observables, mixed_norm, strichartz_norm)
 from .symbol import EllipticSymbol
 
 DEFAULT_TOL_FP = 1e-10
@@ -46,8 +40,7 @@ class PowerNonlinearity:
     p: float
 
     def __post_init__(self):
-        if not (self.p > 0.0):
-            raise BadPowerError(f"power p must be positive, got {self.p}")
+        check_power(self.p)
 
 
 @dataclass(frozen=True)
@@ -111,10 +104,17 @@ def lipschitz_check(u: Field, v: Field, nl: PowerNonlinearity) -> float:
 
 def check_regularity(s: float) -> None:
     """The nonlinear solve's bound on the regularity of η: s ∈ [0, 1]."""
-    if s < 0.0:
-        raise NegativeSError(f"regularity s must be nonnegative, got {s}")
+    check_sobolev_order(s)
     if s > 1.0:
         raise BadExponentError(f"regularity s must be in [0, 1] for the nonlinear solve, got {s}")
+
+
+def check_picard_tolerances(tol_fp: float, max_iter: int) -> None:
+    """The Picard stopping rule needs tol_fp > 0 and max_iter >= 1."""
+    if not (tol_fp > 0.0):
+        raise ValueError(f"tol_fp must be positive, got {tol_fp}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
 
 
 def smallness_indicator(sym: EllipticSymbol, grid: SpectralGrid, phi: Field, s: float,
@@ -179,10 +179,7 @@ def solve_nls_multipoint(sym: EllipticSymbol, grid: SpectralGrid, mp: Multipoint
     """Iterate Φ from the linear multipoint solution until the metric distance
     of successive iterates drops below tol_fp; returns the trajectory and full
     convergence/conservation diagnostics."""
-    if not (tol_fp > 0.0):
-        raise ValueError(f"tol_fp must be positive, got {tol_fp}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    check_picard_tolerances(tol_fp, max_iter)
     check_regularity(s)
     core = _MultipointCore(sym, grid, mp, phi, nt, eps_res, phase_table=True)
     q_metric = nl.p + 2.0
@@ -221,7 +218,7 @@ def solve_nls_multipoint(sym: EllipticSymbol, grid: SpectralGrid, mp: Multipoint
     final_residual = mixed_norm(_solution_map(core, current, nl) - current, q_metric, r_metric)
 
     observables = frame_observables(current, sym, nl, s)
-    grad_traj = Trajectory._wrap(
+    grad_traj = current if s == 0.0 else Trajectory._wrap(  # apply_riesz is the identity at s = 0
         grid, mp.t0, mp.T,
         np.stack([apply_riesz(current.frame(m), s).values for m in range(nt + 1)]),
     )

@@ -71,14 +71,17 @@ def mixed_norm(traj: Trajectory, q: float, r: float) -> float:
         return float((traj.dt * np.sum(weights * np.asarray(frames) ** qf)) ** (1.0 / qf))
 
 
-def sobolev_norm(field: Field, s: float, homogeneous: bool = True, p: float = 2.0) -> float:
-    """Bessel/Riesz potential norm: multiplier ⟨ξ⟩^s, or |ξ|^s with 0 at ξ = 0."""
+def check_sobolev_order(s: float) -> None:
+    """The Sobolev order bound of sobolev_norm and apply_riesz: s ∈ [0, 2]."""
     if s < 0.0:
         raise NegativeSError(f"regularity s must be nonnegative, got {s}")
     if s > 2.0:
         raise BadExponentError(f"regularity s must be <= 2, got {s}")
-    if not (p >= 1.0):
-        raise BadExponentError(f"Lebesgue exponent must be >= 1, got {p}")
+
+
+def sobolev_norm(field: Field, s: float, homogeneous: bool = True, p: float = 2.0) -> float:
+    """Bessel/Riesz potential norm: multiplier ⟨ξ⟩^s, or |ξ|^s with 0 at ξ = 0."""
+    check_sobolev_order(s)
     if s == 0.0 and not homogeneous:
         return lebesgue_norm(field, p)
     spec = forward_transform(field)
@@ -93,8 +96,7 @@ def sobolev_norm(field: Field, s: float, homogeneous: bool = True, p: float = 2.
 
 def apply_riesz(field: Field, s: float) -> Field:
     """|∇|^s f: homogeneous multiplier |ξ|^s in frequency space."""
-    if s < 0.0:
-        raise NegativeSError(f"regularity s must be nonnegative, got {s}")
+    check_sobolev_order(s)
     if s == 0.0:
         return field
     spec = forward_transform(field)
@@ -208,10 +210,15 @@ class RegularityReport:
     classification: str  # subcritical | critical | supercritical
 
 
+def check_power(p: float) -> None:
+    """The power of a nonlinearity λ|u|ᵖu must be positive."""
+    if not (p > 0.0):
+        raise BadPowerError(f"power p must be positive, got {p}")
+
+
 def critical_exponent(n: int, p: float, s: float) -> RegularityReport:
     """Scaling-critical regularity s_c = n/2 − 2/p and the class of (s, s_c)."""
-    if not (p > 0.0):
-        raise BadPowerError(f"power must be positive, got {p}")
+    check_power(p)
     s_c = n / 2.0 - 2.0 / p
     if abs(s - s_c) <= CLASS_TIE_TOL:
         label = "critical"

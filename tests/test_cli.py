@@ -334,3 +334,36 @@ def test_forcing_run(tmp_path):
     assert run_command(["solve-linear", "--config", write_config(tmp_path, doc)]) == 0
     summary = json.loads((tmp_path / "forced.json").read_text())
     assert summary["min_abs_denominator"] == 1.0
+
+
+def test_parse_rejects_off_grid_lambda(tmp_path, capsys):
+    # Nt = 50 puts frames at multiples of 0.02; 0.333 is none of them
+    doc = make_config(multipoint=[{"alpha_re": 0.3, "alpha_im": 0.0, "lambda": 0.333}],
+                      outputs={"report_path": str(tmp_path / "off")})
+    with pytest.raises(ValidationError, match=r"multipoint\[0\]\.lambda"):
+        parse_config(json.dumps(doc))
+    for command in ("solve-linear", "solve-nls"):
+        assert run_command([command, "--config", write_config(tmp_path, doc)]) == 2
+        assert "not on the time grid" in capsys.readouterr().err
+    assert not (tmp_path / "off.csv").exists()
+    assert not (tmp_path / "off.json").exists()
+
+
+def test_parse_names_the_offending_term():
+    doc = make_config(multipoint=[{"alpha_re": 0.3, "lambda": 0.5},
+                                  {"alpha_re": 0.1, "lambda": 1.5}])
+    with pytest.raises(ValidationError, match=r"multipoint\[1\]\.lambda"):
+        parse_config(json.dumps(doc))
+
+
+def test_from_file_profile_is_checked_when_read(tmp_path, capsys):
+    import mpnls
+
+    wrong = tmp_path / "wrong.fld"  # a field on another grid: the header does not match
+    mpnls.write_field_file(mpnls.Field(mpnls.build_grid(1, 32, math.pi), np.ones(32)), wrong)
+    for path, code in ((wrong, 2), (tmp_path / "missing.fld", 1)):
+        doc = make_config(initial={"kind": "from_file", "path": str(path)},
+                          outputs={"report_path": str(tmp_path / "ff")})
+        parse_config(json.dumps(doc))  # parse reads no files
+        assert run_command(["solve-linear", "--config", write_config(tmp_path, doc)]) == code
+        assert not (tmp_path / "ff.csv").exists()

@@ -1,0 +1,129 @@
+"""Property: a config that parse_config accepts runs.
+
+Configs are drawn from the schema with small grids and tiny amplitudes; some
+draws break a value rule (an off-grid or out-of-range λ, a regularity above
+the nonlinear bound, a nonpositive width), which parse must reject.  Every
+accepted config runs solve-linear, and solve-nls when it has a nonlinearity
+and no forcing, to an exit code other than 2, and survives serialize → parse
+unchanged.
+"""
+
+import contextlib
+import io
+import json
+import os
+import tempfile
+
+import numpy as np
+import pytest
+
+from mpnls import ConfigError
+from mpnls.cli import EXIT_CODES, parse_config, run_command, serialize_config
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+
+GRID_POINTS = {1: [8, 16, 32], 2: [8, 16]}
+SMALL = st.floats(-0.05, 0.05)
+
+
+@st.composite
+def profiles(draw, n, N, R):
+    amplitude = draw(st.one_of(SMALL, st.lists(SMALL, min_size=2, max_size=2)))
+    if draw(st.booleans()):
+        return {"kind": "gaussian", "amplitude": amplitude,
+                "width": draw(st.floats(-0.5, 3.0).filter(lambda w: abs(w) > 0.1)),
+                "center": draw(st.lists(st.floats(-R, R), min_size=n, max_size=n))}
+    return {"kind": "plane_wave", "amplitude": amplitude,
+            "mode": draw(st.lists(st.integers(-N // 2, N // 2), min_size=n, max_size=n))}
+
+
+@st.composite
+def configs(draw):
+    n = draw(st.sampled_from([1, 2]))
+    N = draw(st.sampled_from(GRID_POINTS[n]))
+    R = draw(st.floats(1.0, 8.0))
+    b = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n * n, max_size=n * n)))
+    a = b.reshape(n, n) @ b.reshape(n, n).T + draw(st.floats(0.1, 2.0)) * np.eye(n)
+    t0 = draw(st.floats(-1.0, 1.0))
+    T = t0 + draw(st.floats(0.25, 2.0))
+    nt = draw(st.integers(1, 20))
+    grid_times = np.linspace(t0, T, nt + 1)
+    lams = draw(st.lists(st.integers(1, nt).map(lambda k: float(grid_times[k])),
+                         max_size=3, unique=True))
+    extra = draw(st.one_of(st.none(), st.floats(t0, T + 0.1, exclude_min=True)))
+    if extra is not None and extra not in lams:  # mostly off the grid, sometimes past T
+        lams.append(extra)
+    doc = {
+        "symbol": {"a": a.tolist()},
+        "grid": {"n": n, "N": N, "R": R},
+        "time": {"t0": t0, "T": T, "Nt": nt},
+        "multipoint": [{"alpha_re": draw(st.floats(-0.45, 0.45)),
+                        "alpha_im": draw(st.floats(-0.45, 0.45)), "lambda": lam} for lam in lams],
+        "initial": draw(profiles(n, N, R)),
+        "regularity": draw(st.sampled_from([0.0, 0.0, 0.5, 1.0, 1.5, 2.0])),
+        "tolerances": {"tol_fp": 1e-8, "max_iter": draw(st.integers(1, 20))},
+    }
+    p = draw(st.sampled_from([None, 1.0, 2.0, 3.0, 4.0]))
+    if p is not None:
+        doc["nonlinearity"] = {"lambda": draw(st.floats(-1.0, 1.0)), "p": p}
+    if draw(st.integers(0, 3)) == 3:
+        doc["forcing"] = {"profile": draw(profiles(n, N, R)),
+                          "envelope": draw(st.sampled_from([{"kind": "constant"},
+                                                            {"kind": "harmonic", "omega": 2.0}]))}
+    return doc
+
+
+def _run(command: str, config_path: str):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = run_command([command, "--config", config_path])
+    return code, err.getvalue()
+
+
+@hypothesis.settings(max_examples=80, deadline=None, derandomize=True)
+@hypothesis.given(configs())
+def test_parsed_config_runs(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        report = os.path.join(tmp, "r")
+        doc["outputs"] = {"report_path": report}
+        try:
+            cfg = parse_config(json.dumps(doc))
+        except ConfigError:
+            return
+        config_path = os.path.join(tmp, "cfg.json")
+        with open(config_path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        commands = ["solve-linear"]
+        if cfg.nonlinearity is not None and cfg.forcing is None:
+            commands.append("solve-nls")
+        for command in commands:
+            code, err = _run(command, config_path)
+            assert code in (0, 3, 4, 5), f"{command} exit {code}: {err}"
+            written = os.path.exists(report + ".csv") and os.path.exists(report + ".json")
+            assert written == (code == 0), f"{command} exit {code} with reports {written}"
+            for suffix in (".csv", ".json"):
+                if os.path.exists(report + suffix):
+                    os.remove(report + suffix)
+
+
+@hypothesis.settings(max_examples=60, deadline=None, derandomize=True)
+@hypothesis.given(configs())
+def test_serialize_parse_roundtrip(doc):
+    try:
+        cfg = parse_config(json.dumps(doc))
+    except ConfigError:
+        return
+    assert parse_config(serialize_config(cfg)) == cfg
+
+
+def test_exit_codes_follow_the_documented_table():
+    # documented in the README: 3 resonance, 4 no convergence, 5 non-finite,
+    # 2 any other package error, 1 I/O failure; the first matching class wins
+    import mpnls
+
+    assert [(cls.__name__, code) for cls, code in EXIT_CODES] == [
+        ("ResonanceError", 3), ("NoConvergenceError", 4), ("NonFiniteError", 5),
+        ("MpnlsError", 2), ("OSError", 1)]
+    for cls in (mpnls.ResonanceError, mpnls.NoConvergenceError, mpnls.NonFiniteError):
+        assert issubclass(cls, mpnls.MpnlsError)

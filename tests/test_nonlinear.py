@@ -309,3 +309,15 @@ def test_integral_residual_decreases_under_iteration(setup):
         res.append(integral_residual(sym, grid, mp, phi, NL, u))
     assert res[0] > 0.0
     assert all(b < a for a, b in zip(res, res[1:]))
+
+
+def test_gradient_diagnostics_at_s0_read_the_trajectory(setup):
+    # at s = 0 the |∇|^s trajectory is the solution itself, so both diagnostics
+    # equal the norms of the returned trajectory bit for bit
+    from mpnls import canonical_pairs, strichartz_norm
+
+    sym, grid, phi = setup
+    mp = MultipointSpec(0.0, 1.0, ((0.3, 0.5),))
+    traj, diags = solve_nls_multipoint(sym, grid, mp, phi, NL, s=0.0, nt=40)
+    assert diags.grad_s_mixed == mixed_norm(traj, NL.p + 2.0, diags.sigma)
+    assert diags.strichartz_value == strichartz_norm(traj, canonical_pairs(grid.n))
