@@ -48,10 +48,8 @@ from .linear import (
     StrichartzReport,
     apply_propagator,
     boundary_mass_fraction,
-    duhamel,
     multipoint_denominator,
     multipoint_residual,
-    solve_initial_data,
     solve_linear_multipoint,
     symbol_lattice,
     verify_dispersive,
@@ -62,7 +60,6 @@ from .nonlinear import (
     PowerNonlinearity,
     eval_nonlinearity,
     integral_residual,
-    lipschitz_check,
     metric_exponent,
     picard_step,
     smallness_indicator,
@@ -72,7 +69,6 @@ from .norms import (
     AdmissiblePair,
     RegularityReport,
     apply_riesz,
-    beta,
     canonical_pairs,
     critical_exponent,
     energy,
@@ -84,6 +80,6 @@ from .norms import (
     sobolev_norm,
     strichartz_norm,
 )
-from .symbol import EllipticSymbol, eval_symbol, propagator_multiplier, validate_symbol
+from .symbol import EllipticSymbol, validate_symbol
 
 __version__ = "0.1.0"

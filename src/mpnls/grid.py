@@ -14,6 +14,7 @@ any even N ≥ 4 works.
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -89,11 +90,7 @@ class Field:
 
     __slots__ = ("grid", "values")
 
-    def __init__(self, grid: SpectralGrid, values, *, _trusted: bool = False):
-        if _trusted:
-            self.grid = grid
-            self.values = values
-            return
+    def __init__(self, grid: SpectralGrid, values):
         arr = np.array(values, dtype=np.complex128, copy=True)
         if arr.shape != grid.shape:
             raise GridMismatchError(f"values shape {arr.shape} does not match grid {grid.shape}")
@@ -108,7 +105,9 @@ class Field:
         """Internal fast path: wrap an array we own without copy/validation."""
         if arr.flags.writeable:
             arr.flags.writeable = False
-        return cls(grid, arr, _trusted=True)
+        obj = object.__new__(cls)
+        obj.grid, obj.values = grid, arr
+        return obj
 
     def __add__(self, other):
         _check_same_grid(self, other)
@@ -132,14 +131,7 @@ class Trajectory:
 
     __slots__ = ("grid", "t0", "T", "nt", "values")
 
-    def __init__(self, grid: SpectralGrid, t0: float, T: float, values, *, _trusted: bool = False):
-        if _trusted:
-            self.grid = grid
-            self.t0 = t0
-            self.T = T
-            self.nt = values.shape[0] - 1
-            self.values = values
-            return
+    def __init__(self, grid: SpectralGrid, t0: float, T: float, values):
         arr = np.array(values, dtype=np.complex128, copy=True)
         if arr.ndim != 1 + grid.n or arr.shape[1:] != grid.shape or arr.shape[0] < 2:
             raise GridMismatchError(
@@ -158,9 +150,12 @@ class Trajectory:
 
     @classmethod
     def _wrap(cls, grid, t0, T, arr) -> "Trajectory":
+        """Internal fast path, as Field._wrap."""
         if arr.flags.writeable:
             arr.flags.writeable = False
-        return cls(grid, t0, T, arr, _trusted=True)
+        obj = object.__new__(cls)
+        obj.grid, obj.t0, obj.T, obj.nt, obj.values = grid, t0, T, arr.shape[0] - 1, arr
+        return obj
 
     @property
     def times(self) -> np.ndarray:
@@ -249,9 +244,10 @@ def check_profile(grid: SpectralGrid, profile: dict) -> dict:
     spec = {"kind": kind, "amplitude": profile.get("amplitude", 1.0)}
     _as_complex(spec["amplitude"])
     if kind == "gaussian":
-        spec["width"] = float(profile.get("width", 1.0))
-        if spec["width"] <= 0.0:
-            raise ValueError("gaussian width must be positive")
+        width = spec["width"] = float(profile.get("width", 1.0))
+        if not (width > 0.0 and 0.0 < 2.0 * width * width < math.inf):  # sample_profile's divisor
+            raise ValueError(f"gaussian width must be positive with 2*width^2 neither 0 nor inf, "
+                             f"got {width!r}")
         spec["center"] = _as_vector(profile.get("center", [0.0] * grid.n), grid.n, "center").tolist()
         return spec
     mode = _as_vector(profile.get("mode", [0] * grid.n), grid.n, "mode")

@@ -14,9 +14,9 @@ number of frames.
 
 Every solver and verifier, here and in the nonlinear module, runs on one
 private multipoint core: `_MultipointCore` checks the grids and the time axis
-once and makes the only datum solve, `_propagate` is the only propagation pass
-(a spectral datum plus an optional Ĝ, inverse-transformed frame by frame), and
-`_transform_frames` is the only per-frame transform loop.
+once, makes the only datum solve and the only forward transform of forcing
+frames, and `_propagate` is the only propagation pass (a spectral datum plus
+an optional Ĝ, inverse-transformed frame by frame).
 """
 
 from __future__ import annotations
@@ -126,14 +126,6 @@ def multipoint_denominator(sym: EllipticSymbol, grid: SpectralGrid,
 # --- the multipoint core --------------------------------------------------------
 
 
-def _transform_frames(transform, grid: SpectralGrid, values: np.ndarray) -> np.ndarray:
-    """Apply forward_transform or inverse_transform to each frame of a stack."""
-    out = np.empty_like(values)
-    for m in range(values.shape[0]):
-        out[m] = transform(Field._wrap(grid, values[m])).values
-    return out
-
-
 def _duhamel_spectral(larr: np.ndarray, dt: float, fhat: np.ndarray) -> np.ndarray:
     """Ĝ(tₘ) = e^{-iΔtL}Ĝ(tₘ₋₁) − (iΔt/2)(e^{-iΔtL}F̂ₘ₋₁ + F̂ₘ), Ĝ(t₀) = 0."""
     step = np.exp(-1j * dt * larr)
@@ -165,13 +157,12 @@ class _MultipointCore:
     """Per-solve context: checks once, then resolves û₀ and propagates it.
 
     Checks the datum and forcing grids and the time axis, and holds L(ξ),
-    D(ξ), the frame indices of the λₖ and φ̂.  nt=None is a datum-only solve
-    without forcing, which has no time axis.  phase_table=True precomputes
+    D(ξ), the frame indices of the λₖ and φ̂.  phase_table=True precomputes
     e^{-i(tₘ-t0)L(ξ)} for every frame, for a caller that propagates many times.
     """
 
     def __init__(self, sym: EllipticSymbol, grid: SpectralGrid, mp: MultipointSpec, phi: Field,
-                 nt: int | None, eps_res: float, forcing: Trajectory | None = None,
+                 nt: int, eps_res: float, forcing: Trajectory | None = None,
                  phase_table: bool = False):
         if phi.grid != grid:
             raise GridMismatchError("datum does not live on the solver grid")
@@ -187,8 +178,8 @@ class _MultipointCore:
         self.grid = grid
         self.mp = mp
         self.nt = nt
-        self.lam_idx = [] if nt is None else mp.frame_indices(nt)
-        self.times = None if nt is None else np.linspace(mp.t0, mp.T, nt + 1)
+        self.lam_idx = mp.frame_indices(nt)
+        self.times = np.linspace(mp.t0, mp.T, nt + 1)
         self.larr = symbol_lattice(sym, grid)
         self.denom = multipoint_denominator(sym, grid, mp)
         if self.denom.min_abs <= eps_res:
@@ -203,7 +194,9 @@ class _MultipointCore:
 
     def duhamel(self, forcing: np.ndarray) -> np.ndarray:
         """Ĝ on the time axis for a stack of physical forcing frames."""
-        fhat = _transform_frames(forward_transform, self.grid, forcing)
+        fhat = np.empty_like(forcing)
+        for m in range(forcing.shape[0]):
+            fhat[m] = forward_transform(Field._wrap(self.grid, forcing[m])).values
         return _duhamel_spectral(self.larr, (self.mp.T - self.mp.t0) / self.nt, fhat)
 
     def datum(self, ghat: np.ndarray | None = None) -> np.ndarray:
@@ -224,31 +217,12 @@ class _MultipointCore:
 # --- public solver operations --------------------------------------------------
 
 
-def duhamel(sym: EllipticSymbol, grid: SpectralGrid, forcing: Trajectory) -> Trajectory:
-    """Retarded integral G(t) = -i∫ₜ₀ᵗ U_L(t-τ)F(τ)dτ on the forcing's time grid."""
-    if forcing.grid != grid:
-        raise GridMismatchError("forcing does not live on the given grid")
-    larr = symbol_lattice(sym, grid)
-    ghat = _duhamel_spectral(larr, forcing.dt,
-                             _transform_frames(forward_transform, grid, forcing.values))
-    frames = _transform_frames(inverse_transform, grid, ghat)
-    return Trajectory._wrap(grid, forcing.t0, forcing.T, frames)
-
-
-def solve_initial_data(sym: EllipticSymbol, grid: SpectralGrid, mp: MultipointSpec,
-                       phi: Field, forcing: Trajectory | None = None,
-                       eps_res: float = DEFAULT_EPS_RES) -> Field:
-    """Datum u₀ such that the propagated solution meets the multipoint condition."""
-    nt = None if forcing is None else forcing.nt
-    core = _MultipointCore(sym, grid, mp, phi, nt, eps_res, forcing)
-    ghat = None if forcing is None or mp.m == 0 else core.duhamel(forcing.values)
-    return inverse_transform(Field._wrap(grid, core.datum(ghat)))
-
-
 def solve_linear_multipoint(sym: EllipticSymbol, grid: SpectralGrid, mp: MultipointSpec,
                             phi: Field, forcing: Trajectory | None = None,
                             nt: int = 200, eps_res: float = DEFAULT_EPS_RES) -> Trajectory:
-    """Full trajectory u(tₘ) = U_L(tₘ-t0)u₀ + G(tₘ) on nt uniform intervals."""
+    """Full trajectory u(tₘ) = U_L(tₘ-t0)u₀ + G(tₘ) on nt uniform intervals, whose first
+    frame is the datum u₀: the one linear entry point.  With no multipoint terms it is
+    free propagation, and with φ = 0 as well the Duhamel term G alone."""
     core = _MultipointCore(sym, grid, mp, phi, nt, eps_res, forcing)
     return core.trajectory(None if forcing is None else core.duhamel(forcing.values))
 
@@ -273,7 +247,6 @@ def multipoint_residual(traj: Trajectory, mp: MultipointSpec, phi: Field) -> flo
 @dataclass(frozen=True)
 class DispersiveReport:
     p: float
-    p_conj: float
     times: tuple
     norms: tuple
     quotients: tuple
@@ -333,7 +306,7 @@ def verify_dispersive(sym: EllipticSymbol, grid: SpectralGrid, phi: Field,
         fractions.append(boundary_mass_fraction(u_t))
     slope = float(np.polyfit(np.log(ts), np.log(norms), 1)[0]) if len(ts) >= 2 else math.nan
     wrap = any(frac > 0.01 for frac in fractions)
-    return DispersiveReport(p, p_conj, tuple(ts), tuple(norms), tuple(quotients),
+    return DispersiveReport(p, tuple(ts), tuple(norms), tuple(quotients),
                             tuple(fractions), slope, wrap)
 
 
@@ -343,7 +316,6 @@ class StrichartzReport:
     ratios: tuple
     max_ratio: float
     data_norms: tuple
-    samples: int = 0
 
     @property
     def pair_labels(self) -> list[str]:
@@ -381,5 +353,4 @@ def verify_strichartz(sym: EllipticSymbol, grid: SpectralGrid, t0: float = 0.0,
         l2 = lebesgue_norm(phi, 2.0)
         ratios.append(strichartz_norm(traj, pairs) / l2)
         data_norms.append(l2)
-    return StrichartzReport(pairs, tuple(ratios), float(max(ratios)),
-                            tuple(data_norms), num_samples)
+    return StrichartzReport(pairs, tuple(ratios), float(max(ratios)), tuple(data_norms))

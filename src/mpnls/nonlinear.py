@@ -88,20 +88,6 @@ def _power_block(values: np.ndarray, nl: PowerNonlinearity) -> np.ndarray:
     return out
 
 
-def lipschitz_check(u: Field, v: Field, nl: PowerNonlinearity) -> float:
-    """Empirical constant in |F(u)-F(v)| ≤ C|u-v|(|u|ᵖ+|v|ᵖ), 0/0 points excluded."""
-    if u.grid != v.grid:
-        raise GridMismatchError("fields live on different grids")
-    fu = _power_block(u.values, nl)
-    fv = _power_block(v.values, nl)
-    num = np.abs(fu - fv)
-    den = np.abs(u.values - v.values) * (np.abs(u.values) ** nl.p + np.abs(v.values) ** nl.p)
-    mask = den > 0.0
-    if not np.any(mask):
-        return 0.0
-    return float(np.max(num[mask] / den[mask]))
-
-
 def check_regularity(s: float) -> None:
     """The nonlinear solve's bound on the regularity of η: s ∈ [0, 1]."""
     check_sobolev_order(s)

@@ -52,9 +52,7 @@ def lebesgue_norm(field: Field, r: float) -> float:
     mag = np.abs(field.values)
     if r == INF:
         return float(mag.max())
-    rf = float(r)
-    with np.errstate(over="ignore"):  # inf is the honest answer for diverging iterates
-        return float((field.grid.h * np.sum(mag**rf)) ** (1.0 / rf))
+    return _power_root(mag, float(r), field.grid.h)
 
 
 def mixed_norm(traj: Trajectory, q: float, r: float) -> float:
@@ -64,11 +62,22 @@ def mixed_norm(traj: Trajectory, q: float, r: float) -> float:
     frames = [lebesgue_norm(traj.frame(m), r) for m in range(traj.nt + 1)]
     if q == INF:
         return float(max(frames))
-    qf = float(q)
     weights = np.ones(traj.nt + 1)
     weights[0] = weights[-1] = 0.5
-    with np.errstate(over="ignore"):  # as in lebesgue_norm: a diverging iterate reads inf
-        return float((traj.dt * np.sum(weights * np.asarray(frames) ** qf)) ** (1.0 / qf))
+    return _power_root(np.asarray(frames), float(q), traj.dt, weights)
+
+
+def _power_root(mag: np.ndarray, r: float, scale: float, weights=None) -> float:
+    """(scale·Σ weights·mag^r)^{1/r} for mag >= 0.  Only when that reads 0 for a nonzero
+    mag is it recomputed from mag/max(mag), so that a tiny input does not underflow."""
+    def root(m):
+        terms = m**r if weights is None else weights * m**r
+        return float((scale * np.sum(terms)) ** (1.0 / r))
+
+    with np.errstate(over="ignore"):  # inf is the honest answer for diverging iterates
+        out = root(mag)
+        top = float(mag.max()) if out == 0.0 else 0.0
+        return top * root(mag / top) if top > 0.0 else out
 
 
 def check_sobolev_order(s: float) -> None:
@@ -112,9 +121,6 @@ class AdmissiblePair:
     q: object  # Fraction or math.inf
     r: object
     sharp: bool
-
-    def as_floats(self) -> tuple[float, float]:
-        return (float(self.q), float(self.r))
 
     def label(self) -> str:
         def fmt(x):
@@ -171,15 +177,6 @@ def canonical_pairs(n: int) -> list[AdmissiblePair]:
             if cand.sharp and cand not in pairs:
                 pairs.append(cand)
     return pairs
-
-
-def beta(n: int, r, r_tilde) -> float:
-    """Decay exponent β(r, r̃) = n/2 − 1 − (n/2)(1/r − 1/r̃)."""
-    if not (r >= 1.0) or not (r_tilde >= 1.0):
-        raise BadExponentError(f"exponents must be >= 1, got r={r}, r_tilde={r_tilde}")
-    inv_r = 0.0 if r == INF else 1.0 / float(r)
-    inv_rt = 0.0 if r_tilde == INF else 1.0 / float(r_tilde)
-    return n / 2.0 - 1.0 - (n / 2.0) * (inv_r - inv_rt)
 
 
 def strichartz_norm(traj: Trajectory, pairs) -> float:

@@ -1,19 +1,17 @@
-"""Constant-coefficient elliptic symbol L(ξ) = Σ aᵢⱼ ξᵢ ξⱼ and its propagator phase.
+"""Constant-coefficient elliptic symbol L(ξ) = Σ aᵢⱼ ξᵢ ξⱼ.
 
 The coefficient matrix a must be real symmetric positive definite, so that
 M₁|ξ|² ≤ L(ξ) ≤ M₂|ξ|² with M₁, M₂ the extreme eigenvalues of a.  The free
 evolution multiplies each Fourier mode by exp(-i t L(ξ)): plugging a plane
 wave exp(i(ξ·x - L(ξ)t)) into i∂ₜu + Lu = 0 cancels exactly, which the test
-suite checks by a finite-difference residual.
+suite checks by a finite-difference residual of linear.apply_propagator.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .errors import DimensionMismatchError, NotEllipticError, NotSymmetricError
+from .errors import NotEllipticError, NotSymmetricError
 
 SYMMETRY_TOL = 1e-12
 ELLIPTICITY_FLOOR = 1e-12
@@ -66,18 +64,3 @@ def validate_symbol(a) -> EllipticSymbol:
             f"smallest eigenvalue {eigs[0]:.3e} is at or below {ELLIPTICITY_FLOOR:.0e}"
         )
     return EllipticSymbol(sym, float(eigs[0]), float(eigs[-1]))
-
-
-def eval_symbol(sym: EllipticSymbol, xi) -> float:
-    """Quadratic form L(ξ) = Σ aᵢⱼ ξᵢ ξⱼ at a single frequency vector."""
-    v = np.asarray(xi, dtype=float)
-    if v.shape != (sym.n,):
-        raise DimensionMismatchError(f"expected frequency of length {sym.n}, got shape {v.shape}")
-    return float(v @ sym.a @ v)
-
-
-def propagator_multiplier(sym: EllipticSymbol, t: float, xi) -> complex:
-    """Unimodular phase exp(-i t L(ξ)) of the free evolution."""
-    if not math.isfinite(t):
-        raise ValueError("time must be finite")
-    return complex(np.exp(-1j * t * eval_symbol(sym, xi)))

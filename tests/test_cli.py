@@ -367,3 +367,15 @@ def test_from_file_profile_is_checked_when_read(tmp_path, capsys):
         parse_config(json.dumps(doc))  # parse reads no files
         assert run_command(["solve-linear", "--config", write_config(tmp_path, doc)]) == code
         assert not (tmp_path / "ff.csv").exists()
+
+
+@pytest.mark.parametrize("width", [1e200, 1e-200])
+def test_gaussian_width_out_of_range_exits_2(tmp_path, capsys, width):
+    # 2*width^2 overflows (1e200) or underflows to 0 (1e-200): a config error, caught at parse
+    bad = {"kind": "gaussian", "amplitude": 0.1, "width": width, "center": [0.0]}
+    for path, doc in (("initial", make_config(initial=bad)),
+                      ("forcing.profile", make_config(forcing={"profile": bad}))):
+        doc["outputs"] = {"report_path": str(tmp_path / "wide")}
+        assert run_command(["solve-linear", "--config", write_config(tmp_path, doc)]) == 2
+        assert f"{path}: gaussian width" in capsys.readouterr().err
+        assert not (tmp_path / "wide.csv").exists()

@@ -14,7 +14,6 @@ from mpnls import (
     apply_propagator,
     boundary_mass_fraction,
     build_grid,
-    duhamel,
     forward_transform,
     lebesgue_norm,
     mass,
@@ -22,7 +21,6 @@ from mpnls import (
     multipoint_residual,
     random_band_limited,
     sample_profile,
-    solve_initial_data,
     solve_linear_multipoint,
     symbol_lattice,
     verify_dispersive,
@@ -56,6 +54,20 @@ def test_propagator_is_isometry(grid1, sym1, rng):
     f = Field(grid1, rng.standard_normal(64) + 1j * rng.standard_normal(64))
     out = apply_propagator(sym1, grid1, 1.234, f)
     assert mass(out) == pytest.approx(mass(f), rel=1e-12)
+
+
+def test_propagator_group_law(grid1, sym1, sym2, rng):
+    # U(t)U(s) = U(t+s) and U(t)U(-t) = I on random smooth fields, in 1-D and 2-D
+    for sym, grid in ((sym1, grid1), (sym2, build_grid(2, 32, np.pi))):
+        for _ in range(10):
+            f = random_band_limited(grid, 8, rng)
+            t, s = rng.standard_normal(2)
+            scale = float(np.max(np.abs(f.values)))
+            composed = apply_propagator(sym, grid, t, apply_propagator(sym, grid, s, f))
+            direct = apply_propagator(sym, grid, t + s, f)
+            assert np.max(np.abs(composed.values - direct.values)) / scale < 1e-13
+            back = apply_propagator(sym, grid, -t, apply_propagator(sym, grid, t, f))
+            assert np.max(np.abs(back.values - f.values)) / scale < 1e-13
 
 
 # --- denominator ------------------------------------------------------------------
@@ -92,7 +104,7 @@ def test_denominator_vanishes_at_resonant_mode(grid1, sym1):
 
 def test_initial_data_classical_reduction(grid1, sym1, rng):
     phi = Field(grid1, rng.standard_normal(64) + 1j * rng.standard_normal(64))
-    u0 = solve_initial_data(sym1, grid1, MultipointSpec(0.0, 1.0, ()), phi)
+    u0 = solve_linear_multipoint(sym1, grid1, MultipointSpec(0.0, 1.0, ()), phi, nt=10).frame(0)
     assert np.max(np.abs(u0.values - phi.values)) < 1e-12
 
 
@@ -100,44 +112,37 @@ def test_initial_data_worked_single_mode(grid1, sym1):
     # phi = e^{ix}, alpha = 1/2, lambda = pi: D = 1 - e^{-i pi}/2 = 3/2
     phi = sample_profile(grid1, {"kind": "plane_wave", "amplitude": 1.0, "mode": [1]})
     mp = MultipointSpec(0.0, np.pi, ((0.5, np.pi),))
-    u0 = solve_initial_data(sym1, grid1, mp, phi)
+    u0 = solve_linear_multipoint(sym1, grid1, mp, phi, nt=10).frame(0)
     assert np.max(np.abs(u0.values - (2.0 / 3.0) * phi.values)) < 1e-12
 
 
 def test_initial_data_resonance_refused(grid1, sym1):
     mp = MultipointSpec(0.0, 2 * np.pi, ((1.0, 2 * np.pi),))
     with pytest.raises(ResonanceError) as err:
-        solve_initial_data(sym1, grid1, mp, gaussian(grid1))
+        solve_linear_multipoint(sym1, grid1, mp, gaussian(grid1), nt=10)
     assert err.value.min_abs < 1e-12
     assert err.value.eps_res == 1e-8
-
-
-def test_initial_data_forced_is_trajectory_first_frame(grid1, sym1, rng):
-    nt = 40
-    base = random_band_limited(grid1, 6, rng)
-    envelope = np.sin(np.linspace(0.0, 1.0, nt + 1)) + 0.5j
-    forcing = Trajectory(grid1, 0.0, 1.0, envelope[:, None] * base.values[None, :])
-    mp = MultipointSpec(0.0, 1.0, ((0.35 + 0.1j, 0.5), (-0.25, 0.9)))
-    phi = random_band_limited(grid1, 6, rng)
-    u0 = solve_initial_data(sym1, grid1, mp, phi, forcing)
-    traj = solve_linear_multipoint(sym1, grid1, mp, phi, forcing, nt=nt)
-    assert np.array_equal(u0.values, traj.frame(0).values)
-    # the forcing moves the datum: Ĝ(λₖ) enters the right-hand side
-    assert not np.allclose(u0.values, solve_initial_data(sym1, grid1, mp, phi).values)
 
 
 # --- Duhamel -------------------------------------------------------------------------
 
 
+def duhamel_term(sym, grid, forcing):
+    """G(t) = -i∫ₜ₀ᵗ U_L(t-τ)F(τ)dτ: the linear solve with a zero datum and no terms."""
+    mp = MultipointSpec(forcing.t0, forcing.T, ())
+    zero = Field(grid, np.zeros(grid.shape))
+    return solve_linear_multipoint(sym, grid, mp, zero, forcing, nt=forcing.nt)
+
+
 def test_duhamel_zero_forcing(grid1, sym1):
     forcing = Trajectory(grid1, 0.0, 1.0, np.zeros((11, 64), dtype=complex))
-    g = duhamel(sym1, grid1, forcing)
+    g = duhamel_term(sym1, grid1, forcing)
     assert np.all(g.values == 0.0)
 
 
 def test_duhamel_first_frame_empty_integral(grid1, sym1, rng):
     vals = rng.standard_normal((11, 64)) + 1j * rng.standard_normal((11, 64))
-    g = duhamel(sym1, grid1, Trajectory(grid1, 0.0, 1.0, vals))
+    g = duhamel_term(sym1, grid1, Trajectory(grid1, 0.0, 1.0, vals))
     assert np.all(g.values[0] == 0.0)
 
 
@@ -153,7 +158,7 @@ def test_duhamel_single_mode_second_order(grid1, sym1):
     errors = []
     for nt in (50, 100, 200, 400):
         vals = np.broadcast_to(c * base.values, (nt + 1, 64)).copy()
-        g = duhamel(sym1, grid1, Trajectory(grid1, 0.0, 1.0, vals))
+        g = duhamel_term(sym1, grid1, Trajectory(grid1, 0.0, 1.0, vals))
         coeff = g.values[:, 0] / base.values[0]
         exact = exact_forced_mode(c, omega, g.times)
         errors.append(np.max(np.abs(coeff - exact)))
@@ -166,7 +171,7 @@ def test_duhamel_grid_mismatch(grid1, sym1):
     other = build_grid(1, 32, np.pi)
     forcing = Trajectory(other, 0.0, 1.0, np.zeros((5, 32), dtype=complex))
     with pytest.raises(GridMismatchError):
-        duhamel(sym1, grid1, forcing)
+        duhamel_term(sym1, grid1, forcing)
 
 
 # --- full linear solve ----------------------------------------------------------------

@@ -15,7 +15,6 @@ from mpnls import (
     build_grid,
     eval_nonlinearity,
     integral_residual,
-    lipschitz_check,
     metric_exponent,
     mixed_norm,
     picard_step,
@@ -74,45 +73,6 @@ def test_eval_overflow_flagged(setup):
 def test_bad_power_rejected():
     with pytest.raises(BadPowerError):
         PowerNonlinearity(1.0, 0.0)
-
-
-# --- Lipschitz bound --------------------------------------------------------------
-
-
-def test_lipschitz_equal_fields_all_excluded(setup, rng):
-    _, grid, _ = setup
-    u = Field(grid, rng.standard_normal(128) + 0j)
-    assert lipschitz_check(u, u, NL) == 0.0
-
-
-def test_lipschitz_scalar_pair(setup):
-    _, grid, _ = setup
-    u = Field(grid, np.ones(128))
-    v = Field(grid, np.zeros(128))
-    assert lipschitz_check(u, v, PowerNonlinearity(1.0, 2.0)) == pytest.approx(1.0, abs=1e-14)
-
-
-@pytest.mark.parametrize("p,c_p", [(1.0, 1.0), (2.0, 1.5), (3.0, 2.0)])
-def test_lipschitz_brute_force_bound(p, c_p):
-    # scalar inequality |F(u)-F(v)| <= C_p |u-v|(|u|^p+|v|^p); the sup (1+p)/2
-    # is approached by close radial pairs, so include those in the sample
-    # (perturbation kept >= 1e-4 so cancellation noise stays below the slack)
-    nl = PowerNonlinearity(1.0, p)
-    g = build_grid(1, 125_000, 1.0)
-    worst = 0.0
-    for seed in (0, 1):
-        rng = np.random.default_rng(seed)
-        u = rng.uniform(-10, 10, 100_000) + 1j * rng.uniform(-10, 10, 100_000)
-        v = rng.uniform(-10, 10, 100_000) + 1j * rng.uniform(-10, 10, 100_000)
-        radial = rng.uniform(0.1, 10, 25_000) * np.exp(1j * rng.uniform(0, 2 * np.pi, 25_000))
-        delta = rng.uniform(1e-4, 1e-3, 25_000) * rng.choice([-1.0, 1.0], 25_000)
-        u = np.concatenate([u, radial])
-        v = np.concatenate([v, radial * (1.0 + delta)])
-        worst = max(worst, lipschitz_check(Field(g, u), Field(g, v), nl))
-    assert worst <= c_p + 1e-9
-    assert worst > 0.9 * c_p  # the bound is close to attained, so C_p is stable
-    if p == 2.0:
-        assert worst <= 2.0 + 1e-9
 
 
 # --- metric exponent ----------------------------------------------------------------

@@ -14,7 +14,6 @@ from mpnls import (
     NegativeSError,
     PowerNonlinearity,
     Trajectory,
-    beta,
     build_grid,
     canonical_pairs,
     critical_exponent,
@@ -89,6 +88,15 @@ def test_mixed_overflow_is_inf_without_warnings(grid1):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert mixed_norm(traj, 4.0, 2.0) == INF
+
+
+def test_norms_of_tiny_fields_do_not_underflow(grid1):
+    # (1e-40)^12 underflows to 0; the norms read their true values instead
+    tiny = 1e-40
+    assert lebesgue_norm(Field(grid1, np.full(64, tiny)), 12.0) == pytest.approx(
+        (2.0 * np.pi) ** (1.0 / 12.0) * tiny, rel=1e-12, abs=0.0)
+    assert mixed_norm(constant_traj(grid1, tiny), 12.0, 2.0) == pytest.approx(
+        np.sqrt(2.0 * np.pi) * tiny, rel=1e-12, abs=0.0)
 
 
 # --- Sobolev --------------------------------------------------------------------
@@ -166,23 +174,6 @@ def test_canonical_pairs_by_dimension():
 def test_make_pair_rejects():
     with pytest.raises(InadmissiblePairError):
         make_pair(2, 2, INF)
-
-
-# --- beta -------------------------------------------------------------------------
-
-
-def test_beta_identity_arguments():
-    assert beta(4, 3.0, 3.0) == pytest.approx(1.0, abs=0)   # n/2 - 1
-    assert beta(2, 7.0, 7.0) == pytest.approx(0.0, abs=0)
-
-
-def test_beta_direct_substitution():
-    assert beta(3, 6.0, 2.0) == pytest.approx(1.0, abs=1e-14)
-
-
-def test_beta_bad_exponent():
-    with pytest.raises(BadExponentError):
-        beta(2, 0.5, 2.0)
 
 
 # --- Strichartz --------------------------------------------------------------------

@@ -2,13 +2,17 @@ import numpy as np
 import pytest
 
 from mpnls import (
-    DimensionMismatchError,
     NotEllipticError,
     NotSymmetricError,
-    eval_symbol,
-    propagator_multiplier,
+    apply_propagator,
+    build_grid,
+    sample_profile,
+    symbol_lattice,
     validate_symbol,
 )
+
+# R = π puts the lattice at ξ = j; R = 10π at ξ = j/10
+GRID2 = build_grid(2, 16, np.pi)
 
 
 def quadratic_eigenvalues(a):
@@ -73,16 +77,18 @@ def test_jacobi_3x3_known_spectrum():
     assert sym.m2 == pytest.approx(5.0, abs=1e-10)
 
 
+def lattice_value(larr, grid, xi):
+    """L at the lattice frequency xi, read off symbol_lattice."""
+    return larr[tuple(int(np.argmin(np.abs(ax - x))) for ax, x in zip(grid.freq_axes, xi))]
+
+
 def test_eval_symbol_values(sym2):
     ident = validate_symbol(np.eye(2))
-    assert eval_symbol(ident, [3.0, 4.0]) == pytest.approx(25.0, abs=1e-13)
-    assert eval_symbol(sym2, [1.0, 1.0]) == pytest.approx(6.0, abs=1e-13)
-    assert eval_symbol(sym2, [0.0, 0.0]) == 0.0
-
-
-def test_eval_symbol_dimension_mismatch(sym2):
-    with pytest.raises(DimensionMismatchError):
-        eval_symbol(sym2, [1.0, 2.0, 3.0])
+    assert lattice_value(symbol_lattice(ident, GRID2), GRID2, [3.0, 4.0]) == pytest.approx(
+        25.0, abs=1e-13)
+    larr = symbol_lattice(sym2, GRID2)
+    assert lattice_value(larr, GRID2, [1.0, 1.0]) == pytest.approx(6.0, abs=1e-13)
+    assert lattice_value(larr, GRID2, [0.0, 0.0]) == 0.0
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -98,38 +104,43 @@ def test_two_sided_ellipticity_bound(n, rng):
     assert np.all(quad <= sym.m2 * mag2 + slack)
 
 
+# --- the propagator multiplier e^{-itL(ξ)}, read off apply_propagator ------------------
+
+
+def multiplier(sym, grid, t, mode):
+    """U_L(t) applied to the lattice plane wave of `mode`, divided by that wave:
+    e^{-itL(ξ)} at every grid point, up to transform roundoff."""
+    pw = sample_profile(grid, {"kind": "plane_wave", "amplitude": 1.0, "mode": list(mode)})
+    return apply_propagator(sym, grid, t, pw).values / pw.values
+
+
 def test_multiplier_time_zero(sym2):
-    assert propagator_multiplier(sym2, 0.0, [0.3, -1.2]) == 1.0 + 0.0j
+    assert np.max(np.abs(multiplier(sym2, GRID2, 0.0, [3, -1]) - 1.0)) < 1e-14
 
 
-def test_multiplier_exact_half_period(sym1):
+def test_multiplier_exact_half_period(sym1, grid1):
     # L(1) = 1, t = pi: exp(-i*pi) = -1 (single-mode ODE solution)
-    assert propagator_multiplier(sym1, np.pi, [1.0]) == pytest.approx(-1.0 + 0.0j, abs=1e-14)
+    assert np.max(np.abs(multiplier(sym1, grid1, np.pi, [1]) + 1.0)) < 1e-14
 
 
 def test_multiplier_unimodular_group_law(sym2, rng):
     for _ in range(200):
-        xi = rng.standard_normal(2) * 2.0
+        mode = rng.integers(-4, 5, 2)
         t, s = rng.standard_normal(2)
-        m_t = propagator_multiplier(sym2, t, xi)
-        m_s = propagator_multiplier(sym2, s, xi)
-        m_ts = propagator_multiplier(sym2, t + s, xi)
-        assert abs(m_t) == pytest.approx(1.0, abs=1e-15)
-        assert abs(m_ts - m_t * m_s) < 1e-13
-        assert abs(m_t * propagator_multiplier(sym2, -t, xi) - 1.0) < 1e-13
+        m_t = multiplier(sym2, GRID2, t, mode)
+        m_s = multiplier(sym2, GRID2, s, mode)
+        m_ts = multiplier(sym2, GRID2, t + s, mode)
+        assert np.max(np.abs(np.abs(m_t) - 1.0)) < 1e-14
+        assert np.max(np.abs(m_ts - m_t * m_s)) < 1e-13
+        assert np.max(np.abs(m_t * multiplier(sym2, GRID2, -t, mode) - 1.0)) < 1e-13
 
 
 def test_multiplier_solves_the_mode_ode(sym2):
-    # residual oracle for the sign convention: i m'(t) = L(xi) m(t)
-    xi = [0.7, -0.4]
-    lval = eval_symbol(sym2, xi)
+    # residual oracle for the sign convention: i m'(t) = L(xi) m(t), at xi = (0.7, -0.4)
+    grid, mode = build_grid(2, 16, 10.0 * np.pi), [7, -4]
+    lval = lattice_value(symbol_lattice(sym2, grid), grid, [0.7, -0.4])
     t, delta = 0.9, 1e-5
-    deriv = (propagator_multiplier(sym2, t + delta, xi)
-             - propagator_multiplier(sym2, t - delta, xi)) / (2.0 * delta)
-    residual = 1j * deriv - lval * propagator_multiplier(sym2, t, xi)
-    assert abs(residual) < 1e-8 * max(1.0, lval**2)
-
-
-def test_multiplier_infinite_time_rejected(sym1):
-    with pytest.raises(ValueError):
-        propagator_multiplier(sym1, np.inf, [1.0])
+    deriv = (multiplier(sym2, grid, t + delta, mode)
+             - multiplier(sym2, grid, t - delta, mode)) / (2.0 * delta)
+    residual = 1j * deriv - lval * multiplier(sym2, grid, t, mode)
+    assert np.max(np.abs(residual)) < 1e-8 * max(1.0, lval**2)
