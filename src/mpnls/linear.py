@@ -16,7 +16,9 @@ Every solver and verifier, here and in the nonlinear module, runs on one
 private multipoint core: `_MultipointCore` checks the grids and the time axis
 once, makes the only datum solve and the only forward transform of forcing
 frames, and `_propagate` is the only propagation pass (a spectral datum plus
-an optional Ĝ, inverse-transformed frame by frame).
+an optional Ĝ, inverse-transformed frame by frame).  A forcing stack the caller
+hands over writeable is reused as the one buffer of the pass: its frames are
+transformed to F̂, integrated to Ĝ and propagated to the solution in place.
 """
 
 from __future__ import annotations
@@ -54,6 +56,8 @@ class MultipointSpec:
     points: tuple = ()
 
     def __post_init__(self):
+        _check_time(self.t0)
+        _check_time(self.T)
         if not (self.T > self.t0):
             raise ValueError(f"horizon T={self.T} must exceed t0={self.t0}")
         pts = tuple((complex(a), float(lam)) for a, lam in self.points)
@@ -105,8 +109,15 @@ def symbol_lattice(sym: EllipticSymbol, grid: SpectralGrid) -> np.ndarray:
     return out
 
 
+def _check_time(t: float) -> None:
+    """A propagation time is a finite number."""
+    if not math.isfinite(t):
+        raise ValueError(f"propagation time must be finite, got {t}")
+
+
 def apply_propagator(sym: EllipticSymbol, grid: SpectralGrid, t: float, f: Field) -> Field:
     """Free evolution U_L(t)f: multiply each mode by e^{-i t L(ξ)}."""
+    _check_time(t)
     if f.grid != grid:
         raise GridMismatchError("field does not live on the given grid")
     larr = symbol_lattice(sym, grid)
@@ -127,13 +138,21 @@ def multipoint_denominator(sym: EllipticSymbol, grid: SpectralGrid,
 
 
 def _duhamel_spectral(larr: np.ndarray, dt: float, fhat: np.ndarray) -> np.ndarray:
-    """Ĝ(tₘ) = e^{-iΔtL}Ĝ(tₘ₋₁) − (iΔt/2)(e^{-iΔtL}F̂ₘ₋₁ + F̂ₘ), Ĝ(t₀) = 0."""
+    """Overwrites F̂ with Ĝ in place and returns it, keeping one rolling F̂ frame:
+    Ĝ(tₘ) = e^{-iΔtL}Ĝ(tₘ₋₁) − (iΔt/2)(e^{-iΔtL}F̂ₘ₋₁ + F̂ₘ), Ĝ(t₀) = 0."""
     step = np.exp(-1j * dt * larr)
-    ghat = np.zeros_like(fhat)
     half = -0.5j * dt
+    prev = fhat[0].copy()
+    term = np.empty_like(prev)
+    fhat[0] = 0.0
     for m in range(1, fhat.shape[0]):
-        ghat[m] = step * ghat[m - 1] + half * (step * fhat[m - 1] + fhat[m])
-    return ghat
+        np.multiply(step, prev, out=term)
+        np.add(term, fhat[m], out=term)
+        np.multiply(half, term, out=term)
+        prev[...] = fhat[m]
+        np.multiply(step, fhat[m - 1], out=fhat[m])
+        np.add(fhat[m], term, out=fhat[m])
+    return fhat
 
 
 def _propagate(grid: SpectralGrid, larr: np.ndarray, u_hat: np.ndarray, times,
@@ -142,13 +161,13 @@ def _propagate(grid: SpectralGrid, larr: np.ndarray, u_hat: np.ndarray, times,
     """The propagation kernel: frames F⁻¹[e^{-i(tₘ-t0)L(ξ)}û + Ĝ(tₘ)] for each tₘ.
 
     The phase is computed frame by frame unless a table `phases`, indexed
-    like `times`, is given.
+    like `times`, is given.  With a Ĝ, frame m is written over Ĝ(tₘ) once it is read.
     """
-    frames = np.empty((len(times),) + grid.shape, dtype=np.complex128)
+    frames = np.empty((len(times),) + grid.shape, dtype=np.complex128) if ghat is None else ghat
     for m, t in enumerate(times):
         uhat = (np.exp(-1j * (t - t0) * larr) if phases is None else phases[m]) * u_hat
         if ghat is not None:
-            uhat = uhat + ghat[m]
+            uhat += ghat[m]
         frames[m] = inverse_transform(Field._wrap(grid, uhat)).values
     return frames
 
@@ -193,8 +212,10 @@ class _MultipointCore:
             self.props = np.exp(-1j * np.multiply.outer(self.times - mp.t0, self.larr))
 
     def duhamel(self, forcing: np.ndarray) -> np.ndarray:
-        """Ĝ on the time axis for a stack of physical forcing frames."""
-        fhat = np.empty_like(forcing)
+        """Ĝ on the time axis for a stack of physical forcing frames.  A writeable stack
+        is the caller's scratch and is overwritten with F̂, then Ĝ; a read-only one is
+        transformed into a new buffer."""
+        fhat = forcing if forcing.flags.writeable else np.empty_like(forcing)
         for m in range(forcing.shape[0]):
             fhat[m] = forward_transform(Field._wrap(self.grid, forcing[m])).values
         return _duhamel_spectral(self.larr, (self.mp.T - self.mp.t0) / self.nt, fhat)
@@ -207,10 +228,14 @@ class _MultipointCore:
                 rhs = rhs + alpha * ghat[idx]
         return rhs / self.denom.values
 
-    def trajectory(self, ghat: np.ndarray | None = None) -> Trajectory:
-        """u(tₘ) = U_L(tₘ-t0)u₀ + G(tₘ) on every frame of the time axis."""
-        frames = _propagate(self.grid, self.larr, self.datum(ghat), self.times, self.mp.t0,
-                            ghat, self.props)
+    def frames(self, ghat: np.ndarray | None = None) -> np.ndarray:
+        """u(tₘ) = U_L(tₘ-t0)u₀ + G(tₘ) on every frame of the time axis, written over
+        Ĝ's buffer when there is one."""
+        return _propagate(self.grid, self.larr, self.datum(ghat), self.times, self.mp.t0,
+                          ghat, self.props)
+
+    def wrap(self, frames: np.ndarray) -> Trajectory:
+        """The read-only trajectory view of a stack of frames on this time axis."""
         return Trajectory._wrap(self.grid, self.mp.t0, self.mp.T, frames)
 
 
@@ -224,7 +249,7 @@ def solve_linear_multipoint(sym: EllipticSymbol, grid: SpectralGrid, mp: Multipo
     frame is the datum u₀: the one linear entry point.  With no multipoint terms it is
     free propagation, and with φ = 0 as well the Duhamel term G alone."""
     core = _MultipointCore(sym, grid, mp, phi, nt, eps_res, forcing)
-    return core.trajectory(None if forcing is None else core.duhamel(forcing.values))
+    return core.wrap(core.frames(None if forcing is None else core.duhamel(forcing.values)))
 
 
 def multipoint_residual(traj: Trajectory, mp: MultipointSpec, phi: Field) -> float:
@@ -270,13 +295,15 @@ def boundary_mass_fraction(f: Field) -> float:
 
 
 def check_dispersive(times, p: float) -> list[float]:
-    """p ∈ [2, ∞] and times positive and strictly increasing; returns the times as floats."""
+    """p ∈ [2, ∞] and times positive, finite and strictly increasing; returns the times
+    as floats."""
     if not (2.0 <= p):
         raise BadExponentError(f"dispersive check needs p in [2, inf], got {p}")
     ts = [float(t) for t in times]
     for t in ts:
         if not (t > 0.0):
             raise NonpositiveTimeError(f"times must be positive, got {t}")
+        _check_time(t)
     if any(b <= a for a, b in zip(ts, ts[1:])):
         raise ValueError("times must be strictly increasing")
     return ts
@@ -341,6 +368,8 @@ def verify_strichartz(sym: EllipticSymbol, grid: SpectralGrid, t0: float = 0.0,
     statistic.
     """
     check_strichartz(grid, num_samples, band)
+    _check_time(t0)
+    _check_time(T)
     pairs = tuple(canonical_pairs(grid.n))
     larr = symbol_lattice(sym, grid)
     times = np.linspace(t0, T, nt + 1)

@@ -12,7 +12,15 @@ measured contraction ratios rather than asserting a threshold.
 
 Every propagation goes through the multipoint core of the linear module:
 each Φ application is one `_MultipointCore` datum solve and one `_propagate`
-pass, and the indicator η is one `_propagate` pass of |∇|^s φ.
+pass, and the indicator η is one `_propagate` pass of |∇|^s φ.  One Φ
+application allocates one trajectory-sized buffer: -F(u) is built in it, then
+transformed, integrated and propagated in place.
+
+The iteration is plain Picard until the first contraction ratio above
+MIX_GATE, then depth-1 Anderson mixing (Walker & Ni 2011), which keeps two
+more trajectories; each deeper level would keep two more again.  A distance
+beyond DIVERGENCE_FACTOR·d₀, or a non-finite Φ past the first iterate, is
+divergence (NoConvergenceError), not a non-finite solution.
 """
 
 from __future__ import annotations
@@ -30,6 +38,9 @@ from .symbol import EllipticSymbol
 
 DEFAULT_TOL_FP = 1e-10
 DEFAULT_MAX_ITER = 50
+MIX_GATE = 0.5          # depth-1 Anderson mixing switches on at the first ratio above this
+DIVERGENCE_FACTOR = 1e3  # d_k > DIVERGENCE_FACTOR·d_0 is divergence, not slow convergence
+_BLOCKS = 16             # blocks per trajectory in an elementwise pass
 
 
 @dataclass(frozen=True)
@@ -80,11 +91,27 @@ def eval_nonlinearity(f: Field, nl: PowerNonlinearity) -> Field:
     return Field._wrap(f.grid, out)
 
 
+def _blocks(frames: int):
+    """Slices of about 1/_BLOCKS of the time axis, at least one frame each: elementwise
+    passes over a trajectory go block by block, so that their scratch stays small."""
+    step = max(1, frames // _BLOCKS)
+    return (slice(lo, lo + step) for lo in range(0, frames, step))
+
+
 def _power_block(values: np.ndarray, nl: PowerNonlinearity) -> np.ndarray:
+    """λ|u|ᵖu, built block by block in the output itself: λ|u|ᵖ + 0i first, then times u."""
+    out = np.empty_like(values)
     with np.errstate(over="ignore", invalid="ignore"):
-        out = nl.lam * np.abs(values) ** nl.p * values
-    if not np.all(np.isfinite(out)):
-        raise NonFiniteError("nonlinearity overflowed to non-finite values")
+        for blk in _blocks(len(values)):
+            block, dest = values[blk], out[blk]
+            mag = dest.real
+            np.abs(block, out=mag)
+            mag **= nl.p
+            mag *= nl.lam
+            dest.imag = 0.0
+            np.multiply(dest, block, out=dest)
+            if not np.isfinite(dest).all():
+                raise NonFiniteError("nonlinearity overflowed to non-finite values")
     return out
 
 
@@ -119,41 +146,117 @@ def smallness_indicator(sym: EllipticSymbol, grid: SpectralGrid, phi: Field, s: 
 # --- the solution map ----------------------------------------------------------
 
 
-def _solution_map(core: _MultipointCore, current: Trajectory | None,
-                  nl: PowerNonlinearity) -> Trajectory:
-    """Φ(current): the multipoint solution forced by -F(current); unforced for None."""
+def _solution_map(core: _MultipointCore, current: np.ndarray | None,
+                  nl: PowerNonlinearity) -> np.ndarray:
+    """Φ(current) on a stack of frames: the multipoint solution forced by -F(current),
+    unforced for None.  Returns a new writeable stack and never writes into `current`."""
     ghat = None
     if current is not None:
-        if current.grid != core.grid or current.nt != core.nt:
-            raise GridMismatchError("iterate does not live on the solver grid")
-        ghat = core.duhamel(-_power_block(current.values, nl))  # i∂ₜu + Lu = -F(u)
-    traj = core.trajectory(ghat)
-    if not np.all(np.isfinite(traj.values)):
+        forcing = _power_block(current, nl)
+        np.negative(forcing, out=forcing)  # i∂ₜu + Lu = -F(u)
+        ghat = core.duhamel(forcing)
+    frames = core.frames(ghat)
+    if not all(np.isfinite(frames[blk]).all() for blk in _blocks(len(frames))):
         raise NonFiniteError("solution map produced non-finite values")
-    return traj
+    return frames
+
+
+def _iterate_core(sym: EllipticSymbol, grid: SpectralGrid, mp: MultipointSpec, phi: Field,
+                  traj: Trajectory, eps_res: float) -> _MultipointCore:
+    if traj.grid != grid:
+        raise GridMismatchError("iterate does not live on the solver grid")
+    return _MultipointCore(sym, grid, mp, phi, traj.nt, eps_res)
+
+
+def _distance(core: _MultipointCore, diff: np.ndarray, q: float, r: float) -> float:
+    """L_t^q L_x^r norm of a difference stack, read through a view so the stack stays writeable."""
+    return mixed_norm(core.wrap(diff.view()), q, r)
+
+
+def _residual(core: _MultipointCore, values: np.ndarray, nl: PowerNonlinearity,
+              q: float, r: float) -> float:
+    """d(u, Φ(u)), with the difference formed in Φ's own buffer."""
+    diff = _solution_map(core, values, nl)
+    return _distance(core, np.subtract(diff, values, out=diff), q, r)
 
 
 def picard_step(sym: EllipticSymbol, grid: SpectralGrid, mp: MultipointSpec, phi: Field,
                 nl: PowerNonlinearity, current: Trajectory,
                 eps_res: float = DEFAULT_EPS_RES) -> Trajectory:
     """One application of the solution map Φ(current)."""
-    core = _MultipointCore(sym, grid, mp, phi, current.nt, eps_res)
-    return _solution_map(core, current, nl)
+    core = _iterate_core(sym, grid, mp, phi, current, eps_res)
+    return core.wrap(_solution_map(core, current.values, nl))
 
 
 def integral_residual(sym: EllipticSymbol, grid: SpectralGrid, mp: MultipointSpec,
                       phi: Field, nl: PowerNonlinearity, traj: Trajectory,
                       eps_res: float = DEFAULT_EPS_RES) -> float:
     """Defect d(u, Φ(u)) of the integral equation in the contraction metric."""
-    core = _MultipointCore(sym, grid, mp, phi, traj.nt, eps_res)
+    core = _iterate_core(sym, grid, mp, phi, traj, eps_res)
     r_metric, _ = metric_exponent(grid.n, nl.p)
-    return mixed_norm(_solution_map(core, traj, nl) - traj, nl.p + 2.0, r_metric)
+    return _residual(core, traj.values, nl, nl.p + 2.0, r_metric)
 
 
 def _relative_drift(values: tuple[float, ...]) -> float:
     ref = values[0]
     floor = float(np.finfo(np.float64).eps)
     return max(abs(v - ref) for v in values) / max(abs(ref), floor)
+
+
+def _mix(f: np.ndarray, g: np.ndarray, history) -> np.ndarray:
+    """Depth-1 Anderson mixing: x = f − γ(f − f_prev), γ = ⟨Δg, g⟩/⟨Δg, Δg⟩ in the flat
+    ℓ² product, g = f − x the last residual.  Δf and Δg are formed in the history
+    buffers and x is written over Δf; with no history, or Δg = 0, x is the plain step f."""
+    if history is None:
+        return f.copy()
+    df, dg = history
+    np.subtract(g, dg, out=dg)
+    np.subtract(f, df, out=df)
+    dg_dg = float(np.vdot(dg, dg).real)
+    if not 0.0 < dg_dg < np.inf:
+        np.copyto(df, f)
+        return df
+    df *= complex(np.vdot(dg, g)) / dg_dg
+    return np.subtract(f, df, out=df)
+
+
+def _fixed_point(core: _MultipointCore, nl: PowerNonlinearity, q: float, r: float,
+                 tol_fp: float, max_iter: int) -> tuple[np.ndarray | None, list, str | None]:
+    """Iterate Φ from the linear multipoint solution.
+
+    Returns the converged Φ output (None on failure), the distances
+    d_k = d(x_k, Φ(x_k)) and, on failure, why.  The loop is plain Picard until the
+    first contraction ratio above MIX_GATE; from that step on it keeps f = Φ(x) and
+    g = f − x of the previous step and mixes them into the next iterate.  Every
+    iterate is an affine combination of Φ outputs, so it meets the multipoint condition.
+    """
+    x = _solution_map(core, None, nl)  # linear multipoint solution
+    d_history: list[float] = []
+    mixing, history = False, None
+    for k in range(max_iter):
+        try:
+            f = _solution_map(core, x, nl)
+        except NonFiniteError:
+            if k == 0:  # F of the linear solution overflows: the data blow up, not the iteration
+                raise
+            return None, d_history, f"Picard iteration diverged: Φ of iterate {k} is not finite"
+        with np.errstate(over="ignore", invalid="ignore"):
+            g = np.subtract(f, x, out=x)  # x is not read again
+            d = _distance(core, g, q, r)
+            if k == 0 and not np.isfinite(d):
+                raise NonFiniteError("the first Picard distance is not finite")
+            d_history.append(d)
+            if d < tol_fp:
+                return f, d_history, None
+            if k > 0 and not d <= DIVERGENCE_FACTOR * d_history[0]:
+                return None, d_history, (f"Picard iteration diverged: d_{k} = {d:.3e} exceeds "
+                                         f"{DIVERGENCE_FACTOR:.0e}·d_0 = {d_history[0]:.3e}")
+            mixing = mixing or (k > 0 and d / d_history[-2] > MIX_GATE)
+            x = _mix(f, g, history) if mixing else f
+            history = (f, g) if mixing else None
+            del f, g  # a plain step drops g's buffer before the next Φ
+    return None, d_history, (f"Picard iteration did not reach tol_fp={tol_fp:.1e} within "
+                             f"{max_iter} iterations")
 
 
 def solve_nls_multipoint(sym: EllipticSymbol, grid: SpectralGrid, mp: MultipointSpec,
@@ -164,7 +267,8 @@ def solve_nls_multipoint(sym: EllipticSymbol, grid: SpectralGrid, mp: Multipoint
                          sigma: float | None = None) -> tuple[Trajectory, PicardDiagnostics]:
     """Iterate Φ from the linear multipoint solution until the metric distance
     of successive iterates drops below tol_fp; returns the trajectory and full
-    convergence/conservation diagnostics."""
+    convergence/conservation diagnostics.  A distance past DIVERGENCE_FACTOR·d_0,
+    or a non-finite iterate past the first, ends the iteration as divergence."""
     check_picard_tolerances(tol_fp, max_iter)
     check_regularity(s)
     core = _MultipointCore(sym, grid, mp, phi, nt, eps_res, phase_table=True)
@@ -173,35 +277,19 @@ def solve_nls_multipoint(sym: EllipticSymbol, grid: SpectralGrid, mp: Multipoint
     if sigma is None:
         sigma = r_metric
 
-    current = _solution_map(core, None, nl)  # linear multipoint solution
-    d_history: list[float] = []
-    converged = False
-    iterations = 0
-    for _ in range(max_iter):
-        nxt = _solution_map(core, current, nl)
-        d = mixed_norm(nxt - current, q_metric, r_metric)
-        if not np.isfinite(d):
-            raise NonFiniteError(
-                f"iteration diverged after {iterations} steps (metric distance not finite)"
-            )
-        d_history.append(d)
-        iterations += 1
-        current = nxt
-        if d < tol_fp:
-            converged = True
-            break
+    values, d_history, failure = _fixed_point(core, nl, q_metric, r_metric, tol_fp, max_iter)
     ratios = tuple(d_history[j + 1] / d_history[j]
                    for j in range(len(d_history) - 1) if d_history[j] > 0.0)
 
     eta = smallness_indicator(sym, grid, phi, s, nl, mp.T, sigma=sigma, t0=mp.t0, nt=nt)
-    if not converged:
+    if failure is not None:
         raise NoConvergenceError(
-            f"Picard iteration did not reach tol_fp={tol_fp:.1e} within {max_iter} "
-            f"iterations (last distance {d_history[-1]:.3e}, eta={eta:.3e})",
+            f"{failure} (last distance {d_history[-1]:.3e}, eta={eta:.3e})",
             diagnostics={"d_history": tuple(d_history), "eta": eta},
         )
 
-    final_residual = mixed_norm(_solution_map(core, current, nl) - current, q_metric, r_metric)
+    final_residual = _residual(core, values, nl, q_metric, r_metric)
+    current = core.wrap(values)
 
     observables = frame_observables(current, sym, nl, s)
     grad_traj = current if s == 0.0 else Trajectory._wrap(  # apply_riesz is the identity at s = 0
@@ -210,7 +298,7 @@ def solve_nls_multipoint(sym: EllipticSymbol, grid: SpectralGrid, mp: Multipoint
     )
     report = critical_exponent(grid.n, nl.p, s)
     diags = PicardDiagnostics(
-        iterations=iterations,
+        iterations=len(d_history),
         d_history=tuple(d_history),
         contraction_ratios=ratios,
         final_residual=final_residual,

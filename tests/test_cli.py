@@ -244,14 +244,31 @@ def test_nls_max_iter_exceeded_exits_4(tmp_path, capsys):
 
 
 def test_nls_blowup_exits_5(tmp_path, capsys):
+    # the nonlinearity of the linear solution overflows: the data themselves are not finite
+    doc = make_config(
+        grid={"n": 1, "N": 64, "R": 10.0},
+        initial={"kind": "gaussian", "amplitude": 1e200, "width": 1.0, "center": [0.0]},
+        nonlinearity={"lambda": -1.0, "p": 2.0},
+        outputs={"report_path": str(tmp_path / "x")})
+    code = run_command(["solve-nls", "--config", write_config(tmp_path, doc)])
+    assert code == 5
+    assert "nonlinearity overflowed" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_nls_picard_divergence_is_not_blowup(tmp_path, capsys):
+    # a 1-D cubic solution stays finite, so a Picard iteration that runs away is
+    # divergence (exit 4), never PDE blow-up (exit 5)
     doc = make_config(
         grid={"n": 1, "N": 64, "R": 10.0},
         initial={"kind": "gaussian", "amplitude": 1000.0, "width": 1.0, "center": [0.0]},
         nonlinearity={"lambda": -1.0, "p": 2.0},
         outputs={"report_path": str(tmp_path / "x")})
     code = run_command(["solve-nls", "--config", write_config(tmp_path, doc)])
-    assert code == 5
-    assert not (tmp_path / "x.csv").exists()
+    assert code in (0, 4)
+    if code == 4:
+        assert "diverged" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
 
 
 def test_verify_dispersive_report_format(tmp_path):

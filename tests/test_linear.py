@@ -174,6 +174,21 @@ def test_duhamel_grid_mismatch(grid1, sym1):
         duhamel_term(sym1, grid1, forcing)
 
 
+def test_duhamel_in_place_matches_the_recurrence(sym2, rng):
+    # overwriting F̂ with Ĝ keeps the bits of the recurrence into a fresh array
+    from mpnls.linear import _duhamel_spectral
+
+    grid = build_grid(2, 16, np.pi)
+    larr = symbol_lattice(sym2, grid)
+    fhat = rng.standard_normal((9, 16, 16)) + 1j * rng.standard_normal((9, 16, 16))
+    dt = 0.125
+    step = np.exp(-1j * dt * larr)
+    ghat = np.zeros_like(fhat)
+    for m in range(1, len(fhat)):
+        ghat[m] = step * ghat[m - 1] + (-0.5j * dt) * (step * fhat[m - 1] + fhat[m])
+    assert _duhamel_spectral(larr, dt, fhat.copy()).tobytes() == ghat.tobytes()
+
+
 # --- full linear solve ----------------------------------------------------------------
 
 
@@ -253,6 +268,31 @@ def test_multipoint_residual_scales_with_perturbation(grid1, sym1, rng):
         res = multipoint_residual(perturbed, mp, phi)
         expected = eps_scale * 1e-3 * np.sqrt(2 * np.pi) / lebesgue_norm(phi, 2.0)
         assert res == pytest.approx(expected + res_clean, rel=1e-6)
+
+
+def test_solve_leaves_the_forcing_untouched(grid1, sym1, rng):
+    nt = 20
+    vals = rng.standard_normal((nt + 1, 64)) + 1j * rng.standard_normal((nt + 1, 64))
+    forcing = Trajectory(grid1, 0.0, 1.0, vals)
+    before = forcing.values.copy()
+    mp = MultipointSpec(0.0, 1.0, ((0.4, 0.5),))
+    traj = solve_linear_multipoint(sym1, grid1, mp, gaussian(grid1), forcing, nt=nt)
+    assert np.array_equal(forcing.values, before)
+    assert not forcing.values.flags.writeable and not traj.values.flags.writeable
+    assert not np.shares_memory(traj.values, forcing.values)
+
+
+def test_non_finite_times_are_named(grid1, sym1):
+    phi = gaussian(grid1)
+    for t in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match=f"time must be finite, got {t}"):
+            apply_propagator(sym1, grid1, t, phi)
+    with pytest.raises(ValueError, match="time must be finite, got inf"):
+        verify_dispersive(sym1, grid1, phi, [1.0, math.inf])
+    with pytest.raises(ValueError, match="time must be finite, got inf"):
+        MultipointSpec(0.0, math.inf, ())
+    with pytest.raises(ValueError, match="time must be finite, got inf"):
+        verify_strichartz(sym1, grid1, T=math.inf, num_samples=1)
 
 
 # --- dispersive verification --------------------------------------------------------

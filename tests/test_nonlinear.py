@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -17,6 +18,7 @@ from mpnls import (
     integral_residual,
     metric_exponent,
     mixed_norm,
+    multipoint_residual,
     picard_step,
     sample_profile,
     smallness_indicator,
@@ -24,6 +26,8 @@ from mpnls import (
     solve_nls_multipoint,
     validate_symbol,
 )
+from mpnls import nonlinear
+from mpnls.nonlinear import DEFAULT_TOL_FP, DIVERGENCE_FACTOR, MIX_GATE
 
 NL = PowerNonlinearity(-1.0, 2.0)
 
@@ -68,6 +72,17 @@ def test_eval_overflow_flagged(setup):
     big = Field(grid, np.full(128, 1e200))
     with pytest.raises(NonFiniteError):
         eval_nonlinearity(big, PowerNonlinearity(1.0, 3.0))
+
+
+@pytest.mark.parametrize("lam, p", [(-1.0, 2.0), (0.7, 3.0), (2.5, 1.5), (-1.0, 4.0 / 3.0)])
+def test_power_block_matches_the_pointwise_formula(rng, lam, p):
+    # built block by block in its own output, F keeps the bits of the one-line formula
+    nl = PowerNonlinearity(lam, p)
+    u = rng.standard_normal((37, 8, 4)) + 1j * rng.standard_normal((37, 8, 4))
+    u[3, 2, 1] = 0.0
+    u[5, 0, 0] = -0.0
+    expected = nl.lam * np.abs(u) ** nl.p * u
+    assert nonlinear._power_block(u, nl).tobytes() == expected.tobytes()
 
 
 def test_bad_power_rejected():
@@ -210,16 +225,44 @@ def test_solver_blowup_is_loud(setup):
 
 
 def test_solver_overflow_raises_without_numpy_warnings():
-    # at amplitude 1.5 the metric distance overflows after a few iterations
-    sym = validate_symbol([[1.0]])
-    grid = build_grid(1, 256, 10.0)
-    phi = sample_profile(grid, {"kind": "gaussian", "amplitude": 1.5, "width": 1.0,
-                                "center": [0.0]})
-    mp = MultipointSpec(0.0, 1.0, ((0.3, 0.5),))
+    # amplitude 1.5 runs away (divergence, exit 4); at 1e200 the nonlinearity of the
+    # linear solution overflows (non-finite data, exit 5); neither leaks a numpy warning
+    sym, grid, mp, _ = focusing_problem(1.5)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(NonFiniteError):
-            solve_nls_multipoint(sym, grid, mp, phi, NL, nt=200, max_iter=100)
+        for amplitude, error in ((1.5, NoConvergenceError), (1e200, NonFiniteError)):
+            _, _, _, phi = focusing_problem(amplitude)
+            with pytest.raises(error):
+                solve_nls_multipoint(sym, grid, mp, phi, NL, nt=200, max_iter=100)
+
+
+def test_solver_divergence_reports_history():
+    sym, grid, mp, phi = focusing_problem(2.0)
+    with pytest.raises(NoConvergenceError, match="diverged") as err:
+        solve_nls_multipoint(sym, grid, mp, phi, NL, nt=200, max_iter=100)
+    d = err.value.diagnostics["d_history"]
+    assert len(d) >= 2 and d[-1] > DIVERGENCE_FACTOR * d[0]
+    assert all(x <= DIVERGENCE_FACTOR * d[0] for x in d[1:-1])
+
+
+@pytest.mark.parametrize("first_bad, error", [(1, NonFiniteError), (2, NoConvergenceError)])
+def test_nonfinite_iterate_past_the_first_is_divergence(setup, monkeypatch, first_bad, error):
+    # F of the linear solution (call 1) is the data blowing up; F of a later iterate
+    # is the iteration running away
+    sym, grid, phi = setup
+    real, calls = nonlinear._power_block, []
+
+    def overflowing(values, nl):
+        calls.append(None)
+        if len(calls) >= first_bad:
+            raise NonFiniteError("nonlinearity overflowed to non-finite values")
+        return real(values, nl)
+
+    monkeypatch.setattr(nonlinear, "_power_block", overflowing)
+    with pytest.raises(error) as err:
+        solve_nls_multipoint(sym, grid, MultipointSpec(0.0, 1.0, ()), phi, NL, nt=50)
+    if error is NoConvergenceError:
+        assert len(err.value.diagnostics["d_history"]) == first_bad - 1
 
 
 def test_solver_checks_regularity_before_any_work(setup):
@@ -239,6 +282,74 @@ def test_solver_no_convergence_reports_history(setup):
         solve_nls_multipoint(sym, grid, mp, phi, NL, nt=50, tol_fp=1e-15, max_iter=2)
     assert err.value.diagnostics is not None
     assert len(err.value.diagnostics["d_history"]) == 2
+
+
+# --- mixing and memory ------------------------------------------------------------------
+
+
+def focusing_problem(amplitude):
+    """1-D cubic focusing with α = 0.3 at λ = 0.5 on N = 256, R = 10."""
+    sym = validate_symbol([[1.0]])
+    grid = build_grid(1, 256, 10.0)
+    phi = sample_profile(grid, {"kind": "gaussian", "amplitude": amplitude, "width": 1.0,
+                                "center": [0.0]})
+    return sym, grid, MultipointSpec(0.0, 1.0, ((0.3, 0.5),)), phi
+
+
+def traced_solve(amplitude, nt):
+    """(diagnostics, peak traced memory in trajectory arrays) of one solve."""
+    sym, grid, mp, phi = focusing_problem(amplitude)
+    small = build_grid(1, 16, 10.0)  # warm-up: lazy imports and allocator caches
+    solve_nls_multipoint(sym, small, mp, Field(small, np.zeros(16)), NL, nt=nt)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        traj, diags = solve_nls_multipoint(sym, grid, mp, phi, NL, nt=nt)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    return diags, peak / traj.values.nbytes
+
+
+def test_solver_without_mixing_is_plain_picard(setup):
+    # below the gate the solver is a hand loop of Φ and the metric, bit for bit
+    sym, grid, phi = setup
+    mp = MultipointSpec(0.0, 1.0, ((0.3, 0.5),))
+    traj, diags = solve_nls_multipoint(sym, grid, mp, phi, NL, nt=50)
+    assert all(q <= MIX_GATE for q in diags.contraction_ratios)
+    u = solve_linear_multipoint(sym, grid, mp, phi, None, nt=50)
+    d_history = []
+    while not d_history or d_history[-1] >= DEFAULT_TOL_FP:
+        nxt = picard_step(sym, grid, mp, phi, NL, u)
+        d_history.append(mixed_norm(nxt - u, NL.p + 2.0, diags.r_metric))
+        u = nxt
+    assert tuple(d_history) == diags.d_history
+    assert u.values.tobytes() == traj.values.tobytes()
+
+
+def test_solver_mixing_converges_at_amplitude_one():
+    # plain Picard takes 49 iterations here, with ratios alternating near 0.88 and 0.39
+    sym, grid, mp, phi = focusing_problem(1.0)
+    traj, diags = solve_nls_multipoint(sym, grid, mp, phi, NL, nt=200)
+    assert diags.iterations <= 30
+    assert diags.final_residual < DEFAULT_TOL_FP
+    assert multipoint_residual(traj, mp, phi) <= 1e-12
+    assert integral_residual(sym, grid, mp, phi, NL, traj) <= 1e-9
+
+
+def test_solver_peak_memory_in_trajectory_arrays():
+    # plain Picard holds the phase table, the iterate and Φ's one buffer; mixing adds
+    # the two history arrays
+    diags, peak = traced_solve(0.05, nt=100)
+    assert max(diags.contraction_ratios) <= MIX_GATE
+    assert peak <= 3.5
+    diags, peak = traced_solve(1.0, nt=100)
+    assert max(diags.contraction_ratios) > MIX_GATE
+    assert peak <= 5.4
 
 
 # --- integral residual ---------------------------------------------------------------
