@@ -16,7 +16,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -88,10 +88,10 @@ class TimeConfig:
     nt: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class MultipointTerm:
-    alpha_re: float
-    alpha_im: float
+    alpha_re: float = 0.0
+    alpha_im: float = 0.0
     lam: float
 
 
@@ -144,7 +144,10 @@ class SolveConfig:
     strichartz: StrichartzConfig | None
 
 
-def _check_keys(obj: dict, allowed: set, path: str):
+_JSON_KEYS = {"lam": "lambda", "nt": "Nt"}  # the JSON keys that differ from their field names
+
+
+def _check_keys(obj: dict, allowed, path: str):
     for key in obj:
         if key not in allowed:
             raise UnknownKeyError(f"unknown key '{path}{key}'")
@@ -154,6 +157,12 @@ def _need(obj: dict, key: str, path: str):
     if key not in obj:
         raise ValidationError(f"missing required key '{path}{key}'")
     return obj[key]
+
+
+def _object(raw, path: str) -> dict:
+    if not isinstance(raw, dict):
+        raise ValidationError(f"{path} must be an object")
+    return raw
 
 
 def _checked(path: str, check, *args):
@@ -168,7 +177,7 @@ def _checked(path: str, check, *args):
 def _as_number(v, where: str) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ValidationError(f"{where} must be a number, got {v!r}")
-    if not math.isfinite(v):
+    if not abs(v) <= sys.float_info.max:  # exact for ints too: no overflow converting them
         raise ValidationError(f"{where} must be finite, got {v!r}")
     return float(v)
 
@@ -187,6 +196,18 @@ def _as_exponent(v, where: str) -> float:
     return _as_number(v, where)
 
 
+_COERCE = {"float": _as_number, "int": _as_int}  # by a field's annotation, a string when postponed
+
+
+def _section(cls, raw, path: str):
+    """Read a numeric config section off its dataclass: an object keyed by the fields' JSON
+    keys, where a field with no default is required and a value is coerced by its field's type."""
+    spec = {_JSON_KEYS.get(f.name, f.name): f for f in fields(cls)}
+    _check_keys(_object(raw, path), spec, path + ".")
+    return cls(**{f.name: _COERCE[f.type](_need(raw, key, path + "."), f"{path}.{key}")
+                  for key, f in spec.items() if key in raw or f.default is MISSING})
+
+
 _PROFILE_KEYS = {
     "gaussian": {"kind", "amplitude", "width", "center"},
     "plane_wave": {"kind", "amplitude", "mode"},
@@ -196,10 +217,8 @@ _PROFILE_KEYS = {
 
 def _validate_profile(spec, grid, path: str) -> dict:
     """A profile's schema here; its defaults and value rules in grid.check_profile."""
-    if not isinstance(spec, dict):
-        raise ValidationError(f"{path} must be an object")
-    kind = spec.get("kind")
-    if kind not in _PROFILE_KEYS:
+    kind = _object(spec, path).get("kind")
+    if not isinstance(kind, str) or kind not in _PROFILE_KEYS:
         raise ValidationError(f"{path}.kind must be one of {sorted(_PROFILE_KEYS)}, got {kind!r}")
     _check_keys(spec, _PROFILE_KEYS[kind], path + ".")
     if kind == "from_file":
@@ -214,16 +233,16 @@ def _validate_profile(spec, grid, path: str) -> dict:
     return _checked(path, check_profile, grid, dict(typed, kind=kind))
 
 
-def parse_config(text: str) -> SolveConfig:
+def parse_config(text: str, command: str | None = None) -> SolveConfig:
     """Parse and validate a JSON config, so that a config that parses runs.
 
     The strict schema (keys, JSON types, required fields) and the rules no
     module owns are checked here; every other value rule by calling the module
-    function that owns it.
+    function that owns it.  For `command` verify-strichartz the default band is checked too.
     """
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer literal too long to convert
         raise ConfigSyntaxError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigSyntaxError("config root must be a JSON object")
@@ -231,7 +250,7 @@ def parse_config(text: str) -> SolveConfig:
                       "nonlinearity", "regularity", "tolerances", "outputs",
                       "dispersive", "strichartz"}, "")
 
-    sym_raw = _need(raw, "symbol", "")
+    sym_raw = _object(_need(raw, "symbol", ""), "symbol")
     _check_keys(sym_raw, {"a"}, "symbol.")
     a = _need(sym_raw, "a", "symbol.")
     if not isinstance(a, list) or not all(isinstance(row, list) for row in a):
@@ -240,33 +259,25 @@ def parse_config(text: str) -> SolveConfig:
                    [[_as_number(v, "symbol.a entry") for v in row] for row in a])
     symbol_a = tuple(tuple(float(v) for v in row) for row in sym.a)
 
-    grid_raw = _need(raw, "grid", "")
-    _check_keys(grid_raw, {"n", "N", "R"}, "grid.")
-    gc = GridConfig(_as_int(_need(grid_raw, "n", "grid."), "grid.n"),
-                    _as_int(_need(grid_raw, "N", "grid."), "grid.N"),
-                    _as_number(_need(grid_raw, "R", "grid."), "grid.R"))
+    gc = _section(GridConfig, _need(raw, "grid", ""), "grid")
     if sym.n != gc.n:
         raise ValidationError(f"symbol dimension {sym.n} does not match grid.n = {gc.n}")
     grid = _checked("grid", build_grid, gc.n, gc.N, gc.R)
 
-    time_raw = _need(raw, "time", "")
-    _check_keys(time_raw, {"t0", "T", "Nt"}, "time.")
-    tc = TimeConfig(_as_number(_need(time_raw, "t0", "time."), "time.t0"),
-                    _as_number(_need(time_raw, "T", "time."), "time.T"),
-                    _as_int(_need(time_raw, "Nt", "time."), "time.Nt"))
+    tc = _section(TimeConfig, _need(raw, "time", ""), "time")
     _checked("time", MultipointSpec, tc.t0, tc.T)
     if tc.nt < 1:
         raise ValidationError(f"time.Nt must be >= 1, got {tc.nt}")
 
+    items = raw.get("multipoint", [])
+    if not isinstance(items, list):
+        raise ValidationError("multipoint must be a list")
     terms = []
-    for i, item in enumerate(raw.get("multipoint", [])):
-        path = f"multipoint[{i}]."
-        _check_keys(item, {"alpha_re", "alpha_im", "lambda"}, path)
-        term = MultipointTerm(_as_number(item.get("alpha_re", 0.0), path + "alpha_re"),
-                              _as_number(item.get("alpha_im", 0.0), path + "alpha_im"),
-                              _as_number(_need(item, "lambda", path), path + "lambda"))
+    for i, item in enumerate(items):
+        path = f"multipoint[{i}]"
+        term = _section(MultipointTerm, item, path)
         # a one-term spec checks λ ∈ (t0, T]; its frame index, that λ is a grid time
-        _checked(path + "lambda",
+        _checked(path + ".lambda",
                  lambda: MultipointSpec(tc.t0, tc.T, ((0.0, term.lam),)).frame_indices(tc.nt))
         terms.append(term)
     # and one spec of all the terms, that the λ are distinct
@@ -276,7 +287,7 @@ def parse_config(text: str) -> SolveConfig:
 
     forcing = raw.get("forcing")
     if forcing is not None:
-        _check_keys(forcing, {"profile", "envelope"}, "forcing.")
+        _check_keys(_object(forcing, "forcing"), {"profile", "envelope"}, "forcing.")
         prof = _validate_profile(_need(forcing, "profile", "forcing."), grid, "forcing.profile")
         env = forcing.get("envelope", {"kind": "constant"})
         kind = env.get("kind") if isinstance(env, dict) else None
@@ -293,13 +304,8 @@ def parse_config(text: str) -> SolveConfig:
         forcing = {"profile": prof, "envelope": env_out}
 
     nl_raw = raw.get("nonlinearity")
-    nl_cfg = None
-    if nl_raw is not None:
-        _check_keys(nl_raw, {"lambda", "p"}, "nonlinearity.")
-        nl_cfg = NonlinearityConfig(_as_number(_need(nl_raw, "lambda", "nonlinearity."),
-                                               "nonlinearity.lambda"),
-                                    _as_number(_need(nl_raw, "p", "nonlinearity."),
-                                               "nonlinearity.p"))
+    nl_cfg = None if nl_raw is None else _section(NonlinearityConfig, nl_raw, "nonlinearity")
+    if nl_cfg is not None:
         _checked("nonlinearity.p", PowerNonlinearity, nl_cfg.lam, nl_cfg.p)
 
     regularity = _as_number(raw.get("regularity", 0.0), "regularity")
@@ -307,15 +313,12 @@ def parse_config(text: str) -> SolveConfig:
     if nl_cfg is not None:
         _checked("regularity", check_regularity, regularity)
 
-    tol_raw = raw.get("tolerances", {})
-    _check_keys(tol_raw, {"eps_res", "tol_fp", "max_iter"}, "tolerances.")
-    tol = ToleranceConfig(**{k: (_as_int if k == "max_iter" else _as_number)(v, f"tolerances.{k}")
-                             for k, v in tol_raw.items()})
+    tol = _section(ToleranceConfig, raw.get("tolerances", {}), "tolerances")
     if not (tol.eps_res > 0.0):
         raise ValidationError(f"tolerances.eps_res must be positive, got {tol.eps_res}")
     _checked("tolerances", check_picard_tolerances, tol.tol_fp, tol.max_iter)
 
-    out_raw = raw.get("outputs", {})
+    out_raw = _object(raw.get("outputs", {}), "outputs")
     _check_keys(out_raw, {"report_path", "fields_path", "snapshot_frames"}, "outputs.")
     frames = out_raw.get("snapshot_frames", [0, tc.nt])
     if not isinstance(frames, list):
@@ -333,7 +336,7 @@ def parse_config(text: str) -> SolveConfig:
     disp_raw = raw.get("dispersive")
     dispersive = None
     if disp_raw is not None:
-        _check_keys(disp_raw, {"times", "p"}, "dispersive.")
+        _check_keys(_object(disp_raw, "dispersive"), {"times", "p"}, "dispersive.")
         given = {}
         if "times" in disp_raw:
             if not isinstance(disp_raw["times"], list) or not disp_raw["times"]:
@@ -346,48 +349,28 @@ def parse_config(text: str) -> SolveConfig:
         _checked("dispersive", check_dispersive, dispersive.times, dispersive.p)
 
     st_raw = raw.get("strichartz")
-    strichartz = None
-    if st_raw is not None:
-        _check_keys(st_raw, {"num_samples", "seed", "band"}, "strichartz.")
-        strichartz = StrichartzConfig(**{k: _as_int(v, f"strichartz.{k}")
-                                         for k, v in st_raw.items()})
-        if strichartz.band < 1:
-            raise ValidationError(f"strichartz.band must be >= 1, got {strichartz.band}")
-        _checked("strichartz", check_strichartz, grid, strichartz.num_samples, strichartz.band)
+    strichartz = None if st_raw is None else _section(StrichartzConfig, st_raw, "strichartz")
+    if strichartz is not None or command == "verify-strichartz":
+        st = strichartz or StrichartzConfig()
+        if st.band < 1:
+            raise ValidationError(f"strichartz.band must be >= 1, got {st.band}")
+        _checked("strichartz", check_strichartz, grid, st.num_samples, st.band)
 
     return SolveConfig(symbol_a, gc, tc, tuple(terms), initial, forcing, nl_cfg,
                        regularity, tol, outputs, dispersive, strichartz)
 
 
-def _num_out(x: float):
-    if x == math.inf:
-        return "inf"
-    return x
+def _json_pairs(pairs) -> dict:
+    """asdict's dict_factory: each field under its JSON key, an infinite exponent as "inf"."""
+    return {_JSON_KEYS.get(k, k): "inf" if v == math.inf else v for k, v in pairs}
 
 
 def config_to_dict(cfg: SolveConfig) -> dict:
     """Canonical JSON-ready form; parse(serialize(cfg)) == cfg."""
-    doc = {
-        "symbol": {"a": [list(row) for row in cfg.symbol_a]},
-        "grid": asdict(cfg.grid),
-        "time": {"t0": cfg.time.t0, "T": cfg.time.T, "Nt": cfg.time.nt},
-        "multipoint": [{"alpha_re": t.alpha_re, "alpha_im": t.alpha_im, "lambda": t.lam}
-                       for t in cfg.multipoint],
-        "initial": cfg.initial,
-        "forcing": cfg.forcing,
-        "nonlinearity": None if cfg.nonlinearity is None else
-            {"lambda": cfg.nonlinearity.lam, "p": cfg.nonlinearity.p},
-        "regularity": cfg.regularity,
-        "tolerances": asdict(cfg.tolerances),
-        "outputs": {"report_path": cfg.outputs.report_path,
-                    "fields_path": cfg.outputs.fields_path,
-                    "snapshot_frames": list(cfg.outputs.snapshot_frames)},
-    }
-    if cfg.dispersive is not None:
-        doc["dispersive"] = {"times": list(cfg.dispersive.times), "p": _num_out(cfg.dispersive.p)}
-    if cfg.strichartz is not None:
-        doc["strichartz"] = asdict(cfg.strichartz)
-    return doc
+    doc = asdict(cfg, dict_factory=_json_pairs)
+    doc["symbol"] = {"a": doc.pop("symbol_a")}
+    return {key: v for key, v in doc.items()
+            if v is not None or key not in ("dispersive", "strichartz")}  # absent, not null
 
 
 def serialize_config(cfg: SolveConfig) -> str:
@@ -520,12 +503,12 @@ def write_report(result: RunResult, cfg: SolveConfig) -> list[str]:
 # --- subcommand runners ----------------------------------------------------------
 
 
-def _load_config(path: str) -> SolveConfig:
+def _load_config(path: str, command: str) -> SolveConfig:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return parse_config(text)
+    return parse_config(text, command)
 
 
 def _run_solve_linear(cfg: SolveConfig) -> RunResult:
@@ -637,7 +620,7 @@ def run_command(argv) -> int:
             print(json.dumps({"n": args.n, "q": args.q, "r": args.r, "result": verdict},
                              sort_keys=True))
             return 0
-        cfg = _load_config(args.config)
+        cfg = _load_config(args.config, args.command)
         result = _RUNNERS[args.command](cfg)
         for path in write_report(result, cfg):
             print(path)

@@ -270,7 +270,8 @@ def sample_profile(grid: SpectralGrid, profile: dict) -> Field:
         r2 = np.zeros(grid.shape)
         for ax, c in zip(mesh, spec["center"]):
             r2 = r2 + (ax - c) ** 2
-        return Field(grid, amp * np.exp(-r2 / (2.0 * spec["width"]**2)))
+        with np.errstate(over="ignore"):  # subnormal 2·width²: r2/(2·width²) = inf, exp(-inf) = 0
+            return Field(grid, amp * np.exp(-r2 / (2.0 * spec["width"]**2)))
     phase = np.zeros(grid.shape)
     for ax, j in zip(mesh, spec["mode"]):
         phase = phase + (np.pi / grid.R) * j * ax
@@ -299,8 +300,7 @@ def check_band(grid: SpectralGrid, band: int) -> None:
                                     f"(needs band < N/2 = {grid.N // 2})")
 
 
-def random_band_limited(grid: SpectralGrid, band: int, rng: np.random.Generator,
-                        amplitude: float = 1.0) -> Field:
+def random_band_limited(grid: SpectralGrid, band: int, rng: np.random.Generator) -> Field:
     """Random smooth field: unit-variance complex coefficients on modes |j|∞ ≤ band.
 
     The realized function Σ c_j e^{i(π/R)j·x} is grid-independent, so the same
@@ -315,7 +315,7 @@ def random_band_limited(grid: SpectralGrid, band: int, rng: np.random.Generator,
     sl = tuple(slice(center - band, center + band + 1) for _ in range(grid.n))
     # one unit of e^{ikx} carries spectral coefficient (2π)^{-n/2}(2R)^n
     unit = (2.0 * np.pi) ** (-grid.n / 2.0) * (2.0 * grid.R) ** grid.n
-    spec[sl] = amplitude * unit * coeffs
+    spec[sl] = unit * coeffs
     return inverse_transform(Field._wrap(grid, spec))
 
 

@@ -63,10 +63,8 @@ class PicardDiagnostics:
     eta: float
     mass_drift: float
     energy_drift: float
-    s: float
     s_c: float
     r_metric: float
-    sigma: float
     metric_clamped: bool
     grad_s_mixed: float
     strichartz_value: float
@@ -263,8 +261,7 @@ def solve_nls_multipoint(sym: EllipticSymbol, grid: SpectralGrid, mp: Multipoint
                          phi: Field, nl: PowerNonlinearity, s: float = 0.0,
                          nt: int = 200, tol_fp: float = DEFAULT_TOL_FP,
                          max_iter: int = DEFAULT_MAX_ITER,
-                         eps_res: float = DEFAULT_EPS_RES,
-                         sigma: float | None = None) -> tuple[Trajectory, PicardDiagnostics]:
+                         eps_res: float = DEFAULT_EPS_RES) -> tuple[Trajectory, PicardDiagnostics]:
     """Iterate Φ from the linear multipoint solution until the metric distance
     of successive iterates drops below tol_fp; returns the trajectory and full
     convergence/conservation diagnostics.  A distance past DIVERGENCE_FACTOR·d_0,
@@ -274,14 +271,12 @@ def solve_nls_multipoint(sym: EllipticSymbol, grid: SpectralGrid, mp: Multipoint
     core = _MultipointCore(sym, grid, mp, phi, nt, eps_res, phase_table=True)
     q_metric = nl.p + 2.0
     r_metric, clamped = metric_exponent(grid.n, nl.p)
-    if sigma is None:
-        sigma = r_metric
 
     values, d_history, failure = _fixed_point(core, nl, q_metric, r_metric, tol_fp, max_iter)
     ratios = tuple(d_history[j + 1] / d_history[j]
                    for j in range(len(d_history) - 1) if d_history[j] > 0.0)
 
-    eta = smallness_indicator(sym, grid, phi, s, nl, mp.T, sigma=sigma, t0=mp.t0, nt=nt)
+    eta = smallness_indicator(sym, grid, phi, s, nl, mp.T, sigma=r_metric, t0=mp.t0, nt=nt)
     if failure is not None:
         raise NoConvergenceError(
             f"{failure} (last distance {d_history[-1]:.3e}, eta={eta:.3e})",
@@ -305,12 +300,10 @@ def solve_nls_multipoint(sym: EllipticSymbol, grid: SpectralGrid, mp: Multipoint
         eta=eta,
         mass_drift=_relative_drift(observables.mass),
         energy_drift=_relative_drift(observables.energy),
-        s=float(s),
         s_c=report.s_c,
         r_metric=r_metric,
-        sigma=float(sigma),
         metric_clamped=clamped,
-        grad_s_mixed=mixed_norm(grad_traj, q_metric, sigma),
+        grad_s_mixed=mixed_norm(grad_traj, q_metric, r_metric),
         strichartz_value=strichartz_norm(grad_traj, canonical_pairs(grid.n)),
         observables=observables,
     )

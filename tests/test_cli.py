@@ -1,12 +1,16 @@
 import json
 import math
+import re
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mpnls import ConfigSyntaxError, UnknownKeyError, ValidationError, read_field_file
 from mpnls.cli import config_to_dict, parse_config, run_command, serialize_config
+
+ROOT = Path(__file__).resolve().parents[1]
 
 MINIMAL = {
     "symbol": {"a": [[1.0]]},
@@ -64,6 +68,14 @@ def test_parse_syntax_error():
         parse_config("[1, 2]")
 
 
+def test_parse_rejects_numbers_beyond_float_range():
+    # JSON integers are unbounded: one past the float range, or too long to convert at all
+    with pytest.raises(ValidationError, match=r"^grid\.R must be finite"):
+        parse_config(json.dumps(make_config(grid={"n": 1, "N": 64, "R": 10**400})))
+    with pytest.raises(ConfigSyntaxError, match="not valid JSON"):
+        parse_config(json.dumps(MINIMAL)[:-1] + ', "regularity": ' + "1" * 5000 + "}")
+
+
 def test_parse_named_precondition_failures():
     with pytest.raises(ValidationError, match="symbol"):
         parse_config(json.dumps(make_config(symbol={"a": [[1.0, 0.5], [0.2, 1.0]]})))
@@ -107,6 +119,89 @@ def test_parse_serialize_roundtrip():
     assert cfg1 == cfg2
     assert config_to_dict(cfg1) == config_to_dict(cfg2)
     assert cfg1.dispersive.p == math.inf
+
+
+def test_canonical_echo():
+    doc = make_config(multipoint=[{"lambda": 0.5}], dispersive={"p": "inf", "times": [2.0]})
+    assert json.loads(serialize_config(parse_config(json.dumps(doc)))) == {
+        "symbol": {"a": [[1.0]]},
+        "grid": {"n": 1, "N": 64, "R": math.pi},
+        "time": {"t0": 0.0, "T": 1.0, "Nt": 50},
+        "multipoint": [{"alpha_re": 0.0, "alpha_im": 0.0, "lambda": 0.5}],
+        "initial": {"kind": "gaussian", "amplitude": 1.0, "width": 0.5, "center": [0.0]},
+        "forcing": None,
+        "nonlinearity": None,
+        "regularity": 0.0,
+        "tolerances": {"eps_res": 1e-8, "tol_fp": 1e-10, "max_iter": 50},
+        "outputs": {"report_path": "report", "fields_path": None, "snapshot_frames": [0, 50]},
+        "dispersive": {"times": [2.0], "p": "inf"},
+    }  # an absent strichartz section stays absent
+
+
+@pytest.mark.parametrize("section,value,key", [
+    ("grid", {"n": 1, "R": 1.0}, "grid.N"),
+    ("time", {"t0": 0.0, "T": 1.0}, "time.Nt"),
+    ("multipoint", [{"alpha_re": 0.1}], "multipoint[0].lambda"),
+    ("nonlinearity", {"lambda": -1.0}, "nonlinearity.p"),
+])
+def test_parse_names_a_missing_required_key(section, value, key):
+    with pytest.raises(ValidationError, match=re.escape(f"missing required key '{key}'")):
+        parse_config(json.dumps(make_config(**{section: value})))
+
+
+def _schema_examples():
+    """The shipped configs and the README's jsonc schema example, comments stripped."""
+    docs = {path.name: path.read_text() for path in sorted((ROOT / "configs").glob("*.json"))}
+    readme = (ROOT / "README.md").read_text()
+    example = readme.split("```jsonc\n", 1)[1].split("```", 1)[0]
+    docs["README.md"] = re.sub(r"//[^\n]*", "", example)
+    return docs
+
+
+@pytest.mark.parametrize("name", sorted(_schema_examples()))
+def test_documented_configs_parse_and_round_trip(name):
+    cfg = parse_config(_schema_examples()[name])
+    assert parse_config(serialize_config(cfg)) == cfg
+
+
+WRONG_SHAPES = [(section, bad) for section in ("symbol", "grid", "time", "initial", "forcing",
+                                               "nonlinearity", "tolerances", "outputs",
+                                               "dispersive", "strichartz")
+                for bad in (5, "ab", [1])]
+WRONG_SHAPES += [("multipoint", {"lambda": 0.5}), ("multipoint", 5), ("multipoint", "ab"),
+                 ("multipoint[0]", [5])]
+
+
+@pytest.mark.parametrize("section,bad", WRONG_SHAPES,
+                         ids=[f"{section}-{type(bad).__name__}" for section, bad in WRONG_SHAPES])
+def test_wrong_shaped_section_exits_2(tmp_path, capsys, section, bad):
+    doc = make_config(outputs={"report_path": str(tmp_path / "bad")})
+    doc[section.removesuffix("[0]")] = bad
+    assert run_command(["solve-linear", "--config", write_config(tmp_path, doc)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {section} must be ")
+    assert not (tmp_path / "bad.csv").exists()
+
+
+@pytest.mark.parametrize("kind", [["gaussian"], {"kind": "gaussian"}], ids=["list", "dict"])
+def test_wrong_shaped_profile_kind_exits_2(tmp_path, capsys, kind):
+    bad = {"kind": kind, "amplitude": 0.1}
+    for path, doc in (("initial", make_config(initial=bad)),
+                      ("forcing.profile", make_config(forcing={"profile": bad}))):
+        assert run_command(["solve-linear", "--config", write_config(tmp_path, doc)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}.kind must be one of ")
+
+
+def test_verify_strichartz_checks_its_default_band_at_parse(tmp_path, capsys):
+    # N = 16 leaves no room for the default band 8 (band < N/2); only verify-strichartz uses it
+    doc = make_config(grid={"n": 1, "N": 16, "R": math.pi},
+                      outputs={"report_path": str(tmp_path / "st")})
+    text = json.dumps(doc)
+    with pytest.raises(ValidationError, match=r"^strichartz: band 8"):
+        parse_config(text, "verify-strichartz")
+    parse_config(text, "solve-linear")
+    assert run_command(["verify-strichartz", "--config", write_config(tmp_path, doc)]) == 2
+    assert "error: strichartz: band 8 does not fit" in capsys.readouterr().err
+    assert run_command(["solve-linear", "--config", write_config(tmp_path, doc)]) == 0
 
 
 # --- command dispatch ---------------------------------------------------------------

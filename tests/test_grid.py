@@ -127,6 +127,17 @@ def test_gaussian_profile_peak():
     assert f.values[i0] == 1.0 + 0.0j
 
 
+def test_subnormal_gaussian_width_samples_a_spike():
+    # 2·width² = 2e-320 is subnormal: it passes check_profile, and r²/(2·width²)
+    # overflows to inf off the centre, where exp(-inf) = 0 is the right sample
+    g = build_grid(1, 16, np.pi)
+    f = sample_profile(g, {"kind": "gaussian", "amplitude": 1.0, "width": 1e-160, "center": [0.0]})
+    i0 = np.where(g.x_axes[0] == 0.0)[0][0]
+    expected = np.zeros(16, dtype=complex)
+    expected[i0] = 1.0
+    assert np.array_equal(f.values, expected)
+
+
 def test_plane_wave_profile_at_origin():
     g = build_grid(1, 64, np.pi)
     f = sample_profile(g, {"kind": "plane_wave", "amplitude": 2.0, "mode": [1]})

@@ -390,5 +390,5 @@ def test_gradient_diagnostics_at_s0_read_the_trajectory(setup):
     sym, grid, phi = setup
     mp = MultipointSpec(0.0, 1.0, ((0.3, 0.5),))
     traj, diags = solve_nls_multipoint(sym, grid, mp, phi, NL, s=0.0, nt=40)
-    assert diags.grad_s_mixed == mixed_norm(traj, NL.p + 2.0, diags.sigma)
+    assert diags.grad_s_mixed == mixed_norm(traj, NL.p + 2.0, diags.r_metric)
     assert diags.strichartz_value == strichartz_norm(traj, canonical_pairs(grid.n))
