@@ -174,9 +174,9 @@ def _checked(path: str, check, *args):
         raise ValidationError(f"{path}: {exc}") from exc
 
 
-def _as_number(v, where: str) -> float:
+def _as_number(v, where: str, shape: str = "a number") -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ValidationError(f"{where} must be a number, got {v!r}")
+        raise ValidationError(f"{where} must be {shape}, got {v!r}")
     if not abs(v) <= sys.float_info.max:  # exact for ints too: no overflow converting them
         raise ValidationError(f"{where} must be finite, got {v!r}")
     return float(v)
@@ -227,8 +227,10 @@ def _validate_profile(spec, grid, path: str) -> dict:
         return dict(spec)
     if kind == "plane_wave":
         _need(spec, "mode", path + ".")
-    typed = {key: _as_number(v, f"{path}.{key}") if key == "width" or not isinstance(v, list)
-             else [_as_number(x, f"{path}.{key}") for x in v]  # amplitude, center, mode
+    vec = f"a list of {grid.n} numbers"  # a bare number is check_profile's to take or reject
+    shapes = dict(width="a number", amplitude="a number or a [re, im] pair", center=vec, mode=vec)
+    typed = {key: _as_number(v, f"{path}.{key}", shapes[key]) if key == "width"
+             or not isinstance(v, list) else [_as_number(x, f"{path}.{key} entry") for x in v]
              for key, v in spec.items() if key != "kind"}
     return _checked(path, check_profile, grid, dict(typed, kind=kind))
 
@@ -289,8 +291,8 @@ def parse_config(text: str, command: str | None = None) -> SolveConfig:
     if forcing is not None:
         _check_keys(_object(forcing, "forcing"), {"profile", "envelope"}, "forcing.")
         prof = _validate_profile(_need(forcing, "profile", "forcing."), grid, "forcing.profile")
-        env = forcing.get("envelope", {"kind": "constant"})
-        kind = env.get("kind") if isinstance(env, dict) else None
+        env = _object(forcing.get("envelope", {"kind": "constant"}), "forcing.envelope")
+        kind = env.get("kind")
         if kind == "constant":
             _check_keys(env, {"kind"}, "forcing.envelope.")
             env_out = {"kind": "constant"}
@@ -470,7 +472,12 @@ def _summary_json(result: RunResult, cfg: SolveConfig) -> str:
     if result.strichartz is not None:
         doc["strichartz_pairs"] = result.strichartz.pair_labels
         doc["strichartz_value"] = result.strichartz.max_ratio
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    for key in sorted(doc):  # JSON has no inf or NaN, and allow_nan=False names no key
+        try:
+            json.dumps(doc[key], allow_nan=False)
+        except ValueError:
+            raise NonFiniteError(f"summary value '{key}' is not finite") from None
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def write_report(result: RunResult, cfg: SolveConfig) -> list[str]:
@@ -487,8 +494,8 @@ def write_report(result: RunResult, cfg: SolveConfig) -> list[str]:
         csv_text = _dispersive_csv(result)
     else:
         csv_text = _strichartz_csv(result)
+    json_path.write_text(_summary_json(result, cfg))  # first: a non-finite summary writes nothing
     csv_path.write_text(csv_text)
-    json_path.write_text(_summary_json(result, cfg))
     written = [str(csv_path), str(json_path)]
     if result.traj is not None and cfg.outputs.fields_path is not None:
         field_dir = Path(cfg.outputs.fields_path)

@@ -1,8 +1,9 @@
 """Truncated-torus discretization of Rⁿ with unitary discrete Fourier transforms.
 
 Rⁿ is approximated by the box [-R, R)ⁿ with N equispaced points per axis and
-frequency lattice ξ = (π/R)·j, j ∈ [-N/2, N/2).  Transforms are normalized so
-the discrete Plancherel identity holds exactly:
+frequency lattice ξ = (π/R)·j, j ∈ [-N/2, N/2), kept in FFT order: mode j at index
+j mod N, as every spectral step is a per-mode product.  Transforms are normalized
+so the discrete Plancherel identity holds exactly:
 
     h·Σₓ |u(x)|² = w·Σ_ξ |û(ξ)|²,   h = (2R/N)ⁿ,  w = (π/R)ⁿ,
 
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import math
 import struct
+from functools import reduce
 
 import numpy as np
 
@@ -47,13 +49,10 @@ class SpectralGrid:
         self.shape = (N,) * n
         step = 2.0 * R / N
         self.x_axes = [-R + step * np.arange(N) for _ in range(n)]
-        j = np.arange(-N // 2, N // 2)
+        j = (np.arange(N) + N // 2) % N - N // 2  # fftfreq's order; fftfreq(98, 1/98) is inexact
         self.freq_axes = [(np.pi / R) * j for _ in range(n)]
-        # (-1)^j per axis: phase between the DFT and the ξ·x convention on [-R, R)
-        axis_phase = (-1.0) ** j
-        phase = axis_phase
-        for _ in range(n - 1):
-            phase = np.multiply.outer(phase, axis_phase)
+        # (-1)^(j₁+…+jₙ): phase between the DFT and the ξ·x convention on [-R, R)
+        phase = reduce(np.multiply.outer, [(-1.0) ** j] * n)
         phase.flags.writeable = False
         self._phase = phase
 
@@ -199,12 +198,12 @@ def build_grid(n: int, N: int, R: float) -> SpectralGrid:
 
 
 def forward_transform(field: Field) -> Field:
-    """Forward DFT to the frequency lattice, Plancherel-unitary normalization."""
+    """Plancherel-unitary forward DFT; the spectrum is in FFT order, mode j at index j mod N."""
     g = field.grid
     if not np.all(np.isfinite(field.values)):
         raise NonFiniteInputError("field samples contain NaN or Inf")
     coef = (2.0 * np.pi) ** (-g.n / 2.0) * g.h
-    spec = coef * g._phase * np.fft.fftshift(np.fft.fftn(field.values))
+    spec = coef * g._phase * np.fft.fftn(field.values)
     return Field._wrap(g, spec)
 
 
@@ -214,7 +213,7 @@ def inverse_transform(field: Field) -> Field:
     if not np.all(np.isfinite(field.values)):
         raise NonFiniteInputError("spectral samples contain NaN or Inf")
     coef = (2.0 * np.pi) ** (-g.n / 2.0) * g.w * g.N**g.n
-    phys = coef * np.fft.ifftn(np.fft.ifftshift(g._phase * field.values))
+    phys = coef * np.fft.ifftn(g._phase * field.values)
     return Field._wrap(g, phys)
 
 
@@ -311,11 +310,10 @@ def random_band_limited(grid: SpectralGrid, band: int, rng: np.random.Generator)
     width = 2 * band + 1
     coeffs = rng.standard_normal((width,) * grid.n) + 1j * rng.standard_normal((width,) * grid.n)
     spec = np.zeros(grid.shape, dtype=np.complex128)
-    center = grid.N // 2  # index of j = 0 in the shifted lattice
-    sl = tuple(slice(center - band, center + band + 1) for _ in range(grid.n))
+    idx = np.ix_(*[np.arange(-band, band + 1) % grid.N] * grid.n)  # modes -band..band, FFT order
     # one unit of e^{ikx} carries spectral coefficient (2π)^{-n/2}(2R)^n
     unit = (2.0 * np.pi) ** (-grid.n / 2.0) * (2.0 * grid.R) ** grid.n
-    spec[sl] = unit * coeffs
+    spec[idx] = unit * coeffs
     return inverse_transform(Field._wrap(grid, spec))
 
 

@@ -33,7 +33,7 @@ from .errors import BadExponentError, GridMismatchError, NoConvergenceError, Non
 from .grid import Field, SpectralGrid, Trajectory, forward_transform
 from .linear import DEFAULT_EPS_RES, MultipointSpec, _MultipointCore, _propagate, symbol_lattice
 from .norms import (FrameObservables, apply_riesz, canonical_pairs, check_power, check_sobolev_order,
-                    critical_exponent, frame_observables, mixed_norm, strichartz_norm)
+                    frame_observables, mixed_norm, strichartz_norm)
 from .symbol import EllipticSymbol
 
 DEFAULT_TOL_FP = 1e-10
@@ -63,10 +63,8 @@ class PicardDiagnostics:
     eta: float
     mass_drift: float
     energy_drift: float
-    s_c: float
     r_metric: float
     metric_clamped: bool
-    grad_s_mixed: float
     strichartz_value: float
     observables: FrameObservables  # per-frame mass, energy, l2, linf, sobolev_s
 
@@ -291,7 +289,6 @@ def solve_nls_multipoint(sym: EllipticSymbol, grid: SpectralGrid, mp: Multipoint
         grid, mp.t0, mp.T,
         np.stack([apply_riesz(current.frame(m), s).values for m in range(nt + 1)]),
     )
-    report = critical_exponent(grid.n, nl.p, s)
     diags = PicardDiagnostics(
         iterations=len(d_history),
         d_history=tuple(d_history),
@@ -300,10 +297,8 @@ def solve_nls_multipoint(sym: EllipticSymbol, grid: SpectralGrid, mp: Multipoint
         eta=eta,
         mass_drift=_relative_drift(observables.mass),
         energy_drift=_relative_drift(observables.energy),
-        s_c=report.s_c,
         r_metric=r_metric,
         metric_clamped=clamped,
-        grad_s_mixed=mixed_norm(grad_traj, q_metric, r_metric),
         strichartz_value=strichartz_norm(grad_traj, canonical_pairs(grid.n)),
         observables=observables,
     )

@@ -68,16 +68,16 @@ def mixed_norm(traj: Trajectory, q: float, r: float) -> float:
 
 
 def _power_root(mag: np.ndarray, r: float, scale: float, weights=None) -> float:
-    """(scale·Σ weights·mag^r)^{1/r} for mag >= 0.  Only when that reads 0 for a nonzero
-    mag is it recomputed from mag/max(mag), so that a tiny input does not underflow."""
+    """(scale·Σ weights·mag^r)^{1/r} for mag >= 0.  When that reads 0 or ∞ and max(mag) is finite
+    and nonzero, it is recomputed from mag/max(mag), so that it neither underflows nor overflows."""
     def root(m):
         terms = m**r if weights is None else weights * m**r
         return float((scale * np.sum(terms)) ** (1.0 / r))
 
     with np.errstate(over="ignore"):  # inf is the honest answer for diverging iterates
         out = root(mag)
-        top = float(mag.max()) if out == 0.0 else 0.0
-        return top * root(mag / top) if top > 0.0 else out
+        top = float(mag.max()) if out in (0.0, INF) else 0.0
+        return top * root(mag / top) if 0.0 < top < INF else out
 
 
 def check_sobolev_order(s: float) -> None:

@@ -191,6 +191,30 @@ def test_wrong_shaped_profile_kind_exits_2(tmp_path, capsys, kind):
         assert capsys.readouterr().err.startswith(f"error: {path}.kind must be one of ")
 
 
+GAUSSIAN = MINIMAL["initial"]
+WRONG_VALUES = [  # (config section, its value, the start of the message)
+    ("initial", dict(GAUSSIAN, center={"a": 1}), "initial.center must be a list of 1 numbers"),
+    ("initial", dict(GAUSSIAN, center="ab"), "initial.center must be a list of 1 numbers"),
+    ("initial", {"kind": "plane_wave", "mode": "ab"}, "initial.mode must be a list of 1 numbers"),
+    ("initial", dict(GAUSSIAN, amplitude="ab"),
+     "initial.amplitude must be a number or a [re, im] pair"),
+    ("initial", dict(GAUSSIAN, amplitude={"re": 1}),
+     "initial.amplitude must be a number or a [re, im] pair"),
+    ("forcing", {"profile": GAUSSIAN, "envelope": 3}, "forcing.envelope must be an object"),
+    ("forcing", {"profile": GAUSSIAN, "envelope": []}, "forcing.envelope must be an object"),
+]
+
+
+@pytest.mark.parametrize("section,bad,message", WRONG_VALUES,
+                         ids=["center-dict", "center-str", "mode-str", "amplitude-str",
+                              "amplitude-dict", "envelope-int", "envelope-list"])
+def test_wrong_shaped_profile_value_names_its_rule(tmp_path, capsys, section, bad, message):
+    doc = make_config(outputs={"report_path": str(tmp_path / "bad")})
+    doc[section] = bad
+    assert run_command(["solve-linear", "--config", write_config(tmp_path, doc)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
 def test_verify_strichartz_checks_its_default_band_at_parse(tmp_path, capsys):
     # N = 16 leaves no room for the default band 8 (band < N/2); only verify-strichartz uses it
     doc = make_config(grid={"n": 1, "N": 16, "R": math.pi},
@@ -349,6 +373,34 @@ def test_nls_blowup_exits_5(tmp_path, capsys):
     assert code == 5
     assert "nonlinearity overflowed" in capsys.readouterr().err
     assert not (tmp_path / "x.csv").exists()
+
+
+def _huge_nls_doc(tmp_path, amplitude, lam, p):
+    return make_config(
+        grid={"n": 1, "N": 32, "R": 5.0},
+        time={"t0": 0.0, "T": 1.0, "Nt": 10},
+        initial={"kind": "gaussian", "amplitude": amplitude, "width": 0.5, "center": [0.0]},
+        nonlinearity={"lambda": lam, "p": p},
+        outputs={"report_path": str(tmp_path / "huge")})
+
+
+def test_nls_huge_finite_data_report_finite_norms(tmp_path):
+    # (1e60)^8 overflows in the (8,4) Strichartz norm, whose true value is about 1e60
+    doc = _huge_nls_doc(tmp_path, 1e60, 1e-200, 2.0)
+    assert run_command(["solve-nls", "--config", write_config(tmp_path, doc)]) == 0
+    summary = json.loads((tmp_path / "huge.json").read_text())
+    assert 1e59 < summary["strichartz_value"] < 1e61
+
+
+def test_nls_non_finite_summary_exits_5_without_reports(tmp_path, capsys):
+    # the mass of a 1e160 gaussian is past the float range, so the drifts are NaN
+    doc = _huge_nls_doc(tmp_path, 1e160, 1e-100, 0.5)
+    with pytest.warns(RuntimeWarning):  # overflow in the mass and energy sums
+        code = run_command(["solve-nls", "--config", write_config(tmp_path, doc)])
+    assert code == 5
+    assert "summary value 'energy_drift' is not finite" in capsys.readouterr().err
+    assert not (tmp_path / "huge.csv").exists()
+    assert not (tmp_path / "huge.json").exists()
 
 
 def test_nls_picard_divergence_is_not_blowup(tmp_path, capsys):

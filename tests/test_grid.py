@@ -22,16 +22,18 @@ from mpnls import (
 
 
 def dft_oracle(grid, values):
-    """O(N^2) direct sum û(ξ) = (2π)^{-n/2} h Σ u(x) e^{-iξx}, 1D only."""
-    x = grid.x_axes[0]
-    xi = grid.freq_axes[0]
-    out = np.array([np.sum(values * np.exp(-1j * k * x)) for k in xi])
-    return (2.0 * np.pi) ** -0.5 * grid.h * out
+    """O(N^2n) direct sum û(ξ) = (2π)^{-n/2} h Σ u(x) e^{-iξ·x} at every lattice index."""
+    x = grid.x_mesh()
+    out = np.empty(grid.shape, dtype=complex)
+    for idx in np.ndindex(grid.shape):
+        xi_x = sum(ax * xi[i] for ax, xi, i in zip(x, grid.freq_axes, idx))
+        out[idx] = np.sum(values * np.exp(-1j * xi_x))
+    return (2.0 * np.pi) ** (-grid.n / 2.0) * grid.h * out
 
 
 def test_build_grid_unit_box():
     g = build_grid(1, 8, np.pi)
-    assert np.allclose(g.freq_axes[0], np.arange(-4, 4), atol=0)
+    assert np.array_equal(g.freq_axes[0], np.fft.fftfreq(8, 1 / 8))  # FFT order
     assert g.h == pytest.approx(2.0 * np.pi / 8.0, abs=0)
 
 
@@ -44,8 +46,10 @@ def test_build_grid_cell_volume():
 def test_build_grid_lattice_symmetric_except_nyquist():
     g = build_grid(1, 16, 2.0)
     xi = g.freq_axes[0]
-    assert xi[0] == -xi[-1] - np.pi / g.R  # lone Nyquist index at -N/2
-    assert np.allclose(xi[1:], -xi[1:][::-1], atol=0)
+    half = g.N // 2
+    assert xi[half] == -half * np.pi / g.R  # the lone Nyquist mode -N/2, at index N/2
+    assert xi[0] == 0.0
+    assert np.array_equal(xi[1:half], -xi[:half:-1])  # index k mirrors index N - k
 
 
 def test_build_grid_rejections():
@@ -65,11 +69,11 @@ def test_forward_zero_field(grid1):
 
 
 def test_forward_matches_direct_dft_oracle(rng):
-    g = build_grid(1, 16, 1.7)
-    vals = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-    spec = forward_transform(Field(g, vals))
-    oracle = dft_oracle(g, vals)
-    assert np.max(np.abs(spec.values - oracle)) < 1e-12 * np.max(np.abs(oracle))
+    for g in (build_grid(1, 16, 1.7), build_grid(2, 8, 1.3)):
+        vals = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
+        spec = forward_transform(Field(g, vals))
+        oracle = dft_oracle(g, vals)
+        assert np.max(np.abs(spec.values - oracle)) < 1e-12 * np.max(np.abs(oracle))
 
 
 def test_plane_wave_single_coefficient(grid1):

@@ -83,8 +83,8 @@ def test_mixed_zero_and_sup(grid1):
 
 
 def test_mixed_overflow_is_inf_without_warnings(grid1):
-    # each frame's L² norm is finite (~1e101), its 4th power is not
-    traj = constant_traj(grid1, 1e100)
+    # each frame's L² norm, ~2.5e308, is past the float range: inf is the true answer
+    traj = constant_traj(grid1, 1e308)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert mixed_norm(traj, 4.0, 2.0) == INF
@@ -97,6 +97,14 @@ def test_norms_of_tiny_fields_do_not_underflow(grid1):
         (2.0 * np.pi) ** (1.0 / 12.0) * tiny, rel=1e-12, abs=0.0)
     assert mixed_norm(constant_traj(grid1, tiny), 12.0, 2.0) == pytest.approx(
         np.sqrt(2.0 * np.pi) * tiny, rel=1e-12, abs=0.0)
+
+
+def test_norms_of_huge_fields_do_not_overflow(grid1):
+    # (1e200)^2 and (1e60)^8 overflow to inf; the norms read their true values instead
+    assert lebesgue_norm(Field(grid1, np.full(64, 1e200)), 2.0) == pytest.approx(
+        np.sqrt(2.0 * np.pi) * 1e200, rel=1e-12, abs=0.0)
+    assert mixed_norm(constant_traj(grid1, 1e60), 8.0, 4.0) == pytest.approx(
+        (2.0 * np.pi) ** 0.25 * 1e60, rel=1e-12, abs=0.0)
 
 
 # --- Sobolev --------------------------------------------------------------------
