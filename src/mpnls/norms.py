@@ -47,24 +47,40 @@ def _reciprocal(x) -> Fraction:
 
 def lebesgue_norm(field: Field, r: float) -> float:
     """(h·Σ|u|^r)^{1/r}; grid maximum of |u| for r = ∞."""
-    if not (r >= 1.0):
-        raise BadExponentError(f"Lebesgue exponent must be >= 1, got {r}")
-    mag = np.abs(field.values)
-    if r == INF:
-        return float(mag.max())
-    return _power_root(mag, float(r), field.grid.h)
+    return _spatial_norm(np.abs(field.values), r, field.grid.h)
 
 
 def mixed_norm(traj: Trajectory, q: float, r: float) -> float:
     """L_t^q L_x^r norm of a trajectory with trapezoidal time weights."""
     if not (q >= 1.0):
         raise BadExponentError(f"time exponent must be >= 1, got {q}")
-    frames = [lebesgue_norm(traj.frame(m), r) for m in range(traj.nt + 1)]
+    return _time_norm(_frame_norms(traj, [r])[r], float(q), traj.dt)
+
+
+def _spatial_norm(mag: np.ndarray, r: float, h: float) -> float:
+    """The L^r norm of a frame from its |u|."""
+    if not (r >= 1.0):
+        raise BadExponentError(f"Lebesgue exponent must be >= 1, got {r}")
+    return float(mag.max()) if r == INF else _power_root(mag, float(r), h)
+
+
+def _frame_norms(traj: Trajectory, rs) -> dict:
+    """{r: the L_x^r norm of every frame} for each r of rs, from one |u| per frame."""
+    out = {r: np.empty(traj.nt + 1) for r in rs}
+    for m in range(traj.nt + 1):
+        mag = np.abs(traj.values[m])
+        for r, norms in out.items():
+            norms[m] = _spatial_norm(mag, r, traj.grid.h)
+    return out
+
+
+def _time_norm(frames: np.ndarray, q: float, dt: float) -> float:
+    """L^q in time of per-frame norms, trapezoidal weights; their maximum for q = ∞."""
     if q == INF:
         return float(max(frames))
-    weights = np.ones(traj.nt + 1)
+    weights = np.ones(len(frames))
     weights[0] = weights[-1] = 0.5
-    return _power_root(np.asarray(frames), float(q), traj.dt, weights)
+    return _power_root(frames, q, dt, weights)
 
 
 def _power_root(mag: np.ndarray, r: float, scale: float, weights=None) -> float:
@@ -180,21 +196,16 @@ def canonical_pairs(n: int) -> list[AdmissiblePair]:
 
 
 def strichartz_norm(traj: Trajectory, pairs) -> float:
-    """Max of L_t^q L_x^r over the given admissible pairs."""
-    pairs = list(pairs)
+    """Max of L_t^q L_x^r over the given admissible pairs, all read from one |u| per frame."""
+    pairs = [(p.q, p.r) if isinstance(p, AdmissiblePair) else tuple(p) for p in pairs]
     if not pairs:
         raise EmptyPairSetError("strichartz_norm needs at least one pair")
     n = traj.grid.n
-    best = 0.0
-    for pair in pairs:
-        if isinstance(pair, AdmissiblePair):
-            q, r = pair.q, pair.r
-        else:
-            q, r = pair
+    for q, r in pairs:
         if is_admissible(n, q, r) == "rejected":
             raise InadmissiblePairError(f"(q,r)=({q},{r}) is not admissible in dimension {n}")
-        best = max(best, mixed_norm(traj, float(q), float(r)))
-    return best
+    norms = _frame_norms(traj, dict.fromkeys(float(r) for _, r in pairs))
+    return max(0.0, *(_time_norm(norms[float(r)], float(q), traj.dt) for q, r in pairs))
 
 
 # --- criticality and conserved functionals -----------------------------------
@@ -228,7 +239,8 @@ def critical_exponent(n: int, p: float, s: float) -> RegularityReport:
 
 def mass(field: Field) -> float:
     """M(u) = h·Σ|u|², the discrete L² mass."""
-    return float(field.grid.h * np.sum(np.abs(field.values) ** 2))
+    with np.errstate(over="ignore"):  # inf past the float range is the honest answer
+        return float(field.grid.h * np.sum(np.abs(field.values) ** 2))
 
 
 def energy(field: Field, sym, nl=None) -> float:
@@ -236,26 +248,25 @@ def energy(field: Field, sym, nl=None) -> float:
 
     nl is a PowerNonlinearity (attributes lam, p) or None for the free case.
     The integrand is real for a real symmetric form; the residual imaginary
-    part is asserted below 1e-10 of the energy scale.
+    part is asserted below 1e-10 of the energy scale, and the total finite.
     """
     g = field.grid
     spec = forward_transform(field)
-    mesh = g.freq_mesh()
-    grads = []
-    for ax in mesh:
-        grads.append(inverse_transform(Field._wrap(g, 1j * ax * spec.values)).values)
+    grads = [inverse_transform(Field._wrap(g, 1j * ax * spec.values)).values for ax in g.freq_mesh()]
     a = sym.a
-    quad = np.zeros(g.shape, dtype=np.complex128)
-    for i in range(sym.n):
-        for j in range(sym.n):
-            if a[i, j] != 0.0:
-                quad = quad + a[i, j] * grads[i] * np.conj(grads[j])
-    density = 0.5 * quad
-    if nl is not None and nl.lam != 0.0:
-        density = density - (nl.lam / (nl.p + 2.0)) * np.abs(field.values) ** (nl.p + 2.0)
-    total = g.h * np.sum(density)
-    scale = max(1.0, abs(total.real))
-    if abs(total.imag) > 1e-10 * scale:
+    with np.errstate(over="ignore", invalid="ignore"):  # judged on the total below
+        quad = np.zeros(g.shape, dtype=np.complex128)
+        for i in range(sym.n):
+            for j in range(sym.n):
+                if a[i, j] != 0.0:
+                    quad = quad + a[i, j] * grads[i] * np.conj(grads[j])
+        density = 0.5 * quad
+        if nl is not None and nl.lam != 0.0:
+            density = density - (nl.lam / (nl.p + 2.0)) * np.abs(field.values) ** (nl.p + 2.0)
+        total = g.h * np.sum(density)
+    if not np.isfinite(total):
+        raise NonFiniteError(f"energy is not finite: {total}")
+    if abs(total.imag) > 1e-10 * max(1.0, abs(total.real)):
         raise NonFiniteError(f"energy integrand not real: imag part {total.imag:.3e}")
     return float(total.real)
 

@@ -7,8 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mpnls import ConfigSyntaxError, UnknownKeyError, ValidationError, read_field_file
-from mpnls.cli import config_to_dict, parse_config, run_command, serialize_config
+from mpnls import (ConfigSyntaxError, NonFiniteError, UnknownKeyError, ValidationError,
+                   read_field_file)
+from mpnls.cli import (RunResult, _summary_json, config_to_dict, parse_config, run_command,
+                       serialize_config)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -393,14 +395,21 @@ def test_nls_huge_finite_data_report_finite_norms(tmp_path):
 
 
 def test_nls_non_finite_summary_exits_5_without_reports(tmp_path, capsys):
-    # the mass of a 1e160 gaussian is past the float range, so the drifts are NaN
+    # the energy of a 1e160 gaussian is past the float range; the overflow warns
+    # nowhere (the suite turns a RuntimeWarning into an error) and exits 5 naming it
     doc = _huge_nls_doc(tmp_path, 1e160, 1e-100, 0.5)
-    with pytest.warns(RuntimeWarning):  # overflow in the mass and energy sums
-        code = run_command(["solve-nls", "--config", write_config(tmp_path, doc)])
+    code = run_command(["solve-nls", "--config", write_config(tmp_path, doc)])
     assert code == 5
-    assert "summary value 'energy_drift' is not finite" in capsys.readouterr().err
+    assert "energy is not finite" in capsys.readouterr().err
     assert not (tmp_path / "huge.csv").exists()
     assert not (tmp_path / "huge.json").exists()
+
+
+def test_non_finite_summary_value_raises_naming_its_key():
+    cfg = parse_config(json.dumps(MINIMAL), "solve-linear")
+    result = RunResult("solve-linear", min_abs_denominator=math.nan)
+    with pytest.raises(NonFiniteError, match="summary value 'min_abs_denominator' is not finite"):
+        _summary_json(result, cfg)
 
 
 def test_nls_picard_divergence_is_not_blowup(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from mpnls import (
     apply_propagator,
     boundary_mass_fraction,
     build_grid,
+    canonical_pairs,
     forward_transform,
     lebesgue_norm,
     mass,
@@ -22,7 +24,9 @@ from mpnls import (
     random_band_limited,
     sample_profile,
     solve_linear_multipoint,
+    strichartz_norm,
     symbol_lattice,
+    validate_symbol,
     verify_dispersive,
     verify_strichartz,
 )
@@ -349,6 +353,47 @@ def test_strichartz_ratios_finite_and_seeded(sym1):
     assert rep1.ratios == rep2.ratios
     assert rep1.max_ratio >= 1.0 - 1e-12  # the (inf,2) pair alone gives 1
     assert all(np.isfinite(rep1.ratios))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("t0", [0.0, 0.25])
+def test_strichartz_ratios_equal_a_per_sample_recomputation(n, t0):
+    # each sample, propagated on the shared phase table, reads bit for bit what
+    # its own frame-by-frame propagation reads; the small box makes a pair other
+    # than (inf,2), whose ratio is 1 by mass conservation, the maximum
+    sym = validate_symbol([[1.0]] if n == 1 else [[1.0, 0.2], [0.2, 1.5]])
+    grid = build_grid(n, 64 if n == 1 else 32, 1.0 if n == 1 else 0.5)
+    T, nt, band = t0 + 1.0, 16, 6 if n == 1 else 4
+    rep = verify_strichartz(sym, grid, t0=t0, T=T, nt=nt, num_samples=3, seed=5, band=band)
+    assert min(rep.ratios) > 1.0
+    rng = np.random.default_rng(5)
+    for ratio, data_norm in zip(rep.ratios, rep.data_norms, strict=True):
+        phi = random_band_limited(grid, band, rng)
+        frames = [apply_propagator(sym, grid, t - t0, phi).values for t in np.linspace(t0, T, nt + 1)]
+        l2 = lebesgue_norm(phi, 2.0)
+        assert data_norm == l2
+        assert ratio == strichartz_norm(Trajectory(grid, t0, T, frames), canonical_pairs(n)) / l2
+
+
+def test_strichartz_samples_share_one_phase_table_in_memory():
+    # the table takes the place of a sample's frames: each sample's frames are
+    # released before the next is propagated, so the peak stays below 2.4 arrays
+    sym = validate_symbol([[1.0, 0.2], [0.2, 1.5]])
+    small = build_grid(2, 16, np.pi)  # warm-up: lazy imports and allocator caches
+    verify_strichartz(sym, small, nt=4, num_samples=2, band=4)
+    grid, nt = build_grid(2, 64, np.pi), 64
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        verify_strichartz(sym, grid, nt=nt, num_samples=8)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak / ((nt + 1) * grid.shape[0] * grid.shape[1] * 16) <= 2.4
 
 
 def test_symbol_lattice_matches_pointwise(sym2):

@@ -203,6 +203,20 @@ def test_strichartz_zero_and_monotone(grid1, rng):
     assert bigger >= small
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_strichartz_is_the_max_of_its_mixed_norms(n, rng):
+    # one |u| per frame serves every pair; the zero and 1e200 trajectories run
+    # the rescale path of _power_root once per distinct r
+    grid = build_grid(n, 8, 2.0)
+    shape = (5,) + grid.shape
+    pairs = canonical_pairs(n)
+    assert n != 1 or any(p.r == INF for p in pairs)
+    for vals in (rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
+                 np.zeros(shape), np.full(shape, 1e200)):
+        traj = Trajectory(grid, 0.0, 1.0, vals)
+        assert strichartz_norm(traj, pairs) == max(mixed_norm(traj, p.q, p.r) for p in pairs)
+
+
 def test_strichartz_rejections(grid1):
     traj = constant_traj(grid1, 1.0)
     with pytest.raises(EmptyPairSetError):
