@@ -267,9 +267,7 @@ def parse_config(text: str, command: str | None = None) -> SolveConfig:
     grid = _checked("grid", build_grid, gc.n, gc.N, gc.R)
 
     tc = _section(TimeConfig, _need(raw, "time", ""), "time")
-    _checked("time", MultipointSpec, tc.t0, tc.T)
-    if tc.nt < 1:
-        raise ValidationError(f"time.Nt must be >= 1, got {tc.nt}")
+    _checked("time", lambda: MultipointSpec(tc.t0, tc.T).times(tc.nt))
 
     items = raw.get("multipoint", [])
     if not isinstance(items, list):
@@ -392,7 +390,7 @@ def _build_runtime(cfg: SolveConfig):
     if cfg.forcing is not None:
         base = sample_profile(grid, cfg.forcing["profile"])
         env = cfg.forcing["envelope"]
-        times = np.linspace(cfg.time.t0, cfg.time.T, cfg.time.nt + 1)
+        times = mp.times(cfg.time.nt)
         if env["kind"] == "constant":
             g = np.ones_like(times, dtype=np.complex128)
         else:

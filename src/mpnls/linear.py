@@ -13,12 +13,14 @@ the incremental trapezoidal recurrence, second order in Δt and linear in the
 number of frames.
 
 Every solver and verifier, here and in the nonlinear module, runs on one
-private multipoint core: `_MultipointCore` checks the grids and the time axis
-once, makes the only datum solve and the only forward transform of forcing
-frames, and `_propagate` is the only propagation pass (a spectral datum plus
-an optional Ĝ, inverse-transformed frame by frame).  A forcing stack the caller
-hands over writeable is reused as the one buffer of the pass: its frames are
-transformed to F̂, integrated to Ĝ and propagated to the solution in place.
+private multipoint core: `_MultipointCore` makes the only datum solve and the
+only forward transform of forcing frames, and `_propagate` is the only
+propagation pass (a spectral datum plus an optional Ĝ, inverse-transformed
+frame by frame) and checks each frame it writes for NaN and Inf; the passes
+leave an overflow to that check, without numpy warnings.  `MultipointSpec.times`
+builds the time axis, and `_check_on_axis` checks a trajectory against it.  A
+forcing stack the caller hands over writeable is reused as the one buffer of the
+pass: its frames are transformed to F̂, integrated to Ĝ and propagated in place.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .errors import (
     BadExponentError,
     GridMismatchError,
     LambdaOffGridError,
+    NonFiniteError,
     NonpositiveTimeError,
     ResonanceError,
 )
@@ -69,14 +72,16 @@ class MultipointSpec:
             raise ValueError("lambda_k values must be distinct")
         object.__setattr__(self, "points", pts)
 
-    @property
-    def m(self) -> int:
-        return len(self.points)
+    def times(self, nt: int) -> np.ndarray:
+        """The time axis t0 + k·(T−t0)/nt, k = 0..nt, of nt ≥ 1 uniform intervals."""
+        if nt < 1:
+            raise ValueError(f"number of time intervals nt must be >= 1, got {nt}")
+        return np.linspace(self.t0, self.T, nt + 1)
 
     def frame_indices(self, nt: int) -> list[int]:
         """Frame index k of each λ on the time grid t0 + k·(T−t0)/nt; a λ farther
         than LAMBDA_GRID_TOL from every grid time raises LambdaOffGridError."""
-        times = np.linspace(self.t0, self.T, nt + 1)
+        times = self.times(nt)
         dt = (self.T - self.t0) / nt
         idxs = []
         for _, lam in self.points:
@@ -165,16 +170,31 @@ def _propagate(grid: SpectralGrid, larr: np.ndarray, u_hat: np.ndarray, times,
                phases: np.ndarray | None = None) -> np.ndarray:
     """The propagation kernel: frames F⁻¹[e^{-i(tₘ-t0)L(ξ)}û + Ĝ(tₘ)] for each tₘ.
 
-    The phase is computed frame by frame unless a table `phases`, indexed
-    like `times`, is given.  With a Ĝ, frame m is written over Ĝ(tₘ) once it is read.
+    The phase is computed frame by frame unless a table `phases`, indexed like `times`, is
+    given.  With a Ĝ, frame m is written over Ĝ(tₘ) once it is read.  A frame written
+    non-finite raises NonFiniteError.
     """
     frames = np.empty((len(times),) + grid.shape, dtype=np.complex128) if ghat is None else ghat
-    for m, t in enumerate(times):
-        uhat = (np.exp(-1j * (t - t0) * larr) if phases is None else phases[m]) * u_hat
-        if ghat is not None:
-            uhat += ghat[m]
-        frames[m] = inverse_transform(Field._wrap(grid, uhat)).values
+    with np.errstate(over="ignore", invalid="ignore"):  # the frame check judges an overflow
+        for m, t in enumerate(times):
+            uhat = (np.exp(-1j * (t - t0) * larr) if phases is None else phases[m]) * u_hat
+            if ghat is not None:
+                uhat += ghat[m]
+            frames[m] = inverse_transform(Field._wrap(grid, uhat)).values
+            if not np.isfinite(frames[m]).all():
+                raise NonFiniteError(f"propagated frame at t={t} is not finite")
     return frames
+
+
+def _check_on_axis(traj: Trajectory, grid: SpectralGrid, mp: MultipointSpec, nt: int,
+                   what: str) -> None:
+    """`traj` is on `grid`, spans mp's [t0, T] to within LAMBDA_GRID_TOL and has nt steps."""
+    if traj.grid != grid:
+        raise GridMismatchError(f"{what} lives on {traj.grid!r}, not on {grid!r}")
+    if abs(traj.t0 - mp.t0) > LAMBDA_GRID_TOL or abs(traj.T - mp.T) > LAMBDA_GRID_TOL:
+        raise GridMismatchError(f"{what} spans [{traj.t0},{traj.T}], not [{mp.t0},{mp.T}]")
+    if traj.nt != nt:
+        raise GridMismatchError(f"{what} has nt={traj.nt}, not nt={nt}")
 
 
 class _MultipointCore:
@@ -191,19 +211,12 @@ class _MultipointCore:
         if phi.grid != grid:
             raise GridMismatchError("datum does not live on the solver grid")
         if forcing is not None:
-            if forcing.grid != grid:
-                raise GridMismatchError("forcing does not live on the solver grid")
-            if abs(forcing.t0 - mp.t0) > LAMBDA_GRID_TOL or abs(forcing.T - mp.T) > LAMBDA_GRID_TOL:
-                raise GridMismatchError(
-                    f"forcing spans [{forcing.t0},{forcing.T}], solver spans [{mp.t0},{mp.T}]"
-                )
-            if forcing.nt != nt:
-                raise GridMismatchError(f"forcing has nt={forcing.nt}, solver expects nt={nt}")
+            _check_on_axis(forcing, grid, mp, nt, "forcing")
         self.grid = grid
         self.mp = mp
         self.nt = nt
+        self.times = mp.times(nt)
         self.lam_idx = mp.frame_indices(nt)
-        self.times = np.linspace(mp.t0, mp.T, nt + 1)
         self.larr = symbol_lattice(sym, grid)
         self.denom = multipoint_denominator(sym, grid, mp)
         if self.denom.min_abs <= eps_res:
@@ -211,7 +224,8 @@ class _MultipointCore:
                 f"multipoint denominator min |D(xi)| = {self.denom.min_abs:.6e} <= eps_res = {eps_res:.1e}",
                 min_abs=self.denom.min_abs, eps_res=eps_res,
             )
-        self.phi_hat = forward_transform(phi).values
+        with np.errstate(over="ignore", invalid="ignore"):  # _propagate judges an overflow
+            self.phi_hat = forward_transform(phi).values
         self.props = _phase_table(self.larr, self.times, mp.t0) if phase_table else None
 
     def duhamel(self, forcing: np.ndarray) -> np.ndarray:
@@ -219,17 +233,19 @@ class _MultipointCore:
         is the caller's scratch and is overwritten with F̂, then Ĝ; a read-only one is
         transformed into a new buffer."""
         fhat = forcing if forcing.flags.writeable else np.empty_like(forcing)
-        for m in range(forcing.shape[0]):
-            fhat[m] = forward_transform(Field._wrap(self.grid, forcing[m])).values
-        return _duhamel_spectral(self.larr, (self.mp.T - self.mp.t0) / self.nt, fhat)
+        with np.errstate(over="ignore", invalid="ignore"):  # _propagate judges an overflow
+            for m in range(forcing.shape[0]):
+                fhat[m] = forward_transform(Field._wrap(self.grid, forcing[m])).values
+            return _duhamel_spectral(self.larr, (self.mp.T - self.mp.t0) / self.nt, fhat)
 
     def datum(self, ghat: np.ndarray | None = None) -> np.ndarray:
         """û₀ = [φ̂ + Σₖ αₖ Ĝ(λₖ)] / D(ξ)."""
         rhs = self.phi_hat
-        if ghat is not None:
-            for (alpha, _), idx in zip(self.mp.points, self.lam_idx):
-                rhs = rhs + alpha * ghat[idx]
-        return rhs / self.denom.values
+        with np.errstate(over="ignore", invalid="ignore"):  # _propagate judges an overflow
+            if ghat is not None:
+                for (alpha, _), idx in zip(self.mp.points, self.lam_idx):
+                    rhs = rhs + alpha * ghat[idx]
+            return rhs / self.denom.values
 
     def frames(self, ghat: np.ndarray | None = None) -> np.ndarray:
         """u(tₘ) = U_L(tₘ-t0)u₀ + G(tₘ) on every frame of the time axis, written over
@@ -257,10 +273,7 @@ def solve_linear_multipoint(sym: EllipticSymbol, grid: SpectralGrid, mp: Multipo
 
 def multipoint_residual(traj: Trajectory, mp: MultipointSpec, phi: Field) -> float:
     """Relative L² defect of u(t0) − φ − Σ αₖ u(λₖ)."""
-    if phi.grid != traj.grid:
-        raise GridMismatchError("datum does not live on the trajectory grid")
-    if abs(traj.t0 - mp.t0) > LAMBDA_GRID_TOL or abs(traj.T - mp.T) > LAMBDA_GRID_TOL:
-        raise GridMismatchError("trajectory time span does not match the multipoint spec")
+    _check_on_axis(traj, phi.grid, mp, traj.nt, "trajectory")
     defect = traj.values[0] - phi.values
     for (alpha, _), idx in zip(mp.points, mp.frame_indices(traj.nt)):
         defect = defect - alpha * traj.values[idx]
@@ -371,11 +384,9 @@ def verify_strichartz(sym: EllipticSymbol, grid: SpectralGrid, t0: float = 0.0,
     statistic.  Every sample is propagated on one phase table.
     """
     check_strichartz(grid, num_samples, band)
-    _check_time(t0)
-    _check_time(T)
+    times = MultipointSpec(t0, T).times(nt)
     pairs = tuple(canonical_pairs(grid.n))
     larr = symbol_lattice(sym, grid)
-    times = np.linspace(t0, T, nt + 1)
     phases = _phase_table(larr, times, t0)
     rng = np.random.default_rng(seed)
     ratios, data_norms = [], []

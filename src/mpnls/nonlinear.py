@@ -12,9 +12,11 @@ measured contraction ratios rather than asserting a threshold.
 
 Every propagation goes through the multipoint core of the linear module:
 each Φ application is one `_MultipointCore` datum solve and one `_propagate`
-pass, and the indicator η is one `_propagate` pass of |∇|^s φ.  One Φ
-application allocates one trajectory-sized buffer: -F(u) is built in it, then
-transformed, integrated and propagated in place.
+pass, and the indicator η is one `_propagate` pass of |∇|^s φ on the axis of
+`MultipointSpec.times`.  One Φ application allocates one trajectory-sized
+buffer: -F(u) is built in it, then transformed, integrated and propagated in
+place.  Φ is finite or raises NonFiniteError: `_power_block` checks F(u) and
+`_propagate` each frame.  An iterate from outside is checked by `_check_on_axis`.
 
 The iteration is plain Picard until the first contraction ratio above
 MIX_GATE, then depth-1 Anderson mixing (Walker & Ni 2011), which keeps two
@@ -29,9 +31,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadExponentError, GridMismatchError, NoConvergenceError, NonFiniteError
+from .errors import BadExponentError, NoConvergenceError, NonFiniteError
 from .grid import Field, SpectralGrid, Trajectory, forward_transform
-from .linear import DEFAULT_EPS_RES, MultipointSpec, _MultipointCore, _propagate, symbol_lattice
+from .linear import (DEFAULT_EPS_RES, MultipointSpec, _check_on_axis, _MultipointCore, _propagate,
+                     symbol_lattice)
 from .norms import (FrameObservables, apply_riesz, canonical_pairs, check_power, check_sobolev_order,
                     frame_observables, mixed_norm, strichartz_norm)
 from .symbol import EllipticSymbol
@@ -40,7 +43,7 @@ DEFAULT_TOL_FP = 1e-10
 DEFAULT_MAX_ITER = 50
 MIX_GATE = 0.5          # depth-1 Anderson mixing switches on at the first ratio above this
 DIVERGENCE_FACTOR = 1e3  # d_k > DIVERGENCE_FACTOR·d_0 is divergence, not slow convergence
-_BLOCKS = 16             # blocks per trajectory in an elementwise pass
+_BLOCKS = 16             # blocks per trajectory in the nonlinearity's pass
 
 
 @dataclass(frozen=True)
@@ -87,19 +90,14 @@ def eval_nonlinearity(f: Field, nl: PowerNonlinearity) -> Field:
     return Field._wrap(f.grid, out)
 
 
-def _blocks(frames: int):
-    """Slices of about 1/_BLOCKS of the time axis, at least one frame each: elementwise
-    passes over a trajectory go block by block, so that their scratch stays small."""
-    step = max(1, frames // _BLOCKS)
-    return (slice(lo, lo + step) for lo in range(0, frames, step))
-
-
 def _power_block(values: np.ndarray, nl: PowerNonlinearity) -> np.ndarray:
-    """λ|u|ᵖu, built block by block in the output itself: λ|u|ᵖ + 0i first, then times u."""
+    """λ|u|ᵖu, built in the output itself: λ|u|ᵖ + 0i first, then times u; block by block,
+    1/_BLOCKS of the time axis and at least one frame each, so that its scratch stays small."""
     out = np.empty_like(values)
+    step = max(1, len(values) // _BLOCKS)
     with np.errstate(over="ignore", invalid="ignore"):
-        for blk in _blocks(len(values)):
-            block, dest = values[blk], out[blk]
+        for lo in range(0, len(values), step):
+            block, dest = values[lo:lo + step], out[lo:lo + step]
             mag = dest.real
             np.abs(block, out=mag)
             mag **= nl.p
@@ -135,7 +133,7 @@ def smallness_indicator(sym: EllipticSymbol, grid: SpectralGrid, phi: Field, s: 
         sigma, _ = metric_exponent(grid.n, nl.p)
     larr = symbol_lattice(sym, grid)
     psi_hat = forward_transform(apply_riesz(phi, s)).values
-    frames = _propagate(grid, larr, psi_hat, np.linspace(t0, T, nt + 1), t0)
+    frames = _propagate(grid, larr, psi_hat, MultipointSpec(t0, T).times(nt), t0)
     return mixed_norm(Trajectory._wrap(grid, t0, T, frames), nl.p + 2.0, sigma)
 
 
@@ -145,22 +143,19 @@ def smallness_indicator(sym: EllipticSymbol, grid: SpectralGrid, phi: Field, s: 
 def _solution_map(core: _MultipointCore, current: np.ndarray | None,
                   nl: PowerNonlinearity) -> np.ndarray:
     """Φ(current) on a stack of frames: the multipoint solution forced by -F(current),
-    unforced for None.  Returns a new writeable stack and never writes into `current`."""
+    unforced for None.  Returns a new writeable stack and never writes into `current`;
+    an F(current) or a frame that is not finite raises NonFiniteError."""
     ghat = None
     if current is not None:
         forcing = _power_block(current, nl)
         np.negative(forcing, out=forcing)  # i∂ₜu + Lu = -F(u)
         ghat = core.duhamel(forcing)
-    frames = core.frames(ghat)
-    if not all(np.isfinite(frames[blk]).all() for blk in _blocks(len(frames))):
-        raise NonFiniteError("solution map produced non-finite values")
-    return frames
+    return core.frames(ghat)
 
 
 def _iterate_core(sym: EllipticSymbol, grid: SpectralGrid, mp: MultipointSpec, phi: Field,
                   traj: Trajectory, eps_res: float) -> _MultipointCore:
-    if traj.grid != grid:
-        raise GridMismatchError("iterate does not live on the solver grid")
+    _check_on_axis(traj, grid, mp, traj.nt, "iterate")
     return _MultipointCore(sym, grid, mp, phi, traj.nt, eps_res)
 
 

@@ -101,6 +101,12 @@ def test_parse_named_precondition_failures():
             {"alpha_re": 0.2, "alpha_im": 0.0, "lambda": 0.5}])))
 
 
+def test_parse_checks_nt_on_the_time_axis():
+    # MultipointSpec.times owns nt >= 1; parse names the section
+    with pytest.raises(ValidationError, match="time: number of time intervals nt must be >= 1, got 0"):
+        parse_config(json.dumps(make_config(time={"t0": 0.0, "T": 1.0, "Nt": 0})))
+
+
 def test_parse_regularity_bound_without_nonlinearity():
     assert parse_config(json.dumps(make_config(regularity=1.5))).regularity == 1.5
 
@@ -375,6 +381,21 @@ def test_nls_blowup_exits_5(tmp_path, capsys):
     assert code == 5
     assert "nonlinearity overflowed" in capsys.readouterr().err
     assert not (tmp_path / "x.csv").exists()
+
+
+def test_forced_linear_overflow_exits_5_without_warnings(tmp_path, capsys):
+    # the transform of a 1.7e308 forcing overflows; the frame check of the propagation
+    # reports it, and no numpy warning leaks (the suite turns one into an error)
+    doc = make_config(
+        forcing={"profile": {"kind": "gaussian", "amplitude": 1.7e308, "width": 1.0,
+                             "center": [0.0]}},
+        outputs={"report_path": str(tmp_path / "x")})
+    code = run_command(["solve-linear", "--config", write_config(tmp_path, doc)])
+    assert code == 5
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: propagated frame at t=")
+    assert lines[0].endswith("is not finite")
+    assert list(tmp_path.glob("x*")) == []
 
 
 def _huge_nls_doc(tmp_path, amplitude, lam, p):

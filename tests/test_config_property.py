@@ -127,3 +127,54 @@ def test_exit_codes_follow_the_documented_table():
         ("MpnlsError", 2), ("OSError", 1)]
     for cls in (mpnls.ResonanceError, mpnls.NoConvergenceError, mpnls.NonFiniteError):
         assert issubclass(cls, mpnls.MpnlsError)
+
+
+@st.composite
+def failing_configs(draw):
+    """(command, config, exit code) for a small 1-D config built to fail one documented way:
+    3 for α = 1, which makes D(0) = 0; 4 for one Picard step of cubic focusing at
+    amplitude 1.0; 5 for a nonlinearity that overflows on 1e200 data, or a forcing
+    whose transform overflows."""
+    N = draw(st.sampled_from([16, 32]))
+    nt = 2 * draw(st.integers(1, 8))
+    doc = {
+        "symbol": {"a": [[draw(st.floats(0.5, 2.0))]]},
+        "grid": {"n": 1, "N": N, "R": draw(st.floats(4.0, 10.0))},
+        "time": {"t0": 0.0, "T": 1.0, "Nt": nt},
+        "multipoint": [{"alpha_re": draw(st.floats(-0.3, 0.3)), "lambda": 0.5}],
+        "initial": {"kind": "gaussian", "amplitude": 1.0,
+                    "width": draw(st.floats(0.5, 1.5))},
+        "nonlinearity": {"lambda": -1.0, "p": 2.0},
+    }
+    way = draw(st.sampled_from(["resonance", "no_convergence", "blowup", "forcing_overflow"]))
+    if way == "resonance":
+        doc["multipoint"] = [{"alpha_re": 1.0, "lambda": draw(st.integers(1, nt)) / nt}]
+        return draw(st.sampled_from(["solve-linear", "solve-nls"])), doc, 3
+    if way == "no_convergence":
+        doc["tolerances"] = {"max_iter": 1}
+        return "solve-nls", doc, 4
+    if way == "blowup":
+        doc["initial"]["amplitude"] = 1e200
+        return "solve-nls", doc, 5
+    doc["forcing"] = {"profile": {"kind": "gaussian", "amplitude": draw(st.floats(1e308, 1.7e308))},
+                      "envelope": draw(st.sampled_from([{"kind": "constant"},
+                                                        {"kind": "harmonic", "omega": 2.0}]))}
+    return "solve-linear", doc, 5
+
+
+@hypothesis.settings(max_examples=40, deadline=None, derandomize=True)
+@hypothesis.given(failing_configs())
+def test_failures_exit_with_their_documented_code(case):
+    # each way of failing reaches its code through run_command, with one error line,
+    # no numpy warning (the suite makes one an error) and no report written
+    command, doc, expected = case
+    with tempfile.TemporaryDirectory() as tmp:
+        report = os.path.join(tmp, "r")
+        doc["outputs"] = {"report_path": report}
+        config_path = os.path.join(tmp, "cfg.json")
+        with open(config_path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        code, err = _run(command, config_path)
+        assert code == expected, f"{command} exit {code}: {err}"
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+        assert not os.path.exists(report + ".csv") and not os.path.exists(report + ".json")

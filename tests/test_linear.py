@@ -247,6 +247,17 @@ def test_solve_forcing_grid_mismatch(grid1, sym1):
         solve_linear_multipoint(sym1, grid1, mp, gaussian(grid1), forcing, nt=20)
 
 
+@pytest.mark.parametrize("t0, T, nt, message", [
+    (0.0, 2.0, 20, r"forcing spans \[0.0,2.0\], not \[0.0,1.0\]"),
+    (0.0, 1.0, 10, r"forcing has nt=10, not nt=20"),
+])
+def test_solve_forcing_off_the_axis_is_named(grid1, sym1, t0, T, nt, message):
+    forcing = Trajectory(grid1, t0, T, np.zeros((nt + 1, 64), dtype=complex))
+    with pytest.raises(GridMismatchError, match=message):
+        solve_linear_multipoint(sym1, grid1, MultipointSpec(0.0, 1.0, ()), gaussian(grid1),
+                                forcing, nt=20)
+
+
 def test_solve_forced_multipoint_residual(grid1, sym1, rng):
     # the residual oracle must hold with nonzero forcing too
     nt = 50
@@ -353,6 +364,15 @@ def test_strichartz_ratios_finite_and_seeded(sym1):
     assert rep1.ratios == rep2.ratios
     assert rep1.max_ratio >= 1.0 - 1e-12  # the (inf,2) pair alone gives 1
     assert all(np.isfinite(rep1.ratios))
+
+
+@pytest.mark.parametrize("t0, T, nt, rule", [(1.0, 0.5, 16, r"horizon T=0.5 must exceed t0=1.0"),
+                                              (0.0, 1.0, 0, r"nt must be >= 1, got 0")])
+def test_strichartz_checks_its_time_axis(sym1, grid1, t0, T, nt, rule):
+    # a reversed span or an axis with no interval is refused by name, not read as
+    # ratios of 1.0, NaN or a ZeroDivisionError
+    with pytest.raises(ValueError, match=rule):
+        verify_strichartz(sym1, grid1, t0=t0, T=T, nt=nt, num_samples=1)
 
 
 @pytest.mark.parametrize("n", [1, 2])

@@ -8,6 +8,7 @@ from mpnls import (
     BadExponentError,
     BadPowerError,
     Field,
+    GridMismatchError,
     MultipointSpec,
     NoConvergenceError,
     NonFiniteError,
@@ -41,6 +42,11 @@ def setup():
     phi = sample_profile(grid, {"kind": "gaussian", "amplitude": 0.05, "width": 1.0,
                                 "center": [0.0]})
     return sym, grid, phi
+
+
+def difference(a, b):
+    """a − b on a's time axis, by array arithmetic."""
+    return Trajectory(a.grid, a.t0, a.T, a.values - b.values)
 
 
 # --- pointwise nonlinearity -----------------------------------------------------
@@ -126,7 +132,26 @@ def test_smallness_refined_quadrature_oracle(setup):
     assert coarse > 0.0
 
 
+@pytest.mark.parametrize("t0, T, nt, rule", [(1.0, 0.5, 50, r"horizon T=0.5 must exceed t0=1.0"),
+                                              (0.0, 1.0, 0, r"nt must be >= 1, got 0")])
+def test_smallness_checks_its_time_axis(setup, t0, T, nt, rule):
+    # a reversed span or an axis with no interval is refused by name, not read as NaN
+    sym, grid, phi = setup
+    with pytest.raises(ValueError, match=rule):
+        smallness_indicator(sym, grid, phi, 0.0, NL, T, t0=t0, nt=nt)
+
+
 # --- Picard iteration -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("operation", [picard_step, integral_residual])
+def test_iterate_off_the_multipoint_span_is_refused(setup, operation):
+    # an iterate on [0, 2] is not relabelled onto the solve's [0, 1]
+    sym, grid, phi = setup
+    mp = MultipointSpec(0.0, 1.0, ((0.3, 0.5),))
+    iterate = Trajectory(grid, 0.0, 2.0, np.zeros((51, 128), dtype=complex))
+    with pytest.raises(GridMismatchError, match=r"iterate spans \[0.0,2.0\]"):
+        operation(sym, grid, mp, phi, NL, iterate)
 
 
 def test_picard_step_linear_case_ignores_input(setup, rng):
@@ -144,7 +169,7 @@ def test_picard_fixed_point_is_stationary(setup):
     mp = MultipointSpec(0.0, 1.0, ((0.3, 0.5),))
     traj, diags = solve_nls_multipoint(sym, grid, mp, phi, NL, nt=50)
     again = picard_step(sym, grid, mp, phi, NL, traj)
-    d = mixed_norm(again - traj, NL.p + 2.0, diags.r_metric)
+    d = mixed_norm(difference(again, traj), NL.p + 2.0, diags.r_metric)
     assert d < 1e-10
 
 
@@ -157,8 +182,8 @@ def test_picard_step_contracts_in_small_regime(setup, rng):
     pu = picard_step(sym, grid, mp, phi, NL, u)
     pv = picard_step(sym, grid, mp, phi, NL, v)
     r, _ = metric_exponent(1, NL.p)
-    d_before = mixed_norm(v - u, NL.p + 2.0, r)
-    d_after = mixed_norm(pv - pu, NL.p + 2.0, r)
+    d_before = mixed_norm(difference(v, u), NL.p + 2.0, r)
+    d_after = mixed_norm(difference(pv, pu), NL.p + 2.0, r)
     assert d_after < d_before
 
 
@@ -195,11 +220,11 @@ def test_solver_uniqueness_two_initializations(setup):
     u = Trajectory(grid, 0.0, 1.0, np.zeros((51, 128), dtype=complex))
     for _ in range(20):
         nxt = picard_step(sym, grid, mp, phi, NL, u)
-        d = mixed_norm(nxt - u, 4.0, 2.0)
+        d = mixed_norm(difference(nxt, u), 4.0, 2.0)
         u = nxt
         if d < tol:
             break
-    assert mixed_norm(traj_a - u, 4.0, 2.0) < 10.0 * tol
+    assert mixed_norm(difference(traj_a, u), 4.0, 2.0) < 10.0 * tol
 
 
 def test_solver_conservation_second_order(setup):
@@ -324,7 +349,7 @@ def test_solver_without_mixing_is_plain_picard(setup):
     d_history = []
     while not d_history or d_history[-1] >= DEFAULT_TOL_FP:
         nxt = picard_step(sym, grid, mp, phi, NL, u)
-        d_history.append(mixed_norm(nxt - u, NL.p + 2.0, diags.r_metric))
+        d_history.append(mixed_norm(difference(nxt, u), NL.p + 2.0, diags.r_metric))
         u = nxt
     assert tuple(d_history) == diags.d_history
     assert u.values.tobytes() == traj.values.tobytes()
