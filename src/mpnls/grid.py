@@ -15,6 +15,10 @@ any even N ≥ 4 works.
 A Field's samples are finite (the constructor checks, and `_wrap` callers own
 their arrays), so the transforms do not rescan them; an overflow on the way is
 caught where a frame is written, by the propagation kernel `linear._propagate`.
+
+A pass over a stack of frames goes a block at a time (`_frame_blocks`): at most
+1/16 of the stack and 256 KiB, so that small frames pay few calls and the
+scratch of a block stays in cache.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ from .errors import (
 
 FIELD_FILE_MAGIC = b"MPNLSFLD"
 FIELD_FILE_VERSION = 1
+_BLOCK_BYTES = 256 * 1024  # a frame block's bound, at most 1/16 of its stack as well
 
 
 class SpectralGrid:
@@ -133,6 +138,8 @@ class Trajectory:
             raise GridMismatchError(
                 f"trajectory shape {arr.shape} does not match grid {grid.shape}"
             )
+        check_time(t0)
+        check_time(T)
         if not (T > t0):
             raise GridMismatchError("trajectory needs T > t0")
         if not np.all(np.isfinite(arr)):
@@ -168,6 +175,12 @@ class Trajectory:
         return f"Trajectory(grid={self.grid!r}, t0={self.t0}, T={self.T}, nt={self.nt})"
 
 
+def check_time(t: float) -> None:
+    """A time, on an axis or of a propagation, is a finite number."""
+    if not math.isfinite(t):
+        raise ValueError(f"time must be finite, got {t}")
+
+
 def build_grid(n: int, N: int, R: float) -> SpectralGrid:
     """Construct a grid; n ∈ {1,2,3}, N even ≥ 4, R > 0."""
     if not isinstance(n, (int, np.integer)) or n not in (1, 2, 3):
@@ -182,12 +195,24 @@ def build_grid(n: int, N: int, R: float) -> SpectralGrid:
 # --- transforms --------------------------------------------------------------
 
 
+def _frame_blocks(stack: np.ndarray):
+    """The slices of a pass over a stack of frames: blocks of at most 1/16 of the stack and
+    at most _BLOCK_BYTES, and at least one frame each."""
+    step = max(1, min(len(stack) // 16, _BLOCK_BYTES // stack[0].nbytes))
+    return (slice(lo, lo + step) for lo in range(0, len(stack), step))
+
+
+def _forward_frames(grid: SpectralGrid, values: np.ndarray, out=None) -> np.ndarray:
+    """The forward transform of one frame, or of each frame of a stack on the leading axis,
+    written into `out` when given."""
+    coef = (2.0 * np.pi) ** (-grid.n / 2.0) * grid.h
+    axes = tuple(range(-grid.n, 0))
+    return np.multiply(coef * grid._phase, np.fft.fftn(values, axes=axes), out=out)
+
+
 def forward_transform(field: Field) -> Field:
     """Plancherel-unitary forward DFT; the spectrum is in FFT order, mode j at index j mod N."""
-    g = field.grid
-    coef = (2.0 * np.pi) ** (-g.n / 2.0) * g.h
-    spec = coef * g._phase * np.fft.fftn(field.values)
-    return Field._wrap(g, spec)
+    return Field._wrap(field.grid, _forward_frames(field.grid, field.values))
 
 
 def inverse_transform(field: Field) -> Field:

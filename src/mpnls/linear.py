@@ -14,7 +14,8 @@ number of frames.
 
 Every solver and verifier, here and in the nonlinear module, runs on one
 private multipoint core: `_MultipointCore` makes the only datum solve and the
-only forward transform of forcing frames, and `_propagate` is the only
+only forward transform of forcing frames (block by block, `grid._frame_blocks`),
+`_datum_spectrum` is the only transform of a datum, and `_propagate` is the only
 propagation pass (a spectral datum plus an optional Ĝ, inverse-transformed
 frame by frame) and checks each frame it writes for NaN and Inf; the passes
 leave an overflow to that check, without numpy warnings.  `MultipointSpec.times`
@@ -38,9 +39,9 @@ from .errors import (
     NonpositiveTimeError,
     ResonanceError,
 )
-from .grid import (Field, SpectralGrid, Trajectory, check_band, forward_transform,
-                   inverse_transform, random_band_limited)
-from .norms import canonical_pairs, lebesgue_norm, strichartz_norm
+from .grid import (Field, SpectralGrid, Trajectory, _forward_frames, _frame_blocks, check_band,
+                   check_time, forward_transform, inverse_transform, random_band_limited)
+from .norms import apply_riesz, canonical_pairs, lebesgue_norm, strichartz_norm
 from .symbol import EllipticSymbol
 
 DEFAULT_EPS_RES = 1e-8
@@ -59,8 +60,8 @@ class MultipointSpec:
     points: tuple = ()
 
     def __post_init__(self):
-        _check_time(self.t0)
-        _check_time(self.T)
+        check_time(self.t0)
+        check_time(self.T)
         if not (self.T > self.t0):
             raise ValueError(f"horizon T={self.T} must exceed t0={self.t0}")
         pts = tuple((complex(a), float(lam)) for a, lam in self.points)
@@ -114,19 +115,13 @@ def symbol_lattice(sym: EllipticSymbol, grid: SpectralGrid) -> np.ndarray:
     return out
 
 
-def _check_time(t: float) -> None:
-    """A propagation time is a finite number."""
-    if not math.isfinite(t):
-        raise ValueError(f"propagation time must be finite, got {t}")
-
-
 def apply_propagator(sym: EllipticSymbol, grid: SpectralGrid, t: float, f: Field) -> Field:
     """Free evolution U_L(t)f: multiply each mode by e^{-i t L(ξ)}."""
-    _check_time(t)
+    check_time(t)
     if f.grid != grid:
         raise GridMismatchError("field does not live on the given grid")
     larr = symbol_lattice(sym, grid)
-    return Field._wrap(grid, _propagate(grid, larr, forward_transform(f).values, [t])[0])
+    return Field._wrap(grid, _propagate(grid, larr, _datum_spectrum(f), [t])[0])
 
 
 def multipoint_denominator(sym: EllipticSymbol, grid: SpectralGrid,
@@ -140,6 +135,13 @@ def multipoint_denominator(sym: EllipticSymbol, grid: SpectralGrid,
 
 
 # --- the multipoint core --------------------------------------------------------
+
+
+def _datum_spectrum(phi: Field, s: float = 0.0) -> np.ndarray:
+    """The spectrum of the datum |∇|^s φ, s = 0 by default.  An overflow is left to the
+    frame check of `_propagate`, without numpy warnings."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return forward_transform(apply_riesz(phi, s)).values
 
 
 def _duhamel_spectral(larr: np.ndarray, dt: float, fhat: np.ndarray) -> np.ndarray:
@@ -224,18 +226,17 @@ class _MultipointCore:
                 f"multipoint denominator min |D(xi)| = {self.denom.min_abs:.6e} <= eps_res = {eps_res:.1e}",
                 min_abs=self.denom.min_abs, eps_res=eps_res,
             )
-        with np.errstate(over="ignore", invalid="ignore"):  # _propagate judges an overflow
-            self.phi_hat = forward_transform(phi).values
+        self.phi_hat = _datum_spectrum(phi)
         self.props = _phase_table(self.larr, self.times, mp.t0) if phase_table else None
 
     def duhamel(self, forcing: np.ndarray) -> np.ndarray:
-        """Ĝ on the time axis for a stack of physical forcing frames.  A writeable stack
-        is the caller's scratch and is overwritten with F̂, then Ĝ; a read-only one is
-        transformed into a new buffer."""
+        """Ĝ on the time axis for a stack of physical forcing frames, transformed a block
+        of frames at a time.  A writeable stack is the caller's scratch and is overwritten
+        with F̂, then Ĝ; a read-only one is transformed into a new buffer."""
         fhat = forcing if forcing.flags.writeable else np.empty_like(forcing)
         with np.errstate(over="ignore", invalid="ignore"):  # _propagate judges an overflow
-            for m in range(forcing.shape[0]):
-                fhat[m] = forward_transform(Field._wrap(self.grid, forcing[m])).values
+            for block in _frame_blocks(forcing):
+                _forward_frames(self.grid, forcing[block], out=fhat[block])
             return _duhamel_spectral(self.larr, (self.mp.T - self.mp.t0) / self.nt, fhat)
 
     def datum(self, ghat: np.ndarray | None = None) -> np.ndarray:
@@ -319,7 +320,7 @@ def check_dispersive(times, p: float) -> list[float]:
     for t in ts:
         if not (t > 0.0):
             raise NonpositiveTimeError(f"times must be positive, got {t}")
-        _check_time(t)
+        check_time(t)
     if any(b <= a for a, b in zip(ts, ts[1:])):
         raise ValueError("times must be strictly increasing")
     return ts
@@ -339,7 +340,7 @@ def verify_dispersive(sym: EllipticSymbol, grid: SpectralGrid, phi: Field,
     decay_rate = grid.n * (0.5 - (0.0 if p == math.inf else 1.0 / p))
     phi_dual = lebesgue_norm(phi, p_conj)
     larr = symbol_lattice(sym, grid)
-    phi_hat = forward_transform(phi).values
+    phi_hat = _datum_spectrum(phi)
     norms, quotients, fractions = [], [], []
     for t in ts:
         u_t = Field._wrap(grid, _propagate(grid, larr, phi_hat, [t])[0])
@@ -392,7 +393,7 @@ def verify_strichartz(sym: EllipticSymbol, grid: SpectralGrid, t0: float = 0.0,
     ratios, data_norms = [], []
     for _ in range(num_samples):
         phi = random_band_limited(grid, band, rng)
-        frames = _propagate(grid, larr, forward_transform(phi).values, times, t0, phases=phases)
+        frames = _propagate(grid, larr, _datum_spectrum(phi), times, t0, phases=phases)
         l2 = lebesgue_norm(phi, 2.0)
         ratios.append(strichartz_norm(Trajectory._wrap(grid, t0, T, frames), pairs) / l2)
         data_norms.append(l2)

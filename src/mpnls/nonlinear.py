@@ -32,9 +32,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadExponentError, NoConvergenceError, NonFiniteError
-from .grid import Field, SpectralGrid, Trajectory, forward_transform
-from .linear import (DEFAULT_EPS_RES, MultipointSpec, _check_on_axis, _MultipointCore, _propagate,
-                     symbol_lattice)
+from .grid import Field, SpectralGrid, Trajectory, _frame_blocks
+from .linear import (DEFAULT_EPS_RES, MultipointSpec, _check_on_axis, _datum_spectrum,
+                     _MultipointCore, _propagate, symbol_lattice)
 from .norms import (FrameObservables, apply_riesz, canonical_pairs, check_power, check_sobolev_order,
                     frame_observables, mixed_norm, strichartz_norm)
 from .symbol import EllipticSymbol
@@ -43,7 +43,6 @@ DEFAULT_TOL_FP = 1e-10
 DEFAULT_MAX_ITER = 50
 MIX_GATE = 0.5          # depth-1 Anderson mixing switches on at the first ratio above this
 DIVERGENCE_FACTOR = 1e3  # d_k > DIVERGENCE_FACTOR·d_0 is divergence, not slow convergence
-_BLOCKS = 16             # blocks per trajectory in the nonlinearity's pass
 
 
 @dataclass(frozen=True)
@@ -91,13 +90,12 @@ def eval_nonlinearity(f: Field, nl: PowerNonlinearity) -> Field:
 
 
 def _power_block(values: np.ndarray, nl: PowerNonlinearity) -> np.ndarray:
-    """λ|u|ᵖu, built in the output itself: λ|u|ᵖ + 0i first, then times u; block by block,
-    1/_BLOCKS of the time axis and at least one frame each, so that its scratch stays small."""
+    """λ|u|ᵖu, built in the output itself: λ|u|ᵖ + 0i first, then times u; a block of
+    frames (`_frame_blocks`) at a time, so that its scratch stays small."""
     out = np.empty_like(values)
-    step = max(1, len(values) // _BLOCKS)
     with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, len(values), step):
-            block, dest = values[lo:lo + step], out[lo:lo + step]
+        for rows in _frame_blocks(values):
+            block, dest = values[rows], out[rows]
             mag = dest.real
             np.abs(block, out=mag)
             mag **= nl.p
@@ -132,8 +130,7 @@ def smallness_indicator(sym: EllipticSymbol, grid: SpectralGrid, phi: Field, s: 
     if sigma is None:
         sigma, _ = metric_exponent(grid.n, nl.p)
     larr = symbol_lattice(sym, grid)
-    psi_hat = forward_transform(apply_riesz(phi, s)).values
-    frames = _propagate(grid, larr, psi_hat, MultipointSpec(t0, T).times(nt), t0)
+    frames = _propagate(grid, larr, _datum_spectrum(phi, s), MultipointSpec(t0, T).times(nt), t0)
     return mixed_norm(Trajectory._wrap(grid, t0, T, frames), nl.p + 2.0, sigma)
 
 

@@ -22,7 +22,7 @@ from .errors import (
     NegativeSError,
     NonFiniteError,
 )
-from .grid import Field, Trajectory, forward_transform, inverse_transform
+from .grid import Field, Trajectory, _frame_blocks, forward_transform, inverse_transform
 
 INF = math.inf
 
@@ -57,20 +57,38 @@ def mixed_norm(traj: Trajectory, q: float, r: float) -> float:
     return _time_norm(_frame_norms(traj, [r])[r], float(q), traj.dt)
 
 
-def _spatial_norm(mag: np.ndarray, r: float, h: float) -> float:
-    """The L^r norm of a frame from its |u|."""
+def _check_lebesgue(r: float) -> None:
+    """A Lebesgue exponent r is at least 1."""
     if not (r >= 1.0):
         raise BadExponentError(f"Lebesgue exponent must be >= 1, got {r}")
+
+
+def _spatial_norm(mag: np.ndarray, r: float, h: float) -> float:
+    """The L^r norm of a frame from its |u|."""
+    _check_lebesgue(r)
     return float(mag.max()) if r == INF else _power_root(mag, float(r), h)
 
 
 def _frame_norms(traj: Trajectory, rs) -> dict:
-    """{r: the L_x^r norm of every frame} for each r of rs, from one |u| per frame."""
-    out = {r: np.empty(traj.nt + 1) for r in rs}
-    for m in range(traj.nt + 1):
-        mag = np.abs(traj.values[m])
-        for r, norms in out.items():
-            norms[m] = _spatial_norm(mag, r, traj.grid.h)
+    """{r: the L_x^r norm of every frame} for each r of rs, as `_spatial_norm` gives it, from
+    one |u| per block of frames (`_frame_blocks`) and one sum of |u|^r per block and r."""
+    for r in rs:
+        _check_lebesgue(r)
+    h = traj.grid.h
+    stack = traj.values.reshape(traj.nt + 1, -1)
+    out = {r: np.empty(len(stack)) for r in rs}
+    with np.errstate(over="ignore"):  # a norm that reads inf is rescaled by _power_root
+        for block in _frame_blocks(stack):
+            mag = np.abs(stack[block])
+            for r, norms in out.items():
+                if r == INF:
+                    norms[block] = mag.max(axis=1)
+                    continue
+                rf = float(r)
+                for i, total in enumerate(np.add.reduce(mag**rf, axis=1)):
+                    norm = _root(total, rf, h)
+                    norms[block.start + i] = (norm if norm not in (0.0, INF)
+                                              else _power_root(mag[i], rf, h))
     return out
 
 
@@ -83,12 +101,16 @@ def _time_norm(frames: np.ndarray, q: float, dt: float) -> float:
     return _power_root(frames, q, dt, weights)
 
 
+def _root(total, r: float, scale: float) -> float:
+    """(scale·total)^{1/r}."""
+    return float((scale * total) ** (1.0 / r))
+
+
 def _power_root(mag: np.ndarray, r: float, scale: float, weights=None) -> float:
     """(scale·Σ weights·mag^r)^{1/r} for mag >= 0.  When that reads 0 or ∞ and max(mag) is finite
     and nonzero, it is recomputed from mag/max(mag), so that it neither underflows nor overflows."""
     def root(m):
-        terms = m**r if weights is None else weights * m**r
-        return float((scale * np.sum(terms)) ** (1.0 / r))
+        return _root(np.sum(m**r if weights is None else weights * m**r), r, scale)
 
     with np.errstate(over="ignore"):  # inf is the honest answer for diverging iterates
         out = root(mag)

@@ -335,6 +335,31 @@ def test_nls_observables_computed_once(tmp_path, monkeypatch):
     assert calls == {"energy": nt + 1, "sobolev_norm": nt + 1}
 
 
+def test_transform_counts_match_the_benchmark_hand_count(tmp_path, monkeypatch):
+    # perfbench's tracer self-test (SELFTEST_COUNTS in perfbench/run.py) expects a 1-D
+    # solve-linear with no terms and no forcing at Nt = 10 to make 1 + 2(Nt+1) forward and
+    # 3(Nt+1) inverse transforms: φ̂, then per frame one propagation, the energy and the
+    # Ḣ^s norm; a change here fails `perfbench/run.py --trace 1` as well
+    from mpnls import grid
+
+    calls = {"forward_transform": 0, "inverse_transform": 0}
+    for name in calls:
+        original = getattr(grid, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for modname, mod in list(sys.modules.items()):
+            if modname.split(".")[0] == "mpnls" and vars(mod).get(name) is original:
+                monkeypatch.setattr(mod, name, counted)
+    doc = make_config(grid={"n": 1, "N": 16, "R": math.pi},
+                      time={"t0": 0.0, "T": 1.0, "Nt": 10},
+                      outputs={"report_path": str(tmp_path / "selftest")})
+    assert run_command(["solve-linear", "--config", write_config(tmp_path, doc)]) == 0
+    assert calls == {"forward_transform": 23, "inverse_transform": 33}
+
+
 def test_nls_drifts_match_csv_columns(tmp_path):
     doc = _small_nls_doc(tmp_path, 40)
     assert run_command(["solve-nls", "--config", write_config(tmp_path, doc)]) == 0
@@ -424,6 +449,19 @@ def test_nls_non_finite_summary_exits_5_without_reports(tmp_path, capsys):
     assert "energy is not finite" in capsys.readouterr().err
     assert not (tmp_path / "huge.csv").exists()
     assert not (tmp_path / "huge.json").exists()
+
+
+def test_dispersive_datum_whose_transform_overflows_exits_5_quietly(tmp_path, capsys):
+    # a finite 1.7e308 datum overflows in its forward transform; the propagated frame
+    # check names it, and no numpy warning (an error in this suite) gets out first
+    doc = make_config(grid={"n": 1, "N": 16, "R": 4.0},
+                      initial={"kind": "gaussian", "amplitude": 1.7e308, "width": 0.5,
+                               "center": [0.0]},
+                      outputs={"report_path": str(tmp_path / "disp")})
+    assert run_command(["verify-dispersive", "--config", write_config(tmp_path, doc)]) == 5
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and re.match(r"^error: propagated frame at t=\S+ is not finite$", err[0])
+    assert not list(tmp_path.glob("disp*"))
 
 
 def test_non_finite_summary_value_raises_naming_its_key():

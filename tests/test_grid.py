@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -21,6 +24,7 @@ from mpnls import (
     sample_profile,
     write_field_file,
 )
+from mpnls.grid import _forward_frames, _frame_blocks
 
 
 def dft_oracle(grid, values):
@@ -234,3 +238,31 @@ def test_random_band_limited_is_grid_independent():
     f_fine = random_band_limited(fine, 8, np.random.default_rng(5))
     # same function sampled on both grids: compare on the shared points
     assert np.max(np.abs(f_fine.values[::2] - f_coarse.values)) < 1e-11
+
+
+@pytest.mark.parametrize("n, N", [(1, 64), (2, 16), (3, 16)])
+@pytest.mark.parametrize("frames", [1, 17, 201])
+def test_blocked_forward_pass_equals_the_per_frame_transform(n, N, frames, rng):
+    # the block rule at 201 frames: 12-frame blocks at n = 1, 2, and the 256 KiB bound
+    # (4 frames of 16³) at n = 3; either way the last block is partial
+    grid = build_grid(n, N, 3.0)
+    stack = rng.standard_normal((frames,) + grid.shape) + 1j * rng.standard_normal((frames,) + grid.shape)
+    blocks = list(_frame_blocks(stack))
+    if frames == 201:
+        assert blocks[0].stop == (12 if n < 3 else 4) and blocks[-1].stop > frames
+    out = np.empty_like(stack)
+    for block in blocks:
+        _forward_frames(grid, stack[block], out=out[block])
+    expected = np.stack([forward_transform(Field(grid, f)).values for f in stack])
+    assert np.array_equal(out, expected)
+    assert np.array_equal(_forward_frames(grid, stack), expected)
+
+
+@pytest.mark.parametrize("t0, T", [(0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0),
+                                   (0.0, math.nan)])
+def test_trajectory_refuses_a_span_that_is_not_finite(grid1, t0, T):
+    bad = T if t0 == 0.0 else t0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^time must be finite, got {bad}$"):
+            Trajectory(grid1, t0, T, np.zeros((3, 64)))

@@ -193,6 +193,25 @@ def test_duhamel_in_place_matches_the_recurrence(sym2, rng):
     assert _duhamel_spectral(larr, dt, fhat.copy()).tobytes() == ghat.tobytes()
 
 
+@pytest.mark.parametrize("n, N", [(1, 64), (2, 16), (3, 16)])
+@pytest.mark.parametrize("nt", [16, 200])
+def test_duhamel_pass_transforms_like_the_per_frame_transform(n, N, nt, rng):
+    # the core transforms F block by block; Ĝ keeps the bits of a per-frame transform,
+    # whether the core overwrites a writeable stack or fills a buffer of its own
+    from mpnls.linear import _duhamel_spectral, _MultipointCore
+
+    grid = build_grid(n, N, 3.0)
+    sym = validate_symbol(np.eye(n))
+    core = _MultipointCore(sym, grid, MultipointSpec(0.0, 1.0), gaussian(grid), nt, 1e-8)
+    shape = (nt + 1,) + grid.shape
+    forcing = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    fhat = np.stack([forward_transform(Field(grid, f)).values for f in forcing])
+    expected = _duhamel_spectral(core.larr, 1.0 / nt, fhat)
+    assert np.array_equal(core.duhamel(forcing.copy()), expected)
+    forcing.flags.writeable = False
+    assert np.array_equal(core.duhamel(forcing), expected)
+
+
 # --- full linear solve ----------------------------------------------------------------
 
 

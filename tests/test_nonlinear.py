@@ -91,6 +91,16 @@ def test_power_block_matches_the_pointwise_formula(rng, lam, p):
     assert nonlinear._power_block(u, nl).tobytes() == expected.tobytes()
 
 
+@pytest.mark.parametrize("shape", [(201, 64), (201, 64, 64), (1, 16)])
+def test_power_block_equals_the_formula_frame_by_frame(rng, shape):
+    # blocks of 12 frames, of 4 frames of 64² (the 256 KiB bound), and a one-frame stack
+    nl = PowerNonlinearity(-1.0, 2.0)
+    u = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    out = nonlinear._power_block(u, nl)
+    for frame, f in zip(out, u):
+        assert np.array_equal(frame, nl.lam * np.abs(f) ** nl.p * f)
+
+
 def test_bad_power_rejected():
     with pytest.raises(BadPowerError):
         PowerNonlinearity(1.0, 0.0)

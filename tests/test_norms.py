@@ -217,6 +217,34 @@ def test_strichartz_is_the_max_of_its_mixed_norms(n, rng):
         assert strichartz_norm(traj, pairs) == max(mixed_norm(traj, p.q, p.r) for p in pairs)
 
 
+# blocks of 12 frames in 1-D; in 2-D the 256 KiB bound gives blocks of 4 frames of 64²
+BLOCKED = {1: (build_grid(1, 64, 2.0), [(INF, 2), (4, INF), (8, 4), (16, Fraction(8, 3))]),
+           2: (build_grid(2, 64, 2.0), [(INF, 2), (4, 4), (8, Fraction(8, 3)), (4, INF)])}
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("fill", ["random", 0.0, 1e200, 1e-200])
+def test_blocked_norms_equal_a_per_frame_recomputation(n, fill, rng):
+    # the frame pass works a block of frames at a time; every frame's L^r norm keeps the
+    # bits of lebesgue_norm, including the rescale after an overflow (1e200) or an
+    # underflow (1e-200) and the all-zero stack
+    from mpnls.norms import _time_norm
+
+    grid, pairs = BLOCKED[n]
+    shape = (201,) + grid.shape
+    vals = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape) if fill == "random"
+            else np.full(shape, fill, dtype=complex))
+    traj = Trajectory(grid, 0.0, 1.0, vals)
+
+    def per_frame(q, r):
+        frames = [lebesgue_norm(traj.frame(m), float(r)) for m in range(traj.nt + 1)]
+        return _time_norm(np.array(frames), float(q), traj.dt)
+
+    for q, r in pairs:
+        assert mixed_norm(traj, q, r) == per_frame(q, r)
+    assert strichartz_norm(traj, pairs) == max(0.0, *(per_frame(q, r) for q, r in pairs))
+
+
 def test_strichartz_rejections(grid1):
     traj = constant_traj(grid1, 1.0)
     with pytest.raises(EmptyPairSetError):
