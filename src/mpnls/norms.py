@@ -47,7 +47,9 @@ def _reciprocal(x) -> Fraction:
 
 def lebesgue_norm(field: Field, r: float) -> float:
     """(h·Σ|u|^r)^{1/r}; grid maximum of |u| for r = ∞."""
-    return _spatial_norm(np.abs(field.values), r, field.grid.h)
+    _check_lebesgue(r)
+    mag = np.abs(field.values)
+    return float(mag.max()) if r == INF else _power_root(mag, float(r), field.grid.h)
 
 
 def mixed_norm(traj: Trajectory, q: float, r: float) -> float:
@@ -63,14 +65,8 @@ def _check_lebesgue(r: float) -> None:
         raise BadExponentError(f"Lebesgue exponent must be >= 1, got {r}")
 
 
-def _spatial_norm(mag: np.ndarray, r: float, h: float) -> float:
-    """The L^r norm of a frame from its |u|."""
-    _check_lebesgue(r)
-    return float(mag.max()) if r == INF else _power_root(mag, float(r), h)
-
-
 def _frame_norms(traj: Trajectory, rs) -> dict:
-    """{r: the L_x^r norm of every frame} for each r of rs, as `_spatial_norm` gives it, from
+    """{r: the L_x^r norm of every frame} for each r of rs, as `lebesgue_norm` gives it, from
     one |u| per block of frames (`_frame_blocks`) and one sum of |u|^r per block and r."""
     for r in rs:
         _check_lebesgue(r)
