@@ -18,7 +18,9 @@ only forward transform of forcing frames (block by block, `grid._frame_blocks`),
 `_datum_spectrum` is the only transform of a datum, and `_propagate` is the only
 propagation pass (a spectral datum plus an optional Ĝ, inverse-transformed
 frame by frame) and checks each frame it writes for NaN and Inf; the passes
-leave an overflow to that check, without numpy warnings.  `MultipointSpec.times`
+leave an overflow to that check, without numpy warnings.  Every phase e^{-iτL(ξ)}
+comes from one evaluator, `_Phases`, which exponentiates each distinct value of
+L(ξ) once and gathers the result onto the lattice.  `MultipointSpec.times`
 builds the time axis, and `_check_on_axis` checks a trajectory against it.  A
 forcing stack the caller hands over writeable is reused as the one buffer of the
 pass: its frames are transformed to F̂, integrated to Ĝ and propagated in place.
@@ -120,16 +122,16 @@ def apply_propagator(sym: EllipticSymbol, grid: SpectralGrid, t: float, f: Field
     check_time(t)
     if f.grid != grid:
         raise GridMismatchError("field does not live on the given grid")
-    larr = symbol_lattice(sym, grid)
-    return Field._wrap(grid, _propagate(grid, larr, _datum_spectrum(f), [t])[0])
+    phases = _Phases(symbol_lattice(sym, grid))
+    return Field._wrap(grid, _propagate(grid, phases, _datum_spectrum(f), [t])[0])
 
 
 def multipoint_denominator(sym: EllipticSymbol, grid: SpectralGrid,
                            mp: MultipointSpec) -> DenominatorProfile:
-    larr = symbol_lattice(sym, grid)
+    phases = _Phases(symbol_lattice(sym, grid))
     d = np.ones(grid.shape, dtype=np.complex128)
-    for alpha, lam in mp.points:
-        d = d - alpha * np.exp(-1j * (lam - mp.t0) * larr)
+    for alpha, lam in mp.points:  # α times a lattice phase, as numpy rounds it (see _Phases)
+        d = d - alpha * phases(lam - mp.t0)
     d.flags.writeable = False
     return DenominatorProfile(d, float(np.min(np.abs(d))))
 
@@ -137,9 +139,41 @@ def multipoint_denominator(sym: EllipticSymbol, grid: SpectralGrid,
 # --- the multipoint core --------------------------------------------------------
 
 
+class _Phases:
+    """The one evaluator of e^{-iτL(ξ)}: the exponential of each distinct value of L(ξ),
+    gathered onto the lattice.
+
+    L(ξ) = Σ aᵢⱼξᵢξⱼ is even, and L(−ξ) = L(ξ) holds bit for bit wherever −ξ is on the
+    lattice (off the Nyquist lines): the frequency axes are exact negatives there, and
+    each term keeps its bits when both of its factors change sign.  So about half of the
+    lattice values are distinct, and a phase or a table of them is about half the size,
+    while every lattice point still gets the exponential of the same double.  Products
+    with a phase are taken on the lattice: numpy's complex product is not commutative to
+    the bit, and it swaps the operands of a temporary of 256 KiB or more to reuse it.
+    """
+
+    def __init__(self, larr: np.ndarray):
+        self.values, where = np.unique(larr, return_inverse=True)
+        self.where = where.reshape(larr.shape)
+
+    def table(self, times, t0: float) -> np.ndarray:
+        """e^{-i(tₘ-t0)L} for every tₘ and distinct L, row m for tₘ: for many passes on
+        one axis, about half a trajectory array."""
+        return np.exp(-1j * np.multiply.outer(times - t0, self.values))
+
+    def gather(self, compact: np.ndarray) -> np.ndarray:
+        """A new lattice array from one value per distinct L, such as a table row."""
+        return compact[self.where]
+
+    def __call__(self, tau: float) -> np.ndarray:
+        """e^{-iτL(ξ)} on the lattice."""
+        return self.gather(np.exp(-1j * tau * self.values))
+
+
 def _datum_spectrum(phi: Field, s: float = 0.0) -> np.ndarray:
-    """The spectrum of the datum |∇|^s φ, s = 0 by default.  An overflow is left to the
-    frame check of `_propagate`, without numpy warnings."""
+    """The spectrum of the datum |∇|^s φ, s = 0 by default.  An overflow of |∇|^s raises
+    NonFiniteError in `apply_riesz`; one of this transform is left to the frame check of
+    `_propagate`, without numpy warnings."""
     with np.errstate(over="ignore", invalid="ignore"):
         return forward_transform(apply_riesz(phi, s)).values
 
@@ -147,7 +181,7 @@ def _datum_spectrum(phi: Field, s: float = 0.0) -> np.ndarray:
 def _duhamel_spectral(larr: np.ndarray, dt: float, fhat: np.ndarray) -> np.ndarray:
     """Overwrites F̂ with Ĝ in place and returns it, keeping one rolling F̂ frame:
     Ĝ(tₘ) = e^{-iΔtL}Ĝ(tₘ₋₁) − (iΔt/2)(e^{-iΔtL}F̂ₘ₋₁ + F̂ₘ), Ĝ(t₀) = 0."""
-    step = np.exp(-1j * dt * larr)
+    step = _Phases(larr)(dt)
     half = -0.5j * dt
     prev = fhat[0].copy()
     term = np.empty_like(prev)
@@ -162,24 +196,20 @@ def _duhamel_spectral(larr: np.ndarray, dt: float, fhat: np.ndarray) -> np.ndarr
     return fhat
 
 
-def _phase_table(larr: np.ndarray, times, t0: float) -> np.ndarray:
-    """e^{-i(tₘ-t0)L(ξ)} for every tₘ: one trajectory array, for many passes on one axis."""
-    return np.exp(-1j * np.multiply.outer(times - t0, larr))
-
-
-def _propagate(grid: SpectralGrid, larr: np.ndarray, u_hat: np.ndarray, times,
+def _propagate(grid: SpectralGrid, phases: _Phases, u_hat: np.ndarray, times,
                t0: float = 0.0, ghat: np.ndarray | None = None,
-               phases: np.ndarray | None = None) -> np.ndarray:
+               table: np.ndarray | None = None) -> np.ndarray:
     """The propagation kernel: frames F⁻¹[e^{-i(tₘ-t0)L(ξ)}û + Ĝ(tₘ)] for each tₘ.
 
-    The phase is computed frame by frame unless a table `phases`, indexed like `times`, is
+    The phase is computed frame by frame unless a `phases.table`, indexed like `times`, is
     given.  With a Ĝ, frame m is written over Ĝ(tₘ) once it is read.  A frame written
     non-finite raises NonFiniteError.
     """
     frames = np.empty((len(times),) + grid.shape, dtype=np.complex128) if ghat is None else ghat
     with np.errstate(over="ignore", invalid="ignore"):  # the frame check judges an overflow
         for m, t in enumerate(times):
-            uhat = (np.exp(-1j * (t - t0) * larr) if phases is None else phases[m]) * u_hat
+            uhat = phases(t - t0) if table is None else phases.gather(table[m])
+            uhat *= u_hat
             if ghat is not None:
                 uhat += ghat[m]
             frames[m] = inverse_transform(Field._wrap(grid, uhat)).values
@@ -203,8 +233,8 @@ class _MultipointCore:
     """Per-solve context: checks once, then resolves û₀ and propagates it.
 
     Checks the datum and forcing grids and the time axis, and holds L(ξ),
-    D(ξ), the frame indices of the λₖ and φ̂.  phase_table=True precomputes
-    e^{-i(tₘ-t0)L(ξ)} for every frame, for a caller that propagates many times.
+    D(ξ), its phase evaluator, the frame indices of the λₖ and φ̂.  phase_table=True
+    precomputes e^{-i(tₘ-t0)L(ξ)} for every frame, for a caller that propagates many times.
     """
 
     def __init__(self, sym: EllipticSymbol, grid: SpectralGrid, mp: MultipointSpec, phi: Field,
@@ -220,6 +250,7 @@ class _MultipointCore:
         self.times = mp.times(nt)
         self.lam_idx = mp.frame_indices(nt)
         self.larr = symbol_lattice(sym, grid)
+        self.phases = _Phases(self.larr)
         self.denom = multipoint_denominator(sym, grid, mp)
         if self.denom.min_abs <= eps_res:
             raise ResonanceError(
@@ -227,7 +258,7 @@ class _MultipointCore:
                 min_abs=self.denom.min_abs, eps_res=eps_res,
             )
         self.phi_hat = _datum_spectrum(phi)
-        self.props = _phase_table(self.larr, self.times, mp.t0) if phase_table else None
+        self.table = self.phases.table(self.times, mp.t0) if phase_table else None
 
     def duhamel(self, forcing: np.ndarray) -> np.ndarray:
         """Ĝ on the time axis for a stack of physical forcing frames, transformed a block
@@ -251,8 +282,8 @@ class _MultipointCore:
     def frames(self, ghat: np.ndarray | None = None) -> np.ndarray:
         """u(tₘ) = U_L(tₘ-t0)u₀ + G(tₘ) on every frame of the time axis, written over
         Ĝ's buffer when there is one."""
-        return _propagate(self.grid, self.larr, self.datum(ghat), self.times, self.mp.t0,
-                          ghat, self.props)
+        return _propagate(self.grid, self.phases, self.datum(ghat), self.times, self.mp.t0,
+                          ghat, self.table)
 
     def wrap(self, frames: np.ndarray) -> Trajectory:
         """The read-only trajectory view of a stack of frames on this time axis."""
@@ -339,11 +370,11 @@ def verify_dispersive(sym: EllipticSymbol, grid: SpectralGrid, phi: Field,
     p_conj = 1.0 if p == math.inf else p / (p - 1.0)
     decay_rate = grid.n * (0.5 - (0.0 if p == math.inf else 1.0 / p))
     phi_dual = lebesgue_norm(phi, p_conj)
-    larr = symbol_lattice(sym, grid)
+    phases = _Phases(symbol_lattice(sym, grid))
     phi_hat = _datum_spectrum(phi)
     norms, quotients, fractions = [], [], []
     for t in ts:
-        u_t = Field._wrap(grid, _propagate(grid, larr, phi_hat, [t])[0])
+        u_t = Field._wrap(grid, _propagate(grid, phases, phi_hat, [t])[0])
         nrm = lebesgue_norm(u_t, p)
         norms.append(nrm)
         quotients.append(nrm / (t ** (-decay_rate) * phi_dual))
@@ -387,13 +418,13 @@ def verify_strichartz(sym: EllipticSymbol, grid: SpectralGrid, t0: float = 0.0,
     check_strichartz(grid, num_samples, band)
     times = MultipointSpec(t0, T).times(nt)
     pairs = tuple(canonical_pairs(grid.n))
-    larr = symbol_lattice(sym, grid)
-    phases = _phase_table(larr, times, t0)
+    phases = _Phases(symbol_lattice(sym, grid))
+    table = phases.table(times, t0)
     rng = np.random.default_rng(seed)
     ratios, data_norms = [], []
     for _ in range(num_samples):
         phi = random_band_limited(grid, band, rng)
-        frames = _propagate(grid, larr, _datum_spectrum(phi), times, t0, phases=phases)
+        frames = _propagate(grid, phases, _datum_spectrum(phi), times, t0, table=table)
         l2 = lebesgue_norm(phi, 2.0)
         ratios.append(strichartz_norm(Trajectory._wrap(grid, t0, T, frames), pairs) / l2)
         data_norms.append(l2)

@@ -34,7 +34,7 @@ import numpy as np
 from .errors import BadExponentError, NoConvergenceError, NonFiniteError
 from .grid import Field, SpectralGrid, Trajectory, _frame_blocks
 from .linear import (DEFAULT_EPS_RES, MultipointSpec, _check_on_axis, _datum_spectrum,
-                     _MultipointCore, _propagate, symbol_lattice)
+                     _MultipointCore, _Phases, _propagate, symbol_lattice)
 from .norms import (FrameObservables, apply_riesz, canonical_pairs, check_power, check_sobolev_order,
                     frame_observables, mixed_norm, strichartz_norm)
 from .symbol import EllipticSymbol
@@ -129,8 +129,8 @@ def smallness_indicator(sym: EllipticSymbol, grid: SpectralGrid, phi: Field, s: 
     check_regularity(s)
     if sigma is None:
         sigma, _ = metric_exponent(grid.n, nl.p)
-    larr = symbol_lattice(sym, grid)
-    frames = _propagate(grid, larr, _datum_spectrum(phi, s), MultipointSpec(t0, T).times(nt), t0)
+    phases = _Phases(symbol_lattice(sym, grid))
+    frames = _propagate(grid, phases, _datum_spectrum(phi, s), MultipointSpec(t0, T).times(nt), t0)
     return mixed_norm(Trajectory._wrap(grid, t0, T, frames), nl.p + 2.0, sigma)
 
 
@@ -191,6 +191,18 @@ def _relative_drift(values: tuple[float, ...]) -> float:
     return max(abs(v - ref) for v in values) / max(abs(ref), floor)
 
 
+def _inner(a: np.ndarray, b: np.ndarray) -> complex:
+    """The flat ℓ² product ⟨a, b⟩ = Σ conj(a)·b of two stacks, summed by numpy a block of
+    frames (`_frame_blocks`) at a time.  Not BLAS's vdot: its summation order, and so its
+    last bits, follow the BLAS thread count."""
+    total = 0j
+    for rows in _frame_blocks(a):
+        prod = np.conj(a[rows])
+        prod *= b[rows]
+        total += complex(prod.sum())
+    return total
+
+
 def _mix(f: np.ndarray, g: np.ndarray, history) -> np.ndarray:
     """Depth-1 Anderson mixing: x = f − γ(f − f_prev), γ = ⟨Δg, g⟩/⟨Δg, Δg⟩ in the flat
     ℓ² product, g = f − x the last residual.  Δf and Δg are formed in the history
@@ -200,11 +212,11 @@ def _mix(f: np.ndarray, g: np.ndarray, history) -> np.ndarray:
     df, dg = history
     np.subtract(g, dg, out=dg)
     np.subtract(f, df, out=df)
-    dg_dg = float(np.vdot(dg, dg).real)
+    dg_dg = _inner(dg, dg).real
     if not 0.0 < dg_dg < np.inf:
         np.copyto(df, f)
         return df
-    df *= complex(np.vdot(dg, g)) / dg_dg
+    df *= _inner(dg, g) / dg_dg
     return np.subtract(f, df, out=df)
 
 

@@ -123,28 +123,41 @@ def check_sobolev_order(s: float) -> None:
 
 
 def sobolev_norm(field: Field, s: float, homogeneous: bool = True, p: float = 2.0) -> float:
-    """Bessel/Riesz potential norm: multiplier ⟨ξ⟩^s, or |ξ|^s with 0 at ξ = 0."""
+    """Bessel/Riesz potential norm: multiplier ⟨ξ⟩^s, or |ξ|^s with 0 at ξ = 0.  A transform
+    that overflows raises NonFiniteError."""
     check_sobolev_order(s)
     if s == 0.0 and not homogeneous:
         return lebesgue_norm(field, p)
-    spec = forward_transform(field)
     xi2 = field.grid.radial_freq_sq()
     if homogeneous:
         mult = xi2 ** (s / 2.0)  # 0^0 = 1, so s = 0 is the identity
     else:
         mult = (1.0 + xi2) ** (s / 2.0)
-    filtered = inverse_transform(Field._wrap(field.grid, mult * spec.values))
-    return lebesgue_norm(filtered, p)
+    filtered = _multiply_spectrum(field, mult)
+    norm = lebesgue_norm(filtered, p)
+    if not math.isfinite(norm) and not np.isfinite(filtered.values).all():
+        raise NonFiniteError("Sobolev norm is not finite: the field's transform overflowed")
+    return norm
 
 
 def apply_riesz(field: Field, s: float) -> Field:
-    """|∇|^s f: homogeneous multiplier |ξ|^s in frequency space."""
+    """|∇|^s f: homogeneous multiplier |ξ|^s in frequency space.  A transform that
+    overflows raises NonFiniteError."""
     check_sobolev_order(s)
     if s == 0.0:
         return field
-    spec = forward_transform(field)
-    mult = field.grid.radial_freq_sq() ** (s / 2.0)
-    return inverse_transform(Field._wrap(field.grid, mult * spec.values))
+    out = _multiply_spectrum(field, field.grid.radial_freq_sq() ** (s / 2.0))
+    if not np.isfinite(out.values).all():
+        raise NonFiniteError(f"|grad|^{s} of the field is not finite: its transform overflowed")
+    return out
+
+
+def _multiply_spectrum(field: Field, mult: np.ndarray) -> Field:
+    """F⁻¹[mult·F f], transformed without numpy warnings.  Its samples are not finite when a
+    transform overflowed, which the caller judges."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        spec = forward_transform(field)
+        return inverse_transform(Field._wrap(field.grid, mult * spec.values))
 
 
 # --- admissibility and Strichartz --------------------------------------------
@@ -269,10 +282,11 @@ def energy(field: Field, sym, nl=None) -> float:
     part is asserted below 1e-10 of the energy scale, and the total finite.
     """
     g = field.grid
-    spec = forward_transform(field)
-    grads = [inverse_transform(Field._wrap(g, 1j * ax * spec.values)).values for ax in g.freq_mesh()]
     a = sym.a
     with np.errstate(over="ignore", invalid="ignore"):  # judged on the total below
+        spec = forward_transform(field)
+        grads = [inverse_transform(Field._wrap(g, 1j * ax * spec.values)).values
+                 for ax in g.freq_mesh()]
         quad = np.zeros(g.shape, dtype=np.complex128)
         for i in range(sym.n):
             for j in range(sym.n):

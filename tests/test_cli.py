@@ -1,12 +1,15 @@
 import json
 import math
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mpnls
 from mpnls import (ConfigSyntaxError, NonFiniteError, UnknownKeyError, ValidationError,
                    read_field_file)
 from mpnls.cli import (RunResult, _summary_json, config_to_dict, parse_config, run_command,
@@ -484,6 +487,32 @@ def test_nls_picard_divergence_is_not_blowup(tmp_path, capsys):
     if code == 4:
         assert "diverged" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
+
+
+def test_mixing_solve_reports_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # Anderson mixing sums its inner products in numpy, not in BLAS vdot, whose summation
+    # order follows the BLAS thread count
+    doc = make_config(
+        grid={"n": 1, "N": 128, "R": 10.0},
+        time={"t0": 0.0, "T": 1.0, "Nt": 100},
+        multipoint=[{"alpha_re": 0.3, "alpha_im": 0.0, "lambda": 0.5}],
+        initial={"kind": "gaussian", "amplitude": 1.0, "width": 1.0, "center": [0.0]},
+        nonlinearity={"lambda": -1.0, "p": 2.0},
+        tolerances={"max_iter": 100},
+        outputs={"report_path": "r"})
+    config = write_config(tmp_path, doc)
+    src = str(Path(mpnls.__file__).resolve().parents[1])
+    reports = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        out.mkdir()
+        env = dict(os.environ, PYTHONPATH=src, OMP_NUM_THREADS=threads,
+                   OPENBLAS_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        subprocess.run([sys.executable, "-m", "mpnls.cli", "solve-nls", "--config", config],
+                       cwd=out, env=env, check=True, capture_output=True, timeout=120)
+        reports.append([(out / name).read_bytes() for name in ("r.csv", "r.json")])
+    assert max(json.loads(reports[0][1])["contraction_ratios"]) > 0.5  # above MIX_GATE: it mixes
+    assert reports[0] == reports[1]
 
 
 def test_verify_dispersive_report_format(tmp_path):

@@ -386,6 +386,18 @@ def test_solver_peak_memory_in_trajectory_arrays():
     assert peak <= 5.4
 
 
+def test_solver_peak_memory_with_a_half_size_phase_table():
+    # the table holds one phase per distinct L(ξ), about half a trajectory array: plain
+    # Picard peaks under 2.9 arrays and mixing under 4.9 (a whole-lattice table reads 3.17
+    # and 5.18)
+    diags, peak = traced_solve(0.05, nt=100)
+    assert max(diags.contraction_ratios) <= MIX_GATE
+    assert peak <= 2.9
+    diags, peak = traced_solve(1.0, nt=100)
+    assert max(diags.contraction_ratios) > MIX_GATE
+    assert peak <= 4.9
+
+
 # --- integral residual ---------------------------------------------------------------
 
 

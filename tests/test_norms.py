@@ -12,6 +12,7 @@ from mpnls import (
     Field,
     InadmissiblePairError,
     NegativeSError,
+    NonFiniteError,
     PowerNonlinearity,
     Trajectory,
     build_grid,
@@ -28,7 +29,7 @@ from mpnls import (
     strichartz_norm,
     validate_symbol,
 )
-from mpnls.norms import frame_observables
+from mpnls.norms import apply_riesz, frame_observables
 
 INF = math.inf
 
@@ -108,6 +109,21 @@ def test_norms_of_huge_fields_do_not_overflow(grid1):
 
 
 # --- Sobolev --------------------------------------------------------------------
+
+
+def test_spectral_multipliers_whose_transform_overflows_raise_quietly():
+    # a finite 1.7e308 gaussian overflows in its forward transform; no numpy warning (an
+    # error in this suite) gets out, and no NaN: each names the overflow
+    grid = build_grid(1, 16, 4.0)
+    phi = sample_profile(grid, {"kind": "gaussian", "amplitude": 1.7e308, "width": 1.0,
+                                "center": [0.0]})
+    with pytest.raises(NonFiniteError, match="transform overflowed"):
+        apply_riesz(phi, 0.5)
+    for s, homogeneous in [(0.0, True), (0.5, True), (1.0, False)]:
+        with pytest.raises(NonFiniteError, match="transform overflowed"):
+            sobolev_norm(phi, s, homogeneous=homogeneous)
+    with pytest.raises(NonFiniteError, match="energy is not finite"):
+        energy(phi, validate_symbol([[1.0]]))
 
 
 def test_sobolev_s0_inhomogeneous_is_lebesgue(grid1, rng):
