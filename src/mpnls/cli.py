@@ -240,7 +240,8 @@ def parse_config(text: str, command: str | None = None) -> SolveConfig:
 
     The strict schema (keys, JSON types, required fields) and the rules no
     module owns are checked here; every other value rule by calling the module
-    function that owns it.  For `command` verify-strichartz the default band is checked too.
+    function that owns it.  For `command` verify-strichartz the default band is checked too,
+    and solve-nls requires a nonlinearity and refuses a forcing.
     """
     try:
         raw = json.loads(text)
@@ -307,6 +308,10 @@ def parse_config(text: str, command: str | None = None) -> SolveConfig:
     nl_cfg = None if nl_raw is None else _section(NonlinearityConfig, nl_raw, "nonlinearity")
     if nl_cfg is not None:
         _checked("nonlinearity.p", PowerNonlinearity, nl_cfg.lam, nl_cfg.p)
+    if command == "solve-nls" and nl_cfg is None:
+        raise ValidationError("missing required key 'nonlinearity': solve-nls needs one")
+    if command == "solve-nls" and forcing is not None:
+        raise ValidationError("key 'forcing' is not supported by solve-nls")
 
     regularity = _as_number(raw.get("regularity", 0.0), "regularity")
     _checked("regularity", check_sobolev_order, regularity)
@@ -380,14 +385,15 @@ def serialize_config(cfg: SolveConfig) -> str:
 # --- runtime assembly ----------------------------------------------------------
 
 
-def _build_runtime(cfg: SolveConfig):
+def _build_runtime(cfg: SolveConfig, datum: bool = True, forcing: bool = True):
+    """A config's objects; the datum and the forcing only if the runner reads them."""
     sym = validate_symbol([list(row) for row in cfg.symbol_a])
     grid = build_grid(cfg.grid.n, cfg.grid.N, cfg.grid.R)
     mp = MultipointSpec(cfg.time.t0, cfg.time.T,
                         tuple((complex(t.alpha_re, t.alpha_im), t.lam) for t in cfg.multipoint))
-    phi = sample_profile(grid, cfg.initial)
-    forcing = None
-    if cfg.forcing is not None:
+    phi = sample_profile(grid, cfg.initial) if datum else None
+    traj = None
+    if forcing and cfg.forcing is not None:
         base = sample_profile(grid, cfg.forcing["profile"])
         env = cfg.forcing["envelope"]
         times = mp.times(cfg.time.nt)
@@ -396,10 +402,10 @@ def _build_runtime(cfg: SolveConfig):
         else:
             g = np.exp(-1j * env["omega"] * times)
         vals = g[(...,) + (None,) * grid.n] * base.values[None, ...]
-        forcing = Trajectory(grid, cfg.time.t0, cfg.time.T, vals)
+        traj = Trajectory(grid, cfg.time.t0, cfg.time.T, vals)
     nl = None if cfg.nonlinearity is None else PowerNonlinearity(cfg.nonlinearity.lam,
                                                                  cfg.nonlinearity.p)
-    return sym, grid, mp, phi, forcing, nl
+    return sym, grid, mp, phi, traj, nl
 
 
 # --- report emission -----------------------------------------------------------
@@ -518,24 +524,18 @@ def _load_config(path: str, command: str) -> SolveConfig:
 
 def _run_solve_linear(cfg: SolveConfig) -> RunResult:
     sym, grid, mp, phi, forcing, nl = _build_runtime(cfg)
-    denom = multipoint_denominator(sym, grid, mp)
     traj = solve_linear_multipoint(sym, grid, mp, phi, forcing, cfg.time.nt,
                                    eps_res=cfg.tolerances.eps_res)
     return RunResult(
         kind="solve-linear", traj=traj,
         observables=frame_observables(traj, sym, nl, cfg.regularity),
         mp_residual=multipoint_residual(traj, mp, phi),
-        min_abs_denominator=denom.min_abs,
+        min_abs_denominator=multipoint_denominator(sym, grid, mp).min_abs,
     )
 
 
 def _run_solve_nls(cfg: SolveConfig) -> RunResult:
-    sym, grid, mp, phi, forcing, nl = _build_runtime(cfg)
-    if nl is None:
-        raise ValidationError("solve-nls requires a nonlinearity section")
-    if forcing is not None:
-        raise ValidationError("solve-nls does not support external forcing")
-    denom = multipoint_denominator(sym, grid, mp)
+    sym, grid, mp, phi, _, nl = _build_runtime(cfg)  # parse refused a forcing
     traj, diags = solve_nls_multipoint(sym, grid, mp, phi, nl, s=cfg.regularity,
                                        nt=cfg.time.nt, tol_fp=cfg.tolerances.tol_fp,
                                        max_iter=cfg.tolerances.max_iter,
@@ -546,12 +546,13 @@ def _run_solve_nls(cfg: SolveConfig) -> RunResult:
     return RunResult(
         kind="solve-nls", traj=traj, observables=diags.observables,
         mp_residual=multipoint_residual(traj, mp, phi),
-        min_abs_denominator=denom.min_abs, diagnostics=diags, warnings=warnings,
+        min_abs_denominator=multipoint_denominator(sym, grid, mp).min_abs,
+        diagnostics=diags, warnings=warnings,
     )
 
 
 def _run_verify_dispersive(cfg: SolveConfig) -> RunResult:
-    sym, grid, _, phi, _, _ = _build_runtime(cfg)
+    sym, grid, _, phi, _, _ = _build_runtime(cfg, forcing=False)
     disp = cfg.dispersive or DispersiveConfig()
     rep = verify_dispersive(sym, grid, phi, disp.times, disp.p)
     warnings = ()
@@ -562,7 +563,7 @@ def _run_verify_dispersive(cfg: SolveConfig) -> RunResult:
 
 
 def _run_verify_strichartz(cfg: SolveConfig) -> RunResult:
-    sym, grid, _, _, _, _ = _build_runtime(cfg)
+    sym, grid, _, _, _, _ = _build_runtime(cfg, datum=False, forcing=False)
     st = cfg.strichartz or StrichartzConfig()
     rep = verify_strichartz(sym, grid, t0=cfg.time.t0, T=cfg.time.T, nt=cfg.time.nt,
                             num_samples=st.num_samples, seed=st.seed, band=st.band)

@@ -13,17 +13,18 @@ the incremental trapezoidal recurrence, second order in Δt and linear in the
 number of frames.
 
 Every solver and verifier, here and in the nonlinear module, runs on one
-private multipoint core: `_MultipointCore` makes the only datum solve and the
-only forward transform of forcing frames (block by block, `grid._frame_blocks`),
-`_datum_spectrum` is the only transform of a datum, and `_propagate` is the only
-propagation pass (a spectral datum plus an optional Ĝ, inverse-transformed
-frame by frame) and checks each frame it writes for NaN and Inf; the passes
-leave an overflow to that check, without numpy warnings.  Every phase e^{-iτL(ξ)}
-comes from one evaluator, `_Phases`, which exponentiates each distinct value of
-L(ξ) once and gathers the result onto the lattice.  `MultipointSpec.times`
+private multipoint core.  `_MultipointCore`, the spectral context of a solve,
+builds L(ξ), its phases, the Duhamel step e^{-iΔtL} and D(ξ) once, makes the
+only datum solve and the only forward transform of forcing frames (block by
+block, `grid._frame_blocks`), and runs every pass on its time axis, η included,
+through `propagate`.  `_datum_spectrum` is the only transform of a datum, and
+`_propagate` the only propagation pass; it checks each frame it writes for NaN
+and Inf, and the passes leave an overflow to that check, without numpy warnings.
+Every phase e^{-iτL(ξ)} comes from `_Phases`, which exponentiates each distinct
+value of L(ξ) once and gathers the result onto the lattice.  `MultipointSpec.times`
 builds the time axis, and `_check_on_axis` checks a trajectory against it.  A
-forcing stack the caller hands over writeable is reused as the one buffer of the
-pass: its frames are transformed to F̂, integrated to Ĝ and propagated in place.
+writeable forcing stack is the one buffer of its pass: transformed to F̂,
+integrated to Ĝ and propagated in place.
 """
 
 from __future__ import annotations
@@ -128,12 +129,7 @@ def apply_propagator(sym: EllipticSymbol, grid: SpectralGrid, t: float, f: Field
 
 def multipoint_denominator(sym: EllipticSymbol, grid: SpectralGrid,
                            mp: MultipointSpec) -> DenominatorProfile:
-    phases = _Phases(symbol_lattice(sym, grid))
-    d = np.ones(grid.shape, dtype=np.complex128)
-    for alpha, lam in mp.points:  # α times a lattice phase, as numpy rounds it (see _Phases)
-        d = d - alpha * phases(lam - mp.t0)
-    d.flags.writeable = False
-    return DenominatorProfile(d, float(np.min(np.abs(d))))
+    return _denominator(_Phases(symbol_lattice(sym, grid)), mp)
 
 
 # --- the multipoint core --------------------------------------------------------
@@ -170,6 +166,15 @@ class _Phases:
         return self.gather(np.exp(-1j * tau * self.values))
 
 
+def _denominator(phases: _Phases, mp: MultipointSpec) -> DenominatorProfile:
+    """D(ξ) from the phases of one L(ξ): the one build of it."""
+    d = np.ones(phases.where.shape, dtype=np.complex128)
+    for alpha, lam in mp.points:  # α times a lattice phase, as numpy rounds it (see _Phases)
+        d = d - alpha * phases(lam - mp.t0)
+    d.flags.writeable = False
+    return DenominatorProfile(d, float(np.min(np.abs(d))))
+
+
 def _datum_spectrum(phi: Field, s: float = 0.0) -> np.ndarray:
     """The spectrum of the datum |∇|^s φ, s = 0 by default.  An overflow of |∇|^s raises
     NonFiniteError in `apply_riesz`; one of this transform is left to the frame check of
@@ -178,10 +183,9 @@ def _datum_spectrum(phi: Field, s: float = 0.0) -> np.ndarray:
         return forward_transform(apply_riesz(phi, s)).values
 
 
-def _duhamel_spectral(larr: np.ndarray, dt: float, fhat: np.ndarray) -> np.ndarray:
-    """Overwrites F̂ with Ĝ in place and returns it, keeping one rolling F̂ frame:
-    Ĝ(tₘ) = e^{-iΔtL}Ĝ(tₘ₋₁) − (iΔt/2)(e^{-iΔtL}F̂ₘ₋₁ + F̂ₘ), Ĝ(t₀) = 0."""
-    step = _Phases(larr)(dt)
+def _duhamel_spectral(step: np.ndarray, dt: float, fhat: np.ndarray) -> np.ndarray:
+    """Overwrites F̂ with Ĝ in place and returns it, keeping one rolling F̂ frame: for the
+    step S = e^{-iΔtL}, Ĝ(tₘ) = S·Ĝ(tₘ₋₁) − (iΔt/2)(S·F̂ₘ₋₁ + F̂ₘ), Ĝ(t₀) = 0."""
     half = -0.5j * dt
     prev = fhat[0].copy()
     term = np.empty_like(prev)
@@ -230,10 +234,10 @@ def _check_on_axis(traj: Trajectory, grid: SpectralGrid, mp: MultipointSpec, nt:
 
 
 class _MultipointCore:
-    """Per-solve context: checks once, then resolves û₀ and propagates it.
+    """The spectral context of a solve: checks once, then resolves û₀ and propagates it.
 
-    Checks the datum and forcing grids and the time axis, and holds L(ξ),
-    D(ξ), its phase evaluator, the frame indices of the λₖ and φ̂.  phase_table=True
+    Checks the datum and forcing grids and the time axis, and builds once the phases of L(ξ),
+    the Duhamel step e^{-iΔtL}, D(ξ), the frame indices of the λₖ and φ̂.  phase_table=True
     precomputes e^{-i(tₘ-t0)L(ξ)} for every frame, for a caller that propagates many times.
     """
 
@@ -249,14 +253,15 @@ class _MultipointCore:
         self.nt = nt
         self.times = mp.times(nt)
         self.lam_idx = mp.frame_indices(nt)
-        self.larr = symbol_lattice(sym, grid)
-        self.phases = _Phases(self.larr)
-        self.denom = multipoint_denominator(sym, grid, mp)
+        self.phases = _Phases(symbol_lattice(sym, grid))
+        self.denom = _denominator(self.phases, mp)
         if self.denom.min_abs <= eps_res:
             raise ResonanceError(
                 f"multipoint denominator min |D(xi)| = {self.denom.min_abs:.6e} <= eps_res = {eps_res:.1e}",
                 min_abs=self.denom.min_abs, eps_res=eps_res,
             )
+        self.dt = (mp.T - mp.t0) / nt
+        self.step = self.phases(self.dt)
         self.phi_hat = _datum_spectrum(phi)
         self.table = self.phases.table(self.times, mp.t0) if phase_table else None
 
@@ -268,22 +273,23 @@ class _MultipointCore:
         with np.errstate(over="ignore", invalid="ignore"):  # _propagate judges an overflow
             for block in _frame_blocks(forcing):
                 _forward_frames(self.grid, forcing[block], out=fhat[block])
-            return _duhamel_spectral(self.larr, (self.mp.T - self.mp.t0) / self.nt, fhat)
+            return _duhamel_spectral(self.step, self.dt, fhat)
 
-    def datum(self, ghat: np.ndarray | None = None) -> np.ndarray:
-        """û₀ = [φ̂ + Σₖ αₖ Ĝ(λₖ)] / D(ξ)."""
+    def propagate(self, u_hat: np.ndarray, ghat: np.ndarray | None = None) -> np.ndarray:
+        """Frames F⁻¹[e^{-i(tₘ-t0)L}û + Ĝ(tₘ)] of a spectral datum û on the time axis, by the
+        phase table if there is one, and over Ĝ's buffer if there is one."""
+        return _propagate(self.grid, self.phases, u_hat, self.times, self.mp.t0, ghat, self.table)
+
+    def frames(self, ghat: np.ndarray | None = None) -> np.ndarray:
+        """u(tₘ) = U_L(tₘ-t0)u₀ + G(tₘ): the propagation of the datum solve
+        û₀ = [φ̂ + Σₖ αₖ Ĝ(λₖ)] / D(ξ)."""
         rhs = self.phi_hat
         with np.errstate(over="ignore", invalid="ignore"):  # _propagate judges an overflow
             if ghat is not None:
                 for (alpha, _), idx in zip(self.mp.points, self.lam_idx):
                     rhs = rhs + alpha * ghat[idx]
-            return rhs / self.denom.values
-
-    def frames(self, ghat: np.ndarray | None = None) -> np.ndarray:
-        """u(tₘ) = U_L(tₘ-t0)u₀ + G(tₘ) on every frame of the time axis, written over
-        Ĝ's buffer when there is one."""
-        return _propagate(self.grid, self.phases, self.datum(ghat), self.times, self.mp.t0,
-                          ghat, self.table)
+            u0_hat = rhs / self.denom.values
+        return self.propagate(u0_hat, ghat)
 
     def wrap(self, frames: np.ndarray) -> Trajectory:
         """The read-only trajectory view of a stack of frames on this time axis."""

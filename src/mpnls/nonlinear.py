@@ -10,13 +10,14 @@ r = 2n(p+2)/(2(n-2)+np), clamped to 2 (and flagged) when the formula leaves
 the regime where contraction is expected; the solver reports η and the
 measured contraction ratios rather than asserting a threshold.
 
-Every propagation goes through the multipoint core of the linear module:
-each Φ application is one `_MultipointCore` datum solve and one `_propagate`
-pass, and the indicator η is one `_propagate` pass of |∇|^s φ on the axis of
-`MultipointSpec.times`.  One Φ application allocates one trajectory-sized
-buffer: -F(u) is built in it, then transformed, integrated and propagated in
-place.  Φ is finite or raises NonFiniteError: `_power_block` checks F(u) and
-`_propagate` each frame.  An iterate from outside is checked by `_check_on_axis`.
+Every propagation goes through `_MultipointCore`, the one spectral context of a
+solve: each Φ application is one datum solve and one pass of its `propagate`, and
+η one more pass, of |∇|^s φ, on the solve's phase table; a standalone
+`smallness_indicator` builds a core of its own, whose datum is |∇|^s φ.  One Φ
+application allocates one trajectory-sized buffer: -F(u) is built in it, then
+transformed, integrated and propagated in place.  Φ is finite or raises
+NonFiniteError: `_power_block` checks F(u) and `_propagate` each frame.  An
+iterate from outside is checked by `_check_on_axis`.
 
 The iteration is plain Picard until the first contraction ratio above
 MIX_GATE, then depth-1 Anderson mixing (Walker & Ni 2011), which keeps two
@@ -34,7 +35,7 @@ import numpy as np
 from .errors import BadExponentError, NoConvergenceError, NonFiniteError
 from .grid import Field, SpectralGrid, Trajectory, _frame_blocks
 from .linear import (DEFAULT_EPS_RES, MultipointSpec, _check_on_axis, _datum_spectrum,
-                     _MultipointCore, _Phases, _propagate, symbol_lattice)
+                     _MultipointCore)
 from .norms import (FrameObservables, apply_riesz, canonical_pairs, check_power, check_sobolev_order,
                     frame_observables, mixed_norm, strichartz_norm)
 from .symbol import EllipticSymbol
@@ -129,9 +130,9 @@ def smallness_indicator(sym: EllipticSymbol, grid: SpectralGrid, phi: Field, s: 
     check_regularity(s)
     if sigma is None:
         sigma, _ = metric_exponent(grid.n, nl.p)
-    phases = _Phases(symbol_lattice(sym, grid))
-    frames = _propagate(grid, phases, _datum_spectrum(phi, s), MultipointSpec(t0, T).times(nt), t0)
-    return mixed_norm(Trajectory._wrap(grid, t0, T, frames), nl.p + 2.0, sigma)
+    core = _MultipointCore(sym, grid, MultipointSpec(t0, T), apply_riesz(phi, s), nt,
+                           DEFAULT_EPS_RES)  # so its φ̂ is the spectrum of |∇|^s φ
+    return mixed_norm(core.wrap(core.propagate(core.phi_hat)), nl.p + 2.0, sigma)
 
 
 # --- the solution map ----------------------------------------------------------
@@ -278,7 +279,7 @@ def solve_nls_multipoint(sym: EllipticSymbol, grid: SpectralGrid, mp: Multipoint
     ratios = tuple(d_history[j + 1] / d_history[j]
                    for j in range(len(d_history) - 1) if d_history[j] > 0.0)
 
-    eta = smallness_indicator(sym, grid, phi, s, nl, mp.T, sigma=r_metric, t0=mp.t0, nt=nt)
+    eta = mixed_norm(core.wrap(core.propagate(_datum_spectrum(phi, s))), q_metric, r_metric)
     if failure is not None:
         raise NoConvergenceError(
             f"{failure} (last distance {d_history[-1]:.3e}, eta={eta:.3e})",
@@ -289,10 +290,8 @@ def solve_nls_multipoint(sym: EllipticSymbol, grid: SpectralGrid, mp: Multipoint
     current = core.wrap(values)
 
     observables = frame_observables(current, sym, nl, s)
-    grad_traj = current if s == 0.0 else Trajectory._wrap(  # apply_riesz is the identity at s = 0
-        grid, mp.t0, mp.T,
-        np.stack([apply_riesz(current.frame(m), s).values for m in range(nt + 1)]),
-    )
+    grad_traj = current if s == 0.0 else core.wrap(  # apply_riesz is the identity at s = 0
+        np.stack([apply_riesz(current.frame(m), s).values for m in range(nt + 1)]))
     diags = PicardDiagnostics(
         iterations=len(d_history),
         d_history=tuple(d_history),

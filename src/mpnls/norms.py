@@ -122,19 +122,12 @@ def check_sobolev_order(s: float) -> None:
         raise BadExponentError(f"regularity s must be <= 2, got {s}")
 
 
-def sobolev_norm(field: Field, s: float, homogeneous: bool = True, p: float = 2.0) -> float:
-    """Bessel/Riesz potential norm: multiplier ⟨ξ⟩^s, or |ξ|^s with 0 at ξ = 0.  A transform
-    that overflows raises NonFiniteError."""
+def sobolev_norm(field: Field, s: float) -> float:
+    """The Ḣ^s norm ‖|∇|^s f‖_{L²} by the multiplier |ξ|^s, through both transforms even at
+    s = 0 (0^0 = 1).  A transform that overflows raises NonFiniteError."""
     check_sobolev_order(s)
-    if s == 0.0 and not homogeneous:
-        return lebesgue_norm(field, p)
-    xi2 = field.grid.radial_freq_sq()
-    if homogeneous:
-        mult = xi2 ** (s / 2.0)  # 0^0 = 1, so s = 0 is the identity
-    else:
-        mult = (1.0 + xi2) ** (s / 2.0)
-    filtered = _multiply_spectrum(field, mult)
-    norm = lebesgue_norm(filtered, p)
+    filtered = _multiply_spectrum(field, field.grid.radial_freq_sq() ** (s / 2.0))
+    norm = lebesgue_norm(filtered, 2.0)
     if not math.isfinite(norm) and not np.isfinite(filtered.values).all():
         raise NonFiniteError("Sobolev norm is not finite: the field's transform overflowed")
     return norm
@@ -316,6 +309,6 @@ def frame_observables(traj: Trajectory, sym, nl, s: float) -> FrameObservables:
     """Mass, energy (nl as for `energy`), L², L^∞ and Ḣ^s norm of every frame: the
     only place these are computed, read by the Picard drifts and the solve CSV."""
     rows = [(mass(f), energy(f, sym, nl), lebesgue_norm(f, 2.0), lebesgue_norm(f, INF),
-             sobolev_norm(f, s, homogeneous=True, p=2.0))
+             sobolev_norm(f, s))
             for f in (traj.frame(m) for m in range(traj.nt + 1))]
     return FrameObservables(*zip(*rows))

@@ -239,6 +239,22 @@ def test_verify_strichartz_checks_its_default_band_at_parse(tmp_path, capsys):
     assert run_command(["solve-linear", "--config", write_config(tmp_path, doc)]) == 0
 
 
+def test_parse_holds_the_solve_nls_rules(tmp_path, capsys):
+    # solve-nls needs a nonlinearity and takes no forcing; parse refuses either by its key
+    forcing = {"profile": {"kind": "gaussian", "amplitude": 0.1, "width": 1.0, "center": [0.0]}}
+    for key, doc in (("nonlinearity", make_config()),
+                     ("forcing", make_config(nonlinearity={"lambda": -1.0, "p": 2.0},
+                                             forcing=forcing))):
+        doc["outputs"] = {"report_path": str(tmp_path / "nls")}
+        text = json.dumps(doc)
+        parse_config(text, "solve-linear")
+        with pytest.raises(ValidationError, match=f"'{key}'"):
+            parse_config(text, "solve-nls")
+        assert run_command(["solve-nls", "--config", write_config(tmp_path, doc)]) == 2
+        assert f"'{key}'" in capsys.readouterr().err
+        assert not (tmp_path / "nls.csv").exists()
+
+
 # --- command dispatch ---------------------------------------------------------------
 
 
@@ -552,6 +568,30 @@ def test_verify_strichartz_report(tmp_path):
     lines = (tmp_path / "st.csv").read_text().splitlines()
     assert lines[0] == "sample,data_l2,ratio"
     assert len(lines) == 5
+
+
+def test_verifiers_build_only_what_they_read(tmp_path, monkeypatch):
+    # verify-strichartz samples no datum, so a from_file initial it never reads does not fail
+    # it; verify-dispersive samples its datum but builds no forcing
+    from mpnls import cli
+
+    doc = make_config(initial={"kind": "from_file", "path": str(tmp_path / "missing.fld")},
+                      time={"t0": 0.0, "T": 1.0, "Nt": 16},
+                      strichartz={"num_samples": 2, "seed": 1, "band": 6},
+                      outputs={"report_path": str(tmp_path / "st")})
+    assert run_command(["verify-strichartz", "--config", write_config(tmp_path, doc)]) == 0
+    assert run_command(["solve-linear", "--config", write_config(tmp_path, doc)]) == 1
+    sampled, sample = [], cli.sample_profile
+
+    def recorded(grid, spec):
+        sampled.append(spec)
+        return sample(grid, spec)
+
+    monkeypatch.setattr(cli, "sample_profile", recorded)
+    doc = make_config(forcing={"profile": {"kind": "plane_wave", "amplitude": 0.1, "mode": [1]}},
+                      outputs={"report_path": str(tmp_path / "disp")})
+    assert run_command(["verify-dispersive", "--config", write_config(tmp_path, doc)]) == 0
+    assert sampled == [doc["initial"]]
 
 
 def test_classify_stdout(capsys):

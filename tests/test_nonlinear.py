@@ -151,6 +151,42 @@ def test_smallness_checks_its_time_axis(setup, t0, T, nt, rule):
         smallness_indicator(sym, grid, phi, 0.0, NL, T, t0=t0, nt=nt)
 
 
+@pytest.mark.parametrize("s", [0.0, 0.5])
+def test_solver_eta_is_the_smallness_indicator(setup, s):
+    # the solver's η reads the solve's phase table and the library's goes frame by frame,
+    # both one pass of the core's propagation, with the same bits
+    sym, grid, phi = setup
+    mp = MultipointSpec(0.25, 1.25, ((0.3, 0.75),))
+    _, diags = solve_nls_multipoint(sym, grid, mp, phi, NL, s=s, nt=40)
+    assert diags.eta == smallness_indicator(sym, grid, phi, s, NL, mp.T, sigma=diags.r_metric,
+                                            t0=mp.t0, nt=40)
+
+
+def test_a_solve_builds_its_spectral_context_once(setup, monkeypatch):
+    # one L(ξ), one phase evaluator and one D(ξ) per solve: every Φ, its Duhamel step and
+    # η read the core's
+    import sys
+
+    from mpnls import linear
+
+    calls = {"symbol_lattice": 0, "_Phases": 0, "_denominator": 0}
+    for name in calls:
+        original = getattr(linear, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for modname, mod in list(sys.modules.items()):
+            if modname.split(".")[0] == "mpnls" and vars(mod).get(name) is original:
+                monkeypatch.setattr(mod, name, counted)
+    sym, grid, phi = setup
+    _, diags = solve_nls_multipoint(sym, grid, MultipointSpec(0.0, 1.0, ((0.3, 0.5),)), phi,
+                                    NL, s=0.5, nt=40)
+    assert diags.iterations >= 2
+    assert calls == {"symbol_lattice": 1, "_Phases": 1, "_denominator": 1}
+
+
 # --- Picard iteration -------------------------------------------------------------------
 
 

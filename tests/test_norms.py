@@ -119,30 +119,23 @@ def test_spectral_multipliers_whose_transform_overflows_raise_quietly():
                                 "center": [0.0]})
     with pytest.raises(NonFiniteError, match="transform overflowed"):
         apply_riesz(phi, 0.5)
-    for s, homogeneous in [(0.0, True), (0.5, True), (1.0, False)]:
+    for s in (0.0, 0.5):
         with pytest.raises(NonFiniteError, match="transform overflowed"):
-            sobolev_norm(phi, s, homogeneous=homogeneous)
+            sobolev_norm(phi, s)
     with pytest.raises(NonFiniteError, match="energy is not finite"):
         energy(phi, validate_symbol([[1.0]]))
-
-
-def test_sobolev_s0_inhomogeneous_is_lebesgue(grid1, rng):
-    f = Field(grid1, rng.standard_normal(64) + 1j * rng.standard_normal(64))
-    for p in (2.0, 4.0):
-        assert sobolev_norm(f, 0.0, homogeneous=False, p=p) == pytest.approx(
-            lebesgue_norm(f, p), rel=1e-12)
 
 
 def test_sobolev_plane_wave_homogeneous(grid1):
     pw = sample_profile(grid1, {"kind": "plane_wave", "amplitude": 1.0, "mode": [2]})
     s = 0.7
     expected = 2.0**s * np.sqrt(2.0 * np.pi)  # |k|^s sqrt(2R), k = 2
-    assert sobolev_norm(pw, s, homogeneous=True, p=2.0) == pytest.approx(expected, rel=1e-12)
+    assert sobolev_norm(pw, s) == pytest.approx(expected, rel=1e-12)
 
 
 def test_sobolev_constant_annihilated(grid1):
     f = Field(grid1, np.full(64, 2.3))
-    assert sobolev_norm(f, 1.0, homogeneous=True, p=2.0) < 1e-12
+    assert sobolev_norm(f, 1.0) < 1e-12
 
 
 def test_sobolev_rejections(grid1):
@@ -151,8 +144,6 @@ def test_sobolev_rejections(grid1):
         sobolev_norm(f, -0.1)
     with pytest.raises(BadExponentError):
         sobolev_norm(f, 2.5)
-    with pytest.raises(BadExponentError):
-        sobolev_norm(f, 1.0, p=0.5)
 
 
 # --- admissibility ---------------------------------------------------------------
@@ -355,5 +346,5 @@ def test_frame_observables_columns_are_the_norms(grid1, sym1, rng):
     assert obs.energy == tuple(energy(f, sym1, nl) for f in frames)
     assert obs.l2 == tuple(lebesgue_norm(f, 2.0) for f in frames)
     assert obs.linf == tuple(lebesgue_norm(f, INF) for f in frames)
-    assert obs.sobolev_s == tuple(sobolev_norm(f, 0.5, homogeneous=True, p=2.0) for f in frames)
+    assert obs.sobolev_s == tuple(sobolev_norm(f, 0.5) for f in frames)
     assert frame_observables(traj, sym1, None, 0.5).energy == tuple(energy(f, sym1) for f in frames)
