@@ -42,13 +42,12 @@ from .grid import (
     write_field_file,
 )
 from .linear import (
-    DenominatorProfile,
     DispersiveReport,
     MultipointSpec,
     StrichartzReport,
     apply_propagator,
     boundary_mass_fraction,
-    multipoint_denominator,
+    min_abs_denominator,
     multipoint_residual,
     solve_linear_multipoint,
     symbol_lattice,

@@ -41,8 +41,9 @@ from .linear import (
     DEFAULT_STRICHARTZ_SEED,
     MultipointSpec,
     check_dispersive,
+    check_eps_res,
     check_strichartz,
-    multipoint_denominator,
+    min_abs_denominator,
     multipoint_residual,
     solve_linear_multipoint,
     verify_dispersive,
@@ -319,8 +320,7 @@ def parse_config(text: str, command: str | None = None) -> SolveConfig:
         _checked("regularity", check_regularity, regularity)
 
     tol = _section(ToleranceConfig, raw.get("tolerances", {}), "tolerances")
-    if not (tol.eps_res > 0.0):
-        raise ValidationError(f"tolerances.eps_res must be positive, got {tol.eps_res}")
+    _checked("tolerances", check_eps_res, tol.eps_res)
     _checked("tolerances", check_picard_tolerances, tol.tol_fp, tol.max_iter)
 
     out_raw = _object(raw.get("outputs", {}), "outputs")
@@ -530,7 +530,7 @@ def _run_solve_linear(cfg: SolveConfig) -> RunResult:
         kind="solve-linear", traj=traj,
         observables=frame_observables(traj, sym, nl, cfg.regularity),
         mp_residual=multipoint_residual(traj, mp, phi),
-        min_abs_denominator=multipoint_denominator(sym, grid, mp).min_abs,
+        min_abs_denominator=min_abs_denominator(sym, grid, mp),
     )
 
 
@@ -546,7 +546,7 @@ def _run_solve_nls(cfg: SolveConfig) -> RunResult:
     return RunResult(
         kind="solve-nls", traj=traj, observables=diags.observables,
         mp_residual=multipoint_residual(traj, mp, phi),
-        min_abs_denominator=multipoint_denominator(sym, grid, mp).min_abs,
+        min_abs_denominator=min_abs_denominator(sym, grid, mp),
         diagnostics=diags, warnings=warnings,
     )
 

@@ -8,9 +8,10 @@ the multipoint condition becomes an algebraic equation for the datum û₀:
 
 after which the whole trajectory is a single propagation pass.  Modes where
 D(ξ) nearly vanishes make the problem ill-posed (resonance); the solver
-refuses to divide when min|D| drops below eps_res.  The Duhamel integral uses
-the incremental trapezoidal recurrence, second order in Δt and linear in the
-number of frames.
+refuses to divide when min|D| ≤ eps_res, which `check_eps_res` holds positive.
+`_denominator` is the one build of D(ξ) and min|D|, and `min_abs_denominator`
+its one public reader.  The Duhamel integral uses the incremental trapezoidal
+recurrence, second order in Δt and linear in the number of frames.
 
 Every solver and verifier, here and in the nonlinear module, runs on one
 private multipoint core.  `_MultipointCore`, the spectral context of a solve,
@@ -97,14 +98,6 @@ class MultipointSpec:
         return idxs
 
 
-@dataclass(frozen=True)
-class DenominatorProfile:
-    """D(ξ) = 1 − Σ αₖ e^{-i(λₖ-t0)L(ξ)} on the lattice and its minimum modulus."""
-
-    values: np.ndarray
-    min_abs: float
-
-
 def symbol_lattice(sym: EllipticSymbol, grid: SpectralGrid) -> np.ndarray:
     """L(ξ) evaluated on the full frequency lattice."""
     if sym.n != grid.n:
@@ -127,9 +120,15 @@ def apply_propagator(sym: EllipticSymbol, grid: SpectralGrid, t: float, f: Field
     return Field._wrap(grid, _propagate(grid, phases, _datum_spectrum(f), [t])[0])
 
 
-def multipoint_denominator(sym: EllipticSymbol, grid: SpectralGrid,
-                           mp: MultipointSpec) -> DenominatorProfile:
-    return _denominator(_Phases(symbol_lattice(sym, grid)), mp)
+def min_abs_denominator(sym: EllipticSymbol, grid: SpectralGrid, mp: MultipointSpec) -> float:
+    """min|D(ξ)| over the lattice, the number a solve compares with eps_res."""
+    return _denominator(_Phases(symbol_lattice(sym, grid)), mp)[1]
+
+
+def check_eps_res(eps_res: float) -> None:
+    """The resonance threshold eps_res is positive: min|D| ≤ eps_res refuses the solve."""
+    if not (eps_res > 0.0):
+        raise ValueError(f"eps_res must be positive, got {eps_res}")
 
 
 # --- the multipoint core --------------------------------------------------------
@@ -166,13 +165,14 @@ class _Phases:
         return self.gather(np.exp(-1j * tau * self.values))
 
 
-def _denominator(phases: _Phases, mp: MultipointSpec) -> DenominatorProfile:
-    """D(ξ) from the phases of one L(ξ): the one build of it."""
+def _denominator(phases: _Phases, mp: MultipointSpec) -> tuple[np.ndarray, float]:
+    """D(ξ) = 1 − Σ αₖ e^{-i(λₖ-t0)L(ξ)} from the phases of one L(ξ), read-only, and its
+    minimum modulus: the one build of both."""
     d = np.ones(phases.where.shape, dtype=np.complex128)
     for alpha, lam in mp.points:  # α times a lattice phase, as numpy rounds it (see _Phases)
         d = d - alpha * phases(lam - mp.t0)
     d.flags.writeable = False
-    return DenominatorProfile(d, float(np.min(np.abs(d))))
+    return d, float(np.min(np.abs(d)))
 
 
 def _datum_spectrum(phi: Field, s: float = 0.0) -> np.ndarray:
@@ -236,14 +236,16 @@ def _check_on_axis(traj: Trajectory, grid: SpectralGrid, mp: MultipointSpec, nt:
 class _MultipointCore:
     """The spectral context of a solve: checks once, then resolves û₀ and propagates it.
 
-    Checks the datum and forcing grids and the time axis, and builds once the phases of L(ξ),
-    the Duhamel step e^{-iΔtL}, D(ξ), the frame indices of the λₖ and φ̂.  phase_table=True
-    precomputes e^{-i(tₘ-t0)L(ξ)} for every frame, for a caller that propagates many times.
+    Checks eps_res, the datum and forcing grids and the time axis, and builds once the phases
+    of L(ξ), the Duhamel step e^{-iΔtL}, D(ξ), the frame indices of the λₖ and φ̂; it refuses
+    a D(ξ) with min|D| ≤ eps_res.  phase_table=True precomputes e^{-i(tₘ-t0)L(ξ)} for every
+    frame, for a caller that propagates many times.
     """
 
     def __init__(self, sym: EllipticSymbol, grid: SpectralGrid, mp: MultipointSpec, phi: Field,
                  nt: int, eps_res: float, forcing: Trajectory | None = None,
                  phase_table: bool = False):
+        check_eps_res(eps_res)
         if phi.grid != grid:
             raise GridMismatchError("datum does not live on the solver grid")
         if forcing is not None:
@@ -254,11 +256,11 @@ class _MultipointCore:
         self.times = mp.times(nt)
         self.lam_idx = mp.frame_indices(nt)
         self.phases = _Phases(symbol_lattice(sym, grid))
-        self.denom = _denominator(self.phases, mp)
-        if self.denom.min_abs <= eps_res:
+        self.denom, min_abs = _denominator(self.phases, mp)
+        if min_abs <= eps_res:
             raise ResonanceError(
-                f"multipoint denominator min |D(xi)| = {self.denom.min_abs:.6e} <= eps_res = {eps_res:.1e}",
-                min_abs=self.denom.min_abs, eps_res=eps_res,
+                f"multipoint denominator min |D(xi)| = {min_abs:.6e} <= eps_res = {eps_res:.1e}",
+                min_abs=min_abs, eps_res=eps_res,
             )
         self.dt = (mp.T - mp.t0) / nt
         self.step = self.phases(self.dt)
@@ -288,7 +290,7 @@ class _MultipointCore:
             if ghat is not None:
                 for (alpha, _), idx in zip(self.mp.points, self.lam_idx):
                     rhs = rhs + alpha * ghat[idx]
-            u0_hat = rhs / self.denom.values
+            u0_hat = rhs / self.denom
         return self.propagate(u0_hat, ghat)
 
     def wrap(self, frames: np.ndarray) -> Trajectory:
@@ -376,6 +378,9 @@ def verify_dispersive(sym: EllipticSymbol, grid: SpectralGrid, phi: Field,
     p_conj = 1.0 if p == math.inf else p / (p - 1.0)
     decay_rate = grid.n * (0.5 - (0.0 if p == math.inf else 1.0 / p))
     phi_dual = lebesgue_norm(phi, p_conj)
+    if phi_dual == 0.0:
+        raise NonFiniteError(f"datum norm ||phi||_p' is 0 (p' = {p_conj}), so the dispersive "
+                             "quotients are undefined")
     phases = _Phases(symbol_lattice(sym, grid))
     phi_hat = _datum_spectrum(phi)
     norms, quotients, fractions = [], [], []

@@ -197,26 +197,12 @@ def make_pair(n: int, q, r) -> AdmissiblePair:
 def canonical_pairs(n: int) -> list[AdmissiblePair]:
     """Finite stand-in for the supremum over all admissible pairs.
 
-    (∞,2) plus the sharp pairs with q ∈ {2 (only for n > 2 with finite r),
-    4, 6, 8, ∞}, deduplicated.  Fixed so repeated runs are comparable.
+    (∞,2) plus the sharp pairs (q, 2nq/(nq−4)), r = ∞ when nq = 4, for q ∈ {2 (only for
+    n > 2), 4, 6, 8}.  Fixed so repeated runs are comparable.
     """
-    pairs: list[AdmissiblePair] = [make_pair(n, INF, 2)]
-    q_list = [4, 6, 8]
-    if n > 2:
-        q_list.insert(0, 2)
-    for q in q_list:
-        denom = n * q - 4
-        if denom == 0:
-            r = INF
-        else:
-            r = Fraction(2 * n * q, denom)
-            if r < 2:
-                continue
-        if n > 2 or q > 2 or r != INF:
-            cand = make_pair(n, q, r)
-            if cand.sharp and cand not in pairs:
-                pairs.append(cand)
-    return pairs
+    qs = ([2] if n > 2 else []) + [4, 6, 8]
+    return [make_pair(n, INF, 2)] + [
+        make_pair(n, q, INF if n * q == 4 else Fraction(2 * n * q, n * q - 4)) for q in qs]
 
 
 def strichartz_norm(traj: Trajectory, pairs) -> float:

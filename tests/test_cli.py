@@ -483,6 +483,18 @@ def test_dispersive_datum_whose_transform_overflows_exits_5_quietly(tmp_path, ca
     assert not list(tmp_path.glob("disp*"))
 
 
+def test_dispersive_zero_datum_exits_5_naming_its_norm(tmp_path, capsys):
+    # ‖φ‖_{p'} = 0 leaves every quotient ‖U_L(t)φ‖_p / (t^{-n(1/2-1/p)}‖φ‖_{p'}) undefined
+    doc = make_config(grid={"n": 1, "N": 8, "R": 1.0}, time={"t0": 0.0, "T": 1.0, "Nt": 1},
+                      initial={"kind": "plane_wave", "amplitude": 0.0, "mode": [0]},
+                      outputs={"report_path": str(tmp_path / "disp")})
+    assert run_command(["verify-dispersive", "--config", write_config(tmp_path, doc)]) == 5
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: datum norm ||phi||_p' is 0"), err
+    assert "quotients are undefined" in err[0]
+    assert not list(tmp_path.glob("disp*"))
+
+
 def test_non_finite_summary_value_raises_naming_its_key():
     cfg = parse_config(json.dumps(MINIMAL), "solve-linear")
     result = RunResult("solve-linear", min_abs_denominator=math.nan)

@@ -3,9 +3,9 @@
 Configs are drawn from the schema with small grids and tiny amplitudes; some
 draws break a value rule (an off-grid or out-of-range λ, a regularity above
 the nonlinear bound, a nonpositive width), which parse must reject.  A config
-is parsed once for each solve command; each one whose parse accepts it runs to
-an exit code other than 2, and an accepted config survives serialize → parse
-unchanged.
+is parsed once for each of the four config commands; each one whose parse
+accepts it runs to an exit code other than 2, and an accepted config survives
+serialize → parse unchanged.
 """
 
 import contextlib
@@ -90,7 +90,7 @@ def test_parsed_config_runs(doc):
         config_path = os.path.join(tmp, "cfg.json")
         with open(config_path, "w", encoding="utf-8") as fh:
             json.dump(doc, fh)
-        for command in ("solve-linear", "solve-nls"):
+        for command in ("solve-linear", "solve-nls", "verify-dispersive", "verify-strichartz"):
             try:
                 parse_config(json.dumps(doc), command)
             except ConfigError:

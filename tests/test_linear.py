@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from mpnls import (
     LambdaOffGridError,
     MultipointSpec,
     NonpositiveTimeError,
+    PowerNonlinearity,
     ResonanceError,
     Trajectory,
     apply_propagator,
@@ -19,11 +21,12 @@ from mpnls import (
     forward_transform,
     lebesgue_norm,
     mass,
-    multipoint_denominator,
+    min_abs_denominator,
     multipoint_residual,
     random_band_limited,
     sample_profile,
     solve_linear_multipoint,
+    solve_nls_multipoint,
     strichartz_norm,
     symbol_lattice,
     validate_symbol,
@@ -77,10 +80,19 @@ def test_propagator_group_law(grid1, sym1, sym2, rng):
 # --- denominator ------------------------------------------------------------------
 
 
+def denominator(sym, grid, mp):
+    """(D(ξ), min|D|) from the one private builder, on the phases of L(ξ)."""
+    from mpnls.linear import _denominator, _Phases
+
+    return _denominator(_Phases(symbol_lattice(sym, grid)), mp)
+
+
 def test_denominator_empty_sum(grid1, sym1):
-    prof = multipoint_denominator(sym1, grid1, MultipointSpec(0.0, 1.0, ()))
-    assert np.all(prof.values == 1.0)
-    assert prof.min_abs == 1.0
+    mp = MultipointSpec(0.0, 1.0, ())
+    values, min_abs = denominator(sym1, grid1, mp)
+    assert np.all(values == 1.0) and not values.flags.writeable
+    assert min_abs == 1.0
+    assert min_abs_denominator(sym1, grid1, mp) == 1.0
 
 
 def test_denominator_triangle_bound(grid1, sym1, rng):
@@ -90,17 +102,16 @@ def test_denominator_triangle_bound(grid1, sym1, rng):
         a2 = 0.2 * np.exp(1j * rng.uniform(0, 2 * np.pi))
         lams = sorted(rng.uniform(0.1, 1.0, 2))
         mp = MultipointSpec(0.0, 1.0, ((a1, lams[0]), (a2, lams[1])))
-        prof = multipoint_denominator(sym1, grid1, mp)
-        assert prof.min_abs >= 0.5 - 1e-12
+        assert min_abs_denominator(sym1, grid1, mp) >= 0.5 - 1e-12
 
 
 def test_denominator_vanishes_at_resonant_mode(grid1, sym1):
     # alpha=1 and lambda*L(xi*) = 2*pi at the lattice mode xi*=1
     mp = MultipointSpec(0.0, 2 * np.pi, ((1.0, 2 * np.pi),))
-    prof = multipoint_denominator(sym1, grid1, mp)
+    values, _ = denominator(sym1, grid1, mp)
     i_star = np.where(grid1.freq_axes[0] == 1.0)[0][0]
-    assert abs(prof.values[i_star]) < 1e-12
-    assert prof.min_abs < 1e-12
+    assert abs(values[i_star]) < 1e-12
+    assert min_abs_denominator(sym1, grid1, mp) < 1e-12
 
 
 # --- initial datum -----------------------------------------------------------------
@@ -126,6 +137,28 @@ def test_initial_data_resonance_refused(grid1, sym1):
         solve_linear_multipoint(sym1, grid1, mp, gaussian(grid1), nt=10)
     assert err.value.min_abs < 1e-12
     assert err.value.eps_res == 1e-8
+
+
+@pytest.mark.parametrize("eps_res", [0.0, -1.0])
+@pytest.mark.parametrize("solver", ["linear", "nls"])
+def test_a_nonpositive_eps_res_is_refused_before_the_build(grid1, sym1, monkeypatch, solver,
+                                                          eps_res):
+    # α = 1 at λ = T makes D(0) = 0: the solve names eps_res before it builds L(ξ), rather
+    # than refusing as resonance or dividing by zero with a numpy warning
+    from mpnls import linear
+
+    def no_build(*args):
+        raise AssertionError("L(xi) was built before eps_res was checked")
+
+    monkeypatch.setattr(linear, "symbol_lattice", no_build)
+    mp = MultipointSpec(0.0, 1.0, ((1.0, 1.0),))
+    with warnings.catch_warnings(), pytest.raises(ValueError, match="eps_res must be positive"):
+        warnings.simplefilter("error")
+        if solver == "linear":
+            solve_linear_multipoint(sym1, grid1, mp, gaussian(grid1), nt=10, eps_res=eps_res)
+        else:
+            solve_nls_multipoint(sym1, grid1, mp, gaussian(grid1), PowerNonlinearity(-1.0, 2.0),
+                                 nt=10, eps_res=eps_res)
 
 
 # --- Duhamel -------------------------------------------------------------------------
@@ -463,8 +496,9 @@ def test_phase_evaluator_keeps_the_bits_of_the_lattice_formulas(n, N, rng):
     d = np.ones(grid.shape, dtype=np.complex128)
     for alpha, lam in mp.points:
         d = d - alpha * np.exp(-1j * (lam - mp.t0) * larr)
-    denom = multipoint_denominator(sym, grid, mp)
-    assert np.array_equal(denom.values, d) and denom.min_abs == float(np.min(np.abs(d)))
+    values, min_abs = denominator(sym, grid, mp)
+    assert np.array_equal(values, d) and min_abs == float(np.min(np.abs(d)))
+    assert min_abs_denominator(sym, grid, mp) == min_abs
     shape = (nt + 1,) + grid.shape
     fhat = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     dt = 0.125
@@ -494,7 +528,7 @@ def test_phase_table_of_the_2d_workloads_has_one_column_per_distinct_symbol_valu
     d = np.ones(grid.shape, dtype=np.complex128)
     for alpha, lam in mp.points:
         d = d - alpha * np.exp(-1j * (lam - mp.t0) * larr)
-    assert np.array_equal(multipoint_denominator(sym, grid, mp).values, d)
+    assert np.array_equal(denominator(sym, grid, mp)[0], d)
 
 
 def test_symbol_lattice_matches_pointwise(sym2):

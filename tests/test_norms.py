@@ -183,6 +183,19 @@ def test_canonical_pairs_by_dimension():
                                           (Fraction(6), Fraction(3)),
                                           (Fraction(8), Fraction(8, 3))}
     assert (Fraction(2), Fraction(6)) in as_set(canonical_pairs(3))
+    # from n = 3 on, q = 2 gives the endpoint (2, 2n/(n−2))
+    assert as_set(canonical_pairs(4)) == {(INF, Fraction(2)), (Fraction(2), Fraction(4)),
+                                          (Fraction(4), Fraction(8, 3)),
+                                          (Fraction(6), Fraction(12, 5)),
+                                          (Fraction(8), Fraction(16, 7))}
+    assert as_set(canonical_pairs(5)) == {(INF, Fraction(2)), (Fraction(2), Fraction(10, 3)),
+                                          (Fraction(4), Fraction(5, 2)),
+                                          (Fraction(6), Fraction(30, 13)),
+                                          (Fraction(8), Fraction(20, 9))}
+    assert as_set(canonical_pairs(6)) == {(INF, Fraction(2)), (Fraction(2), Fraction(3)),
+                                          (Fraction(4), Fraction(12, 5)),
+                                          (Fraction(6), Fraction(9, 4)),
+                                          (Fraction(8), Fraction(24, 11))}
     assert all(p.sharp or p.q == INF for p in canonical_pairs(2))
 
 

@@ -1,4 +1,5 @@
-"""Each rule of the time axis and of finiteness, and each phase, has one home in `src/mpnls`.
+"""Each rule of the time axis, of finiteness and of resonance, and each phase, has one home
+in `src/mpnls`.
 
 The axis t0 + k·(T−t0)/nt is built only by `MultipointSpec.times`, which checks
 nt ≥ 1, and by `Trajectory.times`, whose nt and span were checked when the
@@ -6,6 +7,8 @@ trajectory was made.  Neither transform scans its input for NaN or Inf: a
 Field's samples are finite by construction, and `linear._propagate` checks
 every frame it writes.  Every phase e^{-iτL(ξ)} of the solvers comes from
 `linear._Phases`, the one place that reduces L(ξ) to its distinct values.
+D(ξ) and min|D| are built only by `linear._denominator`, and only the
+multipoint core refuses a resonant solve.
 These tests read the source, so a copy cannot regrow.
 """
 
@@ -15,9 +18,9 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src" / "mpnls"
 
 
-def numpy_uses(attr: str) -> list[str]:
-    """'module:definition' of every use of np.<attr> in src, by its innermost enclosing
-    function or class, dotted from the module level."""
+def sites(hit) -> list[str]:
+    """'module:definition' of every node of src for which hit(node) holds, by its innermost
+    enclosing function or class, dotted from the module level."""
     found = []
 
     def visit(node, owner, module):
@@ -25,14 +28,30 @@ def numpy_uses(attr: str) -> list[str]:
             name = owner
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 name = f"{owner}.{child.name}" if owner else child.name
-            if (isinstance(child, ast.Attribute) and child.attr == attr
-                    and isinstance(child.value, ast.Name) and child.value.id in ("np", "numpy")):
+            if hit(child):
                 found.append(f"{module}:{owner}")
             visit(child, name, module)
 
     for path in sorted(SRC.glob("*.py")):
         visit(ast.parse(path.read_text(encoding="utf-8")), "", path.stem)
     return sorted(found)
+
+
+def numpy_uses(attr: str) -> list[str]:
+    """The sites of every use of np.<attr> in src."""
+    return sites(lambda node: isinstance(node, ast.Attribute) and node.attr == attr
+                 and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy"))
+
+
+def raises(error: str) -> list[str]:
+    """The sites of every `raise error(...)` in src."""
+    def hit(node):
+        if not isinstance(node, ast.Raise):
+            return False
+        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        return isinstance(exc, ast.Name) and exc.id == error
+
+    return sites(hit)
 
 
 def test_the_time_axis_is_built_in_one_place_per_type():
@@ -48,3 +67,16 @@ def test_every_phase_comes_from_the_one_evaluator():
     assert numpy_uses("unique") == ["linear:_Phases.__init__"]
     exps = [use for use in numpy_uses("exp") if use.split(":")[0] in ("linear", "nonlinear")]
     assert exps and all(use.startswith("linear:_Phases.") for use in exps)
+
+
+def test_resonance_is_judged_in_one_place():
+    # D(ξ) and min|D| have one builder, and the core alone compares min|D| with eps_res
+    assert numpy_uses("min") == ["linear:_denominator"]
+    assert raises("ResonanceError") == ["linear:_MultipointCore.__init__"]
+
+    def compares_eps_res(node):
+        return isinstance(node, ast.Compare) and any(
+            getattr(sub, "id", getattr(sub, "attr", None)) == "eps_res" for sub in ast.walk(node))
+
+    # eps_res is compared by its own check, which the CLI calls, and by the core's refusal
+    assert sites(compares_eps_res) == ["linear:_MultipointCore.__init__", "linear:check_eps_res"]
