@@ -10,15 +10,14 @@ Exit codes: 0 success, 2 config error, 3 resonance, 4 no convergence,
 5 non-finite values encountered, 1 I/O failure.
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import math
 import sys
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass, replace
 from fractions import Fraction
 from pathlib import Path
+from typing import NewType, get_args, get_origin
 
 import numpy as np
 
@@ -74,6 +73,13 @@ SUMMARY_KEYS = (
 
 # --- configuration schema ------------------------------------------------------
 
+Exponent = NewType("Exponent", float)  # a Lebesgue exponent: a number, or "inf" in JSON
+
+
+@dataclass(frozen=True)
+class SymbolConfig:
+    a: tuple[tuple[float, ...], ...]
+
 
 @dataclass(frozen=True)
 class GridConfig:
@@ -97,6 +103,23 @@ class MultipointTerm:
 
 
 @dataclass(frozen=True)
+class ConstantEnvelope:
+    kind: str = "constant"
+
+
+@dataclass(frozen=True, kw_only=True)
+class HarmonicEnvelope:
+    kind: str = "harmonic"
+    omega: float
+
+
+@dataclass(frozen=True)
+class ForcingConfig:
+    profile: dict
+    envelope: ConstantEnvelope | HarmonicEnvelope = ConstantEnvelope()
+
+
+@dataclass(frozen=True)
 class NonlinearityConfig:
     lam: float
     p: float
@@ -113,13 +136,13 @@ class ToleranceConfig:
 class OutputConfig:
     report_path: str = "report"
     fields_path: str | None = None
-    snapshot_frames: tuple = ()
+    snapshot_frames: tuple[int, ...] = None  # absent: (0, Nt), which parse_config fills in
 
 
 @dataclass(frozen=True)
 class DispersiveConfig:
-    times: tuple = tuple(float(t) for t in np.geomspace(2.0, 20.0, 8))
-    p: float = math.inf
+    times: tuple[float, ...] = tuple(float(t) for t in np.geomspace(2.0, 20.0, 8))
+    p: Exponent = math.inf
 
 
 @dataclass(frozen=True)
@@ -129,20 +152,20 @@ class StrichartzConfig:
     band: int = DEFAULT_STRICHARTZ_BAND
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class SolveConfig:
-    symbol_a: tuple
+    symbol: SymbolConfig
     grid: GridConfig
     time: TimeConfig
-    multipoint: tuple
+    multipoint: tuple[MultipointTerm, ...] = ()
     initial: dict
-    forcing: dict | None
-    nonlinearity: NonlinearityConfig | None
-    regularity: float
-    tolerances: ToleranceConfig
-    outputs: OutputConfig
-    dispersive: DispersiveConfig | None
-    strichartz: StrichartzConfig | None
+    forcing: ForcingConfig | None = None
+    nonlinearity: NonlinearityConfig | None = None
+    regularity: float = 0.0
+    tolerances: ToleranceConfig = ToleranceConfig()
+    outputs: OutputConfig = OutputConfig()
+    dispersive: DispersiveConfig | None = None
+    strichartz: StrichartzConfig | None = None
 
 
 _JSON_KEYS = {"lam": "lambda", "nt": "Nt"}  # the JSON keys that differ from their field names
@@ -189,6 +212,12 @@ def _as_int(v, where: str) -> int:
     return v
 
 
+def _as_str(v, where: str) -> str:
+    if not isinstance(v, str):
+        raise ValidationError(f"{where} must be a string, got {v!r}")
+    return v
+
+
 def _as_exponent(v, where: str) -> float:
     if isinstance(v, str):
         if v.strip().lower() in ("inf", "infinity"):
@@ -197,15 +226,40 @@ def _as_exponent(v, where: str) -> float:
     return _as_number(v, where)
 
 
-_COERCE = {"float": _as_number, "int": _as_int}  # by a field's annotation, a string when postponed
+_SCALARS = {float: _as_number, int: _as_int, str: _as_str, Exponent: _as_exponent}
+
+
+def _read(tp, v, path: str):
+    """A JSON value read as the field type tp: a scalar, a profile dict (left to
+    _validate_profile), X | None, tuple[X, ...] from a list, a dataclass, or a union of
+    dataclasses chosen by the value's "kind" among their `kind` defaults."""
+    if tp in _SCALARS:
+        return _SCALARS[tp](v, path)
+    if tp is dict:
+        return v
+    if is_dataclass(tp):
+        return _section(tp, v, path)
+    args = get_args(tp)
+    if get_origin(tp) is tuple:
+        if not isinstance(v, list):
+            raise ValidationError(f"{path} must be a list, got {v!r}")
+        return tuple(_read(args[0], x, f"{path}[{i}]") for i, x in enumerate(v))
+    if type(None) in args:
+        return None if v is None else _read(args[0], v, path)
+    tags = {cls.kind: cls for cls in args}
+    kind = _object(v, path).get("kind")
+    if not isinstance(kind, str) or kind not in tags:
+        raise ValidationError(f"{path}.kind must be one of {sorted(tags)}, got {kind!r}")
+    return _section(tags[kind], v, path)
 
 
 def _section(cls, raw, path: str):
-    """Read a numeric config section off its dataclass: an object keyed by the fields' JSON
-    keys, where a field with no default is required and a value is coerced by its field's type."""
+    """Read a config section off its dataclass: an object keyed by the fields' JSON keys,
+    where a field with no default is required and each value is read by its field's type."""
     spec = {_JSON_KEYS.get(f.name, f.name): f for f in fields(cls)}
-    _check_keys(_object(raw, path), spec, path + ".")
-    return cls(**{f.name: _COERCE[f.type](_need(raw, key, path + "."), f"{path}.{key}")
+    prefix = path + "." if path else ""
+    _check_keys(_object(raw, path), spec, prefix)
+    return cls(**{f.name: _read(f.type, _need(raw, key, prefix), prefix + key)
                   for key, f in spec.items() if key in raw or f.default is MISSING})
 
 
@@ -223,8 +277,7 @@ def _validate_profile(spec, grid, path: str) -> dict:
         raise ValidationError(f"{path}.kind must be one of {sorted(_PROFILE_KEYS)}, got {kind!r}")
     _check_keys(spec, _PROFILE_KEYS[kind], path + ".")
     if kind == "from_file":
-        if not isinstance(_need(spec, "path", path + "."), str):
-            raise ValidationError(f"{path}.path must be a string")
+        _as_str(_need(spec, "path", path + "."), f"{path}.path")
         return dict(spec)
     if kind == "plane_wave":
         _need(spec, "mode", path + ".")
@@ -239,10 +292,11 @@ def _validate_profile(spec, grid, path: str) -> dict:
 def parse_config(text: str, command: str | None = None) -> SolveConfig:
     """Parse and validate a JSON config, so that a config that parses runs.
 
-    The strict schema (keys, JSON types, required fields) and the rules no
-    module owns are checked here; every other value rule by calling the module
-    function that owns it.  For `command` verify-strichartz the default band is checked too,
-    and solve-nls requires a nonlinearity and refuses a forcing.
+    The schema is read off SolveConfig's dataclasses, a profile's by _validate_profile.
+    Here are the rules that span sections or that no module owns; every other value rule
+    is checked by calling the module function that owns it.  For `command`
+    verify-strichartz the default band is checked too, and solve-nls requires a
+    nonlinearity and refuses a forcing.
     """
     try:
         raw = json.loads(text)
@@ -250,119 +304,63 @@ def parse_config(text: str, command: str | None = None) -> SolveConfig:
         raise ConfigSyntaxError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigSyntaxError("config root must be a JSON object")
-    _check_keys(raw, {"symbol", "grid", "time", "multipoint", "initial", "forcing",
-                      "nonlinearity", "regularity", "tolerances", "outputs",
-                      "dispersive", "strichartz"}, "")
+    cfg = _section(SolveConfig, raw, "")
 
-    sym_raw = _object(_need(raw, "symbol", ""), "symbol")
-    _check_keys(sym_raw, {"a"}, "symbol.")
-    a = _need(sym_raw, "a", "symbol.")
-    if not isinstance(a, list) or not all(isinstance(row, list) for row in a):
-        raise ValidationError("symbol.a must be a matrix (list of rows)")
-    sym = _checked("symbol.a", validate_symbol,
-                   [[_as_number(v, "symbol.a entry") for v in row] for row in a])
-    symbol_a = tuple(tuple(float(v) for v in row) for row in sym.a)
-
-    gc = _section(GridConfig, _need(raw, "grid", ""), "grid")
+    sym = _checked("symbol.a", validate_symbol, cfg.symbol.a)
+    gc, tc = cfg.grid, cfg.time
     if sym.n != gc.n:
         raise ValidationError(f"symbol dimension {sym.n} does not match grid.n = {gc.n}")
     grid = _checked("grid", build_grid, gc.n, gc.N, gc.R)
-
-    tc = _section(TimeConfig, _need(raw, "time", ""), "time")
     _checked("time", lambda: MultipointSpec(tc.t0, tc.T).times(tc.nt))
-
-    items = raw.get("multipoint", [])
-    if not isinstance(items, list):
-        raise ValidationError("multipoint must be a list")
-    terms = []
-    for i, item in enumerate(items):
-        path = f"multipoint[{i}]"
-        term = _section(MultipointTerm, item, path)
+    for i, term in enumerate(cfg.multipoint):
         # a one-term spec checks λ ∈ (t0, T]; its frame index, that λ is a grid time
-        _checked(path + ".lambda",
+        _checked(f"multipoint[{i}].lambda",
                  lambda: MultipointSpec(tc.t0, tc.T, ((0.0, term.lam),)).frame_indices(tc.nt))
-        terms.append(term)
     # and one spec of all the terms, that the λ are distinct
-    _checked("multipoint", MultipointSpec, tc.t0, tc.T, tuple((0.0, t.lam) for t in terms))
+    _checked("multipoint", MultipointSpec, tc.t0, tc.T, tuple((0.0, t.lam) for t in cfg.multipoint))
 
-    initial = _validate_profile(_need(raw, "initial", ""), grid, "initial")
-
-    forcing = raw.get("forcing")
+    initial = _validate_profile(cfg.initial, grid, "initial")
+    forcing = cfg.forcing
     if forcing is not None:
-        _check_keys(_object(forcing, "forcing"), {"profile", "envelope"}, "forcing.")
-        prof = _validate_profile(_need(forcing, "profile", "forcing."), grid, "forcing.profile")
-        env = _object(forcing.get("envelope", {"kind": "constant"}), "forcing.envelope")
-        kind = env.get("kind")
-        if kind == "constant":
-            _check_keys(env, {"kind"}, "forcing.envelope.")
-            env_out = {"kind": "constant"}
-        elif kind == "harmonic":
-            _check_keys(env, {"kind", "omega"}, "forcing.envelope.")
-            env_out = {"kind": "harmonic",
-                       "omega": _as_number(_need(env, "omega", "forcing.envelope."),
-                                           "forcing.envelope.omega")}
-        else:
-            raise ValidationError("forcing.envelope.kind must be 'constant' or 'harmonic'")
-        forcing = {"profile": prof, "envelope": env_out}
+        profile = _validate_profile(forcing.profile, grid, "forcing.profile")
+        forcing = replace(forcing, profile=profile)
 
-    nl_raw = raw.get("nonlinearity")
-    nl_cfg = None if nl_raw is None else _section(NonlinearityConfig, nl_raw, "nonlinearity")
-    if nl_cfg is not None:
-        _checked("nonlinearity.p", PowerNonlinearity, nl_cfg.lam, nl_cfg.p)
-    if command == "solve-nls" and nl_cfg is None:
+    nl = cfg.nonlinearity
+    if nl is not None:
+        _checked("nonlinearity.p", PowerNonlinearity, nl.lam, nl.p)
+    if command == "solve-nls" and nl is None:
         raise ValidationError("missing required key 'nonlinearity': solve-nls needs one")
     if command == "solve-nls" and forcing is not None:
         raise ValidationError("key 'forcing' is not supported by solve-nls")
 
-    regularity = _as_number(raw.get("regularity", 0.0), "regularity")
-    _checked("regularity", check_sobolev_order, regularity)
-    if nl_cfg is not None:
-        _checked("regularity", check_regularity, regularity)
+    _checked("regularity", check_sobolev_order, cfg.regularity)
+    if nl is not None:
+        _checked("regularity", check_regularity, cfg.regularity)
 
-    tol = _section(ToleranceConfig, raw.get("tolerances", {}), "tolerances")
-    _checked("tolerances", check_eps_res, tol.eps_res)
-    _checked("tolerances", check_picard_tolerances, tol.tol_fp, tol.max_iter)
+    _checked("tolerances", check_eps_res, cfg.tolerances.eps_res)
+    _checked("tolerances", check_picard_tolerances, cfg.tolerances.tol_fp, cfg.tolerances.max_iter)
 
-    out_raw = _object(raw.get("outputs", {}), "outputs")
-    _check_keys(out_raw, {"report_path", "fields_path", "snapshot_frames"}, "outputs.")
-    frames = out_raw.get("snapshot_frames", [0, tc.nt])
-    if not isinstance(frames, list):
-        raise ValidationError("outputs.snapshot_frames must be a list of frame indices")
-    frames = tuple(_as_int(f, "outputs.snapshot_frames entry") for f in frames)
+    out = cfg.outputs
+    if not Path(out.report_path).name:  # write_report names its files after the last component
+        raise ValidationError(f"outputs.report_path must name a file, got {out.report_path!r}")
+    frames = (0, tc.nt) if out.snapshot_frames is None else out.snapshot_frames
     for f in frames:
         if f < 0 or f > tc.nt:
             raise ValidationError(f"outputs.snapshot_frames entry {f} outside [0, Nt]")
-    rp = out_raw.get("report_path", "report")
-    fp = out_raw.get("fields_path")
-    if not isinstance(rp, str) or (fp is not None and not isinstance(fp, str)):
-        raise ValidationError("outputs paths must be strings")
-    outputs = OutputConfig(rp, fp, frames)
 
-    disp_raw = raw.get("dispersive")
-    dispersive = None
-    if disp_raw is not None:
-        _check_keys(_object(disp_raw, "dispersive"), {"times", "p"}, "dispersive.")
-        given = {}
-        if "times" in disp_raw:
-            if not isinstance(disp_raw["times"], list) or not disp_raw["times"]:
-                raise ValidationError("dispersive.times must be a nonempty list")
-            given["times"] = tuple(_as_number(t, "dispersive.times entry")
-                                   for t in disp_raw["times"])
-        if "p" in disp_raw:
-            given["p"] = _as_exponent(disp_raw["p"], "dispersive.p")
-        dispersive = DispersiveConfig(**given)
-        _checked("dispersive", check_dispersive, dispersive.times, dispersive.p)
+    if cfg.dispersive is not None:
+        if not cfg.dispersive.times:
+            raise ValidationError("dispersive.times must be a nonempty list")
+        _checked("dispersive", check_dispersive, cfg.dispersive.times, cfg.dispersive.p)
 
-    st_raw = raw.get("strichartz")
-    strichartz = None if st_raw is None else _section(StrichartzConfig, st_raw, "strichartz")
-    if strichartz is not None or command == "verify-strichartz":
-        st = strichartz or StrichartzConfig()
+    if cfg.strichartz is not None or command == "verify-strichartz":
+        st = cfg.strichartz or StrichartzConfig()
         if st.band < 1:
             raise ValidationError(f"strichartz.band must be >= 1, got {st.band}")
-        _checked("strichartz", check_strichartz, grid, st.num_samples, st.band)
+        _checked("strichartz", check_strichartz, grid, st.num_samples, st.seed, st.band)
 
-    return SolveConfig(symbol_a, gc, tc, tuple(terms), initial, forcing, nl_cfg,
-                       regularity, tol, outputs, dispersive, strichartz)
+    return replace(cfg, symbol=SymbolConfig(tuple(tuple(float(v) for v in row) for row in sym.a)),
+                   initial=initial, forcing=forcing, outputs=replace(out, snapshot_frames=frames))
 
 
 def _json_pairs(pairs) -> dict:
@@ -372,9 +370,7 @@ def _json_pairs(pairs) -> dict:
 
 def config_to_dict(cfg: SolveConfig) -> dict:
     """Canonical JSON-ready form; parse(serialize(cfg)) == cfg."""
-    doc = asdict(cfg, dict_factory=_json_pairs)
-    doc["symbol"] = {"a": doc.pop("symbol_a")}
-    return {key: v for key, v in doc.items()
+    return {key: v for key, v in asdict(cfg, dict_factory=_json_pairs).items()
             if v is not None or key not in ("dispersive", "strichartz")}  # absent, not null
 
 
@@ -387,20 +383,20 @@ def serialize_config(cfg: SolveConfig) -> str:
 
 def _build_runtime(cfg: SolveConfig, datum: bool = True, forcing: bool = True):
     """A config's objects; the datum and the forcing only if the runner reads them."""
-    sym = validate_symbol([list(row) for row in cfg.symbol_a])
+    sym = validate_symbol(cfg.symbol.a)
     grid = build_grid(cfg.grid.n, cfg.grid.N, cfg.grid.R)
     mp = MultipointSpec(cfg.time.t0, cfg.time.T,
                         tuple((complex(t.alpha_re, t.alpha_im), t.lam) for t in cfg.multipoint))
     phi = sample_profile(grid, cfg.initial) if datum else None
     traj = None
     if forcing and cfg.forcing is not None:
-        base = sample_profile(grid, cfg.forcing["profile"])
-        env = cfg.forcing["envelope"]
+        base = sample_profile(grid, cfg.forcing.profile)
+        env = cfg.forcing.envelope
         times = mp.times(cfg.time.nt)
-        if env["kind"] == "constant":
+        if isinstance(env, ConstantEnvelope):
             g = np.ones_like(times, dtype=np.complex128)
         else:
-            g = np.exp(-1j * env["omega"] * times)
+            g = np.exp(-1j * env.omega * times)
         vals = g[(...,) + (None,) * grid.n] * base.values[None, ...]
         traj = Trajectory(grid, cfg.time.t0, cfg.time.T, vals)
     nl = None if cfg.nonlinearity is None else PowerNonlinearity(cfg.nonlinearity.lam,

@@ -408,10 +408,12 @@ class StrichartzReport:
         return [p.label() for p in self.pairs]
 
 
-def check_strichartz(grid: SpectralGrid, num_samples: int, band: int) -> None:
-    """The Strichartz check's preconditions: a sample, and a band that fits the grid."""
+def check_strichartz(grid: SpectralGrid, num_samples: int, seed: int, band: int) -> None:
+    """The Strichartz check's preconditions: a sample, a seed >= 0, a band that fits the grid."""
     if num_samples < 1:
         raise ValueError("num_samples must be >= 1")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     check_band(grid, band)
 
 
@@ -426,7 +428,7 @@ def verify_strichartz(sym: EllipticSymbol, grid: SpectralGrid, t0: float = 0.0,
     the same functions on refined grids and the max ratio is a grid-convergent
     statistic.  Every sample is propagated on one phase table.
     """
-    check_strichartz(grid, num_samples, band)
+    check_strichartz(grid, num_samples, seed, band)
     times = MultipointSpec(t0, T).times(nt)
     pairs = tuple(canonical_pairs(grid.n))
     phases = _Phases(symbol_lattice(sym, grid))

@@ -213,12 +213,37 @@ WRONG_VALUES = [  # (config section, its value, the start of the message)
      "initial.amplitude must be a number or a [re, im] pair"),
     ("forcing", {"profile": GAUSSIAN, "envelope": 3}, "forcing.envelope must be an object"),
     ("forcing", {"profile": GAUSSIAN, "envelope": []}, "forcing.envelope must be an object"),
+    ("forcing", {"profile": GAUSSIAN, "envelope": {"kind": "sine"}},
+     "forcing.envelope.kind must be one of ['constant', 'harmonic'], got 'sine'"),
+    ("forcing", {"profile": GAUSSIAN, "envelope": {"kind": "harmonic", "omega": "2"}},
+     "forcing.envelope.omega must be a number, got '2'"),
+    ("symbol", {"a": "ab"}, "symbol.a must be a list, got 'ab'"),
+    ("symbol", {"a": [[1.0, 0.0], "ab"]}, "symbol.a[1] must be a list, got 'ab'"),
+    ("symbol", {"a": [["1"]]}, "symbol.a[0][0] must be a number, got '1'"),
+    ("outputs", {"report_path": 5}, "outputs.report_path must be a string, got 5"),
+    ("outputs", {"report_path": ""}, "outputs.report_path must name a file, got ''"),
+    ("outputs", {"report_path": "."}, "outputs.report_path must name a file, got '.'"),
+    ("outputs", {"report_path": "/"}, "outputs.report_path must name a file, got '/'"),
+    ("outputs", {"fields_path": 5}, "outputs.fields_path must be a string, got 5"),
+    ("outputs", {"snapshot_frames": None}, "outputs.snapshot_frames must be a list, got None"),
+    ("outputs", {"snapshot_frames": [0, 0.5]},
+     "outputs.snapshot_frames[1] must be an integer, got 0.5"),
+    ("outputs", {"snapshot_frames": [0, 51]}, "outputs.snapshot_frames entry 51 outside [0, Nt]"),
+    ("dispersive", {"times": 2.0}, "dispersive.times must be a list, got 2.0"),
+    ("dispersive", {"times": []}, "dispersive.times must be a nonempty list"),
+    ("dispersive", {"times": [2.0, "4"]}, "dispersive.times[1] must be a number, got '4'"),
+    ("strichartz", {"num_samples": 2, "seed": -1, "band": 6},
+     "strichartz: seed must be >= 0, got -1"),
 ]
 
 
 @pytest.mark.parametrize("section,bad,message", WRONG_VALUES,
                          ids=["center-dict", "center-str", "mode-str", "amplitude-str",
-                              "amplitude-dict", "envelope-int", "envelope-list"])
+                              "amplitude-dict", "envelope-int", "envelope-list", "envelope-kind",
+                              "envelope-omega", "symbol-str", "symbol-row", "symbol-entry",
+                              "report-int", "report-empty", "report-dot", "report-root",
+                              "fields-int", "frames-null", "frames-float", "frames-past-nt",
+                              "times-number", "times-empty", "times-entry", "seed-negative"])
 def test_wrong_shaped_profile_value_names_its_rule(tmp_path, capsys, section, bad, message):
     doc = make_config(outputs={"report_path": str(tmp_path / "bad")})
     doc[section] = bad

@@ -1,8 +1,10 @@
 """Property: a config that parse_config accepts runs.
 
-Configs are drawn from the schema with small grids and tiny amplitudes; some
-draws break a value rule (an off-grid or out-of-range λ, a regularity above
-the nonlinear bound, a nonpositive width), which parse must reject.  A config
+Configs are drawn from the schema, every section of it, with small grids and
+tiny amplitudes; some draws break a value rule (an off-grid or out-of-range λ,
+a regularity above the nonlinear bound, a nonpositive width or dispersive time,
+a negative Strichartz seed, a snapshot frame outside [0, Nt]), which parse must
+reject.  A config
 is parsed once for each of the four config commands; each one whose parse
 accepts it runs to an exit code other than 2, and an accepted config survives
 serialize → parse unchanged.
@@ -71,6 +73,14 @@ def configs(draw):
         doc["forcing"] = {"profile": draw(profiles(n, N, R)),
                           "envelope": draw(st.sampled_from([{"kind": "constant"},
                                                             {"kind": "harmonic", "omega": 2.0}]))}
+    if draw(st.integers(0, 3)) > 0:
+        doc["strichartz"] = {"num_samples": draw(st.integers(1, 2)),
+                             "seed": draw(st.integers(-1, 3)), "band": draw(st.integers(1, 3))}
+    if draw(st.integers(0, 3)) > 0:
+        times = st.lists(st.floats(0.0, 4.0), min_size=1, max_size=3, unique=True).map(sorted)
+        doc["dispersive"] = {"times": draw(times), "p": draw(st.sampled_from([2, 4, "inf"]))}
+    if draw(st.integers(0, 3)) > 0:
+        doc["outputs"] = {"snapshot_frames": draw(st.lists(st.integers(0, nt + 1), max_size=3))}
     return doc
 
 
@@ -86,7 +96,8 @@ def _run(command: str, config_path: str):
 def test_parsed_config_runs(doc):
     with tempfile.TemporaryDirectory() as tmp:
         report = os.path.join(tmp, "r")
-        doc["outputs"] = {"report_path": report}
+        doc["outputs"] = dict(doc.get("outputs", {}), report_path=report,
+                              fields_path=os.path.join(tmp, "fields"))
         config_path = os.path.join(tmp, "cfg.json")
         with open(config_path, "w", encoding="utf-8") as fh:
             json.dump(doc, fh)

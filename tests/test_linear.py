@@ -428,6 +428,11 @@ def test_strichartz_checks_its_time_axis(sym1, grid1, t0, T, nt, rule):
         verify_strichartz(sym1, grid1, t0=t0, T=T, nt=nt, num_samples=1)
 
 
+def test_strichartz_refuses_a_negative_seed_by_name(sym1, grid1):
+    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+        verify_strichartz(sym1, grid1, nt=4, num_samples=1, seed=-1, band=4)
+
+
 @pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("t0", [0.0, 0.25])
 def test_strichartz_ratios_equal_a_per_sample_recomputation(n, t0):

@@ -8,7 +8,9 @@ Field's samples are finite by construction, and `linear._propagate` checks
 every frame it writes.  Every phase e^{-iτL(ξ)} of the solvers comes from
 `linear._Phases`, the one place that reduces L(ξ) to its distinct values.
 D(ξ) and min|D| are built only by `linear._denominator`, and only the
-multipoint core refuses a resonant solve.
+multipoint core refuses a resonant solve.  A config is read off its dataclasses
+by `cli._section`, and a profile by `cli._validate_profile`: no other reader
+checks keys, and `parse_config` hands the JSON to `_section` whole.
 These tests read the source, so a copy cannot regrow.
 """
 
@@ -80,3 +82,21 @@ def test_resonance_is_judged_in_one_place():
 
     # eps_res is compared by its own check, which the CLI calls, and by the core's refusal
     assert sites(compares_eps_res) == ["linear:_MultipointCore.__init__", "linear:check_eps_res"]
+
+
+def test_the_config_has_one_schema_reader():
+    def calls(name):
+        return lambda node: isinstance(node, ast.Call) and getattr(node.func, "id", None) == name
+
+    assert raises("UnknownKeyError") == ["cli:_check_keys"]
+    assert sites(calls("_check_keys")) == ["cli:_section", "cli:_validate_profile"]
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    parse = next(node for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and node.name == "parse_config")
+    # the parsed JSON is read only as an argument of isinstance and of _section, never
+    # subscripted or .get-ed by a reader of its own
+    readers = [call.func.id for call in ast.walk(parse) if isinstance(call, ast.Call)
+               for arg in call.args if getattr(arg, "id", None) == "raw"]
+    loads = [node for node in ast.walk(parse)
+             if isinstance(node, ast.Name) and node.id == "raw" and isinstance(node.ctx, ast.Load)]
+    assert sorted(readers) == ["_section", "isinstance"] and len(loads) == 2
