@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 config error, 3 resonance, 4 no convergence,
 """
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -293,10 +294,10 @@ def parse_config(text: str, command: str | None = None) -> SolveConfig:
     """Parse and validate a JSON config, so that a config that parses runs.
 
     The schema is read off SolveConfig's dataclasses, a profile's by _validate_profile.
-    Here are the rules that span sections or that no module owns; every other value rule
-    is checked by calling the module function that owns it.  For `command`
-    verify-strichartz the default band is checked too, and solve-nls requires a
-    nonlinearity and refuses a forcing.
+    Every value rule is checked by calling the module function that owns it; parse itself
+    holds only the rules of the CLI: the symbol's size against grid.n, solve-nls's need of
+    a nonlinearity and refusal of a forcing, a report path that names a file, and snapshot
+    frames in [0, Nt].  For `command` verify-strichartz the default band is checked too.
     """
     try:
         raw = json.loads(text)
@@ -333,9 +334,7 @@ def parse_config(text: str, command: str | None = None) -> SolveConfig:
     if command == "solve-nls" and forcing is not None:
         raise ValidationError("key 'forcing' is not supported by solve-nls")
 
-    _checked("regularity", check_sobolev_order, cfg.regularity)
-    if nl is not None:
-        _checked("regularity", check_regularity, cfg.regularity)
+    _checked("regularity", check_sobolev_order if nl is None else check_regularity, cfg.regularity)
 
     _checked("tolerances", check_eps_res, cfg.tolerances.eps_res)
     _checked("tolerances", check_picard_tolerances, cfg.tolerances.tol_fp, cfg.tolerances.max_iter)
@@ -349,14 +348,9 @@ def parse_config(text: str, command: str | None = None) -> SolveConfig:
             raise ValidationError(f"outputs.snapshot_frames entry {f} outside [0, Nt]")
 
     if cfg.dispersive is not None:
-        if not cfg.dispersive.times:
-            raise ValidationError("dispersive.times must be a nonempty list")
         _checked("dispersive", check_dispersive, cfg.dispersive.times, cfg.dispersive.p)
-
     if cfg.strichartz is not None or command == "verify-strichartz":
         st = cfg.strichartz or StrichartzConfig()
-        if st.band < 1:
-            raise ValidationError(f"strichartz.band must be >= 1, got {st.band}")
         _checked("strichartz", check_strichartz, grid, st.num_samples, st.seed, st.band)
 
     return replace(cfg, symbol=SymbolConfig(tuple(tuple(float(v) for v in row) for row in sym.a)),
@@ -409,69 +403,37 @@ def _build_runtime(cfg: SolveConfig, datum: bool = True, forcing: bool = True):
 
 @dataclass
 class RunResult:
-    kind: str
+    """A run's report: its CSV text, the SUMMARY_KEYS it fills, and the trajectory
+    whose snapshot frames are written, if any."""
+    csv: str
+    summary: dict
     traj: Trajectory | None = None
-    observables: object = None
-    mp_residual: float | None = None
-    min_abs_denominator: float | None = None
-    diagnostics: object = None
-    dispersive: object = None
-    strichartz: object = None
-    warnings: tuple = ()
 
 
-def _fmt(x) -> str:
-    return repr(float(x))
+def _csv(header: str, rows) -> str:
+    """CSV text: the header, then a line per row; an int cell as itself, any other as the
+    repr of a float."""
+    lines = [",".join(str(x) if isinstance(x, int) else repr(float(x)) for x in row)
+             for row in rows]
+    return "\n".join([header] + lines) + "\n"
 
 
-def _timeseries_csv(result: RunResult) -> str:
-    obs = result.observables
-    rows = zip(result.traj.times, obs.mass, obs.energy, obs.l2, obs.linf, obs.sobolev_s)
-    lines = [",".join(_fmt(x) for x in row + (result.mp_residual,)) for row in rows]
-    return "\n".join(["t,mass,energy,l2,linf,sobolev_s,multipoint_residual"] + lines) + "\n"
-
-
-def _dispersive_csv(result: RunResult) -> str:
-    rep = result.dispersive
-    lines = ["t,norm_p,quotient,boundary_mass_fraction"]
-    for t, nrm, q, frac in zip(rep.times, rep.norms, rep.quotients, rep.boundary_fractions):
-        lines.append(",".join([_fmt(t), _fmt(nrm), _fmt(q), _fmt(frac)]))
-    lines.append(f"# slope {_fmt(rep.slope)}")
-    return "\n".join(lines) + "\n"
-
-
-def _strichartz_csv(result: RunResult) -> str:
-    rep = result.strichartz
-    lines = ["sample,data_l2,ratio"]
-    for i, (l2, ratio) in enumerate(zip(rep.data_norms, rep.ratios)):
-        lines.append(",".join([str(i), _fmt(l2), _fmt(ratio)]))
-    return "\n".join(lines) + "\n"
+def _timeseries_csv(traj: Trajectory, obs, mp_residual: float) -> str:
+    rows = zip(traj.times, obs.mass, obs.energy, obs.l2, obs.linf, obs.sobolev_s,
+               itertools.repeat(mp_residual))
+    return _csv("t,mass,energy,l2,linf,sobolev_s,multipoint_residual", rows)
 
 
 def _summary_json(result: RunResult, cfg: SolveConfig) -> str:
-    doc = {key: None for key in SUMMARY_KEYS}
-    doc["version"] = __version__
-    doc["config_echo"] = config_to_dict(cfg)
-    doc["warnings"] = list(result.warnings)
+    """The summary: version, config echo and the class of the nonlinearity, under what
+    the run filled in; a key that neither sets is null, and the warnings default to []."""
+    doc = dict.fromkeys(SUMMARY_KEYS)
+    doc.update(version=__version__, config_echo=config_to_dict(cfg), warnings=[])
     if cfg.nonlinearity is not None:
         rep = critical_exponent(cfg.grid.n, cfg.nonlinearity.p, cfg.regularity)
         doc["s_c"] = rep.s_c
         doc["class"] = rep.classification
-    doc["min_abs_denominator"] = result.min_abs_denominator
-    diags = result.diagnostics
-    if diags is not None:
-        doc["eta"] = diags.eta
-        doc["iterations"] = diags.iterations
-        doc["d_history"] = list(diags.d_history)
-        doc["contraction_ratios"] = list(diags.contraction_ratios)
-        doc["final_residual"] = diags.final_residual
-        doc["mass_drift"] = diags.mass_drift
-        doc["energy_drift"] = diags.energy_drift
-        doc["strichartz_pairs"] = [p.label() for p in canonical_pairs(cfg.grid.n)]
-        doc["strichartz_value"] = diags.strichartz_value
-    if result.strichartz is not None:
-        doc["strichartz_pairs"] = result.strichartz.pair_labels
-        doc["strichartz_value"] = result.strichartz.max_ratio
+    doc.update(result.summary)
     for key in sorted(doc):  # JSON has no inf or NaN, and allow_nan=False names no key
         try:
             json.dumps(doc[key], allow_nan=False)
@@ -481,21 +443,15 @@ def _summary_json(result: RunResult, cfg: SolveConfig) -> str:
 
 
 def write_report(result: RunResult, cfg: SolveConfig) -> list[str]:
-    """Emit <report_path>.csv and <report_path>.json (plus field snapshots for
-    solve runs when fields_path is set); returns the written paths."""
+    """Emit <report_path>.csv and <report_path>.json (plus snapshots of the result's
+    trajectory when fields_path is set); returns the written paths."""
     base = Path(cfg.outputs.report_path)
     if base.parent != Path("."):
         base.parent.mkdir(parents=True, exist_ok=True)
     csv_path = base.with_name(base.name + ".csv")
     json_path = base.with_name(base.name + ".json")
-    if result.kind in ("solve-linear", "solve-nls"):
-        csv_text = _timeseries_csv(result)
-    elif result.kind == "verify-dispersive":
-        csv_text = _dispersive_csv(result)
-    else:
-        csv_text = _strichartz_csv(result)
     json_path.write_text(_summary_json(result, cfg))  # first: a non-finite summary writes nothing
-    csv_path.write_text(csv_text)
+    csv_path.write_text(result.csv)
     written = [str(csv_path), str(json_path)]
     if result.traj is not None and cfg.outputs.fields_path is not None:
         field_dir = Path(cfg.outputs.fields_path)
@@ -518,16 +474,18 @@ def _load_config(path: str, command: str) -> SolveConfig:
     return parse_config(text, command)
 
 
+def _solve_result(sym, grid, mp, phi, traj: Trajectory, obs, summary: dict) -> RunResult:
+    """A solve's report: the per-frame observables with the multipoint residual, and min|D|."""
+    summary["min_abs_denominator"] = min_abs_denominator(sym, grid, mp)
+    return RunResult(_timeseries_csv(traj, obs, multipoint_residual(traj, mp, phi)), summary, traj)
+
+
 def _run_solve_linear(cfg: SolveConfig) -> RunResult:
     sym, grid, mp, phi, forcing, nl = _build_runtime(cfg)
     traj = solve_linear_multipoint(sym, grid, mp, phi, forcing, cfg.time.nt,
                                    eps_res=cfg.tolerances.eps_res)
-    return RunResult(
-        kind="solve-linear", traj=traj,
-        observables=frame_observables(traj, sym, nl, cfg.regularity),
-        mp_residual=multipoint_residual(traj, mp, phi),
-        min_abs_denominator=min_abs_denominator(sym, grid, mp),
-    )
+    obs = frame_observables(traj, sym, nl, cfg.regularity)
+    return _solve_result(sym, grid, mp, phi, traj, obs, {})
 
 
 def _run_solve_nls(cfg: SolveConfig) -> RunResult:
@@ -536,26 +494,25 @@ def _run_solve_nls(cfg: SolveConfig) -> RunResult:
                                        nt=cfg.time.nt, tol_fp=cfg.tolerances.tol_fp,
                                        max_iter=cfg.tolerances.max_iter,
                                        eps_res=cfg.tolerances.eps_res)
-    warnings = ()
+    # the diagnostics named as summary keys: η, the iteration record, the drifts, the Strichartz value
+    summary = {f.name: getattr(diags, f.name) for f in fields(diags) if f.name in SUMMARY_KEYS}
+    summary["strichartz_pairs"] = [p.label() for p in canonical_pairs(grid.n)]
     if diags.metric_clamped:
-        warnings = ("contraction metric exponent clamped to r=2 (formula left [2,inf))",)
-    return RunResult(
-        kind="solve-nls", traj=traj, observables=diags.observables,
-        mp_residual=multipoint_residual(traj, mp, phi),
-        min_abs_denominator=min_abs_denominator(sym, grid, mp),
-        diagnostics=diags, warnings=warnings,
-    )
+        summary["warnings"] = ["contraction metric exponent clamped to r=2 (formula left [2,inf))"]
+    return _solve_result(sym, grid, mp, phi, traj, diags.observables, summary)
 
 
 def _run_verify_dispersive(cfg: SolveConfig) -> RunResult:
     sym, grid, _, phi, _, _ = _build_runtime(cfg, forcing=False)
     disp = cfg.dispersive or DispersiveConfig()
     rep = verify_dispersive(sym, grid, phi, disp.times, disp.p)
-    warnings = ()
+    rows = zip(rep.times, rep.norms, rep.quotients, rep.boundary_fractions)
+    csv = _csv("t,norm_p,quotient,boundary_mass_fraction", rows) + f"# slope {rep.slope!r}\n"
+    warnings = []
     if rep.wraparound:
-        warnings = ("wrap-around: more than 1% of mass in the outer 10% shell; "
-                    "increase R for trustworthy decay rates",)
-    return RunResult(kind="verify-dispersive", dispersive=rep, warnings=warnings)
+        warnings = ["wrap-around: more than 1% of mass in the outer 10% shell; "
+                    "increase R for trustworthy decay rates"]
+    return RunResult(csv, {"warnings": warnings})
 
 
 def _run_verify_strichartz(cfg: SolveConfig) -> RunResult:
@@ -563,7 +520,9 @@ def _run_verify_strichartz(cfg: SolveConfig) -> RunResult:
     st = cfg.strichartz or StrichartzConfig()
     rep = verify_strichartz(sym, grid, t0=cfg.time.t0, T=cfg.time.T, nt=cfg.time.nt,
                             num_samples=st.num_samples, seed=st.seed, band=st.band)
-    return RunResult(kind="verify-strichartz", strichartz=rep)
+    rows = zip(itertools.count(), rep.data_norms, rep.ratios)
+    return RunResult(_csv("sample,data_l2,ratio", rows),
+                     {"strichartz_pairs": rep.pair_labels, "strichartz_value": rep.max_ratio})
 
 
 _RUNNERS = {

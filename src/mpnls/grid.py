@@ -182,11 +182,12 @@ def check_time(t: float) -> None:
 
 
 def build_grid(n: int, N: int, R: float) -> SpectralGrid:
-    """Construct a grid; n ∈ {1,2,3}, N even ≥ 4, R > 0."""
+    """Construct a grid; n ∈ {1,2,3}, N even with 4 ≤ N < 2³², R > 0."""
     if not isinstance(n, (int, np.integer)) or n not in (1, 2, 3):
         raise BadDimensionError(f"dimension must be 1, 2 or 3, got {n!r}")
-    if not isinstance(N, (int, np.integer)) or N < 4 or N % 2 != 0:
-        raise OddNError(f"points per axis must be even and >= 4, got {N!r}")
+    if not isinstance(N, (int, np.integer)) or N < 4 or N % 2 != 0 or N >= 2**32:
+        # 2**32: a field file's header stores N as a u32
+        raise OddNError(f"points per axis must be even, >= 4 and < 2**32, got {N!r}")
     if not (float(R) > 0.0) or not np.isfinite(R):
         raise NonpositiveRError(f"half-width must be positive, got {R!r}")
     return SpectralGrid(int(n), int(N), float(R))
@@ -299,7 +300,9 @@ def _as_vector(v, n: int, name: str) -> np.ndarray:
 
 
 def check_band(grid: SpectralGrid, band: int) -> None:
-    """A band of modes |j|∞ ≤ band fits on the lattice only for band < N/2."""
+    """A band of modes |j|∞ ≤ band has band >= 1, and fits on the lattice only for band < N/2."""
+    if band < 1:
+        raise ValueError(f"band must be >= 1, got {band}")
     if band >= grid.N // 2:
         raise ModeNotOnLatticeError(f"band {band} does not fit on an N={grid.N} grid "
                                     f"(needs band < N/2 = {grid.N // 2})")

@@ -57,7 +57,7 @@ DEFAULT_STRICHARTZ_BAND = 8
 
 @dataclass(frozen=True)
 class MultipointSpec:
-    """Base time, horizon, and the coupling terms (αₖ, λₖ) with λₖ ∈ (t0, T]."""
+    """Base time, horizon, and the coupling terms (αₖ, λₖ): αₖ finite, λₖ ∈ (t0, T]."""
 
     t0: float
     T: float
@@ -69,10 +69,12 @@ class MultipointSpec:
         if not (self.T > self.t0):
             raise ValueError(f"horizon T={self.T} must exceed t0={self.t0}")
         pts = tuple((complex(a), float(lam)) for a, lam in self.points)
-        lams = [lam for _, lam in pts]
-        for lam in lams:
+        for alpha, lam in pts:
+            if not np.isfinite(alpha):
+                raise ValueError(f"alpha must be finite, got {alpha}")
             if not (self.t0 < lam <= self.T):
                 raise ValueError(f"lambda out of (t0,T]=({self.t0},{self.T}]: {lam}")
+        lams = [lam for _, lam in pts]
         if len(set(lams)) != len(lams):
             raise ValueError("lambda_k values must be distinct")
         object.__setattr__(self, "points", pts)
@@ -351,11 +353,13 @@ def boundary_mass_fraction(f: Field) -> float:
 
 
 def check_dispersive(times, p: float) -> list[float]:
-    """p ∈ [2, ∞] and times positive, finite and strictly increasing; returns the times
-    as floats."""
+    """p ∈ [2, ∞] and times nonempty, positive, finite and strictly increasing; returns
+    the times as floats."""
     if not (2.0 <= p):
         raise BadExponentError(f"dispersive check needs p in [2, inf], got {p}")
     ts = [float(t) for t in times]
+    if not ts:
+        raise ValueError("times must be a nonempty list")
     for t in ts:
         if not (t > 0.0):
             raise NonpositiveTimeError(f"times must be positive, got {t}")

@@ -10,10 +10,11 @@ r = 2n(p+2)/(2(n-2)+np), clamped to 2 (and flagged) when the formula leaves
 the regime where contraction is expected; the solver reports η and the
 measured contraction ratios rather than asserting a threshold.
 
-Every propagation goes through `_MultipointCore`, the one spectral context of a
-solve: each Φ application is one datum solve and one pass of its `propagate`, and
-η one more pass, of |∇|^s φ, on the solve's phase table; a standalone
-`smallness_indicator` builds a core of its own, whose datum is |∇|^s φ.  One Φ
+Every propagation of a solve goes through `_MultipointCore`, its one spectral
+context: each Φ application is one datum solve and one pass of its `propagate`, and
+η one more pass, of |∇|^s φ, on the solve's phase table.  A standalone
+`smallness_indicator` solves nothing, so it builds no core: it runs η's pass through
+`_propagate` phase by phase, and reads the bits of the solver's η.  One Φ
 application allocates one trajectory-sized buffer: -F(u) is built in it, then
 transformed, integrated and propagated in place.  Φ is finite or raises
 NonFiniteError: `_power_block` checks F(u) and `_propagate` each frame.  An
@@ -32,10 +33,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadExponentError, NoConvergenceError, NonFiniteError
+from .errors import BadExponentError, GridMismatchError, NoConvergenceError, NonFiniteError
 from .grid import Field, SpectralGrid, Trajectory, _frame_blocks
 from .linear import (DEFAULT_EPS_RES, MultipointSpec, _check_on_axis, _datum_spectrum,
-                     _MultipointCore)
+                     _MultipointCore, _Phases, _propagate, symbol_lattice)
 from .norms import (FrameObservables, apply_riesz, canonical_pairs, check_power, check_sobolev_order,
                     frame_observables, mixed_norm, strichartz_norm)
 from .symbol import EllipticSymbol
@@ -54,6 +55,8 @@ class PowerNonlinearity:
     p: float
 
     def __post_init__(self):
+        if not np.isfinite(self.lam):
+            raise ValueError(f"lambda must be finite, got {self.lam}")
         check_power(self.p)
 
 
@@ -128,11 +131,13 @@ def smallness_indicator(sym: EllipticSymbol, grid: SpectralGrid, phi: Field, s: 
                         t0: float = 0.0, nt: int = 200) -> float:
     """η = ‖|∇|^s U_L(t)φ‖ in L_t^{p+2}L_x^σ over [t0, T]; σ defaults to r(p,n)."""
     check_regularity(s)
+    if phi.grid != grid:
+        raise GridMismatchError("datum does not live on the given grid")
     if sigma is None:
         sigma, _ = metric_exponent(grid.n, nl.p)
-    core = _MultipointCore(sym, grid, MultipointSpec(t0, T), apply_riesz(phi, s), nt,
-                           DEFAULT_EPS_RES)  # so its φ̂ is the spectrum of |∇|^s φ
-    return mixed_norm(core.wrap(core.propagate(core.phi_hat)), nl.p + 2.0, sigma)
+    frames = _propagate(grid, _Phases(symbol_lattice(sym, grid)), _datum_spectrum(phi, s),
+                        MultipointSpec(t0, T).times(nt), t0)
+    return mixed_norm(Trajectory._wrap(grid, t0, T, frames), nl.p + 2.0, sigma)
 
 
 # --- the solution map ----------------------------------------------------------

@@ -210,10 +210,8 @@ def strichartz_norm(traj: Trajectory, pairs) -> float:
     pairs = [(p.q, p.r) if isinstance(p, AdmissiblePair) else tuple(p) for p in pairs]
     if not pairs:
         raise EmptyPairSetError("strichartz_norm needs at least one pair")
-    n = traj.grid.n
     for q, r in pairs:
-        if is_admissible(n, q, r) == "rejected":
-            raise InadmissiblePairError(f"(q,r)=({q},{r}) is not admissible in dimension {n}")
+        make_pair(traj.grid.n, q, r)  # refuses a pair that is not admissible in this dimension
     norms = _frame_norms(traj, dict.fromkeys(float(r) for _, r in pairs))
     return max(0.0, *(_time_norm(norms[float(r)], float(q), traj.dt) for q, r in pairs))
 

@@ -77,6 +77,8 @@ def test_parse_rejects_numbers_beyond_float_range():
     # JSON integers are unbounded: one past the float range, or too long to convert at all
     with pytest.raises(ValidationError, match=r"^grid\.R must be finite"):
         parse_config(json.dumps(make_config(grid={"n": 1, "N": 64, "R": 10**400})))
+    with pytest.raises(ValidationError, match=r"^grid: points per axis .* < 2\*\*32"):
+        parse_config(json.dumps(make_config(grid={"n": 1, "N": 10**400, "R": 1.0})))
     with pytest.raises(ConfigSyntaxError, match="not valid JSON"):
         parse_config(json.dumps(MINIMAL)[:-1] + ', "regularity": ' + "1" * 5000 + "}")
 
@@ -230,10 +232,11 @@ WRONG_VALUES = [  # (config section, its value, the start of the message)
      "outputs.snapshot_frames[1] must be an integer, got 0.5"),
     ("outputs", {"snapshot_frames": [0, 51]}, "outputs.snapshot_frames entry 51 outside [0, Nt]"),
     ("dispersive", {"times": 2.0}, "dispersive.times must be a list, got 2.0"),
-    ("dispersive", {"times": []}, "dispersive.times must be a nonempty list"),
+    ("dispersive", {"times": []}, "dispersive: times must be a nonempty list"),
     ("dispersive", {"times": [2.0, "4"]}, "dispersive.times[1] must be a number, got '4'"),
     ("strichartz", {"num_samples": 2, "seed": -1, "band": 6},
      "strichartz: seed must be >= 0, got -1"),
+    ("strichartz", {"num_samples": 2, "seed": 0, "band": 0}, "strichartz: band must be >= 1, got 0"),
 ]
 
 
@@ -243,7 +246,8 @@ WRONG_VALUES = [  # (config section, its value, the start of the message)
                               "envelope-omega", "symbol-str", "symbol-row", "symbol-entry",
                               "report-int", "report-empty", "report-dot", "report-root",
                               "fields-int", "frames-null", "frames-float", "frames-past-nt",
-                              "times-number", "times-empty", "times-entry", "seed-negative"])
+                              "times-number", "times-empty", "times-entry", "seed-negative",
+                              "band-zero"])
 def test_wrong_shaped_profile_value_names_its_rule(tmp_path, capsys, section, bad, message):
     doc = make_config(outputs={"report_path": str(tmp_path / "bad")})
     doc[section] = bad
@@ -522,7 +526,7 @@ def test_dispersive_zero_datum_exits_5_naming_its_norm(tmp_path, capsys):
 
 def test_non_finite_summary_value_raises_naming_its_key():
     cfg = parse_config(json.dumps(MINIMAL), "solve-linear")
-    result = RunResult("solve-linear", min_abs_denominator=math.nan)
+    result = RunResult("", {"min_abs_denominator": math.nan})
     with pytest.raises(NonFiniteError, match="summary value 'min_abs_denominator' is not finite"):
         _summary_json(result, cfg)
 

@@ -63,6 +63,8 @@ def test_build_grid_rejections():
         build_grid(1, 7, 1.0)
     with pytest.raises(OddNError):
         build_grid(1, 2, 1.0)
+    with pytest.raises(OddNError, match=r"< 2\*\*32"):  # the range of a field file's u32 header
+        build_grid(1, 2**32, 1.0)
     with pytest.raises(BadDimensionError):
         build_grid(4, 8, 1.0)
     with pytest.raises(NonpositiveRError):

@@ -363,6 +363,14 @@ def test_non_finite_times_are_named(grid1, sym1):
         verify_strichartz(sym1, grid1, T=math.inf, num_samples=1)
 
 
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, complex(0.3, -math.inf)])
+def test_a_non_finite_alpha_is_named(alpha):
+    # refused where the spec is made: not read as a NaN min|D| that passes the resonance
+    # check, nor as a numpy warning from D(ξ)
+    with pytest.raises(ValueError, match=r"^alpha must be finite, got \("):
+        MultipointSpec(0.0, 1.0, ((alpha, 0.5),))
+
+
 # --- dispersive verification --------------------------------------------------------
 
 
@@ -400,6 +408,8 @@ def test_dispersive_rejections(grid1, sym1):
         verify_dispersive(sym1, grid1, phi, [0.0, 1.0])
     with pytest.raises(ValueError):
         verify_dispersive(sym1, grid1, phi, [2.0, 1.0])
+    with pytest.raises(ValueError, match=r"^times must be a nonempty list$"):  # not a NaN slope
+        verify_dispersive(sym1, grid1, phi, [])
 
 
 def test_boundary_mass_fraction_uniform(grid1):
@@ -431,6 +441,15 @@ def test_strichartz_checks_its_time_axis(sym1, grid1, t0, T, nt, rule):
 def test_strichartz_refuses_a_negative_seed_by_name(sym1, grid1):
     with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
         verify_strichartz(sym1, grid1, nt=4, num_samples=1, seed=-1, band=4)
+
+
+@pytest.mark.parametrize("band", [0, -1])
+def test_a_band_below_one_is_refused_by_name(sym1, grid1, band):
+    # not by numpy's "negative dimensions", and not as a constant sample
+    with pytest.raises(ValueError, match=rf"^band must be >= 1, got {band}$"):
+        verify_strichartz(sym1, grid1, nt=4, num_samples=1, band=band)
+    with pytest.raises(ValueError, match=rf"^band must be >= 1, got {band}$"):
+        random_band_limited(grid1, band, np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("n", [1, 2])

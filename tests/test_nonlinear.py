@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 import warnings
 
@@ -106,6 +107,13 @@ def test_bad_power_rejected():
         PowerNonlinearity(1.0, 0.0)
 
 
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_lambda_is_named(lam):
+    # refused where it is made, not reported later as an overflowed nonlinearity
+    with pytest.raises(ValueError, match=f"^lambda must be finite, got {lam}$"):
+        PowerNonlinearity(lam, 2.0)
+
+
 # --- metric exponent ----------------------------------------------------------------
 
 
@@ -151,10 +159,16 @@ def test_smallness_checks_its_time_axis(setup, t0, T, nt, rule):
         smallness_indicator(sym, grid, phi, 0.0, NL, T, t0=t0, nt=nt)
 
 
+def test_smallness_refuses_a_datum_on_another_grid(setup):
+    sym, grid, phi = setup
+    with pytest.raises(GridMismatchError, match="datum does not live on the given grid"):
+        smallness_indicator(sym, build_grid(1, 64, 10.0), phi, 0.0, NL, 1.0)
+
+
 @pytest.mark.parametrize("s", [0.0, 0.5])
 def test_solver_eta_is_the_smallness_indicator(setup, s):
-    # the solver's η reads the solve's phase table and the library's goes frame by frame,
-    # both one pass of the core's propagation, with the same bits
+    # the solver's η reads the solve's phase table and the library's, with no core, goes
+    # frame by frame: both one pass of the propagation kernel, with the same bits
     sym, grid, phi = setup
     mp = MultipointSpec(0.25, 1.25, ((0.3, 0.75),))
     _, diags = solve_nls_multipoint(sym, grid, mp, phi, NL, s=s, nt=40)

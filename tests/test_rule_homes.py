@@ -8,9 +8,12 @@ Field's samples are finite by construction, and `linear._propagate` checks
 every frame it writes.  Every phase e^{-iτL(ξ)} of the solvers comes from
 `linear._Phases`, the one place that reduces L(ξ) to its distinct values.
 D(ξ) and min|D| are built only by `linear._denominator`, and only the
-multipoint core refuses a resonant solve.  A config is read off its dataclasses
+multipoint core refuses a resonant solve.  An inadmissible Strichartz pair is
+refused only by `norms.make_pair`.  A config is read off its dataclasses
 by `cli._section`, and a profile by `cli._validate_profile`: no other reader
-checks keys, and `parse_config` hands the JSON to `_section` whole.
+checks keys, and `parse_config` hands the JSON to `_section` whole.  Every
+value rule lives in the library module that owns it, and `parse_config` raises
+a ValidationError of its own only for the rules of the CLI alone.
 These tests read the source, so a copy cannot regrow.
 """
 
@@ -100,3 +103,25 @@ def test_the_config_has_one_schema_reader():
     loads = [node for node in ast.walk(parse)
              if isinstance(node, ast.Name) and node.id == "raw" and isinstance(node.ctx, ast.Load)]
     assert sorted(readers) == ["_section", "isinstance"] and len(loads) == 2
+
+
+def test_an_inadmissible_pair_is_refused_in_one_place():
+    assert raises("InadmissiblePairError") == ["norms:make_pair"]
+
+
+def test_parse_raises_only_the_rules_of_the_cli():
+    # the symbol's size against grid.n, solve-nls's two rules, a report path that names a
+    # file and the snapshot frames; every other rule is a library check that _checked names
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    parse = next(node for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and node.name == "parse_config")
+    messages = sorted(
+        node.exc.args[0].values[0].value if isinstance(node.exc.args[0], ast.JoinedStr)
+        else node.exc.args[0].value
+        for node in ast.walk(parse) if isinstance(node, ast.Raise)
+        and isinstance(node.exc, ast.Call) and getattr(node.exc.func, "id", None) == "ValidationError")
+    assert messages == ["key 'forcing' is not supported by solve-nls",
+                        "missing required key 'nonlinearity': solve-nls needs one",
+                        "outputs.report_path must name a file, got ",
+                        "outputs.snapshot_frames entry ",
+                        "symbol dimension "]
