@@ -121,12 +121,6 @@ class ForcingConfig:
 
 
 @dataclass(frozen=True)
-class NonlinearityConfig:
-    lam: float
-    p: float
-
-
-@dataclass(frozen=True)
 class ToleranceConfig:
     eps_res: float = DEFAULT_EPS_RES
     tol_fp: float = DEFAULT_TOL_FP
@@ -161,7 +155,7 @@ class SolveConfig:
     multipoint: tuple[MultipointTerm, ...] = ()
     initial: dict
     forcing: ForcingConfig | None = None
-    nonlinearity: NonlinearityConfig | None = None
+    nonlinearity: PowerNonlinearity | None = None
     regularity: float = 0.0
     tolerances: ToleranceConfig = ToleranceConfig()
     outputs: OutputConfig = OutputConfig()
@@ -190,11 +184,11 @@ def _object(raw, path: str) -> dict:
     return raw
 
 
-def _checked(path: str, check, *args):
+def _checked(path: str, check, *args, **kwargs):
     """Call the module function that owns a value rule; its error becomes a
     ValidationError naming the config path."""
     try:
-        return check(*args)
+        return check(*args, **kwargs)
     except (MpnlsError, ValueError) as exc:
         raise ValidationError(f"{path}: {exc}") from exc
 
@@ -256,12 +250,13 @@ def _read(tp, v, path: str):
 
 def _section(cls, raw, path: str):
     """Read a config section off its dataclass: an object keyed by the fields' JSON keys,
-    where a field with no default is required and each value is read by its field's type."""
+    where a field with no default is required and each value is read by its field's type.
+    A library type's own rules (PowerNonlinearity's) run as it is made, naming the section."""
     spec = {_JSON_KEYS.get(f.name, f.name): f for f in fields(cls)}
     prefix = path + "." if path else ""
     _check_keys(_object(raw, path), spec, prefix)
-    return cls(**{f.name: _read(f.type, _need(raw, key, prefix), prefix + key)
-                  for key, f in spec.items() if key in raw or f.default is MISSING})
+    return _checked(path, cls, **{f.name: _read(f.type, _need(raw, key, prefix), prefix + key)
+                                  for key, f in spec.items() if key in raw or f.default is MISSING})
 
 
 _PROFILE_KEYS = {
@@ -327,8 +322,6 @@ def parse_config(text: str, command: str | None = None) -> SolveConfig:
         forcing = replace(forcing, profile=profile)
 
     nl = cfg.nonlinearity
-    if nl is not None:
-        _checked("nonlinearity.p", PowerNonlinearity, nl.lam, nl.p)
     if command == "solve-nls" and nl is None:
         raise ValidationError("missing required key 'nonlinearity': solve-nls needs one")
     if command == "solve-nls" and forcing is not None:
@@ -393,9 +386,7 @@ def _build_runtime(cfg: SolveConfig, datum: bool = True, forcing: bool = True):
             g = np.exp(-1j * env.omega * times)
         vals = g[(...,) + (None,) * grid.n] * base.values[None, ...]
         traj = Trajectory(grid, cfg.time.t0, cfg.time.T, vals)
-    nl = None if cfg.nonlinearity is None else PowerNonlinearity(cfg.nonlinearity.lam,
-                                                                 cfg.nonlinearity.p)
-    return sym, grid, mp, phi, traj, nl
+    return sym, grid, mp, phi, traj, cfg.nonlinearity
 
 
 # --- report emission -----------------------------------------------------------

@@ -353,13 +353,13 @@ def boundary_mass_fraction(f: Field) -> float:
 
 
 def check_dispersive(times, p: float) -> list[float]:
-    """p ∈ [2, ∞] and times nonempty, positive, finite and strictly increasing; returns
-    the times as floats."""
+    """p ∈ [2, ∞] and at least two times (a slope needs two points), positive, finite and
+    strictly increasing; returns the times as floats."""
     if not (2.0 <= p):
         raise BadExponentError(f"dispersive check needs p in [2, inf], got {p}")
     ts = [float(t) for t in times]
-    if not ts:
-        raise ValueError("times must be a nonempty list")
+    if len(ts) < 2:
+        raise ValueError(f"times must list at least two times for a decay slope, got {len(ts)}")
     for t in ts:
         if not (t > 0.0):
             raise NonpositiveTimeError(f"times must be positive, got {t}")
@@ -394,7 +394,7 @@ def verify_dispersive(sym: EllipticSymbol, grid: SpectralGrid, phi: Field,
         norms.append(nrm)
         quotients.append(nrm / (t ** (-decay_rate) * phi_dual))
         fractions.append(boundary_mass_fraction(u_t))
-    slope = float(np.polyfit(np.log(ts), np.log(norms), 1)[0]) if len(ts) >= 2 else math.nan
+    slope = float(np.polyfit(np.log(ts), np.log(norms), 1)[0])
     wrap = any(frac > 0.01 for frac in fractions)
     return DispersiveReport(p, tuple(ts), tuple(norms), tuple(quotients),
                             tuple(fractions), slope, wrap)

@@ -6,9 +6,9 @@ the multipoint condition exactly; iteration runs over space-time because the
 datum u₀ depends on future values u(λₖ) and time-marching cannot enforce
 that.  Distances are measured in the contraction metric L_t^{p+2} L_x^r with
 r = 2n(p+2)/(2(n-2)+np), clamped to 2 (and flagged) when the formula leaves
-[2, ∞).  Smallness of the free evolution in that norm (the indicator η) is
-the regime where contraction is expected; the solver reports η and the
-measured contraction ratios rather than asserting a threshold.
+[2, ∞); `_metric_norm` is its one definition.  Smallness of the free evolution in
+that norm (the indicator η) is the regime where contraction is expected; the solver
+reports η and the measured contraction ratios rather than asserting a threshold.
 
 Every propagation of a solve goes through `_MultipointCore`, its one spectral
 context: each Φ application is one datum solve and one pass of its `propagate`, and
@@ -26,8 +26,6 @@ more trajectories; each deeper level would keep two more again.  A distance
 beyond DIVERGENCE_FACTOR·d₀, or a non-finite Φ past the first iterate, is
 divergence (NoConvergenceError), not a non-finite solution.
 """
-
-from __future__ import annotations
 
 from dataclasses import dataclass
 
@@ -126,18 +124,20 @@ def check_picard_tolerances(tol_fp: float, max_iter: int) -> None:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
 
 
+def _metric_norm(traj: Trajectory, nl: PowerNonlinearity) -> float:
+    """The norm of the contraction metric, L_t^{p+2} L_x^{r(p,n)}."""
+    return mixed_norm(traj, nl.p + 2.0, metric_exponent(traj.grid.n, nl.p)[0])
+
+
 def smallness_indicator(sym: EllipticSymbol, grid: SpectralGrid, phi: Field, s: float,
-                        nl: PowerNonlinearity, T: float, sigma: float | None = None,
-                        t0: float = 0.0, nt: int = 200) -> float:
-    """η = ‖|∇|^s U_L(t)φ‖ in L_t^{p+2}L_x^σ over [t0, T]; σ defaults to r(p,n)."""
+                        nl: PowerNonlinearity, T: float, t0: float = 0.0, nt: int = 200) -> float:
+    """η = ‖|∇|^s U_L(t)φ‖ in the contraction metric over [t0, T]."""
     check_regularity(s)
     if phi.grid != grid:
         raise GridMismatchError("datum does not live on the given grid")
-    if sigma is None:
-        sigma, _ = metric_exponent(grid.n, nl.p)
     frames = _propagate(grid, _Phases(symbol_lattice(sym, grid)), _datum_spectrum(phi, s),
                         MultipointSpec(t0, T).times(nt), t0)
-    return mixed_norm(Trajectory._wrap(grid, t0, T, frames), nl.p + 2.0, sigma)
+    return _metric_norm(Trajectory._wrap(grid, t0, T, frames), nl)
 
 
 # --- the solution map ----------------------------------------------------------
@@ -162,16 +162,10 @@ def _iterate_core(sym: EllipticSymbol, grid: SpectralGrid, mp: MultipointSpec, p
     return _MultipointCore(sym, grid, mp, phi, traj.nt, eps_res)
 
 
-def _distance(core: _MultipointCore, diff: np.ndarray, q: float, r: float) -> float:
-    """L_t^q L_x^r norm of a difference stack, read through a view so the stack stays writeable."""
-    return mixed_norm(core.wrap(diff.view()), q, r)
-
-
-def _residual(core: _MultipointCore, values: np.ndarray, nl: PowerNonlinearity,
-              q: float, r: float) -> float:
+def _residual(core: _MultipointCore, values: np.ndarray, nl: PowerNonlinearity) -> float:
     """d(u, Φ(u)), with the difference formed in Φ's own buffer."""
     diff = _solution_map(core, values, nl)
-    return _distance(core, np.subtract(diff, values, out=diff), q, r)
+    return _metric_norm(core.wrap(np.subtract(diff, values, out=diff)), nl)
 
 
 def picard_step(sym: EllipticSymbol, grid: SpectralGrid, mp: MultipointSpec, phi: Field,
@@ -187,8 +181,7 @@ def integral_residual(sym: EllipticSymbol, grid: SpectralGrid, mp: MultipointSpe
                       eps_res: float = DEFAULT_EPS_RES) -> float:
     """Defect d(u, Φ(u)) of the integral equation in the contraction metric."""
     core = _iterate_core(sym, grid, mp, phi, traj, eps_res)
-    r_metric, _ = metric_exponent(grid.n, nl.p)
-    return _residual(core, traj.values, nl, nl.p + 2.0, r_metric)
+    return _residual(core, traj.values, nl)
 
 
 def _relative_drift(values: tuple[float, ...]) -> float:
@@ -226,8 +219,8 @@ def _mix(f: np.ndarray, g: np.ndarray, history) -> np.ndarray:
     return np.subtract(f, df, out=df)
 
 
-def _fixed_point(core: _MultipointCore, nl: PowerNonlinearity, q: float, r: float,
-                 tol_fp: float, max_iter: int) -> tuple[np.ndarray | None, list, str | None]:
+def _fixed_point(core: _MultipointCore, nl: PowerNonlinearity, tol_fp: float,
+                 max_iter: int) -> tuple[np.ndarray | None, list, str | None]:
     """Iterate Φ from the linear multipoint solution.
 
     Returns the converged Φ output (None on failure), the distances
@@ -248,7 +241,7 @@ def _fixed_point(core: _MultipointCore, nl: PowerNonlinearity, q: float, r: floa
             return None, d_history, f"Picard iteration diverged: Φ of iterate {k} is not finite"
         with np.errstate(over="ignore", invalid="ignore"):
             g = np.subtract(f, x, out=x)  # x is not read again
-            d = _distance(core, g, q, r)
+            d = _metric_norm(core.wrap(g.view()), nl)  # a view: g stays writeable
             if k == 0 and not np.isfinite(d):
                 raise NonFiniteError("the first Picard distance is not finite")
             d_history.append(d)
@@ -277,21 +270,20 @@ def solve_nls_multipoint(sym: EllipticSymbol, grid: SpectralGrid, mp: Multipoint
     check_picard_tolerances(tol_fp, max_iter)
     check_regularity(s)
     core = _MultipointCore(sym, grid, mp, phi, nt, eps_res, phase_table=True)
-    q_metric = nl.p + 2.0
-    r_metric, clamped = metric_exponent(grid.n, nl.p)
+    r_metric, clamped = metric_exponent(grid.n, nl.p)  # reported; _metric_norm measures
 
-    values, d_history, failure = _fixed_point(core, nl, q_metric, r_metric, tol_fp, max_iter)
+    values, d_history, failure = _fixed_point(core, nl, tol_fp, max_iter)
     ratios = tuple(d_history[j + 1] / d_history[j]
                    for j in range(len(d_history) - 1) if d_history[j] > 0.0)
 
-    eta = mixed_norm(core.wrap(core.propagate(_datum_spectrum(phi, s))), q_metric, r_metric)
+    eta = _metric_norm(core.wrap(core.propagate(_datum_spectrum(phi, s))), nl)
     if failure is not None:
         raise NoConvergenceError(
             f"{failure} (last distance {d_history[-1]:.3e}, eta={eta:.3e})",
             diagnostics={"d_history": tuple(d_history), "eta": eta},
         )
 
-    final_residual = _residual(core, values, nl, q_metric, r_metric)
+    final_residual = _residual(core, values, nl)
     current = core.wrap(values)
 
     observables = frame_observables(current, sym, nl, s)

@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import os
@@ -96,7 +97,8 @@ def test_parse_named_precondition_failures():
     with pytest.raises(ValidationError, match="mode"):
         parse_config(json.dumps(make_config(
             initial={"kind": "plane_wave", "amplitude": 1.0, "mode": [0.5]})))
-    with pytest.raises(ValidationError, match="nonlinearity.p"):
+    # PowerNonlinearity's own rule, run as the section is read
+    with pytest.raises(ValidationError, match="^nonlinearity: power p must be positive, got -1.0$"):
         parse_config(json.dumps(make_config(nonlinearity={"lambda": 1.0, "p": -1.0})))
     with pytest.raises(ValidationError, match="T="):
         parse_config(json.dumps(make_config(time={"t0": 1.0, "T": 1.0, "Nt": 5})))
@@ -135,7 +137,7 @@ def test_parse_serialize_roundtrip():
 
 
 def test_canonical_echo():
-    doc = make_config(multipoint=[{"lambda": 0.5}], dispersive={"p": "inf", "times": [2.0]})
+    doc = make_config(multipoint=[{"lambda": 0.5}], dispersive={"p": "inf", "times": [2.0, 4.0]})
     assert json.loads(serialize_config(parse_config(json.dumps(doc)))) == {
         "symbol": {"a": [[1.0]]},
         "grid": {"n": 1, "N": 64, "R": math.pi},
@@ -147,7 +149,7 @@ def test_canonical_echo():
         "regularity": 0.0,
         "tolerances": {"eps_res": 1e-8, "tol_fp": 1e-10, "max_iter": 50},
         "outputs": {"report_path": "report", "fields_path": None, "snapshot_frames": [0, 50]},
-        "dispersive": {"times": [2.0], "p": "inf"},
+        "dispersive": {"times": [2.0, 4.0], "p": "inf"},
     }  # an absent strichartz section stays absent
 
 
@@ -232,7 +234,10 @@ WRONG_VALUES = [  # (config section, its value, the start of the message)
      "outputs.snapshot_frames[1] must be an integer, got 0.5"),
     ("outputs", {"snapshot_frames": [0, 51]}, "outputs.snapshot_frames entry 51 outside [0, Nt]"),
     ("dispersive", {"times": 2.0}, "dispersive.times must be a list, got 2.0"),
-    ("dispersive", {"times": []}, "dispersive: times must be a nonempty list"),
+    ("dispersive", {"times": []}, "dispersive: times must list at least two times for a decay "
+                                  "slope, got 0"),
+    ("dispersive", {"times": [2.0]}, "dispersive: times must list at least two times for a decay "
+                                     "slope, got 1"),
     ("dispersive", {"times": [2.0, "4"]}, "dispersive.times[1] must be a number, got '4'"),
     ("strichartz", {"num_samples": 2, "seed": -1, "band": 6},
      "strichartz: seed must be >= 0, got -1"),
@@ -246,8 +251,8 @@ WRONG_VALUES = [  # (config section, its value, the start of the message)
                               "envelope-omega", "symbol-str", "symbol-row", "symbol-entry",
                               "report-int", "report-empty", "report-dot", "report-root",
                               "fields-int", "frames-null", "frames-float", "frames-past-nt",
-                              "times-number", "times-empty", "times-entry", "seed-negative",
-                              "band-zero"])
+                              "times-number", "times-empty", "times-one", "times-entry",
+                              "seed-negative", "band-zero"])
 def test_wrong_shaped_profile_value_names_its_rule(tmp_path, capsys, section, bad, message):
     doc = make_config(outputs={"report_path": str(tmp_path / "bad")})
     doc[section] = bad
@@ -383,11 +388,24 @@ def test_nls_observables_computed_once(tmp_path, monkeypatch):
     assert calls == {"energy": nt + 1, "sobolev_norm": nt + 1}
 
 
+def _perfbench_selftest() -> dict:
+    """SELFTEST_NT, SELFTEST_CONFIG and SELFTEST_COUNTS of perfbench/run.py, read by AST:
+    those three assignments alone are evaluated, and run.py is not imported."""
+    names = {"SELFTEST_NT", "SELFTEST_CONFIG", "SELFTEST_COUNTS"}
+    tree = ast.parse((ROOT / "perfbench" / "run.py").read_text(encoding="utf-8"))
+    body = [node for node in tree.body if isinstance(node, ast.Assign)
+            and len(node.targets) == 1 and getattr(node.targets[0], "id", None) in names]
+    scope = {"__builtins__": {}}
+    exec(compile(ast.Module(body=body, type_ignores=[]), "perfbench/run.py", "exec"), scope)
+    assert set(scope) - {"__builtins__"} == names
+    return scope
+
+
 def test_transform_counts_match_the_benchmark_hand_count(tmp_path, monkeypatch):
-    # perfbench's tracer self-test (SELFTEST_COUNTS in perfbench/run.py) expects a 1-D
-    # solve-linear with no terms and no forcing at Nt = 10 to make 1 + 2(Nt+1) forward and
-    # 3(Nt+1) inverse transforms: φ̂, then per frame one propagation, the energy and the
-    # Ḣ^s norm; a change here fails `perfbench/run.py --trace 1` as well
+    # perfbench's tracer self-test runs its SELFTEST_CONFIG through solve-linear and expects
+    # SELFTEST_COUNTS transforms (φ̂, then per frame one propagation, the energy and the Ḣ^s
+    # norm); both are read from perfbench/run.py, so a change that moves a transform call
+    # fails here as it fails `perfbench/run.py --trace 1`
     from mpnls import grid
 
     calls = {"forward_transform": 0, "inverse_transform": 0}
@@ -401,11 +419,11 @@ def test_transform_counts_match_the_benchmark_hand_count(tmp_path, monkeypatch):
         for modname, mod in list(sys.modules.items()):
             if modname.split(".")[0] == "mpnls" and vars(mod).get(name) is original:
                 monkeypatch.setattr(mod, name, counted)
-    doc = make_config(grid={"n": 1, "N": 16, "R": math.pi},
-                      time={"t0": 0.0, "T": 1.0, "Nt": 10},
-                      outputs={"report_path": str(tmp_path / "selftest")})
+    bench = _perfbench_selftest()
+    doc = dict(bench["SELFTEST_CONFIG"], outputs={"report_path": str(tmp_path / "selftest")})
     assert run_command(["solve-linear", "--config", write_config(tmp_path, doc)]) == 0
-    assert calls == {"forward_transform": 23, "inverse_transform": 33}
+    assert {"grid.fwd_calls": calls["forward_transform"],
+            "grid.inv_calls": calls["inverse_transform"]} == bench["SELFTEST_COUNTS"]
 
 
 def test_nls_drifts_match_csv_columns(tmp_path):

@@ -408,8 +408,10 @@ def test_dispersive_rejections(grid1, sym1):
         verify_dispersive(sym1, grid1, phi, [0.0, 1.0])
     with pytest.raises(ValueError):
         verify_dispersive(sym1, grid1, phi, [2.0, 1.0])
-    with pytest.raises(ValueError, match=r"^times must be a nonempty list$"):  # not a NaN slope
-        verify_dispersive(sym1, grid1, phi, [])
+    for times in ([], [2.0]):  # a slope needs two points: refused by name, not a NaN slope
+        with pytest.raises(ValueError, match=rf"^times must list at least two times for a decay "
+                                             rf"slope, got {len(times)}$"):
+            verify_dispersive(sym1, grid1, phi, times)
 
 
 def test_boundary_mass_fraction_uniform(grid1):

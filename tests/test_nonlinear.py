@@ -143,9 +143,11 @@ def test_smallness_scales_linearly(setup):
 
 def test_smallness_refined_quadrature_oracle(setup):
     sym, grid, phi = setup
-    # sigma=4 makes the time integrand genuinely vary
-    coarse = smallness_indicator(sym, grid, phi, 0.5, NL, 1.0, sigma=4.0, nt=100)
-    dense = smallness_indicator(sym, grid, phi, 0.5, NL, 1.0, sigma=4.0, nt=800)
+    # at p = 4 in 1-D the metric is L_t^6 L_x^6 (r ≠ 2), so the time integrand genuinely varies
+    quartic = PowerNonlinearity(-1.0, 4.0)
+    assert metric_exponent(1, quartic.p) == (6.0, False)
+    coarse = smallness_indicator(sym, grid, phi, 0.5, quartic, 1.0, nt=100)
+    dense = smallness_indicator(sym, grid, phi, 0.5, quartic, 1.0, nt=800)
     assert coarse == pytest.approx(dense, rel=0.01)
     assert coarse > 0.0
 
@@ -172,8 +174,7 @@ def test_solver_eta_is_the_smallness_indicator(setup, s):
     sym, grid, phi = setup
     mp = MultipointSpec(0.25, 1.25, ((0.3, 0.75),))
     _, diags = solve_nls_multipoint(sym, grid, mp, phi, NL, s=s, nt=40)
-    assert diags.eta == smallness_indicator(sym, grid, phi, s, NL, mp.T, sigma=diags.r_metric,
-                                            t0=mp.t0, nt=40)
+    assert diags.eta == smallness_indicator(sym, grid, phi, s, NL, mp.T, t0=mp.t0, nt=40)
 
 
 def test_a_solve_builds_its_spectral_context_once(setup, monkeypatch):

@@ -13,7 +13,9 @@ refused only by `norms.make_pair`.  A config is read off its dataclasses
 by `cli._section`, and a profile by `cli._validate_profile`: no other reader
 checks keys, and `parse_config` hands the JSON to `_section` whole.  Every
 value rule lives in the library module that owns it, and `parse_config` raises
-a ValidationError of its own only for the rules of the CLI alone.
+a ValidationError of its own only for the rules of the CLI alone.  The
+nonlinearity has one type, `PowerNonlinearity`, which is also its config
+section, and its contraction metric one definition, `nonlinear._metric_norm`.
 These tests read the source, so a copy cannot regrow.
 """
 
@@ -46,6 +48,11 @@ def numpy_uses(attr: str) -> list[str]:
     """The sites of every use of np.<attr> in src."""
     return sites(lambda node: isinstance(node, ast.Attribute) and node.attr == attr
                  and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy"))
+
+
+def calls(name: str) -> list[str]:
+    """The sites of every call of the bare name `name` in src."""
+    return sites(lambda node: isinstance(node, ast.Call) and getattr(node.func, "id", None) == name)
 
 
 def raises(error: str) -> list[str]:
@@ -88,11 +95,8 @@ def test_resonance_is_judged_in_one_place():
 
 
 def test_the_config_has_one_schema_reader():
-    def calls(name):
-        return lambda node: isinstance(node, ast.Call) and getattr(node.func, "id", None) == name
-
     assert raises("UnknownKeyError") == ["cli:_check_keys"]
-    assert sites(calls("_check_keys")) == ["cli:_section", "cli:_validate_profile"]
+    assert calls("_check_keys") == ["cli:_section", "cli:_validate_profile"]
     tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
     parse = next(node for node in tree.body
                  if isinstance(node, ast.FunctionDef) and node.name == "parse_config")
@@ -125,3 +129,20 @@ def test_parse_raises_only_the_rules_of_the_cli():
                         "outputs.report_path must name a file, got ",
                         "outputs.snapshot_frames entry ",
                         "symbol dimension "]
+
+
+def test_the_contraction_metric_has_one_definition():
+    # r(p,n) is worked out where the metric is measured and where the solve reports r and
+    # its clamp flag; every norm that nonlinear.py takes is the metric's
+    assert calls("metric_exponent") == ["nonlinear:_metric_norm", "nonlinear:solve_nls_multipoint"]
+    assert [use for use in calls("mixed_norm") if use.startswith("nonlinear:")] == [
+        "nonlinear:_metric_norm"]
+
+
+def test_the_nonlinearity_has_one_type():
+    # the nonlinearity section is PowerNonlinearity itself, not a CLI class with its fields
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    fields = {node.name: {stmt.target.id for stmt in node.body if isinstance(stmt, ast.AnnAssign)}
+              for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
+    assert "lam" in fields["MultipointTerm"]  # the walk sees the config's fields
+    assert [name for name, names in fields.items() if {"lam", "p"} <= names] == []
