@@ -44,13 +44,13 @@ from .grid import (
 from .linear import (
     DispersiveReport,
     MultipointSpec,
+    SeparableForcing,
     StrichartzReport,
     apply_propagator,
     boundary_mass_fraction,
     min_abs_denominator,
     multipoint_residual,
     solve_linear_multipoint,
-    symbol_lattice,
     verify_dispersive,
     verify_strichartz,
 )
@@ -79,6 +79,6 @@ from .norms import (
     sobolev_norm,
     strichartz_norm,
 )
-from .symbol import EllipticSymbol, validate_symbol
+from .symbol import EllipticSymbol, symbol_lattice, validate_symbol
 
 __version__ = "0.1.0"

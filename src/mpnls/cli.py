@@ -40,6 +40,7 @@ from .linear import (
     DEFAULT_STRICHARTZ_SAMPLES,
     DEFAULT_STRICHARTZ_SEED,
     MultipointSpec,
+    SeparableForcing,
     check_dispersive,
     check_eps_res,
     check_strichartz,
@@ -59,7 +60,7 @@ from .nonlinear import (
 )
 from .norms import (canonical_pairs, check_sobolev_order, critical_exponent, frame_observables,
                     is_admissible)
-from .symbol import validate_symbol
+from .symbol import symbol_lattice, validate_symbol
 
 # The exit code of an error is that of the first class it is an instance of.
 EXIT_CODES = ((ResonanceError, 3), (NoConvergenceError, 4), (NonFiniteError, 5),
@@ -375,18 +376,16 @@ def _build_runtime(cfg: SolveConfig, datum: bool = True, forcing: bool = True):
     mp = MultipointSpec(cfg.time.t0, cfg.time.T,
                         tuple((complex(t.alpha_re, t.alpha_im), t.lam) for t in cfg.multipoint))
     phi = sample_profile(grid, cfg.initial) if datum else None
-    traj = None
+    source = None
     if forcing and cfg.forcing is not None:
-        base = sample_profile(grid, cfg.forcing.profile)
         env = cfg.forcing.envelope
         times = mp.times(cfg.time.nt)
         if isinstance(env, ConstantEnvelope):
             g = np.ones_like(times, dtype=np.complex128)
         else:
             g = np.exp(-1j * env.omega * times)
-        vals = g[(...,) + (None,) * grid.n] * base.values[None, ...]
-        traj = Trajectory(grid, cfg.time.t0, cfg.time.T, vals)
-    return sym, grid, mp, phi, traj, cfg.nonlinearity
+        source = SeparableForcing(sample_profile(grid, cfg.forcing.profile), g)
+    return sym, grid, mp, phi, source, cfg.nonlinearity
 
 
 # --- report emission -----------------------------------------------------------
@@ -475,7 +474,7 @@ def _run_solve_linear(cfg: SolveConfig) -> RunResult:
     sym, grid, mp, phi, forcing, nl = _build_runtime(cfg)
     traj = solve_linear_multipoint(sym, grid, mp, phi, forcing, cfg.time.nt,
                                    eps_res=cfg.tolerances.eps_res)
-    obs = frame_observables(traj, sym, nl, cfg.regularity)
+    obs = frame_observables(traj, symbol_lattice(sym, grid), nl, cfg.regularity)
     return _solve_result(sym, grid, mp, phi, traj, obs, {})
 
 

@@ -47,7 +47,7 @@ _BLOCK_BYTES = 256 * 1024  # a frame block's bound, at most 1/16 of its stack as
 class SpectralGrid:
     """Uniform periodic grid on [-R, R)ⁿ together with its frequency lattice."""
 
-    __slots__ = ("n", "N", "R", "h", "w", "shape", "x_axes", "freq_axes", "_phase")
+    __slots__ = ("n", "N", "R", "h", "w", "shape", "x_axes", "freq_axes", "_phase", "_fwd_scale")
 
     def __init__(self, n: int, N: int, R: float):
         self.n = n
@@ -60,10 +60,13 @@ class SpectralGrid:
         self.x_axes = [-R + step * np.arange(N) for _ in range(n)]
         j = (np.arange(N) + N // 2) % N - N // 2  # fftfreq's order; fftfreq(98, 1/98) is inexact
         self.freq_axes = [(np.pi / R) * j for _ in range(n)]
-        # (-1)^(j₁+…+jₙ): phase between the DFT and the ξ·x convention on [-R, R)
+        # (-1)^(j₁+…+jₙ): phase between the DFT and the ξ·x convention on [-R, R); it and the
+        # forward transform's factor are kept complex, as numpy would cast them for a product
+        # with a frame, so that no product casts
         phase = reduce(np.multiply.outer, [(-1.0) ** j] * n)
-        phase.flags.writeable = False
-        self._phase = phase
+        self._phase = _read_only(phase.astype(np.complex128))
+        self._fwd_scale = _read_only(((2.0 * np.pi) ** (-n / 2.0) * self.h * phase)
+                                     .astype(np.complex128))
 
     def __eq__(self, other):
         if not isinstance(other, SpectralGrid):
@@ -175,6 +178,11 @@ class Trajectory:
         return f"Trajectory(grid={self.grid!r}, t0={self.t0}, T={self.T}, nt={self.nt})"
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
 def check_time(t: float) -> None:
     """A time, on an axis or of a propagation, is a finite number."""
     if not math.isfinite(t):
@@ -205,10 +213,11 @@ def _frame_blocks(stack: np.ndarray):
 
 def _forward_frames(grid: SpectralGrid, values: np.ndarray, out=None) -> np.ndarray:
     """The forward transform of one frame, or of each frame of a stack on the leading axis,
-    written into `out` when given."""
-    coef = (2.0 * np.pi) ** (-grid.n / 2.0) * grid.h
-    axes = tuple(range(-grid.n, 0))
-    return np.multiply(coef * grid._phase, np.fft.fftn(values, axes=axes), out=out)
+    written into `out` when given and else into the one array it allocates."""
+    if out is None:
+        out = np.empty(values.shape, dtype=np.complex128)
+    np.fft.fftn(values, axes=tuple(range(-grid.n, 0)), out=out)
+    return np.multiply(grid._fwd_scale, out, out=out)
 
 
 def forward_transform(field: Field) -> Field:
@@ -217,11 +226,13 @@ def forward_transform(field: Field) -> Field:
 
 
 def inverse_transform(field: Field) -> Field:
-    """Inverse DFT from the frequency lattice; exact inverse of forward_transform."""
+    """Inverse DFT from the frequency lattice; exact inverse of forward_transform.  It runs
+    in place in the one array it allocates, its result."""
     g = field.grid
     coef = (2.0 * np.pi) ** (-g.n / 2.0) * g.w * g.N**g.n
-    phys = coef * np.fft.ifftn(g._phase * field.values)
-    return Field._wrap(g, phys)
+    res = np.multiply(g._phase, field.values)
+    np.fft.ifftn(res, out=res)
+    return Field._wrap(g, np.multiply(coef, res, out=res))
 
 
 # --- initial-data profiles ---------------------------------------------------

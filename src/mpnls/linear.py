@@ -25,7 +25,9 @@ Every phase e^{-iτL(ξ)} comes from `_Phases`, which exponentiates each distinc
 value of L(ξ) once and gathers the result onto the lattice.  `MultipointSpec.times`
 builds the time axis, and `_check_on_axis` checks a trajectory against it.  A
 writeable forcing stack is the one buffer of its pass: transformed to F̂,
-integrated to Ĝ and propagated in place.
+integrated to Ĝ and propagated in place.  A `SeparableForcing` envelope(t)·profile(x)
+is transformed once, as a datum, and its F̂ = envelope ⊗ φ̂_f is likewise the one buffer
+of its pass.
 """
 
 from __future__ import annotations
@@ -40,13 +42,14 @@ from .errors import (
     GridMismatchError,
     LambdaOffGridError,
     NonFiniteError,
+    NonFiniteInputError,
     NonpositiveTimeError,
     ResonanceError,
 )
 from .grid import (Field, SpectralGrid, Trajectory, _forward_frames, _frame_blocks, check_band,
                    check_time, forward_transform, inverse_transform, random_band_limited)
 from .norms import apply_riesz, canonical_pairs, lebesgue_norm, strichartz_norm
-from .symbol import EllipticSymbol
+from .symbol import EllipticSymbol, symbol_lattice
 
 DEFAULT_EPS_RES = 1e-8
 LAMBDA_GRID_TOL = 1e-12
@@ -100,17 +103,23 @@ class MultipointSpec:
         return idxs
 
 
-def symbol_lattice(sym: EllipticSymbol, grid: SpectralGrid) -> np.ndarray:
-    """L(ξ) evaluated on the full frequency lattice."""
-    if sym.n != grid.n:
-        raise GridMismatchError(f"symbol dimension {sym.n} != grid dimension {grid.n}")
-    mesh = grid.freq_mesh()
-    out = np.zeros(grid.shape)
-    for i in range(sym.n):
-        for j in range(sym.n):
-            if sym.a[i, j] != 0.0:
-                out = out + sym.a[i, j] * mesh[i] * mesh[j]
-    return out
+@dataclass(frozen=True, eq=False)  # eq=False: no elementwise == of the envelope
+class SeparableForcing:
+    """A forcing F(tₘ, x) = envelope[m]·profile(x) on a solve's time axis, one finite envelope
+    value per frame tₘ.  The solve transforms the profile once, and F̂ = envelope ⊗ φ̂_f is its
+    one forcing stack."""
+
+    profile: Field
+    envelope: np.ndarray
+
+    def __post_init__(self):
+        env = np.array(self.envelope, dtype=np.complex128, copy=True)
+        if env.ndim != 1:
+            raise GridMismatchError(f"forcing envelope must be 1-D, got shape {env.shape}")
+        if not np.isfinite(env).all():
+            raise NonFiniteInputError("forcing envelope contains NaN or Inf")
+        env.flags.writeable = False
+        object.__setattr__(self, "envelope", env)
 
 
 def apply_propagator(sym: EllipticSymbol, grid: SpectralGrid, t: float, f: Field) -> Field:
@@ -245,19 +254,27 @@ class _MultipointCore:
     """
 
     def __init__(self, sym: EllipticSymbol, grid: SpectralGrid, mp: MultipointSpec, phi: Field,
-                 nt: int, eps_res: float, forcing: Trajectory | None = None,
-                 phase_table: bool = False):
+                 nt: int, eps_res: float,
+                 forcing: Trajectory | SeparableForcing | None = None, phase_table: bool = False):
         check_eps_res(eps_res)
         if phi.grid != grid:
             raise GridMismatchError("datum does not live on the solver grid")
-        if forcing is not None:
+        if isinstance(forcing, SeparableForcing):
+            if forcing.profile.grid != grid:
+                raise GridMismatchError(f"forcing profile lives on {forcing.profile.grid!r}, "
+                                        f"not on {grid!r}")
+            if len(forcing.envelope) != nt + 1:
+                raise GridMismatchError(f"forcing envelope has {len(forcing.envelope)} values, "
+                                        f"not one per frame, nt + 1 = {nt + 1}")
+        elif forcing is not None:
             _check_on_axis(forcing, grid, mp, nt, "forcing")
         self.grid = grid
         self.mp = mp
         self.nt = nt
         self.times = mp.times(nt)
         self.lam_idx = mp.frame_indices(nt)
-        self.phases = _Phases(symbol_lattice(sym, grid))
+        self.larr = symbol_lattice(sym, grid)
+        self.phases = _Phases(self.larr)
         self.denom, min_abs = _denominator(self.phases, mp)
         if min_abs <= eps_res:
             raise ResonanceError(
@@ -269,14 +286,21 @@ class _MultipointCore:
         self.phi_hat = _datum_spectrum(phi)
         self.table = self.phases.table(self.times, mp.t0) if phase_table else None
 
-    def duhamel(self, forcing: np.ndarray) -> np.ndarray:
-        """Ĝ on the time axis for a stack of physical forcing frames, transformed a block
-        of frames at a time.  A writeable stack is the caller's scratch and is overwritten
-        with F̂, then Ĝ; a read-only one is transformed into a new buffer."""
-        fhat = forcing if forcing.flags.writeable else np.empty_like(forcing)
+    def duhamel(self, forcing: np.ndarray | SeparableForcing) -> np.ndarray:
+        """Ĝ on the time axis.  A SeparableForcing's F̂ = envelope ⊗ φ̂_f is formed in a new
+        buffer from one transform of its profile.  A stack of physical forcing frames is
+        transformed a block of frames at a time: a writeable stack is the caller's scratch and
+        is overwritten with F̂, then Ĝ; a read-only one is transformed into a new buffer."""
         with np.errstate(over="ignore", invalid="ignore"):  # _propagate judges an overflow
-            for block in _frame_blocks(forcing):
-                _forward_frames(self.grid, forcing[block], out=fhat[block])
+            if isinstance(forcing, SeparableForcing):
+                spec = _datum_spectrum(forcing.profile)
+                fhat = np.empty((self.nt + 1,) + spec.shape, dtype=np.complex128)
+                for m, value in enumerate(forcing.envelope):  # a broadcast product buffers
+                    np.multiply(value, spec, out=fhat[m])
+            else:
+                fhat = forcing if forcing.flags.writeable else np.empty_like(forcing)
+                for block in _frame_blocks(forcing):
+                    _forward_frames(self.grid, forcing[block], out=fhat[block])
             return _duhamel_spectral(self.step, self.dt, fhat)
 
     def propagate(self, u_hat: np.ndarray, ghat: np.ndarray | None = None) -> np.ndarray:
@@ -304,13 +328,17 @@ class _MultipointCore:
 
 
 def solve_linear_multipoint(sym: EllipticSymbol, grid: SpectralGrid, mp: MultipointSpec,
-                            phi: Field, forcing: Trajectory | None = None,
+                            phi: Field, forcing: Trajectory | SeparableForcing | None = None,
                             nt: int = 200, eps_res: float = DEFAULT_EPS_RES) -> Trajectory:
     """Full trajectory u(tₘ) = U_L(tₘ-t0)u₀ + G(tₘ) on nt uniform intervals, whose first
     frame is the datum u₀: the one linear entry point.  With no multipoint terms it is
-    free propagation, and with φ = 0 as well the Duhamel term G alone."""
+    free propagation, and with φ = 0 as well the Duhamel term G alone.  A forcing is a
+    Trajectory on the time axis, or a SeparableForcing, whose solve holds one trajectory
+    stack: its F̂, then Ĝ, then the frames."""
     core = _MultipointCore(sym, grid, mp, phi, nt, eps_res, forcing)
-    return core.wrap(core.frames(None if forcing is None else core.duhamel(forcing.values)))
+    if isinstance(forcing, Trajectory):
+        forcing = forcing.values
+    return core.wrap(core.frames(None if forcing is None else core.duhamel(forcing)))
 
 
 def multipoint_residual(traj: Trajectory, mp: MultipointSpec, phi: Field) -> float:

@@ -34,10 +34,10 @@ import numpy as np
 from .errors import BadExponentError, GridMismatchError, NoConvergenceError, NonFiniteError
 from .grid import Field, SpectralGrid, Trajectory, _frame_blocks
 from .linear import (DEFAULT_EPS_RES, MultipointSpec, _check_on_axis, _datum_spectrum,
-                     _MultipointCore, _Phases, _propagate, symbol_lattice)
+                     _MultipointCore, _Phases, _propagate)
 from .norms import (FrameObservables, apply_riesz, canonical_pairs, check_power, check_sobolev_order,
                     frame_observables, mixed_norm, strichartz_norm)
-from .symbol import EllipticSymbol
+from .symbol import EllipticSymbol, symbol_lattice
 
 DEFAULT_TOL_FP = 1e-10
 DEFAULT_MAX_ITER = 50
@@ -286,7 +286,7 @@ def solve_nls_multipoint(sym: EllipticSymbol, grid: SpectralGrid, mp: Multipoint
     final_residual = _residual(core, values, nl)
     current = core.wrap(values)
 
-    observables = frame_observables(current, sym, nl, s)
+    observables = frame_observables(current, core.larr, nl, s)
     grad_traj = current if s == 0.0 else core.wrap(  # apply_riesz is the identity at s = 0
         np.stack([apply_riesz(current.frame(m), s).values for m in range(nt + 1)]))
     diags = PicardDiagnostics(

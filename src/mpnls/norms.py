@@ -23,6 +23,7 @@ from .errors import (
     NonFiniteError,
 )
 from .grid import Field, Trajectory, _frame_blocks, forward_transform, inverse_transform
+from .symbol import symbol_lattice
 
 INF = math.inf
 
@@ -252,26 +253,23 @@ def mass(field: Field) -> float:
 
 
 def energy(field: Field, sym, nl=None) -> float:
-    """Hamiltonian h·Σ [½ Σ aᵢⱼ ∂ᵢu ∂ⱼū − (λ/(p+2))|u|^{p+2}], spectral gradients.
+    """Hamiltonian h·Σ [½(𝓛u)ū − (λ/(p+2))|u|^{p+2}], 𝓛u = F⁻¹[L(ξ)û]: the one-frame case
+    of `_hamiltonian`.  nl is a PowerNonlinearity (attributes lam, p) or None for the free case."""
+    return _hamiltonian(field, symbol_lattice(sym, field.grid), nl)
 
-    nl is a PowerNonlinearity (attributes lam, p) or None for the free case.
-    The integrand is real for a real symmetric form; the residual imaginary
-    part is asserted below 1e-10 of the energy scale, and the total finite.
-    """
+
+def _hamiltonian(field: Field, larr: np.ndarray, nl) -> float:
+    """The energy of one frame, as `energy` defines it, from L(ξ) on its lattice: one forward
+    and one inverse transform in every dimension.  ½(𝓛u)ū sums to a real number for a real
+    symmetric form; the residual imaginary part is asserted below 1e-10 of the energy scale,
+    and the total finite."""
     g = field.grid
-    a = sym.a
     with np.errstate(over="ignore", invalid="ignore"):  # judged on the total below
-        spec = forward_transform(field)
-        grads = [inverse_transform(Field._wrap(g, 1j * ax * spec.values)).values
-                 for ax in g.freq_mesh()]
-        quad = np.zeros(g.shape, dtype=np.complex128)
-        for i in range(sym.n):
-            for j in range(sym.n):
-                if a[i, j] != 0.0:
-                    quad = quad + a[i, j] * grads[i] * np.conj(grads[j])
-        density = 0.5 * quad
+        lu = inverse_transform(Field._wrap(g, larr * forward_transform(field).values)).values
+        density = lu * np.conj(field.values)
+        density *= 0.5
         if nl is not None and nl.lam != 0.0:
-            density = density - (nl.lam / (nl.p + 2.0)) * np.abs(field.values) ** (nl.p + 2.0)
+            density -= (nl.lam / (nl.p + 2.0)) * np.abs(field.values) ** (nl.p + 2.0)
         total = g.h * np.sum(density)
     if not np.isfinite(total):
         raise NonFiniteError(f"energy is not finite: {total}")
@@ -289,10 +287,11 @@ class FrameObservables:  # per-frame columns of a solve report, one entry per fr
     sobolev_s: tuple  # homogeneous ‖|∇|^s u‖_{L²}
 
 
-def frame_observables(traj: Trajectory, sym, nl, s: float) -> FrameObservables:
-    """Mass, energy (nl as for `energy`), L², L^∞ and Ḣ^s norm of every frame: the
-    only place these are computed, read by the Picard drifts and the solve CSV."""
-    rows = [(mass(f), energy(f, sym, nl), lebesgue_norm(f, 2.0), lebesgue_norm(f, INF),
+def frame_observables(traj: Trajectory, larr: np.ndarray, nl, s: float) -> FrameObservables:
+    """Mass, energy (nl as for `energy`, L(ξ) on the lattice as `symbol_lattice` builds it),
+    L², L^∞ and Ḣ^s norm of every frame: the only place these are computed, read by the
+    Picard drifts and the solve CSV."""
+    rows = [(mass(f), _hamiltonian(f, larr, nl), lebesgue_norm(f, 2.0), lebesgue_norm(f, INF),
              sobolev_norm(f, s))
             for f in (traj.frame(m) for m in range(traj.nt + 1))]
     return FrameObservables(*zip(*rows))

@@ -5,13 +5,16 @@ M₁|ξ|² ≤ L(ξ) ≤ M₂|ξ|² with M₁, M₂ the extreme eigenvalues of a
 evolution multiplies each Fourier mode by exp(-i t L(ξ)): plugging a plane
 wave exp(i(ξ·x - L(ξ)t)) into i∂ₜu + Lu = 0 cancels exactly, which the test
 suite checks by a finite-difference residual of linear.apply_propagator.
+`symbol_lattice` is the one evaluation of L(ξ) on a grid's lattice: the solvers'
+phases and D(ξ), and the energy's 𝓛u = F⁻¹[L(ξ)û], all read it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import NotEllipticError, NotSymmetricError
+from .errors import GridMismatchError, NotEllipticError, NotSymmetricError
+from .grid import SpectralGrid
 
 SYMMETRY_TOL = 1e-12
 ELLIPTICITY_FLOOR = 1e-12
@@ -64,3 +67,16 @@ def validate_symbol(a) -> EllipticSymbol:
             f"smallest eigenvalue {eigs[0]:.3e} is at or below {ELLIPTICITY_FLOOR:.0e}"
         )
     return EllipticSymbol(sym, float(eigs[0]), float(eigs[-1]))
+
+
+def symbol_lattice(sym: EllipticSymbol, grid: SpectralGrid) -> np.ndarray:
+    """L(ξ) evaluated on the full frequency lattice."""
+    if sym.n != grid.n:
+        raise GridMismatchError(f"symbol dimension {sym.n} != grid dimension {grid.n}")
+    mesh = grid.freq_mesh()
+    out = np.zeros(grid.shape)
+    for i in range(sym.n):
+        for j in range(sym.n):
+            if sym.a[i, j] != 0.0:
+                out = out + sym.a[i, j] * mesh[i] * mesh[j]
+    return out

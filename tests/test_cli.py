@@ -371,7 +371,7 @@ def _small_nls_doc(tmp_path, nt):
 def test_nls_observables_computed_once(tmp_path, monkeypatch):
     from mpnls import norms
 
-    calls = {"energy": 0, "sobolev_norm": 0}
+    calls = {"_hamiltonian": 0, "sobolev_norm": 0}
     for name in calls:
         original = getattr(norms, name)
 
@@ -385,7 +385,7 @@ def test_nls_observables_computed_once(tmp_path, monkeypatch):
     nt = 20
     doc = _small_nls_doc(tmp_path, nt)
     assert run_command(["solve-nls", "--config", write_config(tmp_path, doc)]) == 0
-    assert calls == {"energy": nt + 1, "sobolev_norm": nt + 1}
+    assert calls == {"_hamiltonian": nt + 1, "sobolev_norm": nt + 1}
 
 
 def _perfbench_selftest() -> dict:

@@ -10,9 +10,11 @@ from mpnls import (
     GridMismatchError,
     LambdaOffGridError,
     MultipointSpec,
+    NonFiniteInputError,
     NonpositiveTimeError,
     PowerNonlinearity,
     ResonanceError,
+    SeparableForcing,
     Trajectory,
     apply_propagator,
     boundary_mass_fraction,
@@ -348,6 +350,53 @@ def test_solve_leaves_the_forcing_untouched(grid1, sym1, rng):
     assert np.array_equal(forcing.values, before)
     assert not forcing.values.flags.writeable and not traj.values.flags.writeable
     assert not np.shares_memory(traj.values, forcing.values)
+
+
+def test_separable_forcing_is_checked_against_the_solve(grid1, sym1):
+    mp, nt = MultipointSpec(0.0, 1.0, ((0.4, 0.5),)), 20
+    phi = gaussian(grid1)
+    # the profile on another grid, and an envelope one value short
+    for forcing in (SeparableForcing(gaussian(build_grid(1, 32, np.pi)), np.ones(nt + 1)),
+                    SeparableForcing(gaussian(grid1), np.ones(nt))):
+        with pytest.raises(GridMismatchError, match="forcing"):
+            solve_linear_multipoint(sym1, grid1, mp, phi, forcing, nt=nt)
+    env = np.ones(nt + 1, dtype=complex)
+    for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
+        env[3] = bad
+        with pytest.raises(NonFiniteInputError, match="forcing"):
+            SeparableForcing(gaussian(grid1), env)
+    with pytest.raises(GridMismatchError, match="forcing"):
+        SeparableForcing(gaussian(grid1), np.ones((nt + 1, 2)))
+
+
+def test_separable_forcing_keeps_its_own_envelope(grid1):
+    env = np.linspace(0.0, 1.0, 11)
+    forcing = SeparableForcing(gaussian(grid1), env)
+    env[0] = 5.0
+    assert forcing.envelope[0] == 0.0 and not forcing.envelope.flags.writeable
+
+
+def test_separable_forced_solve_holds_one_trajectory_stack():
+    # F̂ = envelope ⊗ φ̂_f is the one stack: integrated to Ĝ and propagated in place
+    sym, grid, nt = validate_symbol([[1.0]]), build_grid(1, 256, 10.0), 200
+    mp = MultipointSpec(0.0, 1.0, ((0.5, 0.4), (0.2 + 0.1j, 0.8)))
+    forcing = SeparableForcing(gaussian(grid, 0.1), np.exp(-3j * mp.times(nt)))
+    small = build_grid(1, 16, 10.0)  # warm-up: lazy imports and allocator caches
+    solve_linear_multipoint(sym, small, mp, gaussian(small),
+                            SeparableForcing(gaussian(small), np.ones(11)), nt=10)
+    phi = gaussian(grid)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        traj = solve_linear_multipoint(sym, grid, mp, phi, forcing, nt=nt)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak / traj.values.nbytes <= 1.2
 
 
 def test_non_finite_times_are_named(grid1, sym1):

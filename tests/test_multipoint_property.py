@@ -1,6 +1,7 @@
 """Property: the forced linear solve meets the multipoint condition
 u(t0) = φ + Σ αₖ u(λₖ), its first frame being the datum, over random SPD
-symbols, contracting couplings (Σ|αₖ| < 1), on-grid λₖ and random forcing."""
+symbols, contracting couplings (Σ|αₖ| < 1), on-grid λₖ and random forcing; and a
+separable forcing solves as the same forcing given frame by frame."""
 
 import numpy as np
 import pytest
@@ -8,8 +9,10 @@ import pytest
 from mpnls import (
     Field,
     MultipointSpec,
+    SeparableForcing,
     Trajectory,
     build_grid,
+    mixed_norm,
     multipoint_residual,
     solve_linear_multipoint,
     validate_symbol,
@@ -51,3 +54,16 @@ def test_forced_datum_is_first_frame_and_meets_condition(problem):
     sym, grid, mp, phi, forcing, nt = problem
     traj = solve_linear_multipoint(sym, grid, mp, phi, forcing, nt=nt)
     assert multipoint_residual(traj, mp, phi) <= 1e-12
+
+
+@hypothesis.settings(max_examples=40, deadline=None, derandomize=True)
+@hypothesis.given(problems())
+def test_separable_forcing_solves_as_its_frames(problem):
+    sym, grid, mp, phi, forcing, nt = problem
+    profile = forcing.frame(nt)
+    envelope = forcing.values.reshape(nt + 1, -1)[:, 0]
+    frames = Trajectory(grid, mp.t0, mp.T, np.multiply.outer(envelope, profile.values))
+    sep = solve_linear_multipoint(sym, grid, mp, phi, SeparableForcing(profile, envelope), nt=nt)
+    ref = solve_linear_multipoint(sym, grid, mp, phi, frames, nt=nt)
+    diff = Trajectory(grid, mp.t0, mp.T, sep.values - ref.values)
+    assert mixed_norm(diff, np.inf, 2.0) <= 1e-13 * mixed_norm(ref, np.inf, 2.0)

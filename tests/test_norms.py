@@ -19,14 +19,18 @@ from mpnls import (
     canonical_pairs,
     critical_exponent,
     energy,
+    forward_transform,
+    inverse_transform,
     is_admissible,
     lebesgue_norm,
     make_pair,
     mass,
     mixed_norm,
+    random_band_limited,
     sample_profile,
     sobolev_norm,
     strichartz_norm,
+    symbol_lattice,
     validate_symbol,
 )
 from mpnls.norms import apply_riesz, frame_observables
@@ -332,6 +336,55 @@ def test_energy_anisotropic(sym2, rng):
     assert energy(pw, sym2) == pytest.approx(0.5 * quad * (2 * g.R) ** 2, rel=1e-12)
 
 
+ENERGY_SYMBOLS = {1: [[1.3]], 2: [[1.0, 0.2], [0.2, 1.5]],
+                  3: [[1.0, 0.2, 0.1], [0.2, 1.5, -0.3], [0.1, -0.3, 2.0]]}
+
+
+def gradient_energy(field, sym, nl):
+    """The Hamiltonian from spectral gradients, h·Σ[½Σaᵢⱼ∂ᵢu∂ⱼū − (λ/(p+2))|u|^{p+2}]: one
+    inverse transform per axis."""
+    g = field.grid
+    spec = forward_transform(field).values
+    grads = [inverse_transform(Field(g, 1j * ax * spec)).values for ax in g.freq_mesh()]
+    quad = sum(sym.a[i, j] * grads[i] * np.conj(grads[j])
+               for i in range(g.n) for j in range(g.n))
+    density = 0.5 * quad - (nl.lam / (nl.p + 2.0)) * np.abs(field.values) ** (nl.p + 2.0)
+    return float(np.real(g.h * np.sum(density)))
+
+
+@pytest.mark.parametrize("n, N", [(1, 64), (2, 32), (3, 16)])
+def test_energy_is_half_the_pairing_of_the_symbol(n, N):
+    # ½⟨𝓛u, u⟩ agrees with the gradient form and, by Plancherel, with ½w·ΣL|û|²
+    sym, grid = validate_symbol(ENERGY_SYMBOLS[n]), build_grid(n, N, 3.0)
+    nl = PowerNonlinearity(-0.7, 2.0)
+    for seed in range(3):
+        f = random_band_limited(grid, N // 4, np.random.default_rng(seed))
+        free = energy(f, sym)
+        plancherel = 0.5 * grid.w * np.sum(symbol_lattice(sym, grid)
+                                           * np.abs(forward_transform(f).values) ** 2)
+        assert free == pytest.approx(plancherel, rel=1e-13)
+        assert free == pytest.approx(gradient_energy(f, sym, PowerNonlinearity(0.0, 2.0)),
+                                     rel=1e-13)
+        assert energy(f, sym, nl) == pytest.approx(gradient_energy(f, sym, nl), rel=1e-13)
+
+
+@pytest.mark.parametrize("n, N", [(1, 16), (2, 8), (3, 8)])
+def test_energy_makes_one_transform_each_way_in_every_dimension(n, N, monkeypatch):
+    from mpnls import norms
+
+    counts = {"forward_transform": 0, "inverse_transform": 0}
+    for name in counts:
+        def counted(field, _name=name, _original=getattr(norms, name)):
+            counts[_name] += 1
+            return _original(field)
+
+        monkeypatch.setattr(norms, name, counted)
+    grid = build_grid(n, N, 3.0)
+    energy(random_band_limited(grid, 2, np.random.default_rng(0)),
+           validate_symbol(ENERGY_SYMBOLS[n]), PowerNonlinearity(-1.0, 2.0))
+    assert counts == {"forward_transform": 1, "inverse_transform": 1}
+
+
 def test_absolute_homogeneity(grid1, rng):
     vals = rng.standard_normal((6, 64)) + 1j * rng.standard_normal((6, 64))
     traj = Trajectory(grid1, 0.0, 1.0, vals)
@@ -353,11 +406,12 @@ def test_frame_observables_columns_are_the_norms(grid1, sym1, rng):
     vals = rng.standard_normal((nt + 1, 64)) + 1j * rng.standard_normal((nt + 1, 64))
     traj = Trajectory(grid1, 0.0, 1.0, vals)
     nl = PowerNonlinearity(-1.0, 2.0)
-    obs = frame_observables(traj, sym1, nl, 0.5)
+    obs = frame_observables(traj, symbol_lattice(sym1, grid1), nl, 0.5)
     frames = [traj.frame(m) for m in range(nt + 1)]
     assert obs.mass == tuple(mass(f) for f in frames)
     assert obs.energy == tuple(energy(f, sym1, nl) for f in frames)
     assert obs.l2 == tuple(lebesgue_norm(f, 2.0) for f in frames)
     assert obs.linf == tuple(lebesgue_norm(f, INF) for f in frames)
     assert obs.sobolev_s == tuple(sobolev_norm(f, 0.5) for f in frames)
-    assert frame_observables(traj, sym1, None, 0.5).energy == tuple(energy(f, sym1) for f in frames)
+    assert frame_observables(traj, symbol_lattice(sym1, grid1), None, 0.5).energy == tuple(
+        energy(f, sym1) for f in frames)

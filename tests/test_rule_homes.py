@@ -16,7 +16,9 @@ value rule lives in the library module that owns it, and `parse_config` raises
 a ValidationError of its own only for the rules of the CLI alone.  The
 nonlinearity has one type, `PowerNonlinearity`, which is also its config
 section, and its contraction metric one definition, `nonlinear._metric_norm`.
-These tests read the source, so a copy cannot regrow.
+numpy's FFT runs only in the two transforms of `grid`, and L(ξ) is built on the
+lattice only by `symbol.symbol_lattice`.  These tests read the source, so a copy
+cannot regrow.
 """
 
 import ast
@@ -79,6 +81,14 @@ def test_every_phase_comes_from_the_one_evaluator():
     assert numpy_uses("unique") == ["linear:_Phases.__init__"]
     exps = [use for use in numpy_uses("exp") if use.split(":")[0] in ("linear", "nonlinear")]
     assert exps and all(use.startswith("linear:_Phases.") for use in exps)
+
+
+def test_the_transforms_have_one_home():
+    # numpy's FFT runs only in the two transforms; L(ξ) has one builder on the lattice, and
+    # |ξ|² one more, so no gradient form of L(ξ) can grow back
+    assert numpy_uses("fft") == ["grid:_forward_frames", "grid:inverse_transform"]
+    assert sites(lambda node: isinstance(node, ast.Call) and getattr(node.func, "attr", None)
+                 == "freq_mesh") == ["grid:SpectralGrid.radial_freq_sq", "symbol:symbol_lattice"]
 
 
 def test_resonance_is_judged_in_one_place():
