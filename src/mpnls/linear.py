@@ -13,21 +13,21 @@ refuses to divide when min|D| ≤ eps_res, which `check_eps_res` holds positive.
 its one public reader.  The Duhamel integral uses the incremental trapezoidal
 recurrence, second order in Δt and linear in the number of frames.
 
-Every solver and verifier, here and in the nonlinear module, runs on one
-private multipoint core.  `_MultipointCore`, the spectral context of a solve,
-builds L(ξ), its phases, the Duhamel step e^{-iΔtL} and D(ξ) once, makes the
-only datum solve and the only forward transform of forcing frames (block by
-block, `grid._frame_blocks`), and runs every pass on its time axis, η included,
-through `propagate`.  `_datum_spectrum` is the only transform of a datum, and
-`_propagate` the only propagation pass; it checks each frame it writes for NaN
-and Inf, and the passes leave an overflow to that check, without numpy warnings.
-Every phase e^{-iτL(ξ)} comes from `_Phases`, which exponentiates each distinct
-value of L(ξ) once and gathers the result onto the lattice.  `MultipointSpec.times`
-builds the time axis, and `_check_on_axis` checks a trajectory against it.  A
-writeable forcing stack is the one buffer of its pass: transformed to F̂,
-integrated to Ĝ and propagated in place.  A `SeparableForcing` envelope(t)·profile(x)
-is transformed once, as a datum, and its F̂ = envelope ⊗ φ̂_f is likewise the one buffer
-of its pass.
+Every solve, here and in the nonlinear module, runs on one private multipoint core.
+`_MultipointCore`, the spectral context of a solve, builds L(ξ), its phases, the
+Duhamel step e^{-iΔtL} and D(ξ) once, makes the only datum solve and runs every pass on
+its time axis, η included, through `propagate`.  Its `duhamel` is the one reader and
+checker of a forcing and makes the only forward transform of forcing frames (block by
+block, `grid._frame_blocks`).  The free evolutions of `apply_propagator` and of the two
+verifiers solve nothing and build no core.  `_datum_spectrum` is the only transform of a
+datum and the one check that it lives on the grid of its pass, and `_propagate` the only
+propagation pass; it checks each frame it writes for NaN and Inf, and the passes leave
+an overflow to that check, without numpy warnings.  Every phase e^{-iτL(ξ)} comes from
+`_Phases`, which exponentiates each distinct value of L(ξ) once and gathers the result
+onto the lattice.  `MultipointSpec.times` builds the time axis, and `_check_on_axis`
+checks a trajectory against it.  A writeable forcing stack is the one buffer of its pass:
+transformed to F̂, integrated to Ĝ and propagated in place.  A `SeparableForcing`'s profile
+is transformed once, as a datum, and its F̂ = envelope ⊗ φ̂_f is the one buffer of its pass.
 """
 
 from __future__ import annotations
@@ -125,10 +125,8 @@ class SeparableForcing:
 def apply_propagator(sym: EllipticSymbol, grid: SpectralGrid, t: float, f: Field) -> Field:
     """Free evolution U_L(t)f: multiply each mode by e^{-i t L(ξ)}."""
     check_time(t)
-    if f.grid != grid:
-        raise GridMismatchError("field does not live on the given grid")
     phases = _Phases(symbol_lattice(sym, grid))
-    return Field._wrap(grid, _propagate(grid, phases, _datum_spectrum(f), [t])[0])
+    return Field._wrap(grid, _propagate(grid, phases, _datum_spectrum(f, grid), [t])[0])
 
 
 def min_abs_denominator(sym: EllipticSymbol, grid: SpectralGrid, mp: MultipointSpec) -> float:
@@ -186,10 +184,13 @@ def _denominator(phases: _Phases, mp: MultipointSpec) -> tuple[np.ndarray, float
     return d, float(np.min(np.abs(d)))
 
 
-def _datum_spectrum(phi: Field, s: float = 0.0) -> np.ndarray:
-    """The spectrum of the datum |∇|^s φ, s = 0 by default.  An overflow of |∇|^s raises
-    NonFiniteError in `apply_riesz`; one of this transform is left to the frame check of
-    `_propagate`, without numpy warnings."""
+def _datum_spectrum(phi: Field, grid: SpectralGrid, s: float = 0.0,
+                    what: str = "datum") -> np.ndarray:
+    """The spectrum of the datum |∇|^s φ (s = 0 by default), which lives on `grid`, the grid of
+    its pass, or raises GridMismatchError naming it `what`.  An overflow of |∇|^s raises
+    NonFiniteError in `apply_riesz`; one of this transform is left to `_propagate`'s check."""
+    if phi.grid != grid:
+        raise GridMismatchError(f"{what} does not live on the given grid")
     with np.errstate(over="ignore", invalid="ignore"):
         return forward_transform(apply_riesz(phi, s)).values
 
@@ -247,27 +248,15 @@ def _check_on_axis(traj: Trajectory, grid: SpectralGrid, mp: MultipointSpec, nt:
 class _MultipointCore:
     """The spectral context of a solve: checks once, then resolves û₀ and propagates it.
 
-    Checks eps_res, the datum and forcing grids and the time axis, and builds once the phases
-    of L(ξ), the Duhamel step e^{-iΔtL}, D(ξ), the frame indices of the λₖ and φ̂; it refuses
-    a D(ξ) with min|D| ≤ eps_res.  phase_table=True precomputes e^{-i(tₘ-t0)L(ξ)} for every
-    frame, for a caller that propagates many times.
+    Checks eps_res and the time axis, and builds once the phases of L(ξ), the Duhamel step
+    e^{-iΔtL}, D(ξ), the frame indices of the λₖ and φ̂ (`_datum_spectrum` checks its grid); it
+    refuses a D(ξ) with min|D| ≤ eps_res.  `duhamel` reads and checks a forcing.  phase_table=True
+    precomputes e^{-i(tₘ-t0)L(ξ)} for every frame, for a caller that propagates many times.
     """
 
     def __init__(self, sym: EllipticSymbol, grid: SpectralGrid, mp: MultipointSpec, phi: Field,
-                 nt: int, eps_res: float,
-                 forcing: Trajectory | SeparableForcing | None = None, phase_table: bool = False):
+                 nt: int, eps_res: float, phase_table: bool = False):
         check_eps_res(eps_res)
-        if phi.grid != grid:
-            raise GridMismatchError("datum does not live on the solver grid")
-        if isinstance(forcing, SeparableForcing):
-            if forcing.profile.grid != grid:
-                raise GridMismatchError(f"forcing profile lives on {forcing.profile.grid!r}, "
-                                        f"not on {grid!r}")
-            if len(forcing.envelope) != nt + 1:
-                raise GridMismatchError(f"forcing envelope has {len(forcing.envelope)} values, "
-                                        f"not one per frame, nt + 1 = {nt + 1}")
-        elif forcing is not None:
-            _check_on_axis(forcing, grid, mp, nt, "forcing")
         self.grid = grid
         self.mp = mp
         self.nt = nt
@@ -283,21 +272,28 @@ class _MultipointCore:
             )
         self.dt = (mp.T - mp.t0) / nt
         self.step = self.phases(self.dt)
-        self.phi_hat = _datum_spectrum(phi)
+        self.phi_hat = _datum_spectrum(phi, grid)
         self.table = self.phases.table(self.times, mp.t0) if phase_table else None
 
-    def duhamel(self, forcing: np.ndarray | SeparableForcing) -> np.ndarray:
-        """Ĝ on the time axis.  A SeparableForcing's F̂ = envelope ⊗ φ̂_f is formed in a new
-        buffer from one transform of its profile.  A stack of physical forcing frames is
-        transformed a block of frames at a time: a writeable stack is the caller's scratch and
-        is overwritten with F̂, then Ĝ; a read-only one is transformed into a new buffer."""
+    def duhamel(self, forcing: Trajectory | SeparableForcing | np.ndarray) -> np.ndarray:
+        """Ĝ on the time axis; the one reader and checker of a forcing.  A SeparableForcing has
+        one envelope value per frame, and F̂ = envelope ⊗ φ̂_f in a new buffer from one
+        transform of its profile, a datum of the pass.  A Trajectory is checked against the axis.
+        Physical frames are transformed a block at a time: a writeable stack (Φ's) is the
+        caller's scratch, overwritten with F̂, then Ĝ; a read-only one goes into a new buffer."""
         with np.errstate(over="ignore", invalid="ignore"):  # _propagate judges an overflow
             if isinstance(forcing, SeparableForcing):
-                spec = _datum_spectrum(forcing.profile)
+                if len(forcing.envelope) != self.nt + 1:
+                    raise GridMismatchError(f"forcing envelope has {len(forcing.envelope)} values, "
+                                            f"not one per frame, nt + 1 = {self.nt + 1}")
+                spec = _datum_spectrum(forcing.profile, self.grid, what="forcing profile")
                 fhat = np.empty((self.nt + 1,) + spec.shape, dtype=np.complex128)
                 for m, value in enumerate(forcing.envelope):  # a broadcast product buffers
                     np.multiply(value, spec, out=fhat[m])
             else:
+                if isinstance(forcing, Trajectory):
+                    _check_on_axis(forcing, self.grid, self.mp, self.nt, "forcing")
+                    forcing = forcing.values
                 fhat = forcing if forcing.flags.writeable else np.empty_like(forcing)
                 for block in _frame_blocks(forcing):
                     _forward_frames(self.grid, forcing[block], out=fhat[block])
@@ -335,9 +331,9 @@ def solve_linear_multipoint(sym: EllipticSymbol, grid: SpectralGrid, mp: Multipo
     free propagation, and with φ = 0 as well the Duhamel term G alone.  A forcing is a
     Trajectory on the time axis, or a SeparableForcing, whose solve holds one trajectory
     stack: its F̂, then Ĝ, then the frames."""
-    core = _MultipointCore(sym, grid, mp, phi, nt, eps_res, forcing)
-    if isinstance(forcing, Trajectory):
-        forcing = forcing.values
+    if forcing is not None and not isinstance(forcing, (Trajectory, SeparableForcing)):
+        raise TypeError(f"forcing {type(forcing).__name__} is not a Trajectory or SeparableForcing")
+    core = _MultipointCore(sym, grid, mp, phi, nt, eps_res)
     return core.wrap(core.frames(None if forcing is None else core.duhamel(forcing)))
 
 
@@ -414,7 +410,7 @@ def verify_dispersive(sym: EllipticSymbol, grid: SpectralGrid, phi: Field,
         raise NonFiniteError(f"datum norm ||phi||_p' is 0 (p' = {p_conj}), so the dispersive "
                              "quotients are undefined")
     phases = _Phases(symbol_lattice(sym, grid))
-    phi_hat = _datum_spectrum(phi)
+    phi_hat = _datum_spectrum(phi, grid)
     norms, quotients, fractions = [], [], []
     for t in ts:
         u_t = Field._wrap(grid, _propagate(grid, phases, phi_hat, [t])[0])
@@ -469,7 +465,7 @@ def verify_strichartz(sym: EllipticSymbol, grid: SpectralGrid, t0: float = 0.0,
     ratios, data_norms = [], []
     for _ in range(num_samples):
         phi = random_band_limited(grid, band, rng)
-        frames = _propagate(grid, phases, _datum_spectrum(phi), times, t0, table=table)
+        frames = _propagate(grid, phases, _datum_spectrum(phi, grid), times, t0, table=table)
         l2 = lebesgue_norm(phi, 2.0)
         ratios.append(strichartz_norm(Trajectory._wrap(grid, t0, T, frames), pairs) / l2)
         data_norms.append(l2)

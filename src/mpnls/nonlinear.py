@@ -18,7 +18,7 @@ context: each Φ application is one datum solve and one pass of its `propagate`,
 application allocates one trajectory-sized buffer: -F(u) is built in it, then
 transformed, integrated and propagated in place.  Φ is finite or raises
 NonFiniteError: `_power_block` checks F(u) and `_propagate` each frame.  An
-iterate from outside is checked by `_check_on_axis`.
+iterate from outside is checked by `_check_on_axis`, a datum by `_datum_spectrum`.
 
 The iteration is plain Picard until the first contraction ratio above
 MIX_GATE, then depth-1 Anderson mixing (Walker & Ni 2011), which keeps two
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadExponentError, GridMismatchError, NoConvergenceError, NonFiniteError
+from .errors import BadExponentError, NoConvergenceError, NonFiniteError
 from .grid import Field, SpectralGrid, Trajectory, _frame_blocks
 from .linear import (DEFAULT_EPS_RES, MultipointSpec, _check_on_axis, _datum_spectrum,
                      _MultipointCore, _Phases, _propagate)
@@ -133,27 +133,22 @@ def smallness_indicator(sym: EllipticSymbol, grid: SpectralGrid, phi: Field, s: 
                         nl: PowerNonlinearity, T: float, t0: float = 0.0, nt: int = 200) -> float:
     """η = ‖|∇|^s U_L(t)φ‖ in the contraction metric over [t0, T]."""
     check_regularity(s)
-    if phi.grid != grid:
-        raise GridMismatchError("datum does not live on the given grid")
-    frames = _propagate(grid, _Phases(symbol_lattice(sym, grid)), _datum_spectrum(phi, s),
-                        MultipointSpec(t0, T).times(nt), t0)
+    times = MultipointSpec(t0, T).times(nt)  # the core's order: axis, L(ξ), datum's grid
+    frames = _propagate(grid, _Phases(symbol_lattice(sym, grid)), _datum_spectrum(phi, grid, s),
+                        times, t0)
     return _metric_norm(Trajectory._wrap(grid, t0, T, frames), nl)
 
 
 # --- the solution map ----------------------------------------------------------
 
 
-def _solution_map(core: _MultipointCore, current: np.ndarray | None,
-                  nl: PowerNonlinearity) -> np.ndarray:
-    """Φ(current) on a stack of frames: the multipoint solution forced by -F(current),
-    unforced for None.  Returns a new writeable stack and never writes into `current`;
-    an F(current) or a frame that is not finite raises NonFiniteError."""
-    ghat = None
-    if current is not None:
-        forcing = _power_block(current, nl)
-        np.negative(forcing, out=forcing)  # i∂ₜu + Lu = -F(u)
-        ghat = core.duhamel(forcing)
-    return core.frames(ghat)
+def _solution_map(core: _MultipointCore, current: np.ndarray, nl: PowerNonlinearity) -> np.ndarray:
+    """Φ(current) on a stack of frames: the multipoint solution forced by -F(current).
+    Returns a new writeable stack and never writes into `current`; an F(current) or a
+    frame that is not finite raises NonFiniteError."""
+    forcing = _power_block(current, nl)
+    np.negative(forcing, out=forcing)  # i∂ₜu + Lu = -F(u)
+    return core.frames(core.duhamel(forcing))
 
 
 def _iterate_core(sym: EllipticSymbol, grid: SpectralGrid, mp: MultipointSpec, phi: Field,
@@ -229,7 +224,7 @@ def _fixed_point(core: _MultipointCore, nl: PowerNonlinearity, tol_fp: float,
     g = f − x of the previous step and mixes them into the next iterate.  Every
     iterate is an affine combination of Φ outputs, so it meets the multipoint condition.
     """
-    x = _solution_map(core, None, nl)  # linear multipoint solution
+    x = core.frames()  # the linear multipoint solution
     d_history: list[float] = []
     mixing, history = False, None
     for k in range(max_iter):
@@ -276,7 +271,7 @@ def solve_nls_multipoint(sym: EllipticSymbol, grid: SpectralGrid, mp: Multipoint
     ratios = tuple(d_history[j + 1] / d_history[j]
                    for j in range(len(d_history) - 1) if d_history[j] > 0.0)
 
-    eta = _metric_norm(core.wrap(core.propagate(_datum_spectrum(phi, s))), nl)
+    eta = _metric_norm(core.wrap(core.propagate(_datum_spectrum(phi, grid, s))), nl)
     if failure is not None:
         raise NoConvergenceError(
             f"{failure} (last distance {d_history[-1]:.3e}, eta={eta:.3e})",

@@ -179,6 +179,24 @@ def test_documented_configs_parse_and_round_trip(name):
     assert parse_config(serialize_config(cfg)) == cfg
 
 
+SHIPPED_COMMANDS = {"dispersive_check": "verify-dispersive", "linear_multipoint": "solve-linear",
+                    "nls_small_data": "solve-nls", "strichartz_check": "verify-strichartz"}
+
+
+@pytest.mark.parametrize("name", sorted(path.stem for path in (ROOT / "configs").glob("*.json")))
+def test_shipped_configs_run_end_to_end(tmp_path, name):
+    # a shipped config is run, not only parsed, with its outputs moved under tmp_path
+    doc = json.loads((ROOT / "configs" / f"{name}.json").read_text())
+    doc["outputs"]["report_path"] = str(tmp_path / name)
+    if "fields_path" in doc["outputs"]:
+        doc["outputs"]["fields_path"] = str(tmp_path / "fields")
+    assert run_command([SHIPPED_COMMANDS[name], "--config", write_config(tmp_path, doc)]) == 0
+    assert (tmp_path / f"{name}.csv").is_file() and (tmp_path / f"{name}.json").is_file()
+    if name == "linear_multipoint":
+        assert sorted(path.name for path in (tmp_path / "fields").iterdir()) == [
+            "frame_00000.fld", "frame_00100.fld", "frame_00200.fld"]
+
+
 WRONG_SHAPES = [(section, bad) for section in ("symbol", "grid", "time", "initial", "forcing",
                                                "nonlinearity", "tolerances", "outputs",
                                                "dispersive", "strichartz")

@@ -352,6 +352,18 @@ def test_solve_leaves_the_forcing_untouched(grid1, sym1, rng):
     assert not np.shares_memory(traj.values, forcing.values)
 
 
+def test_solve_refuses_a_forcing_of_another_type(grid1, sym1, rng):
+    # a bare stack of frames is not a forcing: refused by type, and never the solve's scratch
+    nt = 20
+    stack = rng.standard_normal((nt + 1, 64)) + 1j * rng.standard_normal((nt + 1, 64))
+    before = stack.copy()
+    mp = MultipointSpec(0.0, 1.0, ((0.4, 0.5),))
+    for forcing in (stack, stack.tolist()):
+        with pytest.raises(TypeError, match="Trajectory or SeparableForcing"):
+            solve_linear_multipoint(sym1, grid1, mp, gaussian(grid1), forcing, nt=nt)
+    assert stack.flags.writeable and np.array_equal(stack, before)
+
+
 def test_separable_forcing_is_checked_against_the_solve(grid1, sym1):
     mp, nt = MultipointSpec(0.0, 1.0, ((0.4, 0.5),)), 20
     phi = gaussian(grid1)
@@ -461,6 +473,15 @@ def test_dispersive_rejections(grid1, sym1):
         with pytest.raises(ValueError, match=rf"^times must list at least two times for a decay "
                                              rf"slope, got {len(times)}$"):
             verify_dispersive(sym1, grid1, phi, times)
+
+
+@pytest.mark.parametrize("N, R", [(64, 20.0), (32, 10.0)], ids=["another-box", "fewer-modes"])
+def test_dispersive_refuses_a_datum_on_another_grid(sym1, N, R):
+    # a datum of the same shape on another box would give quotients of the wrong problem, and
+    # one of another shape a broadcast error: both are refused by name
+    phi = gaussian(build_grid(1, N, R))
+    with pytest.raises(GridMismatchError, match="^datum does not live on the given grid$"):
+        verify_dispersive(sym1, build_grid(1, 64, 10.0), phi, [1.0, 2.0, 4.0])
 
 
 def test_boundary_mass_fraction_uniform(grid1):

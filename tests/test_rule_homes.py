@@ -17,8 +17,12 @@ a ValidationError of its own only for the rules of the CLI alone.  The
 nonlinearity has one type, `PowerNonlinearity`, which is also its config
 section, and its contraction metric one definition, `nonlinear._metric_norm`.
 numpy's FFT runs only in the two transforms of `grid`, and L(ξ) is built on the
-lattice only by `symbol.symbol_lattice`.  These tests read the source, so a copy
-cannot regrow.
+lattice only by `symbol.symbol_lattice`.  Each input of a solve has one home: a
+datum lives on the grid of its pass, which only its one transform,
+`linear._datum_spectrum`, checks, and a trajectory is checked against its axis
+only by `linear._check_on_axis`; a forcing's type is read only by the core's
+`duhamel`, past the type guard of `solve_linear_multipoint`.  These tests read the
+source, so a copy cannot regrow.
 """
 
 import ast
@@ -156,3 +160,24 @@ def test_the_nonlinearity_has_one_type():
               for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
     assert "lam" in fields["MultipointTerm"]  # the walk sees the config's fields
     assert [name for name, names in fields.items() if {"lam", "p"} <= names] == []
+
+
+def test_a_datum_lives_on_the_grid_of_its_pass():
+    # a .grid is compared only where a datum is transformed and a trajectory checked
+    def compares_a_grid(node):
+        return isinstance(node, ast.Compare) and any(
+            isinstance(side, ast.Attribute) and side.attr == "grid"
+            for side in [node.left, *node.comparators])
+
+    assert sites(compares_a_grid) == ["linear:_check_on_axis", "linear:_datum_spectrum"]
+
+
+def test_a_forcing_is_read_in_one_place():
+    # the forcing's type is branched on by its one reader, and refused at the public guard
+    def asks_for_a_forcing_type(node):
+        return isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance" \
+            and any(getattr(sub, "id", None) in ("SeparableForcing", "Trajectory")
+                    for sub in ast.walk(node.args[1]))
+
+    assert sorted(set(sites(asks_for_a_forcing_type))) == [
+        "linear:_MultipointCore.duhamel", "linear:solve_linear_multipoint"]
