@@ -363,17 +363,21 @@ class DispersiveReport:
 
 
 def boundary_mass_fraction(f: Field) -> float:
-    """Fraction of mass in the outer 10% shell (any axis within 10% of the wall)."""
+    """Fraction of mass in the outer 10% shell (any axis within 10% of the wall).  When the
+    total mass reads 0 or ∞, it is recomputed from |u|/max|u|, as `norms._power_root` does."""
     g = f.grid
     mesh = g.x_mesh()
     shell = np.zeros(g.shape, dtype=bool)
     for ax in mesh:
         shell = shell | (np.abs(ax) >= 0.9 * g.R)
-    weights = np.abs(f.values) ** 2
-    total = float(np.sum(weights))
-    if total == 0.0:
-        return 0.0
-    return float(np.sum(weights[shell]) / total)
+    mag = np.abs(f.values)
+    with np.errstate(over="ignore"):  # a total that reads ∞ is recomputed below
+        weights = mag**2
+        total = float(np.sum(weights))
+    if total in (0.0, math.inf) and mag.max() > 0.0:
+        weights = (mag / mag.max()) ** 2
+        total = float(np.sum(weights))
+    return float(np.sum(weights[shell]) / total) if total > 0.0 else 0.0
 
 
 def check_dispersive(times, p: float) -> list[float]:

@@ -282,8 +282,12 @@ def solve_nls_multipoint(sym: EllipticSymbol, grid: SpectralGrid, mp: Multipoint
     current = core.wrap(values)
 
     observables = frame_observables(current, core.larr, nl, s)
-    grad_traj = current if s == 0.0 else core.wrap(  # apply_riesz is the identity at s = 0
-        np.stack([apply_riesz(current.frame(m), s).values for m in range(nt + 1)]))
+    grad_traj = current  # apply_riesz is the identity at s = 0
+    if s != 0.0:
+        grad = np.empty_like(values)
+        for m in range(nt + 1):
+            grad[m] = apply_riesz(current.frame(m), s).values
+        grad_traj = core.wrap(grad)
     diags = PicardDiagnostics(
         iterations=len(d_history),
         d_history=tuple(d_history),

@@ -47,32 +47,25 @@ def _reciprocal(x) -> Fraction:
 
 
 def lebesgue_norm(field: Field, r: float) -> float:
-    """(h·Σ|u|^r)^{1/r}; grid maximum of |u| for r = ∞."""
-    _check_lebesgue(r)
-    mag = np.abs(field.values)
-    return float(mag.max()) if r == INF else _power_root(mag, float(r), field.grid.h)
+    """(h·Σ|u|^r)^{1/r}; grid maximum of |u| for r = ∞: the one-frame case of `_frame_norms`."""
+    return float(_frame_norms(field.values[None], field.grid.h, [r])[r][0])
 
 
 def mixed_norm(traj: Trajectory, q: float, r: float) -> float:
     """L_t^q L_x^r norm of a trajectory with trapezoidal time weights."""
     if not (q >= 1.0):
         raise BadExponentError(f"time exponent must be >= 1, got {q}")
-    return _time_norm(_frame_norms(traj, [r])[r], float(q), traj.dt)
+    return _time_norm(_frame_norms(traj.values, traj.grid.h, [r])[r], float(q), traj.dt)
 
 
-def _check_lebesgue(r: float) -> None:
-    """A Lebesgue exponent r is at least 1."""
-    if not (r >= 1.0):
-        raise BadExponentError(f"Lebesgue exponent must be >= 1, got {r}")
-
-
-def _frame_norms(traj: Trajectory, rs) -> dict:
-    """{r: the L_x^r norm of every frame} for each r of rs, as `lebesgue_norm` gives it, from
-    one |u| per block of frames (`_frame_blocks`) and one sum of |u|^r per block and r."""
+def _frame_norms(values: np.ndarray, h: float, rs) -> dict:
+    """{r: (h·Σ|u|^r)^{1/r}, or max|u| for r = ∞, of every frame of the stack `values`} for each
+    r ≥ 1 of rs, from one |u| per block of frames (`_frame_blocks`) and one sum of |u|^r per
+    block and r."""
     for r in rs:
-        _check_lebesgue(r)
-    h = traj.grid.h
-    stack = traj.values.reshape(traj.nt + 1, -1)
+        if not (r >= 1.0):
+            raise BadExponentError(f"Lebesgue exponent must be >= 1, got {r}")
+    stack = values.reshape(len(values), -1)
     out = {r: np.empty(len(stack)) for r in rs}
     with np.errstate(over="ignore"):  # a norm that reads inf is rescaled by _power_root
         for block in _frame_blocks(stack):
@@ -83,7 +76,7 @@ def _frame_norms(traj: Trajectory, rs) -> dict:
                     continue
                 rf = float(r)
                 for i, total in enumerate(np.add.reduce(mag**rf, axis=1)):
-                    norm = _root(total, rf, h)
+                    norm = float((h * total) ** (1.0 / rf))
                     norms[block.start + i] = (norm if norm not in (0.0, INF)
                                               else _power_root(mag[i], rf, h))
     return out
@@ -98,16 +91,11 @@ def _time_norm(frames: np.ndarray, q: float, dt: float) -> float:
     return _power_root(frames, q, dt, weights)
 
 
-def _root(total, r: float, scale: float) -> float:
-    """(scale·total)^{1/r}."""
-    return float((scale * total) ** (1.0 / r))
-
-
 def _power_root(mag: np.ndarray, r: float, scale: float, weights=None) -> float:
     """(scale·Σ weights·mag^r)^{1/r} for mag >= 0.  When that reads 0 or ∞ and max(mag) is finite
     and nonzero, it is recomputed from mag/max(mag), so that it neither underflows nor overflows."""
     def root(m):
-        return _root(np.sum(m**r if weights is None else weights * m**r), r, scale)
+        return float((scale * np.sum(m**r if weights is None else weights * m**r)) ** (1.0 / r))
 
     with np.errstate(over="ignore"):  # inf is the honest answer for diverging iterates
         out = root(mag)
@@ -124,10 +112,9 @@ def check_sobolev_order(s: float) -> None:
 
 
 def sobolev_norm(field: Field, s: float) -> float:
-    """The Ḣ^s norm ‖|∇|^s f‖_{L²} by the multiplier |ξ|^s, through both transforms even at
-    s = 0 (0^0 = 1).  A transform that overflows raises NonFiniteError."""
-    check_sobolev_order(s)
-    filtered = _multiply_spectrum(field, field.grid.radial_freq_sq() ** (s / 2.0))
+    """The Ḣ^s norm ‖|∇|^s f‖_{L²}, through both transforms even at s = 0 (0^0 = 1).  A
+    transform that overflows raises NonFiniteError."""
+    filtered = _riesz(field, s)
     norm = lebesgue_norm(filtered, 2.0)
     if not math.isfinite(norm) and not np.isfinite(filtered.values).all():
         raise NonFiniteError("Sobolev norm is not finite: the field's transform overflowed")
@@ -137,18 +124,19 @@ def sobolev_norm(field: Field, s: float) -> float:
 def apply_riesz(field: Field, s: float) -> Field:
     """|∇|^s f: homogeneous multiplier |ξ|^s in frequency space.  A transform that
     overflows raises NonFiniteError."""
-    check_sobolev_order(s)
     if s == 0.0:
         return field
-    out = _multiply_spectrum(field, field.grid.radial_freq_sq() ** (s / 2.0))
+    out = _riesz(field, s)
     if not np.isfinite(out.values).all():
         raise NonFiniteError(f"|grad|^{s} of the field is not finite: its transform overflowed")
     return out
 
 
-def _multiply_spectrum(field: Field, mult: np.ndarray) -> Field:
-    """F⁻¹[mult·F f], transformed without numpy warnings.  Its samples are not finite when a
-    transform overflowed, which the caller judges."""
+def _riesz(field: Field, s: float) -> Field:
+    """F⁻¹[|ξ|^s·F f] for s ∈ [0, 2] (`check_sobolev_order`), transformed without numpy
+    warnings.  Its samples are not finite when a transform overflowed, which the caller judges."""
+    check_sobolev_order(s)
+    mult = field.grid.radial_freq_sq() ** (s / 2.0)
     with np.errstate(over="ignore", invalid="ignore"):
         spec = forward_transform(field)
         return inverse_transform(Field._wrap(field.grid, mult * spec.values))
@@ -213,7 +201,7 @@ def strichartz_norm(traj: Trajectory, pairs) -> float:
         raise EmptyPairSetError("strichartz_norm needs at least one pair")
     for q, r in pairs:
         make_pair(traj.grid.n, q, r)  # refuses a pair that is not admissible in this dimension
-    norms = _frame_norms(traj, dict.fromkeys(float(r) for _, r in pairs))
+    norms = _frame_norms(traj.values, traj.grid.h, dict.fromkeys(float(r) for _, r in pairs))
     return max(0.0, *(_time_norm(norms[float(r)], float(q), traj.dt) for q, r in pairs))
 
 
@@ -291,7 +279,8 @@ def frame_observables(traj: Trajectory, larr: np.ndarray, nl, s: float) -> Frame
     """Mass, energy (nl as for `energy`, L(ξ) on the lattice as `symbol_lattice` builds it),
     L², L^∞ and Ḣ^s norm of every frame: the only place these are computed, read by the
     Picard drifts and the solve CSV."""
-    rows = [(mass(f), _hamiltonian(f, larr, nl), lebesgue_norm(f, 2.0), lebesgue_norm(f, INF),
-             sobolev_norm(f, s))
-            for f in (traj.frame(m) for m in range(traj.nt + 1))]
+    norms = _frame_norms(traj.values, traj.grid.h, (2.0, INF))
+    frames = (traj.frame(m) for m in range(traj.nt + 1))
+    rows = [(mass(f), _hamiltonian(f, larr, nl), l2, linf, sobolev_norm(f, s))
+            for f, l2, linf in zip(frames, norms[2.0].tolist(), norms[INF].tolist())]
     return FrameObservables(*zip(*rows))

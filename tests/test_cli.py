@@ -633,6 +633,26 @@ def test_verify_dispersive_wraparound_warning(tmp_path):
     assert any("wrap-around" in w for w in summary["warnings"])
 
 
+@pytest.mark.parametrize("amplitude", [1e-200, 1e200])
+def test_verify_dispersive_boundary_fractions_do_not_depend_on_the_scale(tmp_path, amplitude):
+    # a datum of amplitude 1e-200 or 1e200 reports the fractions and the wrap-around warning
+    # of amplitude 1
+    reports = []
+    for a in (1.0, amplitude):
+        doc = make_config(
+            grid={"n": 1, "N": 64, "R": 10.0},
+            initial={"kind": "gaussian", "amplitude": a, "width": 4.0, "center": [8.0]},
+            dispersive={"times": [1.0, 2.0], "p": "inf"},
+            outputs={"report_path": str(tmp_path / "disp")})
+        assert run_command(["verify-dispersive", "--config", write_config(tmp_path, doc)]) == 0
+        rows = (tmp_path / "disp.csv").read_text().splitlines()[1:-1]
+        reports.append(([float(row.split(",")[3]) for row in rows],
+                        json.loads((tmp_path / "disp.json").read_text())["warnings"]))
+    (fractions, warnings), (scaled, scaled_warnings) = reports
+    assert scaled == pytest.approx(fractions, rel=1e-12) and all(map(math.isfinite, scaled))
+    assert any("wrap-around" in w for w in warnings) and scaled_warnings == warnings
+
+
 def test_verify_strichartz_report(tmp_path):
     doc = make_config(
         time={"t0": 0.0, "T": 1.0, "Nt": 16},

@@ -489,6 +489,17 @@ def test_boundary_mass_fraction_uniform(grid1):
     assert boundary_mass_fraction(f) == pytest.approx(0.1, abs=0.02)
 
 
+@pytest.mark.parametrize("c", [1e-200, 1e200])
+def test_boundary_mass_fraction_does_not_depend_on_the_scale(c):
+    # |u|² underflows to 0 at 1e-200 and overflows at 1e200; the fraction is then taken
+    # from |u|/max|u|
+    grid = build_grid(1, 64, 10.0)
+    f = sample_profile(grid, {"kind": "gaussian", "amplitude": 1.0, "width": 4.0,
+                              "center": [8.0]})
+    assert boundary_mass_fraction(c * f) == pytest.approx(boundary_mass_fraction(f), rel=1e-12)
+    assert boundary_mass_fraction(0.0 * f) == 0.0
+
+
 # --- Strichartz verification ----------------------------------------------------------
 
 

@@ -381,22 +381,27 @@ def focusing_problem(amplitude):
     return sym, grid, MultipointSpec(0.0, 1.0, ((0.3, 0.5),)), phi
 
 
-def traced_solve(amplitude, nt):
-    """(diagnostics, peak traced memory in trajectory arrays) of one solve."""
-    sym, grid, mp, phi = focusing_problem(amplitude)
-    small = build_grid(1, 16, 10.0)  # warm-up: lazy imports and allocator caches
-    solve_nls_multipoint(sym, small, mp, Field(small, np.zeros(16)), NL, nt=nt)
+def traced_peak(run):
+    """(run(), the peak traced memory of the call in bytes)."""
     tracing = tracemalloc.is_tracing()
     if not tracing:
         tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        traj, diags = solve_nls_multipoint(sym, grid, mp, phi, NL, nt=nt)
-        peak = tracemalloc.get_traced_memory()[1] - base
+        out = run()
+        return out, tracemalloc.get_traced_memory()[1] - base
     finally:
         if not tracing:
             tracemalloc.stop()
+
+
+def traced_solve(amplitude, nt):
+    """(diagnostics, peak traced memory in trajectory arrays) of one solve."""
+    sym, grid, mp, phi = focusing_problem(amplitude)
+    small = build_grid(1, 16, 10.0)  # warm-up: lazy imports and allocator caches
+    solve_nls_multipoint(sym, small, mp, Field(small, np.zeros(16)), NL, nt=nt)
+    (traj, diags), peak = traced_peak(lambda: solve_nls_multipoint(sym, grid, mp, phi, NL, nt=nt))
     return diags, peak / traj.values.nbytes
 
 
@@ -447,6 +452,23 @@ def test_solver_peak_memory_with_a_half_size_phase_table():
     diags, peak = traced_solve(1.0, nt=100)
     assert max(diags.contraction_ratios) > MIX_GATE
     assert peak <= 4.9
+
+
+def test_the_gradient_stack_at_positive_s_is_one_array():
+    # at s > 0 |∇|^s u is written frame by frame into one stack, so the solve peaks within
+    # 0.1 trajectory arrays of the s = 0 solve, whose Strichartz value reads u itself
+    sym, grid = validate_symbol([[1.0, 0.0], [0.0, 1.0]]), build_grid(2, 32, 10.0)
+    mp = MultipointSpec(0.0, 1.0, ((0.3, 0.5),))
+    phi = sample_profile(grid, {"kind": "gaussian", "amplitude": 0.05, "width": 1.0,
+                                "center": [0.0, 0.0]})
+    small = build_grid(2, 8, 10.0)  # warm-up: lazy imports and allocator caches
+    peaks = {}
+    for s in (0.0, 0.5):
+        solve_nls_multipoint(sym, small, mp, Field(small, np.zeros((8, 8))), NL, s=s, nt=64)
+        (traj, _), peak = traced_peak(
+            lambda: solve_nls_multipoint(sym, grid, mp, phi, NL, s=s, nt=64))
+        peaks[s] = peak / traj.values.nbytes
+    assert abs(peaks[0.5] - peaks[0.0]) <= 0.1, peaks
 
 
 # --- integral residual ---------------------------------------------------------------

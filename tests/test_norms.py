@@ -415,3 +415,24 @@ def test_frame_observables_columns_are_the_norms(grid1, sym1, rng):
     assert obs.sobolev_s == tuple(sobolev_norm(f, 0.5) for f in frames)
     assert frame_observables(traj, symbol_lattice(sym1, grid1), None, 0.5).energy == tuple(
         energy(f, sym1) for f in frames)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("fill", ["random", 0.0, 1e200, 1e-200])
+def test_l2_and_linf_columns_match_a_numpy_oracle(n, fill, rng):
+    # per frame, max|u|·(h·Σ(|u|/max|u|)²)^{1/2} and max|u| by plain NumPy; 65 frames of 64²
+    # go in blocks of four.  L = 0 keeps the energy column finite at 1e200.
+    grid = build_grid(n, 64, 2.0)
+    shape = (65,) + grid.shape
+    vals = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape) if fill == "random"
+            else np.full(shape, fill, dtype=complex))
+    traj = Trajectory(grid, 0.0, 1.0, vals)
+    mag = np.abs(vals).reshape(len(vals), -1)
+    top = mag.max(axis=1)
+    scale = np.where(top > 0.0, top, 1.0)[:, None]
+    l2 = top * np.sqrt(grid.h * np.sum((mag / scale) ** 2, axis=1))
+    obs = frame_observables(traj, np.zeros(grid.shape), None, 0.0)
+    frames = [traj.frame(m) for m in range(traj.nt + 1)]
+    for column, oracle in ((obs.l2, l2), ([lebesgue_norm(f, 2.0) for f in frames], l2),
+                           (obs.linf, top), ([lebesgue_norm(f, INF) for f in frames], top)):
+        np.testing.assert_allclose(column, oracle, rtol=1e-14, atol=0.0)

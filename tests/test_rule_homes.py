@@ -21,8 +21,10 @@ lattice only by `symbol.symbol_lattice`.  Each input of a solve has one home: a
 datum lives on the grid of its pass, which only its one transform,
 `linear._datum_spectrum`, checks, and a trajectory is checked against its axis
 only by `linear._check_on_axis`; a forcing's type is read only by the core's
-`duhamel`, past the type guard of `solve_linear_multipoint`.  These tests read the
-source, so a copy cannot regrow.
+`duhamel`, past the type guard of `solve_linear_multipoint`.  A stack of frames is
+reduced to its per-frame L^r norms only by `norms._frame_norms`, whose one-frame case
+is `lebesgue_norm`, and |ξ|^s is built only by the one filter `norms._riesz`.  These
+tests read the source, so a copy cannot regrow.
 """
 
 import ast
@@ -181,3 +183,15 @@ def test_a_forcing_is_read_in_one_place():
 
     assert sorted(set(sites(asks_for_a_forcing_type))) == [
         "linear:_MultipointCore.duhamel", "linear:solve_linear_multipoint"]
+
+
+def test_the_lebesgue_norms_have_one_reduction():
+    # |u| is taken and rescaled past 0 or ∞ by the frame kernel, not by a per-frame copy
+    assert calls("_power_root") == ["norms:_frame_norms", "norms:_time_norm"]
+    assert [use for use in numpy_uses("abs") if use.startswith("norms:")] == [
+        "norms:_frame_norms", "norms:_hamiltonian", "norms:mass"]
+
+
+def test_the_riesz_multiplier_has_one_filter():
+    assert sites(lambda node: isinstance(node, ast.Call) and getattr(node.func, "attr", None)
+                 == "radial_freq_sq") == ["norms:_riesz"]
