@@ -16,9 +16,9 @@ A Field's samples are finite (the constructor checks, and `_wrap` callers own
 their arrays), so the transforms do not rescan them; an overflow on the way is
 caught where a frame is written, by the propagation kernel `linear._propagate`.
 
-A pass over a stack of frames goes a block at a time (`_frame_blocks`): at most
-1/16 of the stack and 256 KiB, so that small frames pay few calls and the
-scratch of a block stays in cache.
+A pass over a stack of frames, or over frames made a block at a time, goes a
+block at a time (`_frame_blocks`): at most 1/16 of the frames and 256 KiB, so
+that small frames pay few calls and the scratch of a block stays in cache.
 """
 
 from __future__ import annotations
@@ -204,11 +204,17 @@ def build_grid(n: int, N: int, R: float) -> SpectralGrid:
 # --- transforms --------------------------------------------------------------
 
 
-def _frame_blocks(stack: np.ndarray):
-    """The slices of a pass over a stack of frames: blocks of at most 1/16 of the stack and
-    at most _BLOCK_BYTES, and at least one frame each."""
-    step = max(1, min(len(stack) // 16, _BLOCK_BYTES // stack[0].nbytes))
-    return (slice(lo, lo + step) for lo in range(0, len(stack), step))
+def _frame_blocks(count: int, frame_bytes: int):
+    """The slices of a pass over `count` frames of `frame_bytes` each, in a stack or made a
+    block at a time: blocks of at most 1/16 of the frames and at most _BLOCK_BYTES, and at
+    least one frame each."""
+    step = max(1, min(count // 16, _BLOCK_BYTES // frame_bytes))
+    return (slice(lo, lo + step) for lo in range(0, count, step))
+
+
+def _stack_blocks(stack: np.ndarray):
+    """The `_frame_blocks` blocks of a stack of frames, as views."""
+    return (stack[rows] for rows in _frame_blocks(len(stack), stack[0].nbytes))
 
 
 def _forward_frames(grid: SpectralGrid, values: np.ndarray, out=None) -> np.ndarray:

@@ -16,14 +16,17 @@ recurrence, second order in Δt and linear in the number of frames.
 Every solve, here and in the nonlinear module, runs on one private multipoint core.
 `_MultipointCore`, the spectral context of a solve, builds L(ξ), its phases, the
 Duhamel step e^{-iΔtL} and D(ξ) once, makes the only datum solve and runs every pass on
-its time axis, η included, through `propagate`.  Its `duhamel` is the one reader and
-checker of a forcing and makes the only forward transform of forcing frames (block by
-block, `grid._frame_blocks`).  The free evolutions of `apply_propagator` and of the two
-verifiers solve nothing and build no core.  `_datum_spectrum` is the only transform of a
-datum and the one check that it lives on the grid of its pass, and `_propagate` the only
-propagation pass; it checks each frame it writes for NaN and Inf, and the passes leave
-an overflow to that check, without numpy warnings.  Every phase e^{-iτL(ξ)} comes from
-`_Phases`, which exponentiates each distinct value of L(ξ) once and gathers the result
+its time axis through `propagate` (into a stack) or, for η, `blocks`.  Its `duhamel` is the
+one reader and checker of a forcing and makes the only forward transform of forcing frames
+(block by block, `grid._frame_blocks`).  The free evolutions of `apply_propagator` and of
+the two verifiers solve nothing and build no core.  `_datum_spectrum` is the only transform
+of a datum and the one check that it lives on the grid of its pass.  `_propagate` is the
+one propagation kernel: it makes the frames a `_frame_blocks` block at a time, one inverse
+transform per frame, and hands each block to its reader, which writes it into a stack or,
+needing only norms (a Strichartz sample, η), reduces it before the next block is made.  It
+checks each block for NaN and Inf, and the passes leave an overflow to that check, without
+numpy warnings.  Every phase e^{-iτL(ξ)} comes from `_Phases`, which exponentiates each
+distinct value of L(ξ) once (a table row per time for the kernel) and gathers the result
 onto the lattice.  `MultipointSpec.times` builds the time axis, and `_check_on_axis`
 checks a trajectory against it.  A writeable forcing stack is the one buffer of its pass:
 transformed to F̂, integrated to Ĝ and propagated in place.  A `SeparableForcing`'s profile
@@ -48,7 +51,7 @@ from .errors import (
 )
 from .grid import (Field, SpectralGrid, Trajectory, _forward_frames, _frame_blocks, check_band,
                    check_time, forward_transform, inverse_transform, random_band_limited)
-from .norms import apply_riesz, canonical_pairs, lebesgue_norm, strichartz_norm
+from .norms import _TINY, _strichartz_norm, apply_riesz, canonical_pairs, lebesgue_norm
 from .symbol import EllipticSymbol, symbol_lattice
 
 DEFAULT_EPS_RES = 1e-8
@@ -126,7 +129,7 @@ def apply_propagator(sym: EllipticSymbol, grid: SpectralGrid, t: float, f: Field
     """Free evolution U_L(t)f: multiply each mode by e^{-i t L(ξ)}."""
     check_time(t)
     phases = _Phases(symbol_lattice(sym, grid))
-    return Field._wrap(grid, _propagate(grid, phases, _datum_spectrum(f, grid), [t])[0])
+    return Field._wrap(grid, next(_propagate(grid, phases, _datum_spectrum(f, grid), [t]))[0])
 
 
 def min_abs_denominator(sym: EllipticSymbol, grid: SpectralGrid, mp: MultipointSpec) -> float:
@@ -162,16 +165,17 @@ class _Phases:
 
     def table(self, times, t0: float) -> np.ndarray:
         """e^{-i(tₘ-t0)L} for every tₘ and distinct L, row m for tₘ: for many passes on
-        one axis, about half a trajectory array."""
-        return np.exp(-1j * np.multiply.outer(times - t0, self.values))
-
-    def gather(self, compact: np.ndarray) -> np.ndarray:
-        """A new lattice array from one value per distinct L, such as a table row."""
-        return compact[self.where]
+        one axis, about half a trajectory array.  It is built in its own buffer, with the
+        bits of exp(-1j·(tₘ-t0)L): exponent 0 + i·(-(tₘ-t0)L), row by row (one strided
+        2-D product would buffer)."""
+        tab = np.zeros((len(times), len(self.values)), dtype=np.complex128)
+        for row, tau in zip(tab.imag, times - t0):
+            np.multiply(-tau, self.values, out=row)
+        return np.exp(tab, out=tab)
 
     def __call__(self, tau: float) -> np.ndarray:
-        """e^{-iτL(ξ)} on the lattice."""
-        return self.gather(np.exp(-1j * tau * self.values))
+        """e^{-iτL(ξ)} on the lattice, for a single phase."""
+        return np.exp(-1j * tau * self.values)[self.where]
 
 
 def _denominator(phases: _Phases, mp: MultipointSpec) -> tuple[np.ndarray, float]:
@@ -214,24 +218,35 @@ def _duhamel_spectral(step: np.ndarray, dt: float, fhat: np.ndarray) -> np.ndarr
 
 def _propagate(grid: SpectralGrid, phases: _Phases, u_hat: np.ndarray, times,
                t0: float = 0.0, ghat: np.ndarray | None = None,
-               table: np.ndarray | None = None) -> np.ndarray:
-    """The propagation kernel: frames F⁻¹[e^{-i(tₘ-t0)L(ξ)}û + Ĝ(tₘ)] for each tₘ.
+               table: np.ndarray | None = None, out: np.ndarray | None = None):
+    """The propagation kernel: yields the frames F⁻¹[e^{-i(tₘ-t0)L(ξ)}û + Ĝ(tₘ)] one
+    `_frame_blocks` block at a time, each to be read before the next is made.
 
-    The phase is computed frame by frame unless a `phases.table`, indexed like `times`, is
-    given.  With a Ĝ, frame m is written over Ĝ(tₘ) once it is read.  A frame written
-    non-finite raises NonFiniteError.
+    A block's phase rows, of `table` (`phases.table` on `times`) or else of `phases.table`
+    on its own times, are gathered onto the lattice in the pass's one block buffer, times û,
+    plus Ĝ; each frame then gets one `inverse_transform`, into `out[rows]` when a stack
+    `out` is given (Ĝ's own buffer may be it) and else back into the block buffer.  A block
+    with a frame that is not finite raises NonFiniteError naming the first such frame.
     """
-    frames = np.empty((len(times),) + grid.shape, dtype=np.complex128) if ghat is None else ghat
-    with np.errstate(over="ignore", invalid="ignore"):  # the frame check judges an overflow
-        for m, t in enumerate(times):
-            uhat = phases(t - t0) if table is None else phases.gather(table[m])
-            uhat *= u_hat
+    times = np.asarray(times, dtype=np.float64)
+    blocks = list(_frame_blocks(len(times), u_hat.nbytes))
+    buffer = np.empty((blocks[0].stop - blocks[0].start,) + grid.shape, dtype=np.complex128)
+    for rows in blocks:
+        with np.errstate(over="ignore", invalid="ignore"):  # the frame check judges an overflow
+            tab = phases.table(times[rows], t0) if table is None else table[rows]
+            block = buffer[:len(tab)]
+            np.take(tab, phases.where, axis=1, out=block, mode="clip")  # "raise" buffers `out`
+            np.multiply(block, u_hat, out=block)
             if ghat is not None:
-                uhat += ghat[m]
-            frames[m] = inverse_transform(Field._wrap(grid, uhat)).values
-            if not np.isfinite(frames[m]).all():
-                raise NonFiniteError(f"propagated frame at t={t} is not finite")
-    return frames
+                np.add(block, ghat[rows], out=block)
+            frames = block if out is None else out[rows]
+            for i, frame in enumerate(block):
+                frames[i] = inverse_transform(Field._wrap(grid, frame)).values
+        finite = np.isfinite(frames.reshape(len(frames), -1)).all(axis=1)
+        if not finite.all():
+            t = times[rows][np.argmin(finite)]
+            raise NonFiniteError(f"propagated frame at t={t} is not finite")
+        yield frames
 
 
 def _check_on_axis(traj: Trajectory, grid: SpectralGrid, mp: MultipointSpec, nt: int,
@@ -295,14 +310,24 @@ class _MultipointCore:
                     _check_on_axis(forcing, self.grid, self.mp, self.nt, "forcing")
                     forcing = forcing.values
                 fhat = forcing if forcing.flags.writeable else np.empty_like(forcing)
-                for block in _frame_blocks(forcing):
+                for block in _frame_blocks(len(forcing), forcing[0].nbytes):
                     _forward_frames(self.grid, forcing[block], out=fhat[block])
             return _duhamel_spectral(self.step, self.dt, fhat)
 
     def propagate(self, u_hat: np.ndarray, ghat: np.ndarray | None = None) -> np.ndarray:
         """Frames F⁻¹[e^{-i(tₘ-t0)L}û + Ĝ(tₘ)] of a spectral datum û on the time axis, by the
-        phase table if there is one, and over Ĝ's buffer if there is one."""
-        return _propagate(self.grid, self.phases, u_hat, self.times, self.mp.t0, ghat, self.table)
+        phase table if there is one, in a stack: over Ĝ's buffer if there is one."""
+        frames = np.empty((self.nt + 1,) + self.grid.shape, dtype=np.complex128) \
+            if ghat is None else ghat
+        for _ in _propagate(self.grid, self.phases, u_hat, self.times, self.mp.t0, ghat,
+                            self.table, frames):
+            pass  # each block is written into the stack
+        return frames
+
+    def blocks(self, u_hat: np.ndarray):
+        """The frames of `propagate` with no Ĝ, a block at a time in one block buffer, for a
+        reader that keeps only their norms."""
+        return _propagate(self.grid, self.phases, u_hat, self.times, self.mp.t0, table=self.table)
 
     def frames(self, ghat: np.ndarray | None = None) -> np.ndarray:
         """u(tₘ) = U_L(tₘ-t0)u₀ + G(tₘ): the propagation of the datum solve
@@ -364,19 +389,21 @@ class DispersiveReport:
 
 def boundary_mass_fraction(f: Field) -> float:
     """Fraction of mass in the outer 10% shell (any axis within 10% of the wall).  When the
-    total mass reads 0 or ∞, it is recomputed from |u|/max|u|, as `norms._power_root` does."""
+    total mass reads 0 or ∞, or max|u|² lies below the normal range, it is recomputed from
+    |u|/max|u|, as `norms._power_root` does."""
     g = f.grid
     mesh = g.x_mesh()
     shell = np.zeros(g.shape, dtype=bool)
     for ax in mesh:
         shell = shell | (np.abs(ax) >= 0.9 * g.R)
     mag = np.abs(f.values)
+    top = mag.max()
     with np.errstate(over="ignore"):  # a total that reads ∞ is recomputed below
         weights = mag**2
         total = float(np.sum(weights))
-    if total in (0.0, math.inf) and mag.max() > 0.0:
-        weights = (mag / mag.max()) ** 2
-        total = float(np.sum(weights))
+        if top > 0.0 and (total in (0.0, math.inf) or top**2 < _TINY):
+            weights = (mag / top) ** 2
+            total = float(np.sum(weights))
     return float(np.sum(weights[shell]) / total) if total > 0.0 else 0.0
 
 
@@ -414,10 +441,11 @@ def verify_dispersive(sym: EllipticSymbol, grid: SpectralGrid, phi: Field,
         raise NonFiniteError(f"datum norm ||phi||_p' is 0 (p' = {p_conj}), so the dispersive "
                              "quotients are undefined")
     phases = _Phases(symbol_lattice(sym, grid))
-    phi_hat = _datum_spectrum(phi, grid)
+    frames = (frame for block in _propagate(grid, phases, _datum_spectrum(phi, grid), ts)
+              for frame in block)
     norms, quotients, fractions = [], [], []
-    for t in ts:
-        u_t = Field._wrap(grid, _propagate(grid, phases, phi_hat, [t])[0])
+    for t, frame in zip(ts, frames):
+        u_t = Field._wrap(grid, frame)
         nrm = lebesgue_norm(u_t, p)
         norms.append(nrm)
         quotients.append(nrm / (t ** (-decay_rate) * phi_dual))
@@ -458,20 +486,21 @@ def verify_strichartz(sym: EllipticSymbol, grid: SpectralGrid, t0: float = 0.0,
 
     Data are band-limited with a seeded generator, so the same seed produces
     the same functions on refined grids and the max ratio is a grid-convergent
-    statistic.  Every sample is propagated on one phase table.
+    statistic.  Every sample is propagated on one phase table, and its frames are reduced
+    to their norms a block at a time as they are made, so no sample holds a trajectory.
     """
     check_strichartz(grid, num_samples, seed, band)
     times = MultipointSpec(t0, T).times(nt)
     pairs = tuple(canonical_pairs(grid.n))
+    exponents = [(pair.q, pair.r) for pair in pairs]
     phases = _Phases(symbol_lattice(sym, grid))
     table = phases.table(times, t0)
     rng = np.random.default_rng(seed)
     ratios, data_norms = [], []
     for _ in range(num_samples):
         phi = random_band_limited(grid, band, rng)
-        frames = _propagate(grid, phases, _datum_spectrum(phi, grid), times, t0, table=table)
+        blocks = _propagate(grid, phases, _datum_spectrum(phi, grid), times, t0, table=table)
         l2 = lebesgue_norm(phi, 2.0)
-        ratios.append(strichartz_norm(Trajectory._wrap(grid, t0, T, frames), pairs) / l2)
+        ratios.append(_strichartz_norm(blocks, grid.h, (T - t0) / nt, exponents) / l2)
         data_norms.append(l2)
-        del frames  # the table stands in for these frames, not beside them
     return StrichartzReport(pairs, tuple(ratios), float(max(ratios)), tuple(data_norms))

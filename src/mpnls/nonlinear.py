@@ -12,9 +12,12 @@ reports η and the measured contraction ratios rather than asserting a threshold
 
 Every propagation of a solve goes through `_MultipointCore`, its one spectral
 context: each Φ application is one datum solve and one pass of its `propagate`, and
-η one more pass, of |∇|^s φ, on the solve's phase table.  A standalone
-`smallness_indicator` solves nothing, so it builds no core: it runs η's pass through
-`_propagate` phase by phase, and reads the bits of the solver's η.  One Φ
+η one more pass, of |∇|^s φ, on the solve's phase table, whose frames are reduced to the
+metric a block at a time as they are made (`blocks`), so η never holds a trajectory.  A
+standalone `smallness_indicator` solves nothing, so it builds no core: it runs η's pass
+through `_propagate` with the phases of each block's times, and reads the bits of the
+solver's η.  The Strichartz value at s > 0 takes |∇|^s of the solution a block at a time
+in the same way.  One Φ
 application allocates one trajectory-sized buffer: -F(u) is built in it, then
 transformed, integrated and propagated in place.  Φ is finite or raises
 NonFiniteError: `_power_block` checks F(u) and `_propagate` each frame.  An
@@ -32,11 +35,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadExponentError, NoConvergenceError, NonFiniteError
-from .grid import Field, SpectralGrid, Trajectory, _frame_blocks
+from .grid import Field, SpectralGrid, Trajectory, _frame_blocks, _stack_blocks
 from .linear import (DEFAULT_EPS_RES, MultipointSpec, _check_on_axis, _datum_spectrum,
                      _MultipointCore, _Phases, _propagate)
-from .norms import (FrameObservables, apply_riesz, canonical_pairs, check_power, check_sobolev_order,
-                    frame_observables, mixed_norm, strichartz_norm)
+from .norms import (FrameObservables, _mixed_norm, _strichartz_norm, apply_riesz, canonical_pairs,
+                    check_power, check_sobolev_order, frame_observables)
 from .symbol import EllipticSymbol, symbol_lattice
 
 DEFAULT_TOL_FP = 1e-10
@@ -96,7 +99,7 @@ def _power_block(values: np.ndarray, nl: PowerNonlinearity) -> np.ndarray:
     frames (`_frame_blocks`) at a time, so that its scratch stays small."""
     out = np.empty_like(values)
     with np.errstate(over="ignore", invalid="ignore"):
-        for rows in _frame_blocks(values):
+        for rows in _frame_blocks(len(values), values[0].nbytes):
             block, dest = values[rows], out[rows]
             mag = dest.real
             np.abs(block, out=mag)
@@ -124,9 +127,11 @@ def check_picard_tolerances(tol_fp: float, max_iter: int) -> None:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
 
 
-def _metric_norm(traj: Trajectory, nl: PowerNonlinearity) -> float:
-    """The norm of the contraction metric, L_t^{p+2} L_x^{r(p,n)}."""
-    return mixed_norm(traj, nl.p + 2.0, metric_exponent(traj.grid.n, nl.p)[0])
+def _metric_norm(grid: SpectralGrid, dt: float, blocks, nl: PowerNonlinearity) -> float:
+    """The norm of the contraction metric, L_t^{p+2} L_x^{r(p,n)}, of frames on `grid`, `dt`
+    apart, handed over a block at a time: `_stack_blocks` of a stack, or a propagation's
+    blocks, which are reduced as they are made."""
+    return _mixed_norm(blocks, grid.h, dt, nl.p + 2.0, metric_exponent(grid.n, nl.p)[0])
 
 
 def smallness_indicator(sym: EllipticSymbol, grid: SpectralGrid, phi: Field, s: float,
@@ -134,9 +139,25 @@ def smallness_indicator(sym: EllipticSymbol, grid: SpectralGrid, phi: Field, s: 
     """η = ‖|∇|^s U_L(t)φ‖ in the contraction metric over [t0, T]."""
     check_regularity(s)
     times = MultipointSpec(t0, T).times(nt)  # the core's order: axis, L(ξ), datum's grid
-    frames = _propagate(grid, _Phases(symbol_lattice(sym, grid)), _datum_spectrum(phi, grid, s),
+    blocks = _propagate(grid, _Phases(symbol_lattice(sym, grid)), _datum_spectrum(phi, grid, s),
                         times, t0)
-    return _metric_norm(Trajectory._wrap(grid, t0, T, frames), nl)
+    return _metric_norm(grid, (T - t0) / nt, blocks, nl)
+
+
+def _riesz_blocks(traj: Trajectory, s: float):
+    """|∇|^s of each frame of a trajectory (`apply_riesz`), one `_stack_blocks` block at a
+    time in one block buffer; at s = 0, where |∇|^s is the identity, the trajectory's own
+    blocks."""
+    if s == 0.0:
+        yield from _stack_blocks(traj.values)
+        return
+    buffer = None
+    for frames in _stack_blocks(traj.values):
+        buffer = np.empty_like(frames) if buffer is None else buffer
+        block = buffer[:len(frames)]
+        for i, frame in enumerate(frames):
+            block[i] = apply_riesz(Field._wrap(traj.grid, frame), s).values
+        yield block
 
 
 # --- the solution map ----------------------------------------------------------
@@ -160,7 +181,7 @@ def _iterate_core(sym: EllipticSymbol, grid: SpectralGrid, mp: MultipointSpec, p
 def _residual(core: _MultipointCore, values: np.ndarray, nl: PowerNonlinearity) -> float:
     """d(u, Φ(u)), with the difference formed in Φ's own buffer."""
     diff = _solution_map(core, values, nl)
-    return _metric_norm(core.wrap(np.subtract(diff, values, out=diff)), nl)
+    return _metric_norm(core.grid, core.dt, _stack_blocks(np.subtract(diff, values, out=diff)), nl)
 
 
 def picard_step(sym: EllipticSymbol, grid: SpectralGrid, mp: MultipointSpec, phi: Field,
@@ -190,7 +211,7 @@ def _inner(a: np.ndarray, b: np.ndarray) -> complex:
     frames (`_frame_blocks`) at a time.  Not BLAS's vdot: its summation order, and so its
     last bits, follow the BLAS thread count."""
     total = 0j
-    for rows in _frame_blocks(a):
+    for rows in _frame_blocks(len(a), a[0].nbytes):
         prod = np.conj(a[rows])
         prod *= b[rows]
         total += complex(prod.sum())
@@ -236,7 +257,7 @@ def _fixed_point(core: _MultipointCore, nl: PowerNonlinearity, tol_fp: float,
             return None, d_history, f"Picard iteration diverged: Φ of iterate {k} is not finite"
         with np.errstate(over="ignore", invalid="ignore"):
             g = np.subtract(f, x, out=x)  # x is not read again
-            d = _metric_norm(core.wrap(g.view()), nl)  # a view: g stays writeable
+            d = _metric_norm(core.grid, core.dt, _stack_blocks(g), nl)
             if k == 0 and not np.isfinite(d):
                 raise NonFiniteError("the first Picard distance is not finite")
             d_history.append(d)
@@ -271,7 +292,7 @@ def solve_nls_multipoint(sym: EllipticSymbol, grid: SpectralGrid, mp: Multipoint
     ratios = tuple(d_history[j + 1] / d_history[j]
                    for j in range(len(d_history) - 1) if d_history[j] > 0.0)
 
-    eta = _metric_norm(core.wrap(core.propagate(_datum_spectrum(phi, grid, s))), nl)
+    eta = _metric_norm(grid, core.dt, core.blocks(_datum_spectrum(phi, grid, s)), nl)
     if failure is not None:
         raise NoConvergenceError(
             f"{failure} (last distance {d_history[-1]:.3e}, eta={eta:.3e})",
@@ -282,12 +303,7 @@ def solve_nls_multipoint(sym: EllipticSymbol, grid: SpectralGrid, mp: Multipoint
     current = core.wrap(values)
 
     observables = frame_observables(current, core.larr, nl, s)
-    grad_traj = current  # apply_riesz is the identity at s = 0
-    if s != 0.0:
-        grad = np.empty_like(values)
-        for m in range(nt + 1):
-            grad[m] = apply_riesz(current.frame(m), s).values
-        grad_traj = core.wrap(grad)
+    exponents = [(pair.q, pair.r) for pair in canonical_pairs(grid.n)]
     diags = PicardDiagnostics(
         iterations=len(d_history),
         d_history=tuple(d_history),
@@ -298,7 +314,7 @@ def solve_nls_multipoint(sym: EllipticSymbol, grid: SpectralGrid, mp: Multipoint
         energy_drift=_relative_drift(observables.energy),
         r_metric=r_metric,
         metric_clamped=clamped,
-        strichartz_value=strichartz_norm(grad_traj, canonical_pairs(grid.n)),
+        strichartz_value=_strichartz_norm(_riesz_blocks(current, s), grid.h, core.dt, exponents),
         observables=observables,
     )
     return current, diags

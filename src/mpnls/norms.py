@@ -22,10 +22,11 @@ from .errors import (
     NegativeSError,
     NonFiniteError,
 )
-from .grid import Field, Trajectory, _frame_blocks, forward_transform, inverse_transform
+from .grid import Field, Trajectory, _stack_blocks, forward_transform, inverse_transform
 from .symbol import symbol_lattice
 
 INF = math.inf
+_TINY = float(np.finfo(np.float64).tiny)  # the least normal double
 
 CLASS_TIE_TOL = 1e-12
 
@@ -48,38 +49,46 @@ def _reciprocal(x) -> Fraction:
 
 def lebesgue_norm(field: Field, r: float) -> float:
     """(h·Σ|u|^r)^{1/r}; grid maximum of |u| for r = ∞: the one-frame case of `_frame_norms`."""
-    return float(_frame_norms(field.values[None], field.grid.h, [r])[r][0])
+    return float(_frame_norms([field.values[None]], field.grid.h, [r])[r][0])
 
 
 def mixed_norm(traj: Trajectory, q: float, r: float) -> float:
     """L_t^q L_x^r norm of a trajectory with trapezoidal time weights."""
+    return _mixed_norm(_stack_blocks(traj.values), traj.grid.h, traj.dt, q, r)
+
+
+def _mixed_norm(blocks, h: float, dt: float, q: float, r: float) -> float:
+    """`mixed_norm` of frames `dt` apart, handed over a block at a time (`_frame_norms`)."""
     if not (q >= 1.0):
         raise BadExponentError(f"time exponent must be >= 1, got {q}")
-    return _time_norm(_frame_norms(traj.values, traj.grid.h, [r])[r], float(q), traj.dt)
+    return _time_norm(_frame_norms(blocks, h, [r])[r], float(q), dt)
 
 
-def _frame_norms(values: np.ndarray, h: float, rs) -> dict:
-    """{r: (h·Σ|u|^r)^{1/r}, or max|u| for r = ∞, of every frame of the stack `values`} for each
-    r ≥ 1 of rs, from one |u| per block of frames (`_frame_blocks`) and one sum of |u|^r per
-    block and r."""
+def _frame_norms(blocks, h: float, rs) -> dict:
+    """{r: (h·Σ|u|^r)^{1/r}, or max|u| for r = ∞, of every frame} for each r ≥ 1 of rs, from
+    frames handed over as `blocks`: stacks of frames in time order, such as `_stack_blocks` of
+    a stack or the blocks of a `linear._propagate` pass.  One |u| per block and one sum of
+    |u|^r per block and r; a frame whose sum reads 0 or ∞, or whose max|u|^r lies below the
+    normal range, is rescaled by `_power_root`."""
     for r in rs:
         if not (r >= 1.0):
             raise BadExponentError(f"Lebesgue exponent must be >= 1, got {r}")
-    stack = values.reshape(len(values), -1)
-    out = {r: np.empty(len(stack)) for r in rs}
+    out = {r: [] for r in rs}
     with np.errstate(over="ignore"):  # a norm that reads inf is rescaled by _power_root
-        for block in _frame_blocks(stack):
-            mag = np.abs(stack[block])
+        for block in blocks:
+            mag = np.abs(block.reshape(len(block), -1))
+            tops = mag.max(axis=1)
             for r, norms in out.items():
                 if r == INF:
-                    norms[block] = mag.max(axis=1)
+                    norms.extend(tops)
                     continue
                 rf = float(r)
+                subnormal = tops**rf < _TINY
                 for i, total in enumerate(np.add.reduce(mag**rf, axis=1)):
                     norm = float((h * total) ** (1.0 / rf))
-                    norms[block.start + i] = (norm if norm not in (0.0, INF)
-                                              else _power_root(mag[i], rf, h))
-    return out
+                    norms.append(norm if norm not in (0.0, INF) and not subnormal[i]
+                                 else _power_root(mag[i], rf, h))
+    return {r: np.array(norms, dtype=np.float64) for r, norms in out.items()}
 
 
 def _time_norm(frames: np.ndarray, q: float, dt: float) -> float:
@@ -92,15 +101,18 @@ def _time_norm(frames: np.ndarray, q: float, dt: float) -> float:
 
 
 def _power_root(mag: np.ndarray, r: float, scale: float, weights=None) -> float:
-    """(scale·Σ weights·mag^r)^{1/r} for mag >= 0.  When that reads 0 or ∞ and max(mag) is finite
-    and nonzero, it is recomputed from mag/max(mag), so that it neither underflows nor overflows."""
+    """(scale·Σ weights·mag^r)^{1/r} for mag >= 0.  When that reads 0 or ∞, or max(mag)^r lies
+    below the normal range, and max(mag) is finite and nonzero, it is recomputed from
+    mag/max(mag), so that it neither underflows, in whole or in part, nor overflows."""
     def root(m):
         return float((scale * np.sum(m**r if weights is None else weights * m**r)) ** (1.0 / r))
 
     with np.errstate(over="ignore"):  # inf is the honest answer for diverging iterates
         out = root(mag)
-        top = float(mag.max()) if out in (0.0, INF) else 0.0
-        return top * root(mag / top) if 0.0 < top < INF else out
+        top = mag.max()
+        if 0.0 < top < INF and (out in (0.0, INF) or top**r < _TINY):
+            return float(top) * root(mag / float(top))
+        return out
 
 
 def check_sobolev_order(s: float) -> None:
@@ -201,8 +213,14 @@ def strichartz_norm(traj: Trajectory, pairs) -> float:
         raise EmptyPairSetError("strichartz_norm needs at least one pair")
     for q, r in pairs:
         make_pair(traj.grid.n, q, r)  # refuses a pair that is not admissible in this dimension
-    norms = _frame_norms(traj.values, traj.grid.h, dict.fromkeys(float(r) for _, r in pairs))
-    return max(0.0, *(_time_norm(norms[float(r)], float(q), traj.dt) for q, r in pairs))
+    return _strichartz_norm(_stack_blocks(traj.values), traj.grid.h, traj.dt, pairs)
+
+
+def _strichartz_norm(blocks, h: float, dt: float, pairs) -> float:
+    """`strichartz_norm` over admissible (q, r) pairs of frames `dt` apart, handed over a block
+    at a time (`_frame_norms`)."""
+    norms = _frame_norms(blocks, h, dict.fromkeys(float(r) for _, r in pairs))
+    return max(0.0, *(_time_norm(norms[float(r)], float(q), dt) for q, r in pairs))
 
 
 # --- criticality and conserved functionals -----------------------------------
@@ -279,7 +297,7 @@ def frame_observables(traj: Trajectory, larr: np.ndarray, nl, s: float) -> Frame
     """Mass, energy (nl as for `energy`, L(ξ) on the lattice as `symbol_lattice` builds it),
     L², L^∞ and Ḣ^s norm of every frame: the only place these are computed, read by the
     Picard drifts and the solve CSV."""
-    norms = _frame_norms(traj.values, traj.grid.h, (2.0, INF))
+    norms = _frame_norms(_stack_blocks(traj.values), traj.grid.h, (2.0, INF))
     frames = (traj.frame(m) for m in range(traj.nt + 1))
     rows = [(mass(f), _hamiltonian(f, larr, nl), l2, linf, sobolev_norm(f, s))
             for f, l2, linf in zip(frames, norms[2.0].tolist(), norms[INF].tolist())]

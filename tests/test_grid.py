@@ -251,7 +251,7 @@ def test_blocked_forward_pass_equals_the_per_frame_transform(n, N, frames, rng):
     # (4 frames of 16³) at n = 3; either way the last block is partial
     grid = build_grid(n, N, 3.0)
     stack = rng.standard_normal((frames,) + grid.shape) + 1j * rng.standard_normal((frames,) + grid.shape)
-    blocks = list(_frame_blocks(stack))
+    blocks = list(_frame_blocks(len(stack), stack[0].nbytes))
     if frames == 201:
         assert blocks[0].stop == (12 if n < 3 else 4) and blocks[-1].stop > frames
     out = np.empty_like(stack)

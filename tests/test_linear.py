@@ -10,6 +10,7 @@ from mpnls import (
     GridMismatchError,
     LambdaOffGridError,
     MultipointSpec,
+    NonFiniteError,
     NonFiniteInputError,
     NonpositiveTimeError,
     PowerNonlinearity,
@@ -500,6 +501,17 @@ def test_boundary_mass_fraction_does_not_depend_on_the_scale(c):
     assert boundary_mass_fraction(0.0 * f) == 0.0
 
 
+@pytest.mark.parametrize("c", [1e-150, 1e-160, 1e-165])
+def test_a_partial_underflow_is_rescaled_too(c):
+    # at 1e-160 |u|² is subnormal but its sum is not 0: the rescale is keyed on max|u|^r
+    # below the normal range as well, so neither the L² norm nor the fraction loses digits
+    grid = build_grid(1, 64, 10.0)
+    f = sample_profile(grid, {"kind": "gaussian", "amplitude": 1.0, "width": 4.0,
+                              "center": [8.0]})
+    assert lebesgue_norm(c * f, 2.0) / c == pytest.approx(lebesgue_norm(f, 2.0), rel=1e-12)
+    assert boundary_mass_fraction(c * f) == pytest.approx(boundary_mass_fraction(f), rel=1e-12)
+
+
 # --- Strichartz verification ----------------------------------------------------------
 
 
@@ -576,6 +588,27 @@ def test_strichartz_samples_share_one_phase_table_in_memory():
     assert peak / ((nt + 1) * grid.shape[0] * grid.shape[1] * 16) <= 2.4
 
 
+def test_a_strichartz_sample_never_holds_a_trajectory():
+    # each sample's frames are reduced to their norms a block at a time as they are made,
+    # so the call's peak is the phase table (about 0.44 arrays here) and a few blocks
+    sym = validate_symbol([[1.0, 0.2], [0.2, 1.5]])
+    small = build_grid(2, 16, np.pi)  # warm-up: lazy imports and allocator caches
+    verify_strichartz(sym, small, nt=4, num_samples=2, band=4)
+    grid, nt = build_grid(2, 64, np.pi), 64
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        verify_strichartz(sym, grid, nt=nt, num_samples=8)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak / ((nt + 1) * grid.shape[0] * grid.shape[1] * 16) <= 0.75
+
+
 PHASE_SYMBOLS = {1: [[1.3]], 2: [[1.0, 0.2], [0.2, 1.5]],
                  3: [[1.0, 0.2, 0.1], [0.2, 1.5, -0.3], [0.1, -0.3, 2.0]]}
 
@@ -615,10 +648,52 @@ def test_phase_evaluator_keeps_the_bits_of_the_lattice_formulas(n, N, rng):
         ghat[m] = step * ghat[m - 1] + (-0.5j * dt) * (step * fhat[m - 1] + fhat[m])
     assert np.array_equal(_duhamel_spectral(step, dt, fhat.copy()), ghat)
     u_hat = fhat[0]
-    frames = _propagate(grid, phases, u_hat, times, t0)
-    assert np.array_equal(_propagate(grid, phases, u_hat, times, t0, table=table), frames)
-    assert np.array_equal(_propagate(grid, phases, u_hat, times, t0, ghat.copy(), table),
-                          _propagate(grid, phases, u_hat, times, t0, ghat.copy()))
+
+    def stacked(*args):  # the kernel's blocks, copied out of its block buffer
+        return np.concatenate([block.copy() for block in _propagate(grid, phases, u_hat, *args)])
+
+    frames = stacked(times, t0)
+    assert np.array_equal(stacked(times, t0, None, table), frames)
+    assert np.array_equal(stacked(times, t0, ghat.copy(), table), stacked(times, t0, ghat.copy()))
+
+
+@pytest.mark.parametrize("n, N", [(1, 256), (2, 128), (2, 64), (3, 16)])
+def test_a_phase_table_is_built_in_its_own_buffer(n, N):
+    # the exponent is written into the table's imaginary part and exponentiated in place:
+    # the bits of the formula, at a traced peak within 1.1 tables
+    from mpnls.linear import _Phases
+
+    phases = _Phases(symbol_lattice(validate_symbol(PHASE_SYMBOLS[n]), build_grid(n, N, 2.5)))
+    times = MultipointSpec(0.25, 1.5).times(64)
+    phases.table(times[:2], 0.25)  # warm-up
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        table = phases.table(times, 0.25)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak <= 1.1 * table.nbytes
+    assert np.array_equal(table, np.exp(-1j * np.multiply.outer(times - 0.25, phases.values)))
+
+
+def test_the_block_finiteness_scan_names_the_first_bad_frame():
+    # 65 frames of N = 16 make blocks of four; an Inf in Ĝ at frame 6, the third frame of
+    # the second block, is named by its own t and not by the block's first
+    from mpnls.linear import _Phases, _propagate
+
+    grid = build_grid(1, 16, 2.5)
+    phases = _Phases(symbol_lattice(validate_symbol([[1.3]]), grid))
+    times = MultipointSpec(0.25, 1.5).times(64)
+    ghat = np.zeros((65, 16), dtype=np.complex128)
+    ghat[6, 3] = np.inf
+    with pytest.raises(NonFiniteError, match=rf"^propagated frame at t={times[6]} is not finite$"):
+        for _ in _propagate(grid, phases, np.ones(16, dtype=np.complex128), times, 0.25, ghat):
+            pass
 
 
 def test_phase_table_of_the_2d_workloads_has_one_column_per_distinct_symbol_value():

@@ -177,6 +177,25 @@ def test_solver_eta_is_the_smallness_indicator(setup, s):
     assert diags.eta == smallness_indicator(sym, grid, phi, s, NL, mp.T, t0=mp.t0, nt=40)
 
 
+@pytest.mark.parametrize("s", [0.0, 0.5])
+def test_streamed_eta_and_strichartz_value_equal_their_stack_forms(setup, s):
+    # η and the Strichartz value reduce each block of frames as it is made; the same frames
+    # stacked first, through the public norms, read the same bits
+    from mpnls import apply_riesz, canonical_pairs, strichartz_norm
+    from mpnls.grid import _stack_blocks
+    from mpnls.linear import _datum_spectrum, _MultipointCore
+
+    sym, grid, phi = setup
+    mp = MultipointSpec(0.25, 1.25, ((0.3, 0.75),))
+    traj, diags = solve_nls_multipoint(sym, grid, mp, phi, NL, s=s, nt=40)
+    core = _MultipointCore(sym, grid, mp, phi, 40, 1e-8, phase_table=True)
+    free = core.wrap(core.propagate(_datum_spectrum(phi, grid, s)))
+    assert diags.eta == nonlinear._metric_norm(grid, core.dt, _stack_blocks(free.values), NL)
+    assert diags.eta == mixed_norm(free, NL.p + 2.0, metric_exponent(grid.n, NL.p)[0])
+    grad = Trajectory(grid, mp.t0, mp.T, [apply_riesz(traj.frame(m), s).values for m in range(41)])
+    assert diags.strichartz_value == strichartz_norm(grad, canonical_pairs(grid.n))
+
+
 def test_a_solve_builds_its_spectral_context_once(setup, monkeypatch):
     # one L(ξ), one phase evaluator and one D(ξ) per solve: every Φ, its Duhamel step and
     # η read the core's
@@ -455,8 +474,9 @@ def test_solver_peak_memory_with_a_half_size_phase_table():
 
 
 def test_the_gradient_stack_at_positive_s_is_one_array():
-    # at s > 0 |∇|^s u is written frame by frame into one stack, so the solve peaks within
-    # 0.1 trajectory arrays of the s = 0 solve, whose Strichartz value reads u itself
+    # at s > 0 |∇|^s u is written frame by frame into one block buffer and reduced there, so
+    # the solve peaks within 0.1 trajectory arrays of the s = 0 solve, whose Strichartz value
+    # reads u itself
     sym, grid = validate_symbol([[1.0, 0.0], [0.0, 1.0]]), build_grid(2, 32, 10.0)
     mp = MultipointSpec(0.0, 1.0, ((0.3, 0.5),))
     phi = sample_profile(grid, {"kind": "gaussian", "amplitude": 0.05, "width": 1.0,

@@ -23,7 +23,9 @@ datum lives on the grid of its pass, which only its one transform,
 only by `linear._check_on_axis`; a forcing's type is read only by the core's
 `duhamel`, past the type guard of `solve_linear_multipoint`.  A stack of frames is
 reduced to its per-frame L^r norms only by `norms._frame_norms`, whose one-frame case
-is `lebesgue_norm`, and |ξ|^s is built only by the one filter `norms._riesz`.  These
+is `lebesgue_norm`, and so are the blocks of a propagation that is never stacked; every
+frame is propagated by the one kernel `linear._propagate`, whose phases are table rows,
+and |ξ|^s is built only by the one filter `norms._riesz`.  These
 tests read the source, so a copy cannot regrow.
 """
 
@@ -89,6 +91,21 @@ def test_every_phase_comes_from_the_one_evaluator():
     assert exps and all(use.startswith("linear:_Phases.") for use in exps)
 
 
+def test_the_propagation_has_one_kernel():
+    # every frame a solver or a verifier propagates is made by `_propagate`, one
+    # inverse_transform per frame, and its phases are table rows: the single-phase evaluator
+    # serves D(ξ) and the Duhamel step alone
+    assert [use for use in calls("inverse_transform")
+            if use.split(":")[0] in ("linear", "nonlinear")] == ["linear:_propagate"]
+
+    def calls_the_evaluator(node):
+        return isinstance(node, ast.Call) and (
+            getattr(node.func, "id", None) == "phases"
+            or getattr(node.func, "attr", None) in ("phases", "__call__"))
+
+    assert sites(calls_the_evaluator) == ["linear:_MultipointCore.__init__", "linear:_denominator"]
+
+
 def test_the_transforms_have_one_home():
     # numpy's FFT runs only in the two transforms; L(ξ) has one builder on the lattice, and
     # |ξ|² one more, so no gradient form of L(ξ) can grow back
@@ -149,10 +166,11 @@ def test_parse_raises_only_the_rules_of_the_cli():
 
 def test_the_contraction_metric_has_one_definition():
     # r(p,n) is worked out where the metric is measured and where the solve reports r and
-    # its clamp flag; every norm that nonlinear.py takes is the metric's
+    # its clamp flag; every mixed norm that nonlinear.py takes, of a stack or of a
+    # propagation's blocks (`_mixed_norm`, the core of `mixed_norm`), is the metric's
     assert calls("metric_exponent") == ["nonlinear:_metric_norm", "nonlinear:solve_nls_multipoint"]
-    assert [use for use in calls("mixed_norm") if use.startswith("nonlinear:")] == [
-        "nonlinear:_metric_norm"]
+    assert [use for use in calls("mixed_norm") + calls("_mixed_norm")
+            if use.startswith("nonlinear:")] == ["nonlinear:_metric_norm"]
 
 
 def test_the_nonlinearity_has_one_type():
@@ -186,7 +204,8 @@ def test_a_forcing_is_read_in_one_place():
 
 
 def test_the_lebesgue_norms_have_one_reduction():
-    # |u| is taken and rescaled past 0 or ∞ by the frame kernel, not by a per-frame copy
+    # |u| is taken and rescaled past 0 or ∞ by the frame kernel, not by a per-frame copy,
+    # whether its frames come from a stack or a propagation's blocks
     assert calls("_power_root") == ["norms:_frame_norms", "norms:_time_norm"]
     assert [use for use in numpy_uses("abs") if use.startswith("norms:")] == [
         "norms:_frame_norms", "norms:_hamiltonian", "norms:mass"]
