@@ -38,8 +38,8 @@ from .errors import BadExponentError, NoConvergenceError, NonFiniteError
 from .grid import Field, SpectralGrid, Trajectory, _frame_blocks, _stack_blocks
 from .linear import (DEFAULT_EPS_RES, MultipointSpec, _check_on_axis, _datum_spectrum,
                      _MultipointCore, _Phases, _propagate)
-from .norms import (FrameObservables, _mixed_norm, _strichartz_norm, apply_riesz, canonical_pairs,
-                    check_power, check_sobolev_order, frame_observables)
+from .norms import (FrameObservables, _apply_riesz, _mixed_norm, _riesz, _strichartz_norm,
+                    canonical_pairs, check_power, check_sobolev_order, frame_observables)
 from .symbol import EllipticSymbol, symbol_lattice
 
 DEFAULT_TOL_FP = 1e-10
@@ -145,18 +145,18 @@ def smallness_indicator(sym: EllipticSymbol, grid: SpectralGrid, phi: Field, s: 
 
 
 def _riesz_blocks(traj: Trajectory, s: float):
-    """|∇|^s of each frame of a trajectory (`apply_riesz`), one `_stack_blocks` block at a
-    time in one block buffer; at s = 0, where |∇|^s is the identity, the trajectory's own
-    blocks."""
+    """|∇|^s of each frame of a trajectory (`apply_riesz`, by one |ξ|^s for the pass), one
+    `_stack_blocks` block at a time in one block buffer; at s = 0, where |∇|^s is the
+    identity, the trajectory's own blocks."""
     if s == 0.0:
         yield from _stack_blocks(traj.values)
         return
-    buffer = None
+    mult, buffer = _riesz(traj.grid, s), None
     for frames in _stack_blocks(traj.values):
         buffer = np.empty_like(frames) if buffer is None else buffer
         block = buffer[:len(frames)]
         for i, frame in enumerate(frames):
-            block[i] = apply_riesz(Field._wrap(traj.grid, frame), s).values
+            block[i] = _apply_riesz(Field._wrap(traj.grid, frame), mult, s).values
         yield block
 
 

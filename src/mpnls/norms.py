@@ -4,6 +4,10 @@ Spatial norms use the physical quadrature weight h, time composition uses
 trapezoidal weights on the uniform frame grid, and ∞-exponents are grid
 maxima.  Admissibility arithmetic (2/q + n/r ≤ n/2, with (n,q,r) ≠ (2,2,∞))
 is done in exact rational arithmetic so sharp pairs are detected exactly.
+
+`frame_observables` makes its lattice scratch and |ξ|^s once per pass, so that glibc no
+longer trims the heap after each 128² frame and faults it back in on the next; the Ḣ^s
+column at s = 0 is still a forward/inverse round trip.
 """
 
 from __future__ import annotations
@@ -126,7 +130,12 @@ def check_sobolev_order(s: float) -> None:
 def sobolev_norm(field: Field, s: float) -> float:
     """The Ḣ^s norm ‖|∇|^s f‖_{L²}, through both transforms even at s = 0 (0^0 = 1).  A
     transform that overflows raises NonFiniteError."""
-    filtered = _riesz(field, s)
+    return _sobolev_norm(field, _riesz(field.grid, s))
+
+
+def _sobolev_norm(field: Field, mult: np.ndarray, out=None) -> float:
+    """`sobolev_norm` by the filter |ξ|^s of `_riesz`, its product written into `out` if given."""
+    filtered = _filtered(field, mult, out)
     norm = lebesgue_norm(filtered, 2.0)
     if not math.isfinite(norm) and not np.isfinite(filtered.values).all():
         raise NonFiniteError("Sobolev norm is not finite: the field's transform overflowed")
@@ -138,20 +147,29 @@ def apply_riesz(field: Field, s: float) -> Field:
     overflows raises NonFiniteError."""
     if s == 0.0:
         return field
-    out = _riesz(field, s)
+    return _apply_riesz(field, _riesz(field.grid, s), s)
+
+
+def _apply_riesz(field: Field, mult: np.ndarray, s: float) -> Field:
+    """`apply_riesz` by the filter |ξ|^s of `_riesz`, for a pass that builds it once."""
+    out = _filtered(field, mult)
     if not np.isfinite(out.values).all():
         raise NonFiniteError(f"|grad|^{s} of the field is not finite: its transform overflowed")
     return out
 
 
-def _riesz(field: Field, s: float) -> Field:
-    """F⁻¹[|ξ|^s·F f] for s ∈ [0, 2] (`check_sobolev_order`), transformed without numpy
-    warnings.  Its samples are not finite when a transform overflowed, which the caller judges."""
+def _riesz(grid, s: float) -> np.ndarray:
+    """|ξ|^s on the lattice of `grid` for s ∈ [0, 2] (`check_sobolev_order`): the one filter."""
     check_sobolev_order(s)
-    mult = field.grid.radial_freq_sq() ** (s / 2.0)
+    return grid.radial_freq_sq() ** (s / 2.0)
+
+
+def _filtered(field: Field, mult: np.ndarray, out=None) -> Field:
+    """F⁻¹[mult·F f], the product written into `out` when given, transformed without numpy
+    warnings.  Its samples are not finite when a transform overflowed, which the caller judges."""
     with np.errstate(over="ignore", invalid="ignore"):
-        spec = forward_transform(field)
-        return inverse_transform(Field._wrap(field.grid, mult * spec.values))
+        product = np.multiply(mult, forward_transform(field).values, out=out)
+        return inverse_transform(Field._wrap(field.grid, product.view()))
 
 
 # --- admissibility and Strichartz --------------------------------------------
@@ -254,28 +272,49 @@ def critical_exponent(n: int, p: float, s: float) -> RegularityReport:
 
 def mass(field: Field) -> float:
     """M(u) = h·Σ|u|², the discrete L² mass."""
+    return _mass(field.grid.h, np.abs(field.values))
+
+
+def _mass(h: float, mag: np.ndarray) -> float:
+    """`mass` from |u|, which it squares in place."""
     with np.errstate(over="ignore"):  # inf past the float range is the honest answer
-        return float(field.grid.h * np.sum(np.abs(field.values) ** 2))
+        return float(h * np.sum(np.square(mag, out=mag)))
 
 
 def energy(field: Field, sym, nl=None) -> float:
     """Hamiltonian h·Σ [½(𝓛u)ū − (λ/(p+2))|u|^{p+2}], 𝓛u = F⁻¹[L(ξ)û]: the one-frame case
     of `_hamiltonian`.  nl is a PowerNonlinearity (attributes lam, p) or None for the free case."""
-    return _hamiltonian(field, symbol_lattice(sym, field.grid), nl)
+    return _hamiltonian(field, symbol_lattice(sym, field.grid), nl, _Scratch(field.grid))
 
 
-def _hamiltonian(field: Field, larr: np.ndarray, nl) -> float:
+class _Scratch:
+    """The lattice buffers of an observables pass, written over frame after frame: |u|, the
+    potential term, and the spectral product, then the density.  A product is wrapped as a
+    view, which `Field._wrap` makes read-only while the buffer stays writeable."""
+
+    def __init__(self, grid):
+        self.mag, self.power = np.empty((2,) + grid.shape)
+        self.product = np.empty(grid.shape, dtype=np.complex128)
+
+
+def _hamiltonian(field: Field, larr: np.ndarray, nl, scratch: _Scratch) -> float:
     """The energy of one frame, as `energy` defines it, from L(ξ) on its lattice: one forward
-    and one inverse transform in every dimension.  ½(𝓛u)ū sums to a real number for a real
-    symmetric form; the residual imaginary part is asserted below 1e-10 of the energy scale,
-    and the total finite."""
+    and one inverse transform in every dimension, written over `scratch`, where |u| is left.
+    ½(𝓛u)ū sums to a real number for a real symmetric form; the residual imaginary part is
+    asserted below 1e-10 of the energy scale, and the total finite."""
     g = field.grid
     with np.errstate(over="ignore", invalid="ignore"):  # judged on the total below
-        lu = inverse_transform(Field._wrap(g, larr * forward_transform(field).values)).values
-        density = lu * np.conj(field.values)
+        product = np.multiply(larr, forward_transform(field).values, out=scratch.product)
+        lu = inverse_transform(Field._wrap(g, product.view())).values
+        # numpy's complex product is not commutative to the bit (`linear._Phases`), but its
+        # real part, all that the energy keeps, is
+        conj = np.conjugate(field.values, out=product)  # the inverse has read the product
+        density = np.multiply(lu, conj, out=conj)
         density *= 0.5
+        mag = np.abs(field.values, out=scratch.mag)
         if nl is not None and nl.lam != 0.0:
-            density -= (nl.lam / (nl.p + 2.0)) * np.abs(field.values) ** (nl.p + 2.0)
+            potential = np.power(mag, nl.p + 2.0, out=scratch.power)
+            density -= np.multiply(nl.lam / (nl.p + 2.0), potential, out=potential)
         total = g.h * np.sum(density)
     if not np.isfinite(total):
         raise NonFiniteError(f"energy is not finite: {total}")
@@ -296,9 +335,14 @@ class FrameObservables:  # per-frame columns of a solve report, one entry per fr
 def frame_observables(traj: Trajectory, larr: np.ndarray, nl, s: float) -> FrameObservables:
     """Mass, energy (nl as for `energy`, L(ξ) on the lattice as `symbol_lattice` builds it),
     L², L^∞ and Ḣ^s norm of every frame: the only place these are computed, read by the
-    Picard drifts and the solve CSV."""
-    norms = _frame_norms(_stack_blocks(traj.values), traj.grid.h, (2.0, INF))
-    frames = (traj.frame(m) for m in range(traj.nt + 1))
-    rows = [(mass(f), _hamiltonian(f, larr, nl), l2, linf, sobolev_norm(f, s))
-            for f, l2, linf in zip(frames, norms[2.0].tolist(), norms[INF].tolist())]
+    Picard drifts and the solve CSV.  One pass: two forward and two inverse transforms a frame."""
+    g = traj.grid
+    norms = _frame_norms(_stack_blocks(traj.values), g.h, (2.0, INF))
+    scratch, mult = _Scratch(g), _riesz(g, s)
+    rows = []
+    for m, l2, linf in zip(range(traj.nt + 1), norms[2.0].tolist(), norms[INF].tolist()):
+        frame = traj.frame(m)
+        e = _hamiltonian(frame, larr, nl, scratch)
+        rows.append((_mass(g.h, scratch.mag), e, l2, linf,
+                     _sobolev_norm(frame, mult, scratch.product)))
     return FrameObservables(*zip(*rows))

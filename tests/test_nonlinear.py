@@ -196,6 +196,28 @@ def test_streamed_eta_and_strichartz_value_equal_their_stack_forms(setup, s):
     assert diags.strichartz_value == strichartz_norm(grad, canonical_pairs(grid.n))
 
 
+def test_the_riesz_filter_is_built_once_per_pass(setup, monkeypatch):
+    # at s > 0, |ξ|^s is built once for η's datum, once for the observables pass and once for
+    # the Strichartz value, however many frames the solve has
+    from mpnls.grid import SpectralGrid
+
+    sym, grid, phi = setup
+    mp = MultipointSpec(0.25, 1.25, ((0.3, 0.75),))
+    original, calls = SpectralGrid.radial_freq_sq, []
+
+    def counted(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(SpectralGrid, "radial_freq_sq", counted)
+    counts = []
+    for nt in (8, 16, 32):
+        calls.clear()
+        solve_nls_multipoint(sym, grid, mp, phi, NL, s=0.5, nt=nt)
+        counts.append(len(calls))
+    assert counts == [3, 3, 3]
+
+
 def test_a_solve_builds_its_spectral_context_once(setup, monkeypatch):
     # one L(ξ), one phase evaluator and one D(ξ) per solve: every Φ, its Duhamel step and
     # η read the core's
