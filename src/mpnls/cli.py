@@ -357,13 +357,10 @@ def _json_pairs(pairs) -> dict:
 
 
 def config_to_dict(cfg: SolveConfig) -> dict:
-    """Canonical JSON-ready form; parse(serialize(cfg)) == cfg."""
+    """Canonical JSON-ready form, the summary's `config_echo`:
+    parse_config(json.dumps(config_to_dict(cfg))) == cfg."""
     return {key: v for key, v in asdict(cfg, dict_factory=_json_pairs).items()
             if v is not None or key not in ("dispersive", "strichartz")}  # absent, not null
-
-
-def serialize_config(cfg: SolveConfig) -> str:
-    return json.dumps(config_to_dict(cfg), sort_keys=True, indent=2) + "\n"
 
 
 # --- runtime assembly ----------------------------------------------------------

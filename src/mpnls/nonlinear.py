@@ -16,10 +16,10 @@ context: each Φ application is one datum solve and one pass of its `propagate`,
 metric a block at a time as they are made (`blocks`), so η never holds a trajectory.  A
 standalone `smallness_indicator` solves nothing, so it builds no core: it runs η's pass
 through `_propagate` with the phases of each block's times, and reads the bits of the
-solver's η.  The Strichartz value at s > 0 takes |∇|^s of the solution a block at a time
-in the same way.  One Φ
-application allocates one trajectory-sized buffer: -F(u) is built in it, then
-transformed, integrated and propagated in place.  Φ is finite or raises
+solver's η.  The solution itself is reduced once, by `frame_observables`, which gives the
+per-frame columns and the Strichartz value of |∇|^s u.  One Φ application allocates one
+trajectory-sized buffer: -F(u) is built in it, then transformed, integrated and propagated
+in place.  Φ is finite or raises
 NonFiniteError: `_power_block` checks F(u) and `_propagate` each frame.  An
 iterate from outside is checked by `_check_on_axis`, a datum by `_datum_spectrum`.
 
@@ -38,8 +38,8 @@ from .errors import BadExponentError, NoConvergenceError, NonFiniteError
 from .grid import Field, SpectralGrid, Trajectory, _frame_blocks, _stack_blocks
 from .linear import (DEFAULT_EPS_RES, MultipointSpec, _check_on_axis, _datum_spectrum,
                      _MultipointCore, _Phases, _propagate)
-from .norms import (FrameObservables, _apply_riesz, _mixed_norm, _riesz, _strichartz_norm,
-                    canonical_pairs, check_power, check_sobolev_order, frame_observables)
+from .norms import (FrameObservables, _mixed_norm, canonical_pairs, check_power,
+                    check_sobolev_order, frame_observables)
 from .symbol import EllipticSymbol, symbol_lattice
 
 DEFAULT_TOL_FP = 1e-10
@@ -142,22 +142,6 @@ def smallness_indicator(sym: EllipticSymbol, grid: SpectralGrid, phi: Field, s: 
     blocks = _propagate(grid, _Phases(symbol_lattice(sym, grid)), _datum_spectrum(phi, grid, s),
                         times, t0)
     return _metric_norm(grid, (T - t0) / nt, blocks, nl)
-
-
-def _riesz_blocks(traj: Trajectory, s: float):
-    """|∇|^s of each frame of a trajectory (`apply_riesz`, by one |ξ|^s for the pass), one
-    `_stack_blocks` block at a time in one block buffer; at s = 0, where |∇|^s is the
-    identity, the trajectory's own blocks."""
-    if s == 0.0:
-        yield from _stack_blocks(traj.values)
-        return
-    mult, buffer = _riesz(traj.grid, s), None
-    for frames in _stack_blocks(traj.values):
-        buffer = np.empty_like(frames) if buffer is None else buffer
-        block = buffer[:len(frames)]
-        for i, frame in enumerate(frames):
-            block[i] = _apply_riesz(Field._wrap(traj.grid, frame), mult, s).values
-        yield block
 
 
 # --- the solution map ----------------------------------------------------------
@@ -302,8 +286,8 @@ def solve_nls_multipoint(sym: EllipticSymbol, grid: SpectralGrid, mp: Multipoint
     final_residual = _residual(core, values, nl)
     current = core.wrap(values)
 
-    observables = frame_observables(current, core.larr, nl, s)
     exponents = [(pair.q, pair.r) for pair in canonical_pairs(grid.n)]
+    observables = frame_observables(current, core.larr, nl, s, exponents)
     diags = PicardDiagnostics(
         iterations=len(d_history),
         d_history=tuple(d_history),
@@ -314,7 +298,7 @@ def solve_nls_multipoint(sym: EllipticSymbol, grid: SpectralGrid, mp: Multipoint
         energy_drift=_relative_drift(observables.energy),
         r_metric=r_metric,
         metric_clamped=clamped,
-        strichartz_value=_strichartz_norm(_riesz_blocks(current, s), grid.h, core.dt, exponents),
+        strichartz_value=observables.strichartz_value,
         observables=observables,
     )
     return current, diags

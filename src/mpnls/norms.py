@@ -5,9 +5,11 @@ trapezoidal weights on the uniform frame grid, and ∞-exponents are grid
 maxima.  Admissibility arithmetic (2/q + n/r ≤ n/2, with (n,q,r) ≠ (2,2,∞))
 is done in exact rational arithmetic so sharp pairs are detected exactly.
 
-`frame_observables` makes its lattice scratch and |ξ|^s once per pass, so that glibc no
-longer trims the heap after each 128² frame and faults it back in on the next; the Ḣ^s
-column at s = 0 is still a forward/inverse round trip.
+`frame_observables` is the one reduction of a solve's solution: per-frame columns and the
+Strichartz value from one |u| and one |∇|^s u a frame.  It makes its lattice scratch and
+|ξ|^s once per pass, so that glibc no longer trims the heap after each 128² frame and faults
+it back in on the next; the Ḣ^s column at s = 0 is still a forward/inverse round trip.
+`_filtered` is the one |∇|^s filter and holds the one overflow check.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ def _reciprocal(x) -> Fraction:
 
 def lebesgue_norm(field: Field, r: float) -> float:
     """(h·Σ|u|^r)^{1/r}; grid maximum of |u| for r = ∞: the one-frame case of `_frame_norms`."""
-    return float(_frame_norms([field.values[None]], field.grid.h, [r])[r][0])
+    return float(_frame_norms([field.values[None]], field.grid.h, {r: []})[r][0])
 
 
 def mixed_norm(traj: Trajectory, q: float, r: float) -> float:
@@ -65,26 +67,28 @@ def _mixed_norm(blocks, h: float, dt: float, q: float, r: float) -> float:
     """`mixed_norm` of frames `dt` apart, handed over a block at a time (`_frame_norms`)."""
     if not (q >= 1.0):
         raise BadExponentError(f"time exponent must be >= 1, got {q}")
-    return _time_norm(_frame_norms(blocks, h, [r])[r], float(q), dt)
+    return _time_norm(_frame_norms(blocks, h, {r: []})[r], float(q), dt)
 
 
-def _frame_norms(blocks, h: float, rs) -> dict:
-    """{r: (h·Σ|u|^r)^{1/r}, or max|u| for r = ∞, of every frame} for each r ≥ 1 of rs, from
-    frames handed over as `blocks`: stacks of frames in time order, such as `_stack_blocks` of
-    a stack or the blocks of a `linear._propagate` pass.  One |u| per block and one sum of
-    |u|^r per block and r; a frame whose sum reads 0 or ∞, or whose max|u|^r lies below the
-    normal range, is rescaled by `_power_root`."""
-    for r in rs:
+def _frame_norms(blocks, h: float, out: dict) -> dict:
+    """Extends, for each r ≥ 1 of `out`, the list out[r] by (h·Σ|u|^r)^{1/r}, or max|u| for
+    r = ∞, of every frame, and returns `out`.  The frames are handed over as `blocks`: stacks
+    of frames in time order, such as `_stack_blocks` of a stack or the blocks of a
+    `linear._propagate` pass, or stacks of |u| itself, which is real; a pass that reduces a
+    frame at a time keeps its columns in `out`.  One |u| per block and one sum of |u|^r per
+    block and r; a frame whose sum reads 0 or ∞, or whose max|u|^r lies below the normal
+    range, is rescaled by `_power_root`."""
+    for r in out:
         if not (r >= 1.0):
             raise BadExponentError(f"Lebesgue exponent must be >= 1, got {r}")
-    out = {r: [] for r in rs}
     with np.errstate(over="ignore"):  # a norm that reads inf is rescaled by _power_root
         for block in blocks:
-            mag = np.abs(block.reshape(len(block), -1))
+            mag = block.reshape(len(block), -1)
+            mag = np.abs(mag) if np.iscomplexobj(mag) else mag
             tops = mag.max(axis=1)
             for r, norms in out.items():
                 if r == INF:
-                    norms.extend(tops)
+                    norms.extend(tops.tolist())
                     continue
                 rf = float(r)
                 subnormal = tops**rf < _TINY
@@ -92,16 +96,16 @@ def _frame_norms(blocks, h: float, rs) -> dict:
                     norm = float((h * total) ** (1.0 / rf))
                     norms.append(norm if norm not in (0.0, INF) and not subnormal[i]
                                  else _power_root(mag[i], rf, h))
-    return {r: np.array(norms, dtype=np.float64) for r, norms in out.items()}
+    return out
 
 
-def _time_norm(frames: np.ndarray, q: float, dt: float) -> float:
+def _time_norm(frames, q: float, dt: float) -> float:
     """L^q in time of per-frame norms, trapezoidal weights; their maximum for q = ∞."""
     if q == INF:
         return float(max(frames))
     weights = np.ones(len(frames))
     weights[0] = weights[-1] = 0.5
-    return _power_root(frames, q, dt, weights)
+    return _power_root(np.asarray(frames), q, dt, weights)
 
 
 def _power_root(mag: np.ndarray, r: float, scale: float, weights=None) -> float:
@@ -130,16 +134,7 @@ def check_sobolev_order(s: float) -> None:
 def sobolev_norm(field: Field, s: float) -> float:
     """The Ḣ^s norm ‖|∇|^s f‖_{L²}, through both transforms even at s = 0 (0^0 = 1).  A
     transform that overflows raises NonFiniteError."""
-    return _sobolev_norm(field, _riesz(field.grid, s))
-
-
-def _sobolev_norm(field: Field, mult: np.ndarray, out=None) -> float:
-    """`sobolev_norm` by the filter |ξ|^s of `_riesz`, its product written into `out` if given."""
-    filtered = _filtered(field, mult, out)
-    norm = lebesgue_norm(filtered, 2.0)
-    if not math.isfinite(norm) and not np.isfinite(filtered.values).all():
-        raise NonFiniteError("Sobolev norm is not finite: the field's transform overflowed")
-    return norm
+    return lebesgue_norm(_filtered(field, _riesz(field.grid, s)), 2.0)
 
 
 def apply_riesz(field: Field, s: float) -> Field:
@@ -147,15 +142,7 @@ def apply_riesz(field: Field, s: float) -> Field:
     overflows raises NonFiniteError."""
     if s == 0.0:
         return field
-    return _apply_riesz(field, _riesz(field.grid, s), s)
-
-
-def _apply_riesz(field: Field, mult: np.ndarray, s: float) -> Field:
-    """`apply_riesz` by the filter |ξ|^s of `_riesz`, for a pass that builds it once."""
-    out = _filtered(field, mult)
-    if not np.isfinite(out.values).all():
-        raise NonFiniteError(f"|grad|^{s} of the field is not finite: its transform overflowed")
-    return out
+    return _filtered(field, _riesz(field.grid, s))
 
 
 def _riesz(grid, s: float) -> np.ndarray:
@@ -165,11 +152,15 @@ def _riesz(grid, s: float) -> np.ndarray:
 
 
 def _filtered(field: Field, mult: np.ndarray, out=None) -> Field:
-    """F⁻¹[mult·F f], the product written into `out` when given, transformed without numpy
-    warnings.  Its samples are not finite when a transform overflowed, which the caller judges."""
+    """F⁻¹[mult·F f] for the |ξ|^s of `_riesz`, the product written into `out` when given,
+    transformed without numpy warnings.  Samples that are not finite, after a transform
+    overflowed, raise NonFiniteError: every sample is scanned."""
     with np.errstate(over="ignore", invalid="ignore"):
         product = np.multiply(mult, forward_transform(field).values, out=out)
-        return inverse_transform(Field._wrap(field.grid, product.view()))
+        filtered = inverse_transform(Field._wrap(field.grid, product.view()))
+    if not np.isfinite(filtered.values).all():
+        raise NonFiniteError("|grad|^s of the field is not finite: its transform overflowed")
+    return filtered
 
 
 # --- admissibility and Strichartz --------------------------------------------
@@ -237,7 +228,11 @@ def strichartz_norm(traj: Trajectory, pairs) -> float:
 def _strichartz_norm(blocks, h: float, dt: float, pairs) -> float:
     """`strichartz_norm` over admissible (q, r) pairs of frames `dt` apart, handed over a block
     at a time (`_frame_norms`)."""
-    norms = _frame_norms(blocks, h, dict.fromkeys(float(r) for _, r in pairs))
+    return _pair_max(_frame_norms(blocks, h, {float(r): [] for _, r in pairs}), dt, pairs)
+
+
+def _pair_max(norms: dict, dt: float, pairs) -> float:
+    """max over (q, r) of `pairs` of L^q in time of the per-frame L^r norms `norms[r]`."""
     return max(0.0, *(_time_norm(norms[float(r)], float(q), dt) for q, r in pairs))
 
 
@@ -330,19 +325,28 @@ class FrameObservables:  # per-frame columns of a solve report, one entry per fr
     l2: tuple
     linf: tuple
     sobolev_s: tuple  # homogeneous ‖|∇|^s u‖_{L²}
+    strichartz_value: float | None  # of |∇|^s u over the pairs asked for; None if none were
 
 
-def frame_observables(traj: Trajectory, larr: np.ndarray, nl, s: float) -> FrameObservables:
+def frame_observables(traj: Trajectory, larr: np.ndarray, nl, s: float,
+                      pairs=()) -> FrameObservables:
     """Mass, energy (nl as for `energy`, L(ξ) on the lattice as `symbol_lattice` builds it),
-    L², L^∞ and Ḣ^s norm of every frame: the only place these are computed, read by the
-    Picard drifts and the solve CSV.  One pass: two forward and two inverse transforms a frame."""
+    L², L^∞ and Ḣ^s norm of every frame, and the Strichartz value of |∇|^s u over the admissible
+    (q, r) `pairs`: the only place these are computed, read by the Picard diagnostics and the
+    solve reports.  One pass: two forward and two inverse transforms a frame.  One |u| a frame,
+    left by `_hamiltonian`, gives L², L^∞ and, at s = 0, the Strichartz norms; the frame that
+    the Ḣ^s column filters gives them at s > 0."""
     g = traj.grid
-    norms = _frame_norms(_stack_blocks(traj.values), g.h, (2.0, INF))
-    scratch, mult = _Scratch(g), _riesz(g, s)
-    rows = []
-    for m, l2, linf in zip(range(traj.nt + 1), norms[2.0].tolist(), norms[INF].tolist()):
+    rs = {float(r) for _, r in pairs}
+    raw = {r: [] for r in {2.0, INF} | (rs if s == 0.0 else set())}
+    riesz = {r: [] for r in {2.0} | (set() if s == 0.0 else rs)}
+    scratch, mult, rows = _Scratch(g), _riesz(g, s), []
+    for m in range(traj.nt + 1):
         frame = traj.frame(m)
         e = _hamiltonian(frame, larr, nl, scratch)
-        rows.append((_mass(g.h, scratch.mag), e, l2, linf,
-                     _sobolev_norm(frame, mult, scratch.product)))
-    return FrameObservables(*zip(*rows))
+        _frame_norms([scratch.mag[None]], g.h, raw)  # |u|, before _mass squares it in place
+        rows.append((_mass(g.h, scratch.mag), e))
+        _frame_norms([_filtered(frame, mult, scratch.product).values[None]], g.h, riesz)
+    value = _pair_max(raw if s == 0.0 else riesz, traj.dt, pairs) if pairs else None
+    return FrameObservables(*zip(*rows), tuple(raw[2.0]), tuple(raw[INF]), tuple(riesz[2.0]),
+                            value)

@@ -197,8 +197,8 @@ def test_streamed_eta_and_strichartz_value_equal_their_stack_forms(setup, s):
 
 
 def test_the_riesz_filter_is_built_once_per_pass(setup, monkeypatch):
-    # at s > 0, |ξ|^s is built once for η's datum, once for the observables pass and once for
-    # the Strichartz value, however many frames the solve has
+    # at s > 0, |ξ|^s is built once for η's datum and once for the observables pass, which
+    # also gives the Strichartz value, however many frames the solve has
     from mpnls.grid import SpectralGrid
 
     sym, grid, phi = setup
@@ -215,7 +215,38 @@ def test_the_riesz_filter_is_built_once_per_pass(setup, monkeypatch):
         calls.clear()
         solve_nls_multipoint(sym, grid, mp, phi, NL, s=0.5, nt=nt)
         counts.append(len(calls))
-    assert counts == [3, 3, 3]
+    assert counts == [2, 2, 2]
+
+
+def test_a_positive_order_costs_one_transform_pair(setup, monkeypatch):
+    # the observables pass filters each frame at any s, and its filtered frame gives the
+    # Strichartz value at s > 0: an s = 0.5 solve adds only η's filtered datum, one forward
+    # and one inverse transform, to an s = 0 solve, however many frames the solve has
+    import sys
+
+    from mpnls import grid as grid_module
+
+    calls = {"forward_transform": 0, "inverse_transform": 0}
+    for name in calls:
+        original = getattr(grid_module, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for modname, mod in list(sys.modules.items()):
+            if modname.split(".")[0] == "mpnls" and vars(mod).get(name) is original:
+                monkeypatch.setattr(mod, name, counted)
+    sym, grid, phi = setup
+    mp = MultipointSpec(0.25, 1.25, ((0.3, 0.75),))
+    for nt in (8, 16, 32):
+        counts = []
+        for s in (0.0, 0.5):
+            calls.update(dict.fromkeys(calls, 0))
+            solve_nls_multipoint(sym, grid, mp, phi, NL, s=s, nt=nt)
+            counts.append(dict(calls))
+        assert {k: counts[1][k] - counts[0][k] for k in calls} == {
+            "forward_transform": 1, "inverse_transform": 1}, nt
 
 
 def test_a_solve_builds_its_spectral_context_once(setup, monkeypatch):

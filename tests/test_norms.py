@@ -246,55 +246,6 @@ BLOCKED = {1: (build_grid(1, 64, 2.0), [(INF, 2), (4, INF), (8, 4), (16, Fractio
            2: (build_grid(2, 64, 2.0), [(INF, 2), (4, 4), (8, Fraction(8, 3)), (4, INF)])}
 
 
-@pytest.mark.parametrize("s", [0.0, 0.5])
-def test_2d_columns_keep_their_bits(sym2, rng, s):
-    # 128² frames are 256 KiB, where NumPy reuses a product's temporary and glibc used to trim
-    # the heap after each frame: the pass's scratch, made once, gives the bits of the one-frame
-    # functions, and of the allocating energy formula that it replaced
-    grid, nt = build_grid(2, 128, 10.0), 3
-    shape = (nt + 1,) + grid.shape
-    vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    traj = Trajectory(grid, 0.0, 1.0, vals)
-    nl, larr = PowerNonlinearity(-1.0, 2.0), symbol_lattice(sym2, grid)
-    obs = frame_observables(traj, larr, nl, s)
-    frames = [traj.frame(m) for m in range(nt + 1)]
-    assert obs.mass == tuple(mass(f) for f in frames)
-    assert obs.energy == tuple(energy(f, sym2, nl) for f in frames)
-    assert obs.l2 == tuple(lebesgue_norm(f, 2.0) for f in frames)
-    assert obs.linf == tuple(lebesgue_norm(f, INF) for f in frames)
-    assert obs.sobolev_s == tuple(sobolev_norm(f, s) for f in frames)
-    for f, e in zip(frames, obs.energy):
-        lu = inverse_transform(Field(grid, larr * forward_transform(f).values)).values
-        density = lu * np.conj(f.values)
-        density *= 0.5
-        density -= (nl.lam / (nl.p + 2.0)) * np.abs(f.values) ** (nl.p + 2.0)
-        assert e == float((grid.h * np.sum(density)).real)
-    # no scratch carries over from one frame to the next
-    backward = frame_observables(Trajectory(grid, 0.0, 1.0, vals[::-1]), larr, nl, s)
-    for forward, reverse in zip(vars(obs).values(), vars(backward).values()):
-        assert reverse == forward[::-1]
-
-
-@pytest.mark.parametrize("nl", [None, PowerNonlinearity(-1.0, 2.0)])
-@pytest.mark.parametrize("n, N", [(1, 64), (2, 128)])
-def test_an_overflow_mid_pass_raises_the_energy_error(n, N, nl, rng):
-    # the last frame, a plane wave of amplitude 1e306 at a high mode, is finite, but L(ξ)·û
-    # overflows: the pass raises what `energy` raises on that frame, with no numpy warning
-    grid = build_grid(n, N, 10.0)
-    sym = validate_symbol(ENERGY_SYMBOLS[n])
-    wave = sample_profile(grid, {"kind": "plane_wave", "amplitude": 1e306,
-                                 "mode": [N // 2 - 4] * n})
-    vals = np.stack([random_band_limited(grid, 4, rng).values for _ in range(3)] + [wave.values])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(NonFiniteError) as expected:
-            energy(wave, sym, nl)
-        with pytest.raises(NonFiniteError) as raised:
-            frame_observables(Trajectory(grid, 0.0, 1.0, vals), symbol_lattice(sym, grid), nl, 0.5)
-    assert str(raised.value) == str(expected.value)
-    assert str(raised.value).startswith("energy is not finite")
-
-
 @pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("fill", ["random", 0.0, 1e200, 1e-200])
 def test_blocked_norms_equal_a_per_frame_recomputation(n, fill, rng):
@@ -470,19 +421,23 @@ def test_frame_observables_columns_are_the_norms(grid1, sym1, rng):
 def test_2d_columns_keep_their_bits(sym2, rng, s):
     # 128² frames are 256 KiB, where NumPy reuses a product's temporary and glibc used to trim
     # the heap after each frame: the pass's scratch, made once, gives the bits of the one-frame
-    # functions, and of the allocating energy formula that it replaced
+    # functions, and of the allocating energy formula that it replaced; the Strichartz value
+    # keeps the bits of `strichartz_norm` of |∇|^s u
     grid, nt = build_grid(2, 128, 10.0), 3
     shape = (nt + 1,) + grid.shape
     vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     traj = Trajectory(grid, 0.0, 1.0, vals)
     nl, larr = PowerNonlinearity(-1.0, 2.0), symbol_lattice(sym2, grid)
-    obs = frame_observables(traj, larr, nl, s)
+    pairs = [(p.q, p.r) for p in canonical_pairs(2)]
+    obs = frame_observables(traj, larr, nl, s, pairs)
     frames = [traj.frame(m) for m in range(nt + 1)]
     assert obs.mass == tuple(mass(f) for f in frames)
     assert obs.energy == tuple(energy(f, sym2, nl) for f in frames)
     assert obs.l2 == tuple(lebesgue_norm(f, 2.0) for f in frames)
     assert obs.linf == tuple(lebesgue_norm(f, INF) for f in frames)
     assert obs.sobolev_s == tuple(sobolev_norm(f, s) for f in frames)
+    grad = Trajectory(grid, 0.0, 1.0, [apply_riesz(f, s).values for f in frames])
+    assert obs.strichartz_value == strichartz_norm(grad, pairs)
     for f, e in zip(frames, obs.energy):
         lu = inverse_transform(Field(grid, larr * forward_transform(f).values)).values
         density = lu * np.conj(f.values)
@@ -490,9 +445,10 @@ def test_2d_columns_keep_their_bits(sym2, rng, s):
         density -= (nl.lam / (nl.p + 2.0)) * np.abs(f.values) ** (nl.p + 2.0)
         assert e == float((grid.h * np.sum(density)).real)
     # no scratch carries over from one frame to the next
-    backward = frame_observables(Trajectory(grid, 0.0, 1.0, vals[::-1]), larr, nl, s)
-    for forward, reverse in zip(vars(obs).values(), vars(backward).values()):
-        assert reverse == forward[::-1]
+    backward = frame_observables(Trajectory(grid, 0.0, 1.0, vals[::-1]), larr, nl, s, pairs)
+    for name, forward in vars(obs).items():
+        if name != "strichartz_value":  # a scalar over all frames, not a column
+            assert vars(backward)[name] == forward[::-1]
 
 
 @pytest.mark.parametrize("nl", [None, PowerNonlinearity(-1.0, 2.0)])

@@ -30,6 +30,7 @@ TOL = 1e-9
 CASES = {
     1: ([[1.3]], 1.7, 0.8, 256, 20.0, 0.5, 20),
     2: ([[1.0, 0.3], [0.3, 1.6]], 0.9, 1.2, 128, 15.0, 0.4, 16),
+    3: ([[1.0, 0.2, 0.1], [0.2, 1.4, 0.0], [0.1, 0.0, 1.2]], 1.1, 1.0, 64, 12.0, 0.3, 8),
 }
 
 
@@ -64,7 +65,7 @@ def propagated(n):
     return grid, phases, _datum_spectrum(phi, grid), times
 
 
-@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("n", sorted(CASES))
 def test_mixed_and_strichartz_norms_of_the_propagated_gaussian_are_the_closed_form(n):
     a, amp, width = CASES[n][:3]
     grid, phases, u_hat, times = propagated(n)
@@ -81,7 +82,7 @@ def test_mixed_and_strichartz_norms_of_the_propagated_gaussian_are_the_closed_fo
 
 
 @pytest.mark.parametrize("with_table", [False, True])
-@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("n", sorted(CASES))
 def test_the_verifier_core_reads_the_closed_form(n, with_table):
     # `verify_strichartz`'s reduction with the random datum replaced by the Gaussian: the
     # blocks of `_propagate`, by the phase table or by each block's own rows, reduced as made;
