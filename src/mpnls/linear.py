@@ -14,23 +14,24 @@ its one public reader.  The Duhamel integral uses the incremental trapezoidal
 recurrence, second order in Δt and linear in the number of frames.
 
 Every solve, here and in the nonlinear module, runs on one private multipoint core.
-`_MultipointCore`, the spectral context of a solve, builds L(ξ), its phases, the
-Duhamel step e^{-iΔtL} and D(ξ) once, makes the only datum solve and runs every pass on
-its time axis through `propagate` (into a stack) or, for η, `blocks`.  Its `duhamel` is the
-one reader and checker of a forcing and makes the only forward transform of forcing frames
+`_MultipointCore`, the spectral context of a solve, builds L(ξ), its phases, the Duhamel
+step e^{-iΔtL} and D(ξ) once, makes the only datum solve and runs every pass on its time
+axis through `propagate` (into a stack) or, for η, `blocks`.  Its `duhamel` is the one
+reader and checker of a forcing and makes the only forward transform of forcing frames
 (block by block, `grid._frame_blocks`).  The free evolutions of `apply_propagator` and of
 the two verifiers solve nothing and build no core.  `_datum_spectrum` is the only transform
-of a datum and the one check that it lives on the grid of its pass.  `_propagate` is the
-one propagation kernel: it makes the frames a `_frame_blocks` block at a time, one inverse
-transform per frame, and hands each block to its reader, which writes it into a stack or,
-needing only norms (a Strichartz sample, η), reduces it before the next block is made.  It
-checks each block for NaN and Inf, and the passes leave an overflow to that check, without
-numpy warnings.  Every phase e^{-iτL(ξ)} comes from `_Phases`, which exponentiates each
-distinct value of L(ξ) once (a table row per time for the kernel) and gathers the result
-onto the lattice.  `MultipointSpec.times` builds the time axis, and `_check_on_axis`
-checks a trajectory against it.  A writeable forcing stack is the one buffer of its pass:
-transformed to F̂, integrated to Ĝ and propagated in place.  A `SeparableForcing`'s profile
-is transformed once, as a datum, and its F̂ = envelope ⊗ φ̂_f is the one buffer of its pass.
+of a datum, |ξ|^s·φ̂ for η, and the one check that it lives on the grid of its pass.
+`_propagate` is the one propagation kernel: it makes the frames a `_frame_blocks` block at a
+time, one inverse transform per frame, and hands each block to its reader, which writes it
+into a stack or, needing only norms (a Strichartz sample, η), reduces it before the next
+block is made.  It checks each block for NaN and Inf, and the passes leave an overflow to
+that check.  Every phase e^{-iτL(ξ)} is a row of `_Phases.table`, the one exponential of the
+distinct values of L(ξ), gathered onto the lattice: a row per time for the kernel, a one-row
+table for D(ξ) and the Duhamel step.  `MultipointSpec.times` builds the time axis, and
+`_check_on_axis` checks a trajectory against it.  A writeable forcing stack is the one
+buffer of its pass: transformed to F̂, integrated to Ĝ and propagated in place.  A
+`SeparableForcing`'s profile is transformed once, as a datum, and its F̂ = envelope ⊗ φ̂_f
+is the one buffer of its pass.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from .errors import (
 )
 from .grid import (Field, SpectralGrid, Trajectory, _forward_frames, _frame_blocks, check_band,
                    check_time, forward_transform, inverse_transform, random_band_limited)
-from .norms import _TINY, _strichartz_norm, apply_riesz, canonical_pairs, lebesgue_norm
+from .norms import _TINY, _riesz, _space_time_norm, canonical_pairs, lebesgue_norm
 from .symbol import EllipticSymbol, symbol_lattice
 
 DEFAULT_EPS_RES = 1e-8
@@ -164,18 +165,18 @@ class _Phases:
         self.where = where.reshape(larr.shape)
 
     def table(self, times, t0: float) -> np.ndarray:
-        """e^{-i(tₘ-t0)L} for every tₘ and distinct L, row m for tₘ: for many passes on
-        one axis, about half a trajectory array.  It is built in its own buffer, with the
-        bits of exp(-1j·(tₘ-t0)L): exponent 0 + i·(-(tₘ-t0)L), row by row (one strided
-        2-D product would buffer)."""
+        """e^{-i(tₘ-t0)L} for every tₘ and distinct L, row m for tₘ, the one exponential of a
+        phase: about half a trajectory array for many passes on one axis.  It is built in its
+        own buffer, with the bits of exp(-1j·(tₘ-t0)L): exponent 0 + i·(-(tₘ-t0)L), row by row
+        (one strided 2-D product would buffer)."""
         tab = np.zeros((len(times), len(self.values)), dtype=np.complex128)
         for row, tau in zip(tab.imag, times - t0):
             np.multiply(-tau, self.values, out=row)
         return np.exp(tab, out=tab)
 
     def __call__(self, tau: float) -> np.ndarray:
-        """e^{-iτL(ξ)} on the lattice, for a single phase."""
-        return np.exp(-1j * tau * self.values)[self.where]
+        """e^{-iτL(ξ)} on the lattice, for a single phase: the one-row table, gathered."""
+        return self.table(np.array([tau]), 0.0)[0][self.where]
 
 
 def _denominator(phases: _Phases, mp: MultipointSpec) -> tuple[np.ndarray, float]:
@@ -190,13 +191,14 @@ def _denominator(phases: _Phases, mp: MultipointSpec) -> tuple[np.ndarray, float
 
 def _datum_spectrum(phi: Field, grid: SpectralGrid, s: float = 0.0,
                     what: str = "datum") -> np.ndarray:
-    """The spectrum of the datum |∇|^s φ (s = 0 by default), which lives on `grid`, the grid of
-    its pass, or raises GridMismatchError naming it `what`.  An overflow of |∇|^s raises
-    NonFiniteError in `apply_riesz`; one of this transform is left to `_propagate`'s check."""
+    """The spectrum |ξ|^s·φ̂ of the datum |∇|^s φ (s = 0 by default): one forward transform,
+    times the |ξ|^s of `norms._riesz` when s ≠ 0.  φ lives on `grid`, the grid of its pass, or
+    this raises GridMismatchError naming it `what`.  An overflow is left to `_propagate`'s check."""
     if phi.grid != grid:
         raise GridMismatchError(f"{what} does not live on the given grid")
     with np.errstate(over="ignore", invalid="ignore"):
-        return forward_transform(apply_riesz(phi, s)).values
+        spectrum = forward_transform(phi).values
+        return spectrum if s == 0.0 else _riesz(grid, s) * spectrum
 
 
 def _duhamel_spectral(step: np.ndarray, dt: float, fhat: np.ndarray) -> np.ndarray:
@@ -501,6 +503,6 @@ def verify_strichartz(sym: EllipticSymbol, grid: SpectralGrid, t0: float = 0.0,
         phi = random_band_limited(grid, band, rng)
         blocks = _propagate(grid, phases, _datum_spectrum(phi, grid), times, t0, table=table)
         l2 = lebesgue_norm(phi, 2.0)
-        ratios.append(_strichartz_norm(blocks, grid.h, (T - t0) / nt, exponents) / l2)
+        ratios.append(_space_time_norm(blocks, grid.h, (T - t0) / nt, exponents) / l2)
         data_norms.append(l2)
     return StrichartzReport(pairs, tuple(ratios), float(max(ratios)), tuple(data_norms))

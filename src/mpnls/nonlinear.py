@@ -1,27 +1,27 @@
 """Picard fixed-point solver for the multipoint NLS i∂ₜu + Lu + λ|u|ᵖu = 0.
 
-The solution map Φ re-solves the forced linear multipoint problem with
-forcing -λ|u|ᵖu evaluated on the whole trajectory, so each iterate satisfies
-the multipoint condition exactly; iteration runs over space-time because the
-datum u₀ depends on future values u(λₖ) and time-marching cannot enforce
-that.  Distances are measured in the contraction metric L_t^{p+2} L_x^r with
-r = 2n(p+2)/(2(n-2)+np), clamped to 2 (and flagged) when the formula leaves
-[2, ∞); `_metric_norm` is its one definition.  Smallness of the free evolution in
-that norm (the indicator η) is the regime where contraction is expected; the solver
-reports η and the measured contraction ratios rather than asserting a threshold.
+The solution map Φ re-solves the forced linear multipoint problem with forcing -λ|u|ᵖu
+evaluated on the whole trajectory, so each iterate satisfies the multipoint condition
+exactly; iteration runs over space-time because the datum u₀ depends on future values
+u(λₖ) and time-marching cannot enforce that.  Distances are measured in the contraction
+metric L_t^{p+2} L_x^r with r = 2n(p+2)/(2(n-2)+np), clamped to 2 (and flagged) when the
+formula leaves [2, ∞); `_metric_norm` is its one definition, the one-pair case of
+`norms._space_time_norm`.  Smallness of the free evolution in that norm (the indicator η)
+is the regime where contraction is expected; the solver reports η and the measured
+contraction ratios rather than asserting a threshold.
 
-Every propagation of a solve goes through `_MultipointCore`, its one spectral
-context: each Φ application is one datum solve and one pass of its `propagate`, and
-η one more pass, of |∇|^s φ, on the solve's phase table, whose frames are reduced to the
+Every propagation of a solve goes through `_MultipointCore`, its one spectral context:
+each Φ application is one datum solve and one pass of its `propagate`, and η one more
+pass, of the spectrum |ξ|^s·φ̂, on the solve's phase table, whose frames are reduced to the
 metric a block at a time as they are made (`blocks`), so η never holds a trajectory.  A
 standalone `smallness_indicator` solves nothing, so it builds no core: it runs η's pass
 through `_propagate` with the phases of each block's times, and reads the bits of the
 solver's η.  The solution itself is reduced once, by `frame_observables`, which gives the
 per-frame columns and the Strichartz value of |∇|^s u.  One Φ application allocates one
 trajectory-sized buffer: -F(u) is built in it, then transformed, integrated and propagated
-in place.  Φ is finite or raises
-NonFiniteError: `_power_block` checks F(u) and `_propagate` each frame.  An
-iterate from outside is checked by `_check_on_axis`, a datum by `_datum_spectrum`.
+in place.  Φ is finite or raises NonFiniteError: `_power_block` checks F(u) and
+`_propagate` each frame.  An iterate from outside is checked by `_check_on_axis`, a datum
+by `_datum_spectrum`.
 
 The iteration is plain Picard until the first contraction ratio above
 MIX_GATE, then depth-1 Anderson mixing (Walker & Ni 2011), which keeps two
@@ -38,7 +38,7 @@ from .errors import BadExponentError, NoConvergenceError, NonFiniteError
 from .grid import Field, SpectralGrid, Trajectory, _frame_blocks, _stack_blocks
 from .linear import (DEFAULT_EPS_RES, MultipointSpec, _check_on_axis, _datum_spectrum,
                      _MultipointCore, _Phases, _propagate)
-from .norms import (FrameObservables, _mixed_norm, canonical_pairs, check_power,
+from .norms import (FrameObservables, _space_time_norm, canonical_pairs, check_power,
                     check_sobolev_order, frame_observables)
 from .symbol import EllipticSymbol, symbol_lattice
 
@@ -128,10 +128,9 @@ def check_picard_tolerances(tol_fp: float, max_iter: int) -> None:
 
 
 def _metric_norm(grid: SpectralGrid, dt: float, blocks, nl: PowerNonlinearity) -> float:
-    """The norm of the contraction metric, L_t^{p+2} L_x^{r(p,n)}, of frames on `grid`, `dt`
-    apart, handed over a block at a time: `_stack_blocks` of a stack, or a propagation's
-    blocks, which are reduced as they are made."""
-    return _mixed_norm(blocks, grid.h, dt, nl.p + 2.0, metric_exponent(grid.n, nl.p)[0])
+    """The contraction metric L_t^{p+2} L_x^{r(p,n)}, `_space_time_norm` of its one pair, of frames
+    on `grid`, `dt` apart: `_stack_blocks` of a stack, or a propagation's blocks as they are made."""
+    return _space_time_norm(blocks, grid.h, dt, [(nl.p + 2.0, metric_exponent(grid.n, nl.p)[0])])
 
 
 def smallness_indicator(sym: EllipticSymbol, grid: SpectralGrid, phi: Field, s: float,

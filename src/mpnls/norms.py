@@ -9,7 +9,9 @@ is done in exact rational arithmetic so sharp pairs are detected exactly.
 Strichartz value from one |u| and one |∇|^s u a frame.  It makes its lattice scratch and
 |ξ|^s once per pass, so that glibc no longer trims the heap after each 128² frame and faults
 it back in on the next; the Ḣ^s column at s = 0 is still a forward/inverse round trip.
-`_filtered` is the one |∇|^s filter and holds the one overflow check.
+`_filtered` is the one |∇|^s filter of a frame and holds the one overflow check, and
+`_space_time_norm` the one space-time norm: `mixed_norm`, `strichartz_norm` and the
+contraction metric are its cases.
 """
 
 from __future__ import annotations
@@ -59,15 +61,10 @@ def lebesgue_norm(field: Field, r: float) -> float:
 
 
 def mixed_norm(traj: Trajectory, q: float, r: float) -> float:
-    """L_t^q L_x^r norm of a trajectory with trapezoidal time weights."""
-    return _mixed_norm(_stack_blocks(traj.values), traj.grid.h, traj.dt, q, r)
-
-
-def _mixed_norm(blocks, h: float, dt: float, q: float, r: float) -> float:
-    """`mixed_norm` of frames `dt` apart, handed over a block at a time (`_frame_norms`)."""
+    """L_t^q L_x^r norm, q ≥ 1, of a trajectory with trapezoidal time weights."""
     if not (q >= 1.0):
         raise BadExponentError(f"time exponent must be >= 1, got {q}")
-    return _time_norm(_frame_norms(blocks, h, {r: []})[r], float(q), dt)
+    return _space_time_norm(_stack_blocks(traj.values), traj.grid.h, traj.dt, [(q, r)])
 
 
 def _frame_norms(blocks, h: float, out: dict) -> dict:
@@ -222,18 +219,19 @@ def strichartz_norm(traj: Trajectory, pairs) -> float:
         raise EmptyPairSetError("strichartz_norm needs at least one pair")
     for q, r in pairs:
         make_pair(traj.grid.n, q, r)  # refuses a pair that is not admissible in this dimension
-    return _strichartz_norm(_stack_blocks(traj.values), traj.grid.h, traj.dt, pairs)
+    return _space_time_norm(_stack_blocks(traj.values), traj.grid.h, traj.dt, pairs)
 
 
-def _strichartz_norm(blocks, h: float, dt: float, pairs) -> float:
-    """`strichartz_norm` over admissible (q, r) pairs of frames `dt` apart, handed over a block
-    at a time (`_frame_norms`)."""
+def _space_time_norm(blocks, h: float, dt: float, pairs) -> float:
+    """The one space-time norm: max over (q ≥ 1, r) of `pairs` of L_t^q L_x^r of frames `dt`
+    apart, handed over a block at a time (`_frame_norms`); only `strichartz_norm` asks for
+    admissible pairs."""
     return _pair_max(_frame_norms(blocks, h, {float(r): [] for _, r in pairs}), dt, pairs)
 
 
 def _pair_max(norms: dict, dt: float, pairs) -> float:
-    """max over (q, r) of `pairs` of L^q in time of the per-frame L^r norms `norms[r]`."""
-    return max(0.0, *(_time_norm(norms[float(r)], float(q), dt) for q, r in pairs))
+    """max over (q, r) of `pairs` of L^q in time of `norms[r]`, unseeded: one pair keeps its NaN."""
+    return max(_time_norm(norms[float(r)], float(q), dt) for q, r in pairs)
 
 
 # --- criticality and conserved functionals -----------------------------------

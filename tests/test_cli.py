@@ -387,8 +387,8 @@ def _small_nls_doc(tmp_path, nt):
 
 def test_nls_observables_computed_once(tmp_path, monkeypatch):
     # the observables pass takes each frame's energy and |∇|^s once, in solve-nls (the Picard
-    # diagnostics, the Strichartz value and the CSV) as in solve-linear (the CSV); solve-nls
-    # filters η's datum once more
+    # diagnostics, the Strichartz value and the CSV) as in solve-linear (the CSV); η's datum
+    # is |ξ|^s·φ̂, which filters nothing
     from mpnls import norms
 
     calls = {"_hamiltonian": 0, "_filtered": 0}
@@ -407,8 +407,7 @@ def test_nls_observables_computed_once(tmp_path, monkeypatch):
     for command in ("solve-nls", "solve-linear"):
         calls.update(dict.fromkeys(calls, 0))
         assert run_command([command, "--config", path]) == 0
-        assert calls == {"_hamiltonian": nt + 1,
-                         "_filtered": nt + 1 + (command == "solve-nls")}, command
+        assert calls == {"_hamiltonian": nt + 1, "_filtered": nt + 1}, command
 
 
 def _perfbench_selftest() -> dict:

@@ -196,6 +196,29 @@ def test_streamed_eta_and_strichartz_value_equal_their_stack_forms(setup, s):
     assert diags.strichartz_value == strichartz_norm(grad, canonical_pairs(grid.n))
 
 
+@pytest.mark.parametrize("s", [0.5, 1.0])
+@pytest.mark.parametrize("p", [1.0, 2.0])
+@pytest.mark.parametrize("n", [1, 2])
+def test_eta_is_its_physical_space_definition(n, p, s):
+    # η = ‖|∇|^s U_L(t - t0)φ‖ in the metric, against the frames propagated one by one and
+    # filtered in physical space by `apply_riesz`, then stacked: a reference that does not
+    # read η's datum |ξ|^s·φ̂
+    from mpnls import apply_propagator, apply_riesz
+
+    a, N, R = ([[1.0]], 256, 10.0) if n == 1 else ([[1.0, 0.3], [0.3, 1.6]], 64, 8.0)
+    sym, grid = validate_symbol(a), build_grid(n, N, R)
+    phi = sample_profile(grid, {"kind": "gaussian", "amplitude": 0.4, "width": 1.0,
+                                "center": [0.5] + [0.0] * (n - 1)})
+    nl = PowerNonlinearity(-1.0, p)
+    mp, nt = MultipointSpec(0.25, 1.25), 40
+    frames = [apply_riesz(apply_propagator(sym, grid, t - mp.t0, phi), s).values
+              for t in mp.times(nt)]
+    expected = mixed_norm(Trajectory(grid, mp.t0, mp.T, frames), p + 2.0,
+                          metric_exponent(n, p)[0])
+    eta = smallness_indicator(sym, grid, phi, s, nl, mp.T, t0=mp.t0, nt=nt)
+    assert eta == pytest.approx(expected, rel=1e-14, abs=0.0)
+
+
 def test_the_riesz_filter_is_built_once_per_pass(setup, monkeypatch):
     # at s > 0, |ξ|^s is built once for η's datum and once for the observables pass, which
     # also gives the Strichartz value, however many frames the solve has
@@ -218,10 +241,11 @@ def test_the_riesz_filter_is_built_once_per_pass(setup, monkeypatch):
     assert counts == [2, 2, 2]
 
 
-def test_a_positive_order_costs_one_transform_pair(setup, monkeypatch):
+def test_a_positive_order_costs_no_transform(setup, monkeypatch):
     # the observables pass filters each frame at any s, and its filtered frame gives the
-    # Strichartz value at s > 0: an s = 0.5 solve adds only η's filtered datum, one forward
-    # and one inverse transform, to an s = 0 solve, however many frames the solve has
+    # Strichartz value at s > 0; η's datum is |ξ|^s·φ̂ from the one forward transform of φ:
+    # an s = 0.5 solve, or standalone η, makes the transforms of an s = 0 one, however many
+    # frames it has
     import sys
 
     from mpnls import grid as grid_module
@@ -245,8 +269,23 @@ def test_a_positive_order_costs_one_transform_pair(setup, monkeypatch):
             calls.update(dict.fromkeys(calls, 0))
             solve_nls_multipoint(sym, grid, mp, phi, NL, s=s, nt=nt)
             counts.append(dict(calls))
-        assert {k: counts[1][k] - counts[0][k] for k in calls} == {
-            "forward_transform": 1, "inverse_transform": 1}, nt
+            calls.update(dict.fromkeys(calls, 0))
+            smallness_indicator(sym, grid, phi, s, NL, mp.T, t0=mp.t0, nt=nt)
+            counts.append(dict(calls))
+        assert counts[2:] == counts[:2], nt
+        assert counts[1] == {"forward_transform": 1, "inverse_transform": nt + 1}, nt
+
+
+def test_a_nan_distance_reads_nan(setup):
+    # the metric is the one-pair case of the space-time norm, with no 0.0 seed in its
+    # maximum: a distance that is not a number stays one, and never passes d < tol_fp
+    from mpnls.grid import _stack_blocks
+
+    _, grid, _ = setup
+    stack = np.zeros((5, 128), dtype=np.complex128)
+    stack[2, 7] = np.nan
+    d = nonlinear._metric_norm(grid, 0.25, _stack_blocks(stack), NL)
+    assert np.isnan(d) and not d < DEFAULT_TOL_FP
 
 
 def test_a_solve_builds_its_spectral_context_once(setup, monkeypatch):

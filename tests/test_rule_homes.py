@@ -15,7 +15,8 @@ checks keys, and `parse_config` hands the JSON to `_section` whole.  Every
 value rule lives in the library module that owns it, and `parse_config` raises
 a ValidationError of its own only for the rules of the CLI alone.  The
 nonlinearity has one type, `PowerNonlinearity`, which is also its config
-section, and its contraction metric one definition, `nonlinear._metric_norm`.
+section, and its contraction metric one definition, `nonlinear._metric_norm`, a case of the
+one space-time norm, `norms._space_time_norm`.
 numpy's FFT runs only in the two transforms of `grid`, and L(ξ) is built on the
 lattice only by `symbol.symbol_lattice`.  Each input of a solve has one home: a
 datum lives on the grid of its pass, which only its one transform,
@@ -24,8 +25,9 @@ only by `linear._check_on_axis`; a forcing's type is read only by the core's
 `duhamel`, past the type guard of `solve_linear_multipoint`.  A stack of frames is
 reduced to its per-frame L^r norms only by `norms._frame_norms`, whose one-frame case
 is `lebesgue_norm`, and so are the blocks of a propagation that is never stacked; every
-frame is propagated by the one kernel `linear._propagate`, whose phases are table rows,
-and |ξ|^s is built only by the one filter `norms._riesz`.  These
+frame is propagated by the one kernel `linear._propagate`, every phase is a row of the one
+exponential `_Phases.table`, and |ξ|^s is built only by `norms._riesz`, which η's datum
+multiplies in frequency space.  These
 tests read the source, so a copy cannot regrow.
 """
 
@@ -86,9 +88,18 @@ def test_the_transforms_trust_the_finite_field():
 
 
 def test_every_phase_comes_from_the_one_evaluator():
+    # one exponential of the phases, the table; a single phase is its one-row case
     assert numpy_uses("unique") == ["linear:_Phases.__init__"]
-    exps = [use for use in numpy_uses("exp") if use.split(":")[0] in ("linear", "nonlinear")]
-    assert exps and all(use.startswith("linear:_Phases.") for use in exps)
+    assert [use for use in numpy_uses("exp")
+            if use.split(":")[0] in ("linear", "nonlinear")] == ["linear:_Phases.table"]
+
+
+def test_the_solvers_filter_no_datum():
+    # η's datum is |ξ|^s·φ̂, the one forward transform of φ times |ξ|^s: the solvers take no
+    # |∇|^s in physical space
+    assert [use for use in calls("apply_riesz") + calls("_filtered")
+            if use.split(":")[0] in ("linear", "nonlinear")] == []
+    assert "linear:_datum_spectrum" in calls("_riesz")
 
 
 def test_the_propagation_has_one_kernel():
@@ -166,11 +177,14 @@ def test_parse_raises_only_the_rules_of_the_cli():
 
 def test_the_contraction_metric_has_one_definition():
     # r(p,n) is worked out where the metric is measured and where the solve reports r and
-    # its clamp flag; every mixed norm that nonlinear.py takes, of a stack or of a
-    # propagation's blocks (`_mixed_norm`, the core of `mixed_norm`), is the metric's
+    # its clamp flag; the one space-time norm, `_space_time_norm` (of a stack or of a
+    # propagation's blocks, and the core of `mixed_norm` and `strichartz_norm`), is read in
+    # nonlinear.py by the metric alone
     assert calls("metric_exponent") == ["nonlinear:_metric_norm", "nonlinear:solve_nls_multipoint"]
-    assert [use for use in calls("mixed_norm") + calls("_mixed_norm")
+    norms_taken = ("_space_time_norm", "mixed_norm", "strichartz_norm", "_pair_max", "_time_norm")
+    assert [use for name in norms_taken for use in calls(name)
             if use.startswith("nonlinear:")] == ["nonlinear:_metric_norm"]
+    assert sites(lambda node: isinstance(node, ast.FunctionDef) and node.name == "_mixed_norm") == []
 
 
 def test_the_nonlinearity_has_one_type():
