@@ -33,7 +33,7 @@ from .errors import (
     UnknownKeyError,
     ValidationError,
 )
-from .grid import Trajectory, build_grid, check_profile, sample_profile, write_field_file
+from .grid import Field, build_grid, check_profile, sample_profile, write_field_file
 from .linear import (
     DEFAULT_EPS_RES,
     DEFAULT_STRICHARTZ_BAND,
@@ -46,7 +46,8 @@ from .linear import (
     check_strichartz,
     min_abs_denominator,
     multipoint_residual,
-    solve_linear_multipoint,
+    _multipoint_defect,
+    _MultipointCore,
     verify_dispersive,
     verify_strichartz,
 )
@@ -58,9 +59,9 @@ from .nonlinear import (
     check_regularity,
     solve_nls_multipoint,
 )
-from .norms import (canonical_pairs, check_sobolev_order, critical_exponent, frame_observables,
+from .norms import (_observables, canonical_pairs, check_sobolev_order, critical_exponent,
                     is_admissible)
-from .symbol import symbol_lattice, validate_symbol
+from .symbol import validate_symbol
 
 # The exit code of an error is that of the first class it is an instance of.
 EXIT_CODES = ((ResonanceError, 3), (NoConvergenceError, 4), (NonFiniteError, 5),
@@ -390,11 +391,10 @@ def _build_runtime(cfg: SolveConfig, datum: bool = True, forcing: bool = True):
 
 @dataclass
 class RunResult:
-    """A run's report: its CSV text, the SUMMARY_KEYS it fills, and the trajectory
-    whose snapshot frames are written, if any."""
+    """A run's report: its CSV text, the SUMMARY_KEYS it fills and a solve's snapshot frames."""
     csv: str
     summary: dict
-    traj: Trajectory | None = None
+    snapshots: dict | None = None
 
 
 def _csv(header: str, rows) -> str:
@@ -405,8 +405,8 @@ def _csv(header: str, rows) -> str:
     return "\n".join([header] + lines) + "\n"
 
 
-def _timeseries_csv(traj: Trajectory, obs, mp_residual: float) -> str:
-    rows = zip(traj.times, obs.mass, obs.energy, obs.l2, obs.linf, obs.sobolev_s,
+def _timeseries_csv(times, obs, mp_residual: float) -> str:
+    rows = zip(times, obs.mass, obs.energy, obs.l2, obs.linf, obs.sobolev_s,
                itertools.repeat(mp_residual))
     return _csv("t,mass,energy,l2,linf,sobolev_s,multipoint_residual", rows)
 
@@ -430,8 +430,8 @@ def _summary_json(result: RunResult, cfg: SolveConfig) -> str:
 
 
 def write_report(result: RunResult, cfg: SolveConfig) -> list[str]:
-    """Emit <report_path>.csv and <report_path>.json (plus snapshots of the result's
-    trajectory when fields_path is set); returns the written paths."""
+    """Emit <report_path>.csv and <report_path>.json (plus the result's snapshot frames
+    when fields_path is set); returns the written paths."""
     base = Path(cfg.outputs.report_path)
     if base.parent != Path("."):
         base.parent.mkdir(parents=True, exist_ok=True)
@@ -440,12 +440,12 @@ def write_report(result: RunResult, cfg: SolveConfig) -> list[str]:
     json_path.write_text(_summary_json(result, cfg))  # first: a non-finite summary writes nothing
     csv_path.write_text(result.csv)
     written = [str(csv_path), str(json_path)]
-    if result.traj is not None and cfg.outputs.fields_path is not None:
+    if result.snapshots is not None and cfg.outputs.fields_path is not None:
         field_dir = Path(cfg.outputs.fields_path)
         field_dir.mkdir(parents=True, exist_ok=True)
         for m in cfg.outputs.snapshot_frames:
             snap = field_dir / f"frame_{m:05d}.fld"
-            write_field_file(result.traj.frame(m), snap)
+            write_field_file(result.snapshots[m], snap)
             written.append(str(snap))
     return written
 
@@ -461,18 +461,29 @@ def _load_config(path: str, command: str) -> SolveConfig:
     return parse_config(text, command)
 
 
-def _solve_result(sym, grid, mp, phi, traj: Trajectory, obs, summary: dict) -> RunResult:
-    """A solve's report: the per-frame observables with the multipoint residual, and min|D|."""
+def _solve_result(cfg: SolveConfig, sym, grid, mp, frames, obs, residual, summary) -> RunResult:
+    """A solve's report: observables, residual, min|D| and the snapshots of `frames` by number."""
     summary["min_abs_denominator"] = min_abs_denominator(sym, grid, mp)
-    return RunResult(_timeseries_csv(traj, obs, multipoint_residual(traj, mp, phi)), summary, traj)
+    snapshots = {m: Field._wrap(grid, frames[m]) for m in cfg.outputs.snapshot_frames}
+    return RunResult(_timeseries_csv(mp.times(cfg.time.nt), obs, residual), summary, snapshots)
+
+
+def _keeping(blocks, kept: dict):
+    """Passes blocks of frames on, copying each frame whose number is a key of `kept` there."""
+    numbers = itertools.count()
+    for block in blocks:
+        kept.update((m, frame.copy()) for frame, m in zip(block, numbers) if m in kept)
+        yield block
 
 
 def _run_solve_linear(cfg: SolveConfig) -> RunResult:
     sym, grid, mp, phi, forcing, nl = _build_runtime(cfg)
-    traj = solve_linear_multipoint(sym, grid, mp, phi, forcing, cfg.time.nt,
-                                   eps_res=cfg.tolerances.eps_res)
-    obs = frame_observables(traj, symbol_lattice(sym, grid), nl, cfg.regularity)
-    return _solve_result(sym, grid, mp, phi, traj, obs, {})
+    core = _MultipointCore(sym, grid, mp, phi, cfg.time.nt, cfg.tolerances.eps_res)
+    kept = dict.fromkeys([0, *core.lam_idx, *cfg.outputs.snapshot_frames])
+    blocks = _keeping(core.solve(None if forcing is None else core.duhamel(forcing)), kept)
+    obs = _observables(blocks, grid, core.dt, core.larr, nl, cfg.regularity)
+    residual = _multipoint_defect(kept, mp, phi, cfg.time.nt)
+    return _solve_result(cfg, sym, grid, mp, kept, obs, residual, {})
 
 
 def _run_solve_nls(cfg: SolveConfig) -> RunResult:
@@ -486,7 +497,8 @@ def _run_solve_nls(cfg: SolveConfig) -> RunResult:
     summary["strichartz_pairs"] = [p.label() for p in canonical_pairs(grid.n)]
     if diags.metric_clamped:
         summary["warnings"] = ["contraction metric exponent clamped to r=2 (formula left [2,inf))"]
-    return _solve_result(sym, grid, mp, phi, traj, diags.observables, summary)
+    return _solve_result(cfg, sym, grid, mp, traj.values, diags.observables,
+                         multipoint_residual(traj, mp, phi), summary)
 
 
 def _run_verify_dispersive(cfg: SolveConfig) -> RunResult:

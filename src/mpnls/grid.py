@@ -226,19 +226,19 @@ def _forward_frames(grid: SpectralGrid, values: np.ndarray, out=None) -> np.ndar
     return np.multiply(grid._fwd_scale, out, out=out)
 
 
-def forward_transform(field: Field) -> Field:
-    """Plancherel-unitary forward DFT; the spectrum is in FFT order, mode j at index j mod N."""
-    return Field._wrap(field.grid, _forward_frames(field.grid, field.values))
+def forward_transform(field: Field, out=None) -> Field:
+    """Plancherel-unitary DFT in FFT order (mode j at index j mod N), into `out` if given."""
+    return Field._wrap(field.grid, _forward_frames(field.grid, field.values, out).view())
 
 
-def inverse_transform(field: Field) -> Field:
-    """Inverse DFT from the frequency lattice; exact inverse of forward_transform.  It runs
-    in place in the one array it allocates, its result."""
+def inverse_transform(field: Field, out=None) -> Field:
+    """Inverse DFT from the frequency lattice, exact inverse of forward_transform, in place in
+    `out` or in the one array it allocates.  Both return a view, so `out` stays writeable."""
     g = field.grid
     coef = (2.0 * np.pi) ** (-g.n / 2.0) * g.w * g.N**g.n
-    res = np.multiply(g._phase, field.values)
+    res = np.multiply(g._phase, field.values, out=out)
     np.fft.ifftn(res, out=res)
-    return Field._wrap(g, np.multiply(coef, res, out=res))
+    return Field._wrap(g, np.multiply(coef, res, out=res).view())
 
 
 # --- initial-data profiles ---------------------------------------------------

@@ -15,10 +15,10 @@ recurrence, second order in Δt and linear in the number of frames.
 
 Every solve, here and in the nonlinear module, runs on one private multipoint core.
 `_MultipointCore`, the spectral context of a solve, builds L(ξ), its phases, the Duhamel
-step e^{-iΔtL} and D(ξ) once, makes the only datum solve and runs every pass on its time
-axis through `propagate` (into a stack) or, for η, `blocks`.  Its `duhamel` is the one
-reader and checker of a forcing and makes the only forward transform of forcing frames
-(block by block, `grid._frame_blocks`).  The free evolutions of `apply_propagator` and of
+step e^{-iΔtL} and D(ξ) once, makes the only datum solve (`solve`, stacked by `frames`) and
+runs every pass on its time axis through `blocks`.  Its `duhamel` is the one reader and
+checker of a forcing and makes the only forward transform of forcing frames (block by block,
+`grid._frame_blocks`).  The free evolutions of `apply_propagator` and of
 the two verifiers solve nothing and build no core.  `_datum_spectrum` is the only transform
 of a datum, |ξ|^s·φ̂ for η, and the one check that it lives on the grid of its pass.
 `_propagate` is the one propagation kernel: it makes the frames a `_frame_blocks` block at a
@@ -29,9 +29,9 @@ that check.  Every phase e^{-iτL(ξ)} is a row of `_Phases.table`, the one expo
 distinct values of L(ξ), gathered onto the lattice: a row per time for the kernel, a one-row
 table for D(ξ) and the Duhamel step.  `MultipointSpec.times` builds the time axis, and
 `_check_on_axis` checks a trajectory against it.  A writeable forcing stack is the one
-buffer of its pass: transformed to F̂, integrated to Ĝ and propagated in place.  A
-`SeparableForcing`'s profile is transformed once, as a datum, and its F̂ = envelope ⊗ φ̂_f
-is the one buffer of its pass.
+buffer of its pass: transformed to F̂, integrated to Ĝ (`_duhamel_rows`) and propagated in
+place.  A `SeparableForcing`'s profile is transformed once, as a datum, and each pass that
+reads its Ĝ makes it anew (`_RollingDuhamel`), so a solve read by blocks holds no trajectory.
 """
 
 from __future__ import annotations
@@ -50,8 +50,8 @@ from .errors import (
     NonpositiveTimeError,
     ResonanceError,
 )
-from .grid import (Field, SpectralGrid, Trajectory, _forward_frames, _frame_blocks, check_band,
-                   check_time, forward_transform, inverse_transform, random_band_limited)
+from .grid import (Field, SpectralGrid, Trajectory, _forward_frames, _frame_blocks, _stack_blocks,
+                   check_band, check_time, forward_transform, inverse_transform, random_band_limited)
 from .norms import _TINY, _riesz, _space_time_norm, canonical_pairs, lebesgue_norm
 from .symbol import EllipticSymbol, symbol_lattice
 
@@ -201,38 +201,77 @@ def _datum_spectrum(phi: Field, grid: SpectralGrid, s: float = 0.0,
         return spectrum if s == 0.0 else _riesz(grid, s) * spectrum
 
 
-def _duhamel_spectral(step: np.ndarray, dt: float, fhat: np.ndarray) -> np.ndarray:
-    """Overwrites F̂ with Ĝ in place and returns it, keeping one rolling F̂ frame: for the
-    step S = e^{-iΔtL}, Ĝ(tₘ) = S·Ĝ(tₘ₋₁) − (iΔt/2)(S·F̂ₘ₋₁ + F̂ₘ), Ĝ(t₀) = 0."""
+def _duhamel_rows(step: np.ndarray, dt: float, fhat):
+    """Yields Ĝ(tₘ) = S·Ĝ(tₘ₋₁) − (iΔt/2)(S·F̂ₘ₋₁ + F̂ₘ), Ĝ(t₀) = 0, for S = e^{-iΔtL}, in place
+    over the rows F̂ₘ of `fhat`, in its reader's errstate; Ĝ(tₘ₋₁)'s row outlasts F̂ₘ's filling."""
     half = -0.5j * dt
-    prev = fhat[0].copy()
-    term = np.empty_like(prev)
-    fhat[0] = 0.0
-    for m in range(1, fhat.shape[0]):
+    rows = iter(fhat)
+    ghat = next(rows)
+    prev, term = ghat.copy(), np.empty_like(ghat)
+    ghat[...] = 0.0
+    yield ghat
+    for row in rows:
         np.multiply(step, prev, out=term)
-        np.add(term, fhat[m], out=term)
+        np.add(term, row, out=term)
         np.multiply(half, term, out=term)
-        prev[...] = fhat[m]
-        np.multiply(step, fhat[m - 1], out=fhat[m])
-        np.add(fhat[m], term, out=fhat[m])
+        prev[...] = row
+        np.multiply(step, ghat, out=row)
+        np.add(row, term, out=row)
+        ghat = row
+        yield ghat
+
+
+def _duhamel_spectral(step: np.ndarray, dt: float, fhat):
+    """Overwrites the rows F̂ of `fhat`, a stack, say, with Ĝ by `_duhamel_rows`; returns `fhat`."""
+    for _ in _duhamel_rows(step, dt, fhat):
+        pass
     return fhat
 
 
+class _RollingDuhamel:
+    """Ĝ of a SeparableForcing: each pass runs `_duhamel_rows` over F̂ₘ = envelope[m]·φ̂_f in a
+    new stack (`stack`) or, iterated, in the `_frame_blocks` blocks of the axis, which take
+    turns in two block buffers, shared by the passes."""
+
+    def __init__(self, step: np.ndarray, dt: float, envelope: np.ndarray, spec: np.ndarray):
+        self.step, self.dt, self.envelope, self.spec, self.pair = step, dt, envelope, spec, None
+
+    def _fhat(self, rows):  # a broadcast product buffers
+        return (np.multiply(value, self.spec, out=row) for value, row in zip(self.envelope, rows))
+
+    def stack(self) -> np.ndarray:
+        ghat = np.empty((len(self.envelope),) + self.spec.shape, dtype=np.complex128)
+        with np.errstate(over="ignore", invalid="ignore"):  # _propagate judges an overflow
+            _duhamel_spectral(self.step, self.dt, self._fhat(ghat))
+        return ghat
+
+    def __iter__(self):
+        slices = list(_frame_blocks(len(self.envelope), self.spec.nbytes))
+        if self.pair is None:
+            self.pair = np.empty((2, slices[0].stop) + self.spec.shape, dtype=np.complex128)
+        blocks = [self.pair[i % 2][:len(self.envelope[rows])] for i, rows in enumerate(slices)]
+        ghat = _duhamel_rows(self.step, self.dt, self._fhat(row for b in blocks for row in b))
+        for block in blocks:
+            for _ in block:
+                next(ghat)
+            yield block
+
+
 def _propagate(grid: SpectralGrid, phases: _Phases, u_hat: np.ndarray, times,
-               t0: float = 0.0, ghat: np.ndarray | None = None,
-               table: np.ndarray | None = None, out: np.ndarray | None = None):
+               t0: float = 0.0, ghat=None, table: np.ndarray | None = None):
     """The propagation kernel: yields the frames F⁻¹[e^{-i(tₘ-t0)L(ξ)}û + Ĝ(tₘ)] one
     `_frame_blocks` block at a time, each to be read before the next is made.
 
     A block's phase rows, of `table` (`phases.table` on `times`) or else of `phases.table`
     on its own times, are gathered onto the lattice in the pass's one block buffer, times û,
-    plus Ĝ; each frame then gets one `inverse_transform`, into `out[rows]` when a stack
-    `out` is given (Ĝ's own buffer may be it) and else back into the block buffer.  A block
-    with a frame that is not finite raises NonFiniteError naming the first such frame.
+    plus the block of Ĝ that `ghat` yields, under this errstate; each frame then gets one
+    `inverse_transform` in place.  A block with a frame that is not finite raises
+    NonFiniteError naming the first such frame.
     """
     times = np.asarray(times, dtype=np.float64)
     blocks = list(_frame_blocks(len(times), u_hat.nbytes))
     buffer = np.empty((blocks[0].stop - blocks[0].start,) + grid.shape, dtype=np.complex128)
+    ghat = None if ghat is None else iter(ghat)
     for rows in blocks:
         with np.errstate(over="ignore", invalid="ignore"):  # the frame check judges an overflow
             tab = phases.table(times[rows], t0) if table is None else table[rows]
@@ -240,15 +279,14 @@ def _propagate(grid: SpectralGrid, phases: _Phases, u_hat: np.ndarray, times,
             np.take(tab, phases.where, axis=1, out=block, mode="clip")  # "raise" buffers `out`
             np.multiply(block, u_hat, out=block)
             if ghat is not None:
-                np.add(block, ghat[rows], out=block)
-            frames = block if out is None else out[rows]
-            for i, frame in enumerate(block):
-                frames[i] = inverse_transform(Field._wrap(grid, frame)).values
-        finite = np.isfinite(frames.reshape(len(frames), -1)).all(axis=1)
+                np.add(block, next(ghat), out=block)
+            for i in range(len(block)):  # each frame read and written through its own view
+                inverse_transform(Field._wrap(grid, block[i]), out=block[i])
+        finite = np.isfinite(block.reshape(len(block), -1)).all(axis=1)
         if not finite.all():
             t = times[rows][np.argmin(finite)]
             raise NonFiniteError(f"propagated frame at t={t} is not finite")
-        yield frames
+        yield block
 
 
 def _check_on_axis(traj: Trajectory, grid: SpectralGrid, mp: MultipointSpec, nt: int,
@@ -263,7 +301,8 @@ def _check_on_axis(traj: Trajectory, grid: SpectralGrid, mp: MultipointSpec, nt:
 
 
 class _MultipointCore:
-    """The spectral context of a solve: checks once, then resolves û₀ and propagates it.
+    """The spectral context of a solve: checks once, then resolves û₀ and propagates it, a
+    block at a time (`solve`) or into a stack (`frames`).
 
     Checks eps_res and the time axis, and builds once the phases of L(ξ), the Duhamel step
     e^{-iΔtL}, D(ξ), the frame indices of the λₖ and φ̂ (`_datum_spectrum` checks its grid); it
@@ -292,55 +331,53 @@ class _MultipointCore:
         self.phi_hat = _datum_spectrum(phi, grid)
         self.table = self.phases.table(self.times, mp.t0) if phase_table else None
 
-    def duhamel(self, forcing: Trajectory | SeparableForcing | np.ndarray) -> np.ndarray:
+    def duhamel(self, forcing: Trajectory | SeparableForcing | np.ndarray):
         """Ĝ on the time axis; the one reader and checker of a forcing.  A SeparableForcing has
-        one envelope value per frame, and F̂ = envelope ⊗ φ̂_f in a new buffer from one
-        transform of its profile, a datum of the pass.  A Trajectory is checked against the axis.
-        Physical frames are transformed a block at a time: a writeable stack (Φ's) is the
-        caller's scratch, overwritten with F̂, then Ĝ; a read-only one goes into a new buffer."""
+        one envelope value per frame, and gives a `_RollingDuhamel` on one transform of its
+        profile, a datum of the pass.  A Trajectory is checked against the axis.  Physical
+        frames are transformed a block at a time into a stack, then integrated in place: a
+        writeable stack (Φ's) is the caller's scratch, and a read-only one goes into a new one."""
         with np.errstate(over="ignore", invalid="ignore"):  # _propagate judges an overflow
             if isinstance(forcing, SeparableForcing):
                 if len(forcing.envelope) != self.nt + 1:
                     raise GridMismatchError(f"forcing envelope has {len(forcing.envelope)} values, "
                                             f"not one per frame, nt + 1 = {self.nt + 1}")
                 spec = _datum_spectrum(forcing.profile, self.grid, what="forcing profile")
-                fhat = np.empty((self.nt + 1,) + spec.shape, dtype=np.complex128)
-                for m, value in enumerate(forcing.envelope):  # a broadcast product buffers
-                    np.multiply(value, spec, out=fhat[m])
-            else:
-                if isinstance(forcing, Trajectory):
-                    _check_on_axis(forcing, self.grid, self.mp, self.nt, "forcing")
-                    forcing = forcing.values
-                fhat = forcing if forcing.flags.writeable else np.empty_like(forcing)
-                for block in _frame_blocks(len(forcing), forcing[0].nbytes):
-                    _forward_frames(self.grid, forcing[block], out=fhat[block])
+                return _RollingDuhamel(self.step, self.dt, forcing.envelope, spec)
+            if isinstance(forcing, Trajectory):
+                _check_on_axis(forcing, self.grid, self.mp, self.nt, "forcing")
+                forcing = forcing.values
+            fhat = forcing if forcing.flags.writeable else np.empty_like(forcing)
+            for block in _frame_blocks(len(forcing), forcing[0].nbytes):
+                _forward_frames(self.grid, forcing[block], out=fhat[block])
             return _duhamel_spectral(self.step, self.dt, fhat)
 
-    def propagate(self, u_hat: np.ndarray, ghat: np.ndarray | None = None) -> np.ndarray:
-        """Frames F⁻¹[e^{-i(tₘ-t0)L}û + Ĝ(tₘ)] of a spectral datum û on the time axis, by the
-        phase table if there is one, in a stack: over Ĝ's buffer if there is one."""
-        frames = np.empty((self.nt + 1,) + self.grid.shape, dtype=np.complex128) \
-            if ghat is None else ghat
-        for _ in _propagate(self.grid, self.phases, u_hat, self.times, self.mp.t0, ghat,
-                            self.table, frames):
-            pass  # each block is written into the stack
-        return frames
+    def blocks(self, u_hat: np.ndarray, ghat=None):
+        """`_propagate` of û, plus Ĝ of `duhamel`, on the time axis, by the table if any."""
+        return _propagate(self.grid, self.phases, u_hat, self.times, self.mp.t0, ghat, self.table)
 
-    def blocks(self, u_hat: np.ndarray):
-        """The frames of `propagate` with no Ĝ, a block at a time in one block buffer, for a
-        reader that keeps only their norms."""
-        return _propagate(self.grid, self.phases, u_hat, self.times, self.mp.t0, table=self.table)
-
-    def frames(self, ghat: np.ndarray | None = None) -> np.ndarray:
-        """u(tₘ) = U_L(tₘ-t0)u₀ + G(tₘ): the propagation of the datum solve
-        û₀ = [φ̂ + Σₖ αₖ Ĝ(λₖ)] / D(ξ)."""
+    def solve(self, ghat=None):
+        """The `blocks` of u(tₘ) = U_L(tₘ-t0)u₀ + G(tₘ), from the datum solve
+        û₀ = [φ̂ + Σₖ αₖ Ĝ(λₖ)] / D(ξ).  Ĝ, a stack or a `_RollingDuhamel`, is read by blocks,
+        in a pass that stops at the last λₖ, then alongside the propagation."""
+        ghat = list(_stack_blocks(ghat)) if isinstance(ghat, np.ndarray) else ghat
         rhs = self.phi_hat
         with np.errstate(over="ignore", invalid="ignore"):  # _propagate judges an overflow
-            if ghat is not None:
+            if ghat is not None and self.lam_idx:
+                rows = zip(range(max(self.lam_idx) + 1), (row for b in ghat for row in b))
+                at = {m: row.copy() for m, row in rows if m in self.lam_idx}
                 for (alpha, _), idx in zip(self.mp.points, self.lam_idx):
-                    rhs = rhs + alpha * ghat[idx]
+                    rhs = rhs + alpha * at[idx]
             u0_hat = rhs / self.denom
-        return self.propagate(u0_hat, ghat)
+        return self.blocks(u0_hat, ghat)
+
+    def frames(self, ghat=None) -> np.ndarray:
+        """The frames of `solve` in a stack: over Ĝ's, stacked first if need be."""
+        ghat = ghat.stack() if isinstance(ghat, _RollingDuhamel) else ghat
+        out = np.empty((self.nt + 1,) + self.grid.shape, complex) if ghat is None else ghat
+        for rows, block in zip(_frame_blocks(len(out), out[0].nbytes), self.solve(ghat)):
+            out[rows] = block
+        return out
 
     def wrap(self, frames: np.ndarray) -> Trajectory:
         """The read-only trajectory view of a stack of frames on this time axis."""
@@ -356,7 +393,7 @@ def solve_linear_multipoint(sym: EllipticSymbol, grid: SpectralGrid, mp: Multipo
     """Full trajectory u(tₘ) = U_L(tₘ-t0)u₀ + G(tₘ) on nt uniform intervals, whose first
     frame is the datum u₀: the one linear entry point.  With no multipoint terms it is
     free propagation, and with φ = 0 as well the Duhamel term G alone.  A forcing is a
-    Trajectory on the time axis, or a SeparableForcing, whose solve holds one trajectory
+    Trajectory on the time axis, or a SeparableForcing; either solve holds one trajectory
     stack: its F̂, then Ĝ, then the frames."""
     if forcing is not None and not isinstance(forcing, (Trajectory, SeparableForcing)):
         raise TypeError(f"forcing {type(forcing).__name__} is not a Trajectory or SeparableForcing")
@@ -367,10 +404,15 @@ def solve_linear_multipoint(sym: EllipticSymbol, grid: SpectralGrid, mp: Multipo
 def multipoint_residual(traj: Trajectory, mp: MultipointSpec, phi: Field) -> float:
     """Relative L² defect of u(t0) − φ − Σ αₖ u(λₖ)."""
     _check_on_axis(traj, phi.grid, mp, traj.nt, "trajectory")
-    defect = traj.values[0] - phi.values
-    for (alpha, _), idx in zip(mp.points, mp.frame_indices(traj.nt)):
-        defect = defect - alpha * traj.values[idx]
-    num = lebesgue_norm(Field._wrap(traj.grid, defect), 2.0)
+    return _multipoint_defect(traj.values, mp, phi, traj.nt)
+
+
+def _multipoint_defect(frames, mp: MultipointSpec, phi: Field, nt: int) -> float:
+    """`multipoint_residual` of frames on nt steps by number: a stack, or a dict of the few."""
+    defect = frames[0] - phi.values
+    for (alpha, _), idx in zip(mp.points, mp.frame_indices(nt)):
+        defect = defect - alpha * frames[idx]
+    num = lebesgue_norm(Field._wrap(phi.grid, defect), 2.0)
     den = max(lebesgue_norm(phi, 2.0), float(np.finfo(np.float64).eps))
     return num / den
 

@@ -11,7 +11,7 @@ is the regime where contraction is expected; the solver reports η and the measu
 contraction ratios rather than asserting a threshold.
 
 Every propagation of a solve goes through `_MultipointCore`, its one spectral context:
-each Φ application is one datum solve and one pass of its `propagate`, and η one more
+each Φ application is one datum solve and one pass of its `frames`, and η one more
 pass, of the spectrum |ξ|^s·φ̂, on the solve's phase table, whose frames are reduced to the
 metric a block at a time as they are made (`blocks`), so η never holds a trajectory.  A
 standalone `smallness_indicator` solves nothing, so it builds no core: it runs η's pass

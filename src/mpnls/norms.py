@@ -5,8 +5,9 @@ trapezoidal weights on the uniform frame grid, and ∞-exponents are grid
 maxima.  Admissibility arithmetic (2/q + n/r ≤ n/2, with (n,q,r) ≠ (2,2,∞))
 is done in exact rational arithmetic so sharp pairs are detected exactly.
 
-`frame_observables` is the one reduction of a solve's solution: per-frame columns and the
-Strichartz value from one |u| and one |∇|^s u a frame.  It makes its lattice scratch and
+`_observables` is the one reduction of a solve's solution, a block of frames at a time, and
+`frame_observables` its stack case: per-frame columns and the Strichartz value from one |u|
+and one |∇|^s u a frame.  It makes its lattice scratch, which both transforms write into, and
 |ξ|^s once per pass, so that glibc no longer trims the heap after each 128² frame and faults
 it back in on the next; the Ḣ^s column at s = 0 is still a forward/inverse round trip.
 `_filtered` is the one |∇|^s filter of a frame and holds the one overflow check, and
@@ -148,13 +149,14 @@ def _riesz(grid, s: float) -> np.ndarray:
     return grid.radial_freq_sq() ** (s / 2.0)
 
 
-def _filtered(field: Field, mult: np.ndarray, out=None) -> Field:
-    """F⁻¹[mult·F f] for the |ξ|^s of `_riesz`, the product written into `out` when given,
-    transformed without numpy warnings.  Samples that are not finite, after a transform
-    overflowed, raise NonFiniteError: every sample is scanned."""
+def _filtered(field: Field, mult: np.ndarray, scratch=None) -> Field:
+    """F⁻¹[mult·F f] for the |ξ|^s of `_riesz`, both transforms and the product written into a
+    `_Scratch` when given, transformed without numpy warnings.  Samples that are not finite,
+    after a transform overflowed, raise NonFiniteError: every sample is scanned."""
+    spectrum, product = (None, None) if scratch is None else (scratch.spectrum, scratch.product)
     with np.errstate(over="ignore", invalid="ignore"):
-        product = np.multiply(mult, forward_transform(field).values, out=out)
-        filtered = inverse_transform(Field._wrap(field.grid, product.view()))
+        product = np.multiply(mult, forward_transform(field, spectrum).values, out=product)
+        filtered = inverse_transform(Field._wrap(field.grid, product.view()), spectrum)
     if not np.isfinite(filtered.values).all():
         raise NonFiniteError("|grad|^s of the field is not finite: its transform overflowed")
     return filtered
@@ -282,12 +284,12 @@ def energy(field: Field, sym, nl=None) -> float:
 
 class _Scratch:
     """The lattice buffers of an observables pass, written over frame after frame: |u|, the
-    potential term, and the spectral product, then the density.  A product is wrapped as a
-    view, which `Field._wrap` makes read-only while the buffer stays writeable."""
+    potential term, a spectrum that both transforms write into, the spectral product, then the
+    density.  Transforms return views, which `Field._wrap` makes read-only, not the buffers."""
 
     def __init__(self, grid):
         self.mag, self.power = np.empty((2,) + grid.shape)
-        self.product = np.empty(grid.shape, dtype=np.complex128)
+        self.spectrum, self.product = np.empty((2,) + grid.shape, dtype=np.complex128)
 
 
 def _hamiltonian(field: Field, larr: np.ndarray, nl, scratch: _Scratch) -> float:
@@ -297,8 +299,9 @@ def _hamiltonian(field: Field, larr: np.ndarray, nl, scratch: _Scratch) -> float
     asserted below 1e-10 of the energy scale, and the total finite."""
     g = field.grid
     with np.errstate(over="ignore", invalid="ignore"):  # judged on the total below
-        product = np.multiply(larr, forward_transform(field).values, out=scratch.product)
-        lu = inverse_transform(Field._wrap(g, product.view())).values
+        product = np.multiply(larr, forward_transform(field, scratch.spectrum).values,
+                              out=scratch.product)
+        lu = inverse_transform(Field._wrap(g, product.view()), scratch.spectrum).values
         # numpy's complex product is not commutative to the bit (`linear._Phases`), but its
         # real part, all that the energy keeps, is
         conj = np.conjugate(field.values, out=product)  # the inverse has read the product
@@ -330,21 +333,24 @@ def frame_observables(traj: Trajectory, larr: np.ndarray, nl, s: float,
                       pairs=()) -> FrameObservables:
     """Mass, energy (nl as for `energy`, L(ξ) on the lattice as `symbol_lattice` builds it),
     L², L^∞ and Ḣ^s norm of every frame, and the Strichartz value of |∇|^s u over the admissible
-    (q, r) `pairs`: the only place these are computed, read by the Picard diagnostics and the
-    solve reports.  One pass: two forward and two inverse transforms a frame.  One |u| a frame,
-    left by `_hamiltonian`, gives L², L^∞ and, at s = 0, the Strichartz norms; the frame that
-    the Ḣ^s column filters gives them at s > 0."""
-    g = traj.grid
+    (q, r) `pairs`: the stack case of `_observables`."""
+    return _observables(_stack_blocks(traj.values), traj.grid, traj.dt, larr, nl, s, pairs)
+
+
+def _observables(blocks, g, dt: float, larr: np.ndarray, nl, s: float,
+                 pairs=()) -> FrameObservables:
+    """`frame_observables` of frames on `g`, `dt` apart, a block at a time: two forward and two
+    inverse transforms a frame, into its `_Scratch`.  The |u| that `_hamiltonian` leaves gives
+    L², L^∞ and, at s = 0, the Strichartz norms; the frame the Ḣ^s column filters, at s > 0."""
     rs = {float(r) for _, r in pairs}
     raw = {r: [] for r in {2.0, INF} | (rs if s == 0.0 else set())}
     riesz = {r: [] for r in {2.0} | (set() if s == 0.0 else rs)}
     scratch, mult, rows = _Scratch(g), _riesz(g, s), []
-    for m in range(traj.nt + 1):
-        frame = traj.frame(m)
+    for frame in (Field._wrap(g, values) for block in blocks for values in block):
         e = _hamiltonian(frame, larr, nl, scratch)
         _frame_norms([scratch.mag[None]], g.h, raw)  # |u|, before _mass squares it in place
         rows.append((_mass(g.h, scratch.mag), e))
-        _frame_norms([_filtered(frame, mult, scratch.product).values[None]], g.h, riesz)
-    value = _pair_max(raw if s == 0.0 else riesz, traj.dt, pairs) if pairs else None
+        _frame_norms([_filtered(frame, mult, scratch).values[None]], g.h, riesz)
+    value = _pair_max(raw if s == 0.0 else riesz, dt, pairs) if pairs else None
     return FrameObservables(*zip(*rows), tuple(raw[2.0]), tuple(raw[INF]), tuple(riesz[2.0]),
                             value)

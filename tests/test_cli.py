@@ -448,6 +448,90 @@ def test_transform_counts_match_the_benchmark_hand_count(tmp_path, monkeypatch):
             "grid.inv_calls": calls["inverse_transform"]} == bench["SELFTEST_COUNTS"]
 
 
+STREAMED_CASES = {
+    "1d_constant_forcing_lambda_at_T": dict(
+        grid={"n": 1, "N": 64, "R": 6.0}, time={"t0": 0.25, "T": 1.25, "Nt": 40},
+        multipoint=[{"alpha_re": 0.3, "alpha_im": -0.2, "lambda": 1.25}], regularity=0.5,
+        forcing={"profile": {"kind": "plane_wave", "amplitude": [0.2, 0.1], "mode": [3]}}),
+    "2d_harmonic_forcing_no_terms": dict(
+        symbol={"a": [[1.0, 0.2], [0.2, 1.5]]}, grid={"n": 2, "N": 32, "R": 5.0},
+        time={"t0": 0.0, "T": 1.0, "Nt": 30},
+        initial={"kind": "gaussian", "amplitude": 1.0, "width": 1.0, "center": [0.0, 0.3]},
+        forcing={"profile": {"kind": "gaussian", "amplitude": 0.5, "width": 0.7,
+                             "center": [0.2, 0.0]},
+                 "envelope": {"kind": "harmonic", "omega": 2.0}},
+        outputs={"snapshot_frames": [0, 7, 30]}),
+    "unforced_two_terms": dict(
+        multipoint=[{"alpha_re": 0.2, "alpha_im": 0.1, "lambda": 0.8},
+                     {"alpha_re": 0.5, "lambda": 0.4}],
+        outputs={"snapshot_frames": [0, 20, 40, 20]}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STREAMED_CASES))
+def test_streamed_solve_linear_report_is_the_trajectory_report(tmp_path, case):
+    # solve-linear reduces each block of its solve as it is made and keeps only u(t0), the
+    # u(λₖ) and the snapshots: its CSV, min|D| and snapshots read the bits of the public
+    # functions applied to solve_linear_multipoint's whole trajectory
+    from mpnls.cli import _build_runtime, _timeseries_csv
+    from mpnls.linear import min_abs_denominator, multipoint_residual, solve_linear_multipoint
+    from mpnls.norms import frame_observables
+    from mpnls.symbol import symbol_lattice
+
+    doc = make_config(**STREAMED_CASES[case])
+    doc["outputs"] = dict(doc.get("outputs", {}), report_path=str(tmp_path / "run"),
+                          fields_path=str(tmp_path / "fields"))
+    path = write_config(tmp_path, doc)
+    assert run_command(["solve-linear", "--config", path]) == 0
+    cfg = parse_config(Path(path).read_text(), "solve-linear")
+    sym, grid, mp, phi, forcing, nl = _build_runtime(cfg)
+    traj = solve_linear_multipoint(sym, grid, mp, phi, forcing, cfg.time.nt,
+                                   cfg.tolerances.eps_res)
+    obs = frame_observables(traj, symbol_lattice(sym, grid), nl, cfg.regularity)
+    csv = _timeseries_csv(traj.times, obs, multipoint_residual(traj, mp, phi))
+    assert (tmp_path / "run.csv").read_text() == csv
+    summary = json.loads((tmp_path / "run.json").read_text())
+    assert summary["min_abs_denominator"] == min_abs_denominator(sym, grid, mp)
+    for m in set(cfg.outputs.snapshot_frames):
+        mpnls.write_field_file(traj.frame(m), tmp_path / "expected.fld")
+        assert ((tmp_path / "fields" / f"frame_{m:05d}.fld").read_bytes()
+                == (tmp_path / "expected.fld").read_bytes())
+
+
+def test_forced_2d_solve_linear_holds_no_trajectory(tmp_path):
+    # the benchmark's forced 2-D solve: its blocks stream into the observables, so the run's
+    # traced peak is its buffers, its few kept frames and its report, not a trajectory
+    import tracemalloc
+
+    nt, grid = 200, {"n": 2, "N": 128, "R": 10.0}
+    doc = make_config(
+        symbol={"a": [[1.0, 0.2], [0.2, 1.5]]}, grid=grid, time={"t0": 0.0, "T": 1.0, "Nt": nt},
+        multipoint=[{"alpha_re": 0.5, "lambda": 0.4}, {"alpha_re": 0.2, "alpha_im": 0.1,
+                                                         "lambda": 0.8}],
+        initial={"kind": "gaussian", "amplitude": 1.0, "width": 1.0, "center": [0.0, 0.0]},
+        forcing={"profile": {"kind": "gaussian", "amplitude": 0.1, "width": 1.0,
+                             "center": [0.0, 0.0]},
+                 "envelope": {"kind": "harmonic", "omega": 3.0}},
+        outputs={"report_path": str(tmp_path / "run"), "fields_path": str(tmp_path / "fields"),
+                 "snapshot_frames": [0, 100, nt]})
+    path = write_config(tmp_path, doc)
+    warm = dict(doc, grid={"n": 2, "N": 16, "R": 10.0}, time={"t0": 0.0, "T": 1.0, "Nt": 10},
+                outputs={"report_path": str(tmp_path / "warm"), "snapshot_frames": [0]})
+    assert run_command(["solve-linear", "--config", write_config(tmp_path, warm, "warm.json")]) == 0
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        assert run_command(["solve-linear", "--config", path]) == 0
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak / ((nt + 1) * grid["N"] ** 2 * 16) <= 0.25
+
+
 def test_nls_drifts_match_csv_columns(tmp_path):
     doc = _small_nls_doc(tmp_path, 40)
     assert run_command(["solve-nls", "--config", write_config(tmp_path, doc)]) == 0

@@ -249,6 +249,29 @@ def test_duhamel_pass_transforms_like_the_per_frame_transform(n, N, nt, rng):
     assert np.array_equal(core.duhamel(forcing), expected)
 
 
+@pytest.mark.parametrize("n, N", [(1, 64), (2, 32)])
+@pytest.mark.parametrize("nt", [1, 7, 64])
+def test_rolling_and_in_place_recurrences_give_the_same_duhamel_term(n, N, nt, rng):
+    # a SeparableForcing's Ĝ, made by a rolling pass in two block buffers or stacked, reads
+    # the bits of the in-place recurrence over the stack envelope ⊗ φ̂_f
+    from mpnls.grid import _stack_blocks
+    from mpnls.linear import _duhamel_spectral, _RollingDuhamel
+
+    grid = build_grid(n, N, 3.0)
+    larr = symbol_lattice(validate_symbol(np.eye(n)), grid)
+    dt = 1.0 / nt
+    step = np.exp(-1j * dt * larr)
+    spec = forward_transform(random_band_limited(grid, 4, rng)).values
+    envelope = rng.standard_normal(nt + 1) + 1j * rng.standard_normal(nt + 1)
+    fhat = np.stack([value * spec for value in envelope])
+    expected = _duhamel_spectral(step, dt, fhat)
+    rolling = _RollingDuhamel(step, dt, envelope, spec)
+    blocks = [block.copy() for block in rolling]
+    assert [len(block) for block in blocks] == [len(block) for block in _stack_blocks(expected)]
+    assert np.concatenate(blocks).tobytes() == expected.tobytes()
+    assert rolling.stack().tobytes() == expected.tobytes()
+
+
 # --- full linear solve ----------------------------------------------------------------
 
 
@@ -387,6 +410,16 @@ def test_separable_forcing_keeps_its_own_envelope(grid1):
     forcing = SeparableForcing(gaussian(grid1), env)
     env[0] = 5.0
     assert forcing.envelope[0] == 0.0 and not forcing.envelope.flags.writeable
+
+
+def test_separable_forced_library_overflow_raises_without_warnings(grid1, sym1):
+    # the library stacks a SeparableForcing's Ĝ before it propagates; an F̂ past the float
+    # range is reported by the frame check, and no numpy warning leaks (the suite turns one
+    # into an error)
+    mp = MultipointSpec(0.0, 1.0, ((0.5, 0.5),))
+    forcing = SeparableForcing(gaussian(grid1, 1e300), np.full(21, 1e300))
+    with pytest.raises(NonFiniteError, match=r"^propagated frame at t=0.0 is not finite$"):
+        solve_linear_multipoint(sym1, grid1, mp, gaussian(grid1), forcing, nt=20)
 
 
 def test_separable_forced_solve_holds_one_trajectory_stack():
@@ -617,6 +650,7 @@ PHASE_SYMBOLS = {1: [[1.3]], 2: [[1.0, 0.2], [0.2, 1.5]],
 def test_phase_evaluator_keeps_the_bits_of_the_lattice_formulas(n, N, rng):
     # one exponential per distinct L(ξ), Nyquist lines included, gathered onto the lattice,
     # gives every phase, table, D(ξ) and Duhamel step the bits of its lattice formula
+    from mpnls.grid import _stack_blocks
     from mpnls.linear import _duhamel_spectral, _Phases, _propagate
 
     grid = build_grid(n, N, 2.5)
@@ -654,7 +688,8 @@ def test_phase_evaluator_keeps_the_bits_of_the_lattice_formulas(n, N, rng):
 
     frames = stacked(times, t0)
     assert np.array_equal(stacked(times, t0, None, table), frames)
-    assert np.array_equal(stacked(times, t0, ghat.copy(), table), stacked(times, t0, ghat.copy()))
+    assert np.array_equal(stacked(times, t0, _stack_blocks(ghat), table),
+                          stacked(times, t0, _stack_blocks(ghat)))
 
 
 @pytest.mark.parametrize("n, N", [(1, 256), (2, 128), (2, 64), (3, 16)])
@@ -684,6 +719,7 @@ def test_a_phase_table_is_built_in_its_own_buffer(n, N):
 def test_the_block_finiteness_scan_names_the_first_bad_frame():
     # 65 frames of N = 16 make blocks of four; an Inf in Ĝ at frame 6, the third frame of
     # the second block, is named by its own t and not by the block's first
+    from mpnls.grid import _stack_blocks
     from mpnls.linear import _Phases, _propagate
 
     grid = build_grid(1, 16, 2.5)
@@ -692,7 +728,8 @@ def test_the_block_finiteness_scan_names_the_first_bad_frame():
     ghat = np.zeros((65, 16), dtype=np.complex128)
     ghat[6, 3] = np.inf
     with pytest.raises(NonFiniteError, match=rf"^propagated frame at t={times[6]} is not finite$"):
-        for _ in _propagate(grid, phases, np.ones(16, dtype=np.complex128), times, 0.25, ghat):
+        for _ in _propagate(grid, phases, np.ones(16, dtype=np.complex128), times, 0.25,
+                            _stack_blocks(ghat)):
             pass
 
 

@@ -374,9 +374,9 @@ def test_energy_makes_one_transform_each_way_in_every_dimension(n, N, monkeypatc
 
     counts = {"forward_transform": 0, "inverse_transform": 0}
     for name in counts:
-        def counted(field, _name=name, _original=getattr(norms, name)):
+        def counted(*args, _name=name, _original=getattr(norms, name), **kwargs):
             counts[_name] += 1
-            return _original(field)
+            return _original(*args, **kwargs)
 
         monkeypatch.setattr(norms, name, counted)
     grid = build_grid(n, N, 3.0)

@@ -26,7 +26,8 @@ only by `linear._check_on_axis`; a forcing's type is read only by the core's
 reduced to its per-frame L^r norms only by `norms._frame_norms`, whose one-frame case
 is `lebesgue_norm`, and so are the blocks of a propagation that is never stacked; every
 frame is propagated by the one kernel `linear._propagate`, every phase is a row of the one
-exponential `_Phases.table`, and |ξ|^s is built only by `norms._riesz`, which η's datum
+exponential `_Phases.table`, the Duhamel step multiplies only in the one recurrence
+`linear._duhamel_rows`, and |ξ|^s is built only by `norms._riesz`, which η's datum
 multiplies in frequency space.  These
 tests read the source, so a copy cannot regrow.
 """
@@ -123,6 +124,22 @@ def test_the_transforms_have_one_home():
     assert numpy_uses("fft") == ["grid:_forward_frames", "grid:inverse_transform"]
     assert sites(lambda node: isinstance(node, ast.Call) and getattr(node.func, "attr", None)
                  == "freq_mesh") == ["grid:SpectralGrid.radial_freq_sq", "symbol:symbol_lattice"]
+
+
+def test_the_duhamel_step_multiplies_in_one_function():
+    # Ĝ(tₘ) = S·Ĝ(tₘ₋₁) − (iΔt/2)(S·F̂ₘ₋₁ + F̂ₘ) has one home, the recurrence that a stack
+    # and a rolling pass both run
+    def multiplies_the_step(node):
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "multiply":
+            operands = node.args
+        elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+            operands = [node.left, node.right]
+        else:
+            return False
+        return any(getattr(x, "id", getattr(x, "attr", None)) == "step" for x in operands)
+
+    assert [use for use in sites(multiplies_the_step) if use.split(":")[0] != "grid"] == [
+        "linear:_duhamel_rows", "linear:_duhamel_rows"]
 
 
 def test_resonance_is_judged_in_one_place():
