@@ -44,7 +44,6 @@ from .linear import (
     check_dispersive,
     check_eps_res,
     check_strichartz,
-    min_abs_denominator,
     multipoint_residual,
     _multipoint_defect,
     _MultipointCore,
@@ -461,9 +460,8 @@ def _load_config(path: str, command: str) -> SolveConfig:
     return parse_config(text, command)
 
 
-def _solve_result(cfg: SolveConfig, sym, grid, mp, frames, obs, residual, summary) -> RunResult:
-    """A solve's report: observables, residual, min|D| and the snapshots of `frames` by number."""
-    summary["min_abs_denominator"] = min_abs_denominator(sym, grid, mp)
+def _solve_result(cfg: SolveConfig, grid, mp, frames, obs, residual, summary) -> RunResult:
+    """A solve's report: observables, residual, a summary with its core's min|D|, snapshots."""
     snapshots = {m: Field._wrap(grid, frames[m]) for m in cfg.outputs.snapshot_frames}
     return RunResult(_timeseries_csv(mp.times(cfg.time.nt), obs, residual), summary, snapshots)
 
@@ -483,7 +481,7 @@ def _run_solve_linear(cfg: SolveConfig) -> RunResult:
     blocks = _keeping(core.solve(None if forcing is None else core.duhamel(forcing)), kept)
     obs = _observables(blocks, grid, core.dt, core.larr, nl, cfg.regularity)
     residual = _multipoint_defect(kept, mp, phi, cfg.time.nt)
-    return _solve_result(cfg, sym, grid, mp, kept, obs, residual, {})
+    return _solve_result(cfg, grid, mp, kept, obs, residual, {"min_abs_denominator": core.min_abs})
 
 
 def _run_solve_nls(cfg: SolveConfig) -> RunResult:
@@ -492,12 +490,12 @@ def _run_solve_nls(cfg: SolveConfig) -> RunResult:
                                        nt=cfg.time.nt, tol_fp=cfg.tolerances.tol_fp,
                                        max_iter=cfg.tolerances.max_iter,
                                        eps_res=cfg.tolerances.eps_res)
-    # the diagnostics named as summary keys: η, the iteration record, the drifts, the Strichartz value
+    # the diagnostics named as summary keys: η, the iterations, the drifts, S⁰ value and min|D|
     summary = {f.name: getattr(diags, f.name) for f in fields(diags) if f.name in SUMMARY_KEYS}
     summary["strichartz_pairs"] = [p.label() for p in canonical_pairs(grid.n)]
     if diags.metric_clamped:
         summary["warnings"] = ["contraction metric exponent clamped to r=2 (formula left [2,inf))"]
-    return _solve_result(cfg, sym, grid, mp, traj.values, diags.observables,
+    return _solve_result(cfg, grid, mp, traj.values, diags.observables,
                          multipoint_residual(traj, mp, phi), summary)
 
 

@@ -6,12 +6,13 @@ the multipoint condition becomes an algebraic equation for the datum û₀:
 
     û₀·D(ξ) = φ̂(ξ) + Σₖ αₖ Ĝ(λₖ,ξ),   D(ξ) = 1 - Σₖ αₖ e^{-i(λₖ-t0)L(ξ)},
 
-after which the whole trajectory is a single propagation pass.  Modes where
-D(ξ) nearly vanishes make the problem ill-posed (resonance); the solver
-refuses to divide when min|D| ≤ eps_res, which `check_eps_res` holds positive.
-`_denominator` is the one build of D(ξ) and min|D|, and `min_abs_denominator`
-its one public reader.  The Duhamel integral uses the incremental trapezoidal
-recurrence, second order in Δt and linear in the number of frames.
+after which the whole trajectory is a single propagation pass.  Modes where D(ξ) nearly
+vanishes make the problem ill-posed (resonance); the solver refuses to divide when
+min|D| ≤ eps_res, which `check_eps_res` holds positive.  `_denominator` is the one build of
+D(ξ) and min|D|, and `min_abs_denominator` its one public reader; a solve's report reads the
+min|D| that its core compared with eps_res (`_MultipointCore.min_abs`,
+`PicardDiagnostics.min_abs_denominator`).  The Duhamel integral uses the incremental
+trapezoidal recurrence, second order in Δt and linear in the number of frames.
 
 Every solve, here and in the nonlinear module, runs on one private multipoint core.
 `_MultipointCore`, the spectral context of a solve, builds L(ξ), its phases, the Duhamel
@@ -306,8 +307,9 @@ class _MultipointCore:
 
     Checks eps_res and the time axis, and builds once the phases of L(ξ), the Duhamel step
     e^{-iΔtL}, D(ξ), the frame indices of the λₖ and φ̂ (`_datum_spectrum` checks its grid); it
-    refuses a D(ξ) with min|D| ≤ eps_res.  `duhamel` reads and checks a forcing.  phase_table=True
-    precomputes e^{-i(tₘ-t0)L(ξ)} for every frame, for a caller that propagates many times.
+    refuses a D(ξ) with min|D| ≤ eps_res, and keeps that min|D|, `min_abs`, for the report.
+    `duhamel` reads and checks a forcing.  phase_table=True precomputes e^{-i(tₘ-t0)L(ξ)} for
+    every frame, for a caller that propagates many times.
     """
 
     def __init__(self, sym: EllipticSymbol, grid: SpectralGrid, mp: MultipointSpec, phi: Field,
@@ -320,12 +322,10 @@ class _MultipointCore:
         self.lam_idx = mp.frame_indices(nt)
         self.larr = symbol_lattice(sym, grid)
         self.phases = _Phases(self.larr)
-        self.denom, min_abs = _denominator(self.phases, mp)
-        if min_abs <= eps_res:
-            raise ResonanceError(
-                f"multipoint denominator min |D(xi)| = {min_abs:.6e} <= eps_res = {eps_res:.1e}",
-                min_abs=min_abs, eps_res=eps_res,
-            )
+        self.denom, self.min_abs = _denominator(self.phases, mp)
+        if self.min_abs <= eps_res:
+            raise ResonanceError(f"multipoint denominator min |D(xi)| = {self.min_abs:.6e} <= "
+                                 f"eps_res = {eps_res:.1e}", min_abs=self.min_abs, eps_res=eps_res)
         self.dt = (mp.T - mp.t0) / nt
         self.step = self.phases(self.dt)
         self.phi_hat = _datum_spectrum(phi, grid)

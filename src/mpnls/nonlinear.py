@@ -73,6 +73,7 @@ class PicardDiagnostics:
     r_metric: float
     metric_clamped: bool
     strichartz_value: float
+    min_abs_denominator: float  # min|D(ξ)|, as the solve compared it with eps_res
     observables: FrameObservables  # per-frame mass, energy, l2, linf, sobolev_s
 
 
@@ -298,6 +299,7 @@ def solve_nls_multipoint(sym: EllipticSymbol, grid: SpectralGrid, mp: Multipoint
         r_metric=r_metric,
         metric_clamped=clamped,
         strichartz_value=observables.strichartz_value,
+        min_abs_denominator=core.min_abs,
         observables=observables,
     )
     return current, diags

@@ -14,6 +14,7 @@ import mpnls
 from mpnls import (ConfigSyntaxError, NonFiniteError, UnknownKeyError, ValidationError,
                    read_field_file)
 from mpnls.cli import RunResult, _summary_json, config_to_dict, parse_config, run_command
+from regenerate_golden import GOLDEN, fingerprint, run_shipped
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -178,22 +179,89 @@ def test_documented_configs_parse_and_round_trip(name):
     assert parse_config(json.dumps(config_to_dict(cfg))) == cfg
 
 
-SHIPPED_COMMANDS = {"dispersive_check": "verify-dispersive", "linear_multipoint": "solve-linear",
-                    "nls_small_data": "solve-nls", "strichartz_check": "verify-strichartz"}
+def _close(a: float, b: float) -> bool:
+    """Equal to 1e-12 relative, or to 1e-12 absolute where roundoff sets a small value's bits."""
+    return math.isclose(a, b, rel_tol=1e-12, abs_tol=1e-12)
+
+
+def _cell_differences(where: str, old: str, new: str) -> list[str]:
+    try:
+        same = _close(float(old), float(new))
+    except ValueError:
+        same = old == new
+    return [] if same else [f"{where}: {old} != {new}"]
+
+
+def _json_differences(where: str, old, new) -> list[str]:
+    if isinstance(old, dict) and isinstance(new, dict) and old.keys() == new.keys():
+        return [d for key in old for d in _json_differences(f"{where}.{key}", old[key], new[key])]
+    if isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        return [d for i, pair in enumerate(zip(old, new))
+                for d in _json_differences(f"{where}[{i}]", *pair)]
+    if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (old, new)):
+        return [] if _close(old, new) else [f"{where}: {old!r} != {new!r}"]
+    return [] if old == new else [f"{where}: {old!r} != {new!r}"]
+
+
+def _field_differences(rel: Path, old: Path, new: Path) -> list[str]:
+    """The fields of one report file that differ beyond `_close`, each named: a CSV cell by
+    its line and column, a JSON number by its key path, a .fld sample by its index."""
+    if rel.suffix == ".json":
+        docs = json.loads(old.read_text()), json.loads(new.read_text())
+        for doc in docs:  # a ratio d_{k+1}/d_k of distances near roundoff keeps few of its bits:
+            if doc.get("contraction_ratios"):  # it is compared as the distance ratio·d_k
+                doc["contraction_ratios"] = [r * d for r, d in zip(doc["contraction_ratios"],
+                                                                   doc["d_history"])]
+        return _json_differences(rel.name, *docs)
+    if rel.suffix == ".fld":
+        a, b = mpnls.read_field_file(old), mpnls.read_field_file(new)
+        if a.grid != b.grid:
+            return [f"{rel.name}: grid {b.grid!r} != {a.grid!r}"]
+        bad = np.argwhere(~np.isclose(b.values, a.values, rtol=1e-12, atol=1e-12))
+        return [f"{rel.name}: {len(bad)} samples differ, the first at {tuple(bad[0].tolist())}"
+                ] if len(bad) else []
+    lines_old, lines_new = old.read_text().splitlines(), new.read_text().splitlines()
+    if len(lines_old) != len(lines_new):
+        return [f"{rel.name}: {len(lines_new)} lines != {len(lines_old)}"]
+    header = lines_old[0].split(",")
+    diffs = []
+    for k, (a, b) in enumerate(zip(lines_old, lines_new)):
+        sep = None if a.startswith("#") else ","  # a comment line: `# slope <value>`
+        cells_a, cells_b = a.split(sep), b.split(sep)
+        if len(cells_a) != len(cells_b):
+            diffs.append(f"{rel.name} line {k + 1}: {b!r} != {a!r}")
+            continue
+        names = header if sep else [f"word {j + 1}" for j in range(len(cells_a))]
+        diffs += [d for name, x, y in zip(names, cells_a, cells_b)
+                  for d in _cell_differences(f"{rel.name} line {k + 1} {name}", x, y)]
+    return diffs
+
+
+def _report_differences(golden: Path, run: Path) -> list[str]:
+    """How the files a run wrote under `run` differ from those under `golden`: by bytes when
+    the stored fingerprint is this machine's (each differing file named, with any field that
+    `_field_differences` finds), else only by `_field_differences`."""
+    files = sorted(p.relative_to(golden) for p in golden.rglob("*") if p.is_file())
+    wrote = sorted(p.relative_to(run) for p in run.rglob("*") if p.is_file())
+    if wrote != files:
+        return [f"files {[str(p) for p in wrote]} != {[str(p) for p in files]}"]
+    bitwise = json.loads((GOLDEN / "fingerprint.json").read_text()) == fingerprint()
+    diffs = []
+    for rel in files:
+        if bitwise and (golden / rel).read_bytes() != (run / rel).read_bytes():
+            diffs.append(f"{rel}: bytes differ")
+        diffs += _field_differences(rel, golden / rel, run / rel)
+    return diffs
 
 
 @pytest.mark.parametrize("name", sorted(path.stem for path in (ROOT / "configs").glob("*.json")))
-def test_shipped_configs_run_end_to_end(tmp_path, name):
-    # a shipped config is run, not only parsed, with its outputs moved under tmp_path
-    doc = json.loads((ROOT / "configs" / f"{name}.json").read_text())
-    doc["outputs"]["report_path"] = str(tmp_path / name)
-    if "fields_path" in doc["outputs"]:
-        doc["outputs"]["fields_path"] = str(tmp_path / "fields")
-    assert run_command([SHIPPED_COMMANDS[name], "--config", write_config(tmp_path, doc)]) == 0
-    assert (tmp_path / f"{name}.csv").is_file() and (tmp_path / f"{name}.json").is_file()
-    if name == "linear_multipoint":
-        assert sorted(path.name for path in (tmp_path / "fields").iterdir()) == [
-            "frame_00000.fld", "frame_00100.fld", "frame_00200.fld"]
+def test_shipped_configs_run_end_to_end(tmp_path, monkeypatch, name):
+    # a shipped config runs as shipped, from tmp_path, and writes the files of its golden
+    # report (tests/regenerate_golden.py): its CSV, its JSON and any snapshots, with the
+    # golden bytes where the fingerprint matches
+    monkeypatch.chdir(tmp_path)
+    assert run_shipped(name) == 0
+    assert _report_differences(GOLDEN / name, tmp_path) == []
 
 
 WRONG_SHAPES = [(section, bad) for section in ("symbol", "grid", "time", "initial", "forcing",
@@ -385,29 +453,37 @@ def _small_nls_doc(tmp_path, nt):
         outputs={"report_path": str(tmp_path / "nls")})
 
 
-def test_nls_observables_computed_once(tmp_path, monkeypatch):
+def test_nls_observables_computed_once(tmp_path, count_calls):
     # the observables pass takes each frame's energy and |∇|^s once, in solve-nls (the Picard
     # diagnostics, the Strichartz value and the CSV) as in solve-linear (the CSV); η's datum
     # is |ξ|^s·φ̂, which filters nothing
     from mpnls import norms
 
-    calls = {"_hamiltonian": 0, "_filtered": 0}
-    for name in calls:
-        original = getattr(norms, name)
-
-        def counted(*args, _name=name, _original=original, **kwargs):
-            calls[_name] += 1
-            return _original(*args, **kwargs)
-
-        for modname, mod in list(sys.modules.items()):
-            if modname.split(".")[0] == "mpnls" and vars(mod).get(name) is original:
-                monkeypatch.setattr(mod, name, counted)
+    calls = count_calls(norms, "_hamiltonian", "_filtered")
     nt = 20
     path = write_config(tmp_path, _small_nls_doc(tmp_path, nt))
     for command in ("solve-nls", "solve-linear"):
         calls.update(dict.fromkeys(calls, 0))
         assert run_command([command, "--config", path]) == 0
         assert calls == {"_hamiltonian": nt + 1, "_filtered": nt + 1}, command
+
+
+@pytest.mark.parametrize("command", ["solve-linear", "solve-nls"])
+def test_a_solve_run_builds_its_spectral_context_once(tmp_path, count_calls, command):
+    # a solve run builds L(ξ), its phases and D(ξ) in its core alone, and its report's min|D|
+    # is the one the core compared with eps_res: the bits of the public min_abs_denominator
+    from mpnls import linear
+    from mpnls.cli import _build_runtime
+
+    doc = dict(_small_nls_doc(tmp_path, 20),
+               multipoint=[{"alpha_re": 0.3, "alpha_im": 0.2, "lambda": 0.5}])
+    path = write_config(tmp_path, doc)
+    calls = count_calls(linear, "symbol_lattice", "_Phases", "_denominator")
+    assert run_command([command, "--config", path]) == 0
+    assert calls == {"symbol_lattice": 1, "_Phases": 1, "_denominator": 1}
+    sym, grid, mp, *_ = _build_runtime(parse_config(Path(path).read_text(), command))
+    summary = json.loads((tmp_path / "nls.json").read_text())
+    assert summary["min_abs_denominator"] == linear.min_abs_denominator(sym, grid, mp)
 
 
 def _perfbench_selftest() -> dict:
@@ -423,24 +499,14 @@ def _perfbench_selftest() -> dict:
     return scope
 
 
-def test_transform_counts_match_the_benchmark_hand_count(tmp_path, monkeypatch):
+def test_transform_counts_match_the_benchmark_hand_count(tmp_path, count_calls):
     # perfbench's tracer self-test runs its SELFTEST_CONFIG through solve-linear and expects
     # SELFTEST_COUNTS transforms (φ̂, then per frame one propagation, the energy and the Ḣ^s
     # norm); both are read from perfbench/run.py, so a change that moves a transform call
     # fails here as it fails `perfbench/run.py --trace 1`
     from mpnls import grid
 
-    calls = {"forward_transform": 0, "inverse_transform": 0}
-    for name in calls:
-        original = getattr(grid, name)
-
-        def counted(*args, _name=name, _original=original, **kwargs):
-            calls[_name] += 1
-            return _original(*args, **kwargs)
-
-        for modname, mod in list(sys.modules.items()):
-            if modname.split(".")[0] == "mpnls" and vars(mod).get(name) is original:
-                monkeypatch.setattr(mod, name, counted)
+    calls = count_calls(grid, "forward_transform", "inverse_transform")
     bench = _perfbench_selftest()
     doc = dict(bench["SELFTEST_CONFIG"], outputs={"report_path": str(tmp_path / "selftest")})
     assert run_command(["solve-linear", "--config", write_config(tmp_path, doc)]) == 0

@@ -242,26 +242,14 @@ def test_the_riesz_filter_is_built_once_per_pass(setup, monkeypatch):
     assert counts == [2, 2, 2]
 
 
-def test_a_positive_order_costs_no_transform(setup, monkeypatch):
+def test_a_positive_order_costs_no_transform(setup, count_calls):
     # the observables pass filters each frame at any s, and its filtered frame gives the
     # Strichartz value at s > 0; η's datum is |ξ|^s·φ̂ from the one forward transform of φ:
     # an s = 0.5 solve, or standalone η, makes the transforms of an s = 0 one, however many
     # frames it has
-    import sys
-
     from mpnls import grid as grid_module
 
-    calls = {"forward_transform": 0, "inverse_transform": 0}
-    for name in calls:
-        original = getattr(grid_module, name)
-
-        def counted(*args, _name=name, _original=original, **kwargs):
-            calls[_name] += 1
-            return _original(*args, **kwargs)
-
-        for modname, mod in list(sys.modules.items()):
-            if modname.split(".")[0] == "mpnls" and vars(mod).get(name) is original:
-                monkeypatch.setattr(mod, name, counted)
+    calls = count_calls(grid_module, "forward_transform", "inverse_transform")
     sym, grid, phi = setup
     mp = MultipointSpec(0.25, 1.25, ((0.3, 0.75),))
     for nt in (8, 16, 32):
@@ -289,24 +277,12 @@ def test_a_nan_distance_reads_nan(setup):
     assert np.isnan(d) and not d < DEFAULT_TOL_FP
 
 
-def test_a_solve_builds_its_spectral_context_once(setup, monkeypatch):
+def test_a_solve_builds_its_spectral_context_once(setup, count_calls):
     # one L(ξ), one phase evaluator and one D(ξ) per solve: every Φ, its Duhamel step and
     # η read the core's
-    import sys
-
     from mpnls import linear
 
-    calls = {"symbol_lattice": 0, "_Phases": 0, "_denominator": 0}
-    for name in calls:
-        original = getattr(linear, name)
-
-        def counted(*args, _name=name, _original=original, **kwargs):
-            calls[_name] += 1
-            return _original(*args, **kwargs)
-
-        for modname, mod in list(sys.modules.items()):
-            if modname.split(".")[0] == "mpnls" and vars(mod).get(name) is original:
-                monkeypatch.setattr(mod, name, counted)
+    calls = count_calls(linear, "symbol_lattice", "_Phases", "_denominator")
     sym, grid, phi = setup
     _, diags = solve_nls_multipoint(sym, grid, MultipointSpec(0.0, 1.0, ((0.3, 0.5),)), phi,
                                     NL, s=0.5, nt=40)
