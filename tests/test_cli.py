@@ -14,7 +14,7 @@ import mpnls
 from mpnls import (ConfigSyntaxError, NonFiniteError, UnknownKeyError, ValidationError,
                    read_field_file)
 from mpnls.cli import RunResult, _summary_json, config_to_dict, parse_config, run_command
-from regenerate_golden import GOLDEN, fingerprint, run_shipped
+from regenerate_golden import GOLDEN, SMALL_CASES, fingerprint, run_shipped, run_small
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -261,6 +261,15 @@ def test_shipped_configs_run_end_to_end(tmp_path, monkeypatch, name):
     # golden bytes where the fingerprint matches
     monkeypatch.chdir(tmp_path)
     assert run_shipped(name) == 0
+    assert _report_differences(GOLDEN / name, tmp_path) == []
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_CASES))
+def test_small_cases_run_end_to_end(tmp_path, monkeypatch, name):
+    # the paths that no shipped config takes (a forcing, t0 != 0, a term at lambda = T,
+    # a snapshot frame named twice, s > 0, 3-D, a finite dispersive p) keep their golden bytes
+    monkeypatch.chdir(tmp_path)
+    assert run_small(name) == 0
     assert _report_differences(GOLDEN / name, tmp_path) == []
 
 
