@@ -375,12 +375,8 @@ def _build_runtime(cfg: SolveConfig, datum: bool = True, forcing: bool = True):
     phi = sample_profile(grid, cfg.initial) if datum else None
     source = None
     if forcing and cfg.forcing is not None:
-        env = cfg.forcing.envelope
-        times = mp.times(cfg.time.nt)
-        if isinstance(env, ConstantEnvelope):
-            g = np.ones_like(times, dtype=np.complex128)
-        else:
-            g = np.exp(-1j * env.omega * times)
+        env, times = cfg.forcing.envelope, mp.times(cfg.time.nt)
+        g = np.ones(len(times)) if env.kind == "constant" else np.exp(-1j * env.omega * times)
         source = SeparableForcing(sample_profile(grid, cfg.forcing.profile), g)
     return sym, grid, mp, phi, source, cfg.nonlinearity
 
@@ -417,15 +413,19 @@ def _summary_json(result: RunResult, cfg: SolveConfig) -> str:
     doc.update(version=__version__, config_echo=config_to_dict(cfg), warnings=[])
     if cfg.nonlinearity is not None:
         rep = critical_exponent(cfg.grid.n, cfg.nonlinearity.p, cfg.regularity)
-        doc["s_c"] = rep.s_c
-        doc["class"] = rep.classification
+        doc["s_c"], doc["class"] = rep.s_c, rep.classification
     doc.update(result.summary)
-    for key in sorted(doc):  # JSON has no inf or NaN, and allow_nan=False names no key
+    return _finite_json(doc, indent=2) + "\n"
+
+
+def _finite_json(doc: dict, indent=None) -> str:
+    """`doc` as JSON; an inf or NaN, which JSON lacks, raises NonFiniteError naming its key."""
+    for key in sorted(doc):
         try:
             json.dumps(doc[key], allow_nan=False)
         except ValueError:
             raise NonFiniteError(f"summary value '{key}' is not finite") from None
-    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    return json.dumps(doc, sort_keys=True, indent=indent, allow_nan=False)
 
 
 def write_report(result: RunResult, cfg: SolveConfig) -> list[str]:
@@ -568,15 +568,13 @@ def run_command(argv) -> int:
     try:
         if args.command == "classify":
             rep = critical_exponent(args.n, args.p, args.s)
-            print(json.dumps({"n": args.n, "p": args.p, "s": args.s,
-                              "s_c": rep.s_c, "class": rep.classification}, sort_keys=True))
+            print(_finite_json({"n": args.n, "p": args.p, "s": args.s,
+                                "s_c": rep.s_c, "class": rep.classification}))
             return 0
         if args.command == "check-admissible":
-            q = _parse_exponent_arg(args.q)
-            r = _parse_exponent_arg(args.r)
-            verdict = is_admissible(args.n, q, r)
-            print(json.dumps({"n": args.n, "q": args.q, "r": args.r, "result": verdict},
-                             sort_keys=True))
+            q, r = _parse_exponent_arg(args.q), _parse_exponent_arg(args.r)
+            print(_finite_json({"n": args.n, "q": args.q, "r": args.r,
+                                "result": is_admissible(args.n, q, r)}))
             return 0
         cfg = _load_config(args.config, args.command)
         result = _RUNNERS[args.command](cfg)

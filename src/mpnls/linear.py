@@ -29,10 +29,11 @@ block is made.  It checks each block for NaN and Inf, and the passes leave an ov
 that check.  Every phase e^{-iτL(ξ)} is a row of `_Phases.table`, the one exponential of the
 distinct values of L(ξ), gathered onto the lattice: a row per time for the kernel, a one-row
 table for D(ξ) and the Duhamel step.  `MultipointSpec.times` builds the time axis, and
-`_check_on_axis` checks a trajectory against it.  A writeable forcing stack is the one
-buffer of its pass: transformed to F̂, integrated to Ĝ (`_duhamel_rows`) and propagated in
-place.  A `SeparableForcing`'s profile is transformed once, as a datum, and each pass that
-reads its Ĝ makes it anew (`_RollingDuhamel`), so a solve read by blocks holds no trajectory.
+`_check_on_axis` checks a trajectory against it.  `_Duhamel` is the one maker of Ĝ, for
+every forcing: the recurrence `_duhamel_rows` runs over F̂ rows that the forcing's fill writes
+a block at a time, as it reaches them.  Stacked, those rows are the one buffer of the pass:
+F̂, then Ĝ, then the frames.  Iterated, each pass makes Ĝ anew in two block buffers, so a
+solve read by blocks holds no trajectory.
 """
 
 from __future__ import annotations
@@ -82,8 +83,7 @@ class MultipointSpec:
                 raise ValueError(f"alpha must be finite, got {alpha}")
             if not (self.t0 < lam <= self.T):
                 raise ValueError(f"lambda out of (t0,T]=({self.t0},{self.T}]: {lam}")
-        lams = [lam for _, lam in pts]
-        if len(set(lams)) != len(lams):
+        if len({lam for _, lam in pts}) != len(pts):
             raise ValueError("lambda_k values must be distinct")
         object.__setattr__(self, "points", pts)
 
@@ -93,15 +93,19 @@ class MultipointSpec:
             raise ValueError(f"number of time intervals nt must be >= 1, got {nt}")
         return np.linspace(self.t0, self.T, nt + 1)
 
+    @property
+    def time_tol(self) -> float:  # 1e-12 of max(1, |t0|, |T|): a grid time has an ulp of them
+        return LAMBDA_GRID_TOL * max(1.0, abs(self.t0), abs(self.T))
+
     def frame_indices(self, nt: int) -> list[int]:
         """Frame index k of each λ on the time grid t0 + k·(T−t0)/nt; a λ farther
-        than LAMBDA_GRID_TOL from every grid time raises LambdaOffGridError."""
+        than `time_tol` from every grid time raises LambdaOffGridError."""
         times = self.times(nt)
         dt = (self.T - self.t0) / nt
         idxs = []
         for _, lam in self.points:
             idx = int(round((lam - self.t0) / dt))
-            if idx < 0 or idx > nt or abs(times[idx] - lam) > LAMBDA_GRID_TOL:
+            if idx < 0 or idx > nt or abs(times[idx] - lam) > self.time_tol:
                 raise LambdaOffGridError(f"lambda={lam} is not on the time grid t0 + k*(T-t0)/nt "
                                          f"(t0={self.t0}, T={self.T}, nt={nt})")
             idxs.append(idx)
@@ -229,29 +233,32 @@ def _duhamel_spectral(step: np.ndarray, dt: float, fhat):
     return fhat
 
 
-class _RollingDuhamel:
-    """Ĝ of a SeparableForcing: each pass runs `_duhamel_rows` over F̂ₘ = envelope[m]·φ̂_f in a
-    new stack (`stack`) or, iterated, in the `_frame_blocks` blocks of the axis, which take
-    turns in two block buffers, shared by the passes."""
+class _Duhamel:
+    """The one maker of Ĝ: each pass runs `_duhamel_rows` over the F̂ rows that `fill(rows, out)`
+    writes for each `_frame_blocks` block as the recurrence reaches it, in a new stack (`stack`)
+    or, iterated, in two block buffers that take turns."""
 
-    def __init__(self, step: np.ndarray, dt: float, envelope: np.ndarray, spec: np.ndarray):
-        self.step, self.dt, self.envelope, self.spec, self.pair = step, dt, envelope, spec, None
+    def __init__(self, core: _MultipointCore, fill):
+        self.step, self.dt, self.fill = core.step, core.dt, fill
+        self.shape = (core.nt + 1,) + core.grid.shape
+        self.slices = list(_frame_blocks(core.nt + 1, core.phi_hat.nbytes))
 
-    def _fhat(self, rows):  # a broadcast product buffers
-        return (np.multiply(value, self.spec, out=row) for value, row in zip(self.envelope, rows))
+    def _fhat(self, blocks):
+        for rows, block in zip(self.slices, blocks):
+            self.fill(rows, block)
+            yield from block
 
     def stack(self) -> np.ndarray:
-        ghat = np.empty((len(self.envelope),) + self.spec.shape, dtype=np.complex128)
+        ghat = np.empty(self.shape, dtype=np.complex128)
         with np.errstate(over="ignore", invalid="ignore"):  # _propagate judges an overflow
-            _duhamel_spectral(self.step, self.dt, self._fhat(ghat))
+            _duhamel_spectral(self.step, self.dt, self._fhat(_stack_blocks(ghat)))
         return ghat
 
     def __iter__(self):
-        slices = list(_frame_blocks(len(self.envelope), self.spec.nbytes))
-        if self.pair is None:
-            self.pair = np.empty((2, slices[0].stop) + self.spec.shape, dtype=np.complex128)
-        blocks = [self.pair[i % 2][:len(self.envelope[rows])] for i, rows in enumerate(slices)]
-        ghat = _duhamel_rows(self.step, self.dt, self._fhat(row for b in blocks for row in b))
+        pair = np.empty((2, self.slices[0].stop) + self.shape[1:], dtype=np.complex128)
+        frames = range(self.shape[0])  # a slice of it has the length of the block
+        blocks = [pair[i % 2][:len(frames[r])] for i, r in enumerate(self.slices)]
+        ghat = _duhamel_rows(self.step, self.dt, self._fhat(blocks))
         for block in blocks:
             for _ in block:
                 next(ghat)
@@ -292,10 +299,10 @@ def _propagate(grid: SpectralGrid, phases: _Phases, u_hat: np.ndarray, times,
 
 def _check_on_axis(traj: Trajectory, grid: SpectralGrid, mp: MultipointSpec, nt: int,
                    what: str) -> None:
-    """`traj` is on `grid`, spans mp's [t0, T] to within LAMBDA_GRID_TOL and has nt steps."""
+    """`traj` is on `grid`, spans mp's [t0, T] to within `mp.time_tol` and has nt steps."""
     if traj.grid != grid:
         raise GridMismatchError(f"{what} lives on {traj.grid!r}, not on {grid!r}")
-    if abs(traj.t0 - mp.t0) > LAMBDA_GRID_TOL or abs(traj.T - mp.T) > LAMBDA_GRID_TOL:
+    if abs(traj.t0 - mp.t0) > mp.time_tol or abs(traj.T - mp.T) > mp.time_tol:
         raise GridMismatchError(f"{what} spans [{traj.t0},{traj.T}], not [{mp.t0},{mp.T}]")
     if traj.nt != nt:
         raise GridMismatchError(f"{what} has nt={traj.nt}, not nt={nt}")
@@ -331,26 +338,28 @@ class _MultipointCore:
         self.phi_hat = _datum_spectrum(phi, grid)
         self.table = self.phases.table(self.times, mp.t0) if phase_table else None
 
-    def duhamel(self, forcing: Trajectory | SeparableForcing | np.ndarray):
-        """Ĝ on the time axis; the one reader and checker of a forcing.  A SeparableForcing has
-        one envelope value per frame, and gives a `_RollingDuhamel` on one transform of its
-        profile, a datum of the pass.  A Trajectory is checked against the axis.  Physical
-        frames are transformed a block at a time into a stack, then integrated in place: a
-        writeable stack (Φ's) is the caller's scratch, and a read-only one goes into a new one."""
-        with np.errstate(over="ignore", invalid="ignore"):  # _propagate judges an overflow
-            if isinstance(forcing, SeparableForcing):
-                if len(forcing.envelope) != self.nt + 1:
-                    raise GridMismatchError(f"forcing envelope has {len(forcing.envelope)} values, "
-                                            f"not one per frame, nt + 1 = {self.nt + 1}")
-                spec = _datum_spectrum(forcing.profile, self.grid, what="forcing profile")
-                return _RollingDuhamel(self.step, self.dt, forcing.envelope, spec)
-            if isinstance(forcing, Trajectory):
-                _check_on_axis(forcing, self.grid, self.mp, self.nt, "forcing")
-                forcing = forcing.values
-            fhat = forcing if forcing.flags.writeable else np.empty_like(forcing)
-            for block in _frame_blocks(len(forcing), forcing[0].nbytes):
-                _forward_frames(self.grid, forcing[block], out=fhat[block])
-            return _duhamel_spectral(self.step, self.dt, fhat)
+    def duhamel(self, forcing) -> _Duhamel:
+        """The `_Duhamel` of a forcing: the one reader and checker of a forcing, and the one fill
+        of its F̂.  A SeparableForcing has one envelope value per frame: F̂ₘ = envelope[m]·φ̂_f,
+        on one transform of its profile, a datum of the pass.  A Trajectory on the axis, or a
+        writer `forcing(rows, out)` of the frames F(tₘ), m in `rows` (Φ's), is transformed."""
+        if isinstance(forcing, SeparableForcing):
+            if len(forcing.envelope) != self.nt + 1:
+                raise GridMismatchError(f"forcing envelope has {len(forcing.envelope)} values, "
+                                        f"not one per frame, nt + 1 = {self.nt + 1}")
+            spec = _datum_spectrum(forcing.profile, self.grid, what="forcing profile")
+            def fill(rows, out):  # a broadcast product buffers
+                for value, row in zip(forcing.envelope[rows], out):
+                    np.multiply(value, spec, out=row)
+        elif isinstance(forcing, Trajectory):
+            _check_on_axis(forcing, self.grid, self.mp, self.nt, "forcing")
+            def fill(rows, out):
+                _forward_frames(self.grid, forcing.values[rows], out=out)
+        else:
+            def fill(rows, out):
+                forcing(rows, out)
+                _forward_frames(self.grid, out, out=out)
+        return _Duhamel(self, fill)
 
     def blocks(self, u_hat: np.ndarray, ghat=None):
         """`_propagate` of û, plus Ĝ of `duhamel`, on the time axis, by the table if any."""
@@ -358,9 +367,8 @@ class _MultipointCore:
 
     def solve(self, ghat=None):
         """The `blocks` of u(tₘ) = U_L(tₘ-t0)u₀ + G(tₘ), from the datum solve
-        û₀ = [φ̂ + Σₖ αₖ Ĝ(λₖ)] / D(ξ).  Ĝ, a stack or a `_RollingDuhamel`, is read by blocks,
-        in a pass that stops at the last λₖ, then alongside the propagation."""
-        ghat = list(_stack_blocks(ghat)) if isinstance(ghat, np.ndarray) else ghat
+        û₀ = [φ̂ + Σₖ αₖ Ĝ(λₖ)] / D(ξ).  Ĝ, a `_Duhamel` or the blocks of its stack, is read by
+        blocks, in a pass that stops at the last λₖ, then alongside the propagation."""
         rhs = self.phi_hat
         with np.errstate(over="ignore", invalid="ignore"):  # _propagate judges an overflow
             if ghat is not None and self.lam_idx:
@@ -371,10 +379,10 @@ class _MultipointCore:
             u0_hat = rhs / self.denom
         return self.blocks(u0_hat, ghat)
 
-    def frames(self, ghat=None) -> np.ndarray:
-        """The frames of `solve` in a stack: over Ĝ's, stacked first if need be."""
-        ghat = ghat.stack() if isinstance(ghat, _RollingDuhamel) else ghat
-        out = np.empty((self.nt + 1,) + self.grid.shape, complex) if ghat is None else ghat
+    def frames(self, ghat: _Duhamel | None = None) -> np.ndarray:
+        """The frames of `solve` in a stack: over the stack of Ĝ, if any."""
+        out = np.empty((self.nt + 1,) + self.grid.shape, complex) if ghat is None else ghat.stack()
+        ghat = None if ghat is None else list(_stack_blocks(out))  # frees the maker and its fill
         for rows, block in zip(_frame_blocks(len(out), out[0].nbytes), self.solve(ghat)):
             out[rows] = block
         return out

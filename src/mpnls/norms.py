@@ -42,11 +42,7 @@ CLASS_TIE_TOL = 1e-12
 
 def _exact(x) -> Fraction | float:
     """Exponent as an exact rational, or +inf."""
-    if x == INF:
-        return INF
-    if isinstance(x, Fraction):
-        return x
-    return Fraction(x)
+    return x if x == INF or isinstance(x, Fraction) else Fraction(x)
 
 
 def _reciprocal(x) -> Fraction:
@@ -178,10 +174,14 @@ class AdmissiblePair:
         return f"({fmt(self.q)},{fmt(self.r)})"
 
 
-def is_admissible(n: int, q, r) -> str:
-    """Classify an exponent pair: 'sharp', 'nonsharp' or 'rejected'."""
+def _check_dimension(n: int) -> None:
     if n < 1 or int(n) != n:
         raise BadExponentError(f"dimension must be a positive integer, got {n!r}")
+
+
+def is_admissible(n: int, q, r) -> str:
+    """Classify an exponent pair: 'sharp', 'nonsharp' or 'rejected'."""
+    _check_dimension(n)
     qe, re = _exact(q), _exact(r)
     if (qe != INF and qe < 2) or (re != INF and re < 2):
         raise BadExponentError(f"admissible exponents need q, r >= 2, got q={q}, r={r}")
@@ -198,9 +198,7 @@ def make_pair(n: int, q, r) -> AdmissiblePair:
     verdict = is_admissible(n, q, r)
     if verdict == "rejected":
         raise InadmissiblePairError(f"(q,r)=({q},{r}) is not admissible in dimension {n}")
-    qe = INF if q == INF else _exact(q)
-    re = INF if r == INF else _exact(r)
-    return AdmissiblePair(qe, re, verdict == "sharp")
+    return AdmissiblePair(_exact(q), _exact(r), verdict == "sharp")
 
 
 def canonical_pairs(n: int) -> list[AdmissiblePair]:
@@ -247,21 +245,21 @@ class RegularityReport:
 
 
 def check_power(p: float) -> None:
-    """The power of a nonlinearity λ|u|ᵖu must be positive."""
-    if not (p > 0.0):
-        raise BadPowerError(f"power p must be positive, got {p}")
+    """The power of a nonlinearity λ|u|ᵖu must be positive and finite."""
+    if not (0.0 < p < INF):
+        raise BadPowerError(f"power p must be {'finite' if p == INF else 'positive'}, got {p}")
 
 
 def critical_exponent(n: int, p: float, s: float) -> RegularityReport:
-    """Scaling-critical regularity s_c = n/2 − 2/p and the class of (s, s_c)."""
+    """Scaling-critical regularity s_c = n/2 − 2/p and the class of (s, s_c), for a positive
+    integer n and a finite s."""
+    _check_dimension(n)
     check_power(p)
+    if not math.isfinite(s):
+        raise BadExponentError(f"regularity s must be finite, got {s}")
     s_c = n / 2.0 - 2.0 / p
-    if abs(s - s_c) <= CLASS_TIE_TOL:
-        label = "critical"
-    elif s > s_c:
-        label = "subcritical"
-    else:
-        label = "supercritical"
+    label = ("critical" if abs(s - s_c) <= CLASS_TIE_TOL
+             else "subcritical" if s > s_c else "supercritical")
     return RegularityReport(float(s), float(s_c), label)
 
 

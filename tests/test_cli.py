@@ -336,6 +336,14 @@ WRONG_VALUES = [  # (config section, its value, the start of the message)
     ("strichartz", {"num_samples": 2, "seed": -1, "band": 6},
      "strichartz: seed must be >= 0, got -1"),
     ("strichartz", {"num_samples": 2, "seed": 0, "band": 0}, "strichartz: band must be >= 1, got 0"),
+    ("strichartz", {"num_samples": 0}, "strichartz: num_samples must be >= 1"),
+    ("dispersive", {"times": [2.0, 4.0], "p": "infinite"},
+     "dispersive.p must be a number or 'inf', got 'infinite'"),
+    ("dispersive", {"times": [2.0, 4.0], "p": 1.5},
+     "dispersive: dispersive check needs p in [2, inf], got 1.5"),
+    ("tolerances", {"tol_fp": 0}, "tolerances: tol_fp must be positive, got 0.0"),
+    ("tolerances", {"max_iter": 0}, "tolerances: max_iter must be >= 1, got 0"),
+    ("symbol", {"a": [[1.0, 0.0], [0.0, 1.0]]}, "symbol dimension 2 does not match grid.n = 1"),
 ]
 
 
@@ -346,7 +354,8 @@ WRONG_VALUES = [  # (config section, its value, the start of the message)
                               "report-int", "report-empty", "report-dot", "report-root",
                               "fields-int", "frames-null", "frames-float", "frames-past-nt",
                               "times-number", "times-empty", "times-one", "times-entry",
-                              "seed-negative", "band-zero"])
+                              "seed-negative", "band-zero", "samples-zero", "p-word", "p-below-2",
+                              "tol-fp-zero", "max-iter-zero", "symbol-size"])
 def test_wrong_shaped_profile_value_names_its_rule(tmp_path, capsys, section, bad, message):
     doc = make_config(outputs={"report_path": str(tmp_path / "bad")})
     doc[section] = bad
@@ -854,11 +863,28 @@ def test_verifiers_build_only_what_they_read(tmp_path, monkeypatch):
     assert sampled == [doc["initial"]]
 
 
+CLASSIFY_REFUSALS = [  # (n, p, s), exit code, the error message
+    (("0", "2", "0"), 2, "dimension must be a positive integer, got 0"),
+    (("-3", "2", "0"), 2, "dimension must be a positive integer, got -3"),
+    (("3", "2", "nan"), 2, "regularity s must be finite, got nan"),
+    (("3", "2", "inf"), 2, "regularity s must be finite, got inf"),
+    (("3", "inf", "0"), 2, "power p must be finite, got inf"),
+    (("3", "1e-310", "0"), 5, "summary value 's_c' is not finite"),
+]
+
+
 def test_classify_stdout(capsys):
     assert run_command(["classify", "--n", "3", "--p", "4", "--s", "1"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["class"] == "critical"
     assert out["s_c"] == 1.0
+    # a refusal prints nothing on stdout: no NaN or Infinity, which strict JSON rejects
+    for (n, p, s), code, message in CLASSIFY_REFUSALS:
+        assert run_command(["classify", "--n", n, "--p", p, "--s", s]) == code
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+    # a usage error is argparse's: exit 2, with its usage line
+    assert run_command(["classify", "--n", "3", "--p", "2"]) == 2
+    assert capsys.readouterr().err.startswith("usage: mpnls classify ")
 
 
 def test_check_admissible_stdout(capsys):
@@ -866,6 +892,11 @@ def test_check_admissible_stdout(capsys):
     assert json.loads(capsys.readouterr().out)["result"] == "rejected"
     assert run_command(["check-admissible", "--n", "2", "--q", "8", "--r", "8/3"]) == 0
     assert json.loads(capsys.readouterr().out)["result"] == "sharp"
+    for args, message in ((["--n", "0", "--q", "2", "--r", "inf"],
+                           "dimension must be a positive integer, got 0"),
+                          (["--n", "2", "--q", "abc", "--r", "8"], "cannot parse exponent 'abc'")):
+        assert run_command(["check-admissible", *args]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_missing_config_exits_2(tmp_path, capsys):
@@ -908,6 +939,16 @@ def test_parse_rejects_off_grid_lambda(tmp_path, capsys):
         assert "not on the time grid" in capsys.readouterr().err
     assert not (tmp_path / "off.csv").exists()
     assert not (tmp_path / "off.json").exists()
+
+
+def test_a_lambda_on_a_long_horizon_is_on_the_time_grid(tmp_path):
+    # a grid time carries about one ulp of T: at T = 1e4 the frame time 6·T/7 and the
+    # decimal 8571.42857142857 differ by 2e-12, within the tolerance relative to |T|
+    doc = make_config(time={"t0": 0.0, "T": 1e4, "Nt": 7},
+                      multipoint=[{"alpha_re": 0.3, "lambda": 8571.42857142857}],
+                      outputs={"report_path": str(tmp_path / "long")})
+    assert run_command(["solve-linear", "--config", write_config(tmp_path, doc)]) == 0
+    assert (tmp_path / "long.json").exists()
 
 
 def test_parse_names_the_offending_term():

@@ -175,6 +175,8 @@ def test_profile_validation():
         sample_profile(g, {"kind": "gaussian", "center": [0.0]})
     with pytest.raises(ValueError):
         sample_profile(g, {"kind": "vortex"})
+    with pytest.raises(ValueError, match=r"^amplitude pair must be \[re, im\], got 3 entries$"):
+        sample_profile(g, {"kind": "gaussian", "amplitude": [1.0, 0.0, 2.0]})
 
 
 def test_field_rejects_nan(grid1):
@@ -212,6 +214,10 @@ def test_field_file_rejections(tmp_path, grid1):
     with pytest.raises(FileFormatError):
         read_field_file(tmp_path / "trunc.fld")
 
+    (tmp_path / "header.fld").write_bytes(raw[:20])  # cut inside the 28-byte header
+    with pytest.raises(FileFormatError, match="truncated header$"):
+        read_field_file(tmp_path / "header.fld")
+
     bad_version = raw[:8] + (2).to_bytes(4, "little") + raw[12:]
     (tmp_path / "ver.fld").write_bytes(bad_version)
     with pytest.raises(FileFormatError):
@@ -233,6 +239,17 @@ def test_trajectory_frames_and_subtraction(grid1, rng):
     other = Trajectory(grid1, 0.0, 2.0, vals)
     with pytest.raises(GridMismatchError):  # a trajectory off the axis is refused
         multipoint_residual(other, MultipointSpec(0.0, 1.5), traj.frame(0))
+    # the constructor refuses frames of another shape, a single frame, T <= t0 and NaN
+    for values in (vals[:, :32], vals[:1], vals[None]):
+        with pytest.raises(GridMismatchError, match=r"^trajectory shape .* does not match grid"):
+            Trajectory(grid1, 0.0, 1.5, values)
+    for T in (0.0, -1.0):
+        with pytest.raises(GridMismatchError, match=r"^trajectory needs T > t0$"):
+            Trajectory(grid1, 0.0, T, vals)
+    bad = vals.copy()
+    bad[2, 5] = np.nan
+    with pytest.raises(NonFiniteInputError, match="^trajectory samples contain NaN or Inf$"):
+        Trajectory(grid1, 0.0, 1.5, bad)
 
 
 def test_random_band_limited_is_grid_independent():

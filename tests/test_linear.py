@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from mpnls import (
+    BadExponentError,
     Field,
     GridMismatchError,
     LambdaOffGridError,
@@ -233,7 +234,8 @@ def test_duhamel_in_place_matches_the_recurrence(sym2, rng):
 @pytest.mark.parametrize("nt", [16, 200])
 def test_duhamel_pass_transforms_like_the_per_frame_transform(n, N, nt, rng):
     # the core transforms F block by block; Ĝ keeps the bits of a per-frame transform,
-    # whether the core overwrites a writeable stack or fills a buffer of its own
+    # whether a writer fills each block in place (Φ's) or a trajectory's frames are read,
+    # and whether Ĝ is stacked or made in two block buffers
     from mpnls.linear import _duhamel_spectral, _MultipointCore
 
     grid = build_grid(n, N, 3.0)
@@ -244,31 +246,38 @@ def test_duhamel_pass_transforms_like_the_per_frame_transform(n, N, nt, rng):
     fhat = np.stack([forward_transform(Field(grid, f)).values for f in forcing])
     dt = 1.0 / nt
     expected = _duhamel_spectral(np.exp(-1j * dt * symbol_lattice(sym, grid)), dt, fhat)
-    assert np.array_equal(core.duhamel(forcing.copy()), expected)
-    forcing.flags.writeable = False
-    assert np.array_equal(core.duhamel(forcing), expected)
+    writer = core.duhamel(lambda rows, out: np.copyto(out, forcing[rows]))
+    assert np.array_equal(writer.stack(), expected)
+    assert np.array_equal(np.concatenate([block.copy() for block in writer]), expected)
+    frames = core.duhamel(Trajectory(grid, 0.0, 1.0, forcing))
+    assert np.array_equal(frames.stack(), expected)
+    assert np.array_equal(np.concatenate([block.copy() for block in frames]), expected)
 
 
 @pytest.mark.parametrize("n, N", [(1, 64), (2, 32)])
 @pytest.mark.parametrize("nt", [1, 7, 64])
 def test_rolling_and_in_place_recurrences_give_the_same_duhamel_term(n, N, nt, rng):
     # a SeparableForcing's Ĝ, made by a rolling pass in two block buffers or stacked, reads
-    # the bits of the in-place recurrence over the stack envelope ⊗ φ̂_f
+    # the bits of the in-place recurrence over the stack envelope ⊗ φ̂_f, pass after pass
     from mpnls.grid import _stack_blocks
-    from mpnls.linear import _duhamel_spectral, _RollingDuhamel
+    from mpnls.linear import _duhamel_spectral, _MultipointCore
 
     grid = build_grid(n, N, 3.0)
-    larr = symbol_lattice(validate_symbol(np.eye(n)), grid)
+    sym = validate_symbol(np.eye(n))
+    core = _MultipointCore(sym, grid, MultipointSpec(0.0, 1.0), gaussian(grid), nt, 1e-8)
+    larr = symbol_lattice(sym, grid)
     dt = 1.0 / nt
     step = np.exp(-1j * dt * larr)
-    spec = forward_transform(random_band_limited(grid, 4, rng)).values
+    profile = random_band_limited(grid, 4, rng)
+    spec = forward_transform(profile).values
     envelope = rng.standard_normal(nt + 1) + 1j * rng.standard_normal(nt + 1)
     fhat = np.stack([value * spec for value in envelope])
     expected = _duhamel_spectral(step, dt, fhat)
-    rolling = _RollingDuhamel(step, dt, envelope, spec)
-    blocks = [block.copy() for block in rolling]
-    assert [len(block) for block in blocks] == [len(block) for block in _stack_blocks(expected)]
-    assert np.concatenate(blocks).tobytes() == expected.tobytes()
+    rolling = core.duhamel(SeparableForcing(profile, envelope))
+    for _ in range(2):
+        blocks = [block.copy() for block in rolling]
+        assert [len(b) for b in blocks] == [len(b) for b in _stack_blocks(expected)]
+        assert np.concatenate(blocks).tobytes() == expected.tobytes()
     assert rolling.stack().tobytes() == expected.tobytes()
 
 
@@ -507,6 +516,8 @@ def test_dispersive_rejections(grid1, sym1):
         with pytest.raises(ValueError, match=rf"^times must list at least two times for a decay "
                                              rf"slope, got {len(times)}$"):
             verify_dispersive(sym1, grid1, phi, times)
+    with pytest.raises(BadExponentError, match=r"^dispersive check needs p in \[2, inf\], got 1.5$"):
+        verify_dispersive(sym1, grid1, phi, [1.0, 2.0], p=1.5)
 
 
 @pytest.mark.parametrize("N, R", [(64, 20.0), (32, 10.0)], ids=["another-box", "fewer-modes"])

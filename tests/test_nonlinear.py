@@ -94,10 +94,15 @@ def test_power_block_matches_the_pointwise_formula(rng, lam, p):
 
 @pytest.mark.parametrize("shape", [(201, 64), (201, 64, 64), (1, 16)])
 def test_power_block_equals_the_formula_frame_by_frame(rng, shape):
-    # blocks of 12 frames, of 4 frames of 64² (the 256 KiB bound), and a one-frame stack
+    # written into the blocks of a stack as Φ writes it: blocks of 12 frames, of 4 frames of
+    # 64² (the 256 KiB bound), and a one-frame stack
+    from mpnls.grid import _frame_blocks
+
     nl = PowerNonlinearity(-1.0, 2.0)
     u = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    out = nonlinear._power_block(u, nl)
+    out = np.empty_like(u)
+    for rows in _frame_blocks(len(u), u[0].nbytes):
+        nonlinear._power_block(u[rows], nl, out[rows])
     for frame, f in zip(out, u):
         assert np.array_equal(frame, nl.lam * np.abs(f) ** nl.p * f)
 
@@ -420,17 +425,22 @@ def test_solver_divergence_reports_history():
 
 @pytest.mark.parametrize("first_bad, error", [(1, NonFiniteError), (2, NoConvergenceError)])
 def test_nonfinite_iterate_past_the_first_is_divergence(setup, monkeypatch, first_bad, error):
-    # F of the linear solution (call 1) is the data blowing up; F of a later iterate
-    # is the iteration running away
+    # F of the linear solution (Φ application 1) is the data blowing up; F of a later
+    # iterate is the iteration running away.  F overflows in the first block that Φ
+    # application `first_bad` writes, where the Duhamel recurrence reads it
     sym, grid, phi = setup
-    real, calls = nonlinear._power_block, []
+    real_map, real_power, calls = nonlinear._solution_map, nonlinear._power_block, []
 
-    def overflowing(values, nl):
+    def counting(core, current, nl):
         calls.append(None)
+        return real_map(core, current, nl)
+
+    def overflowing(values, nl, out=None):
         if len(calls) >= first_bad:
             raise NonFiniteError("nonlinearity overflowed to non-finite values")
-        return real(values, nl)
+        return real_power(values, nl, out)
 
+    monkeypatch.setattr(nonlinear, "_solution_map", counting)
     monkeypatch.setattr(nonlinear, "_power_block", overflowing)
     with pytest.raises(error) as err:
         solve_nls_multipoint(sym, grid, MultipointSpec(0.0, 1.0, ()), phi, NL, nt=50)
@@ -491,6 +501,16 @@ def traced_solve(amplitude, nt):
     solve_nls_multipoint(sym, small, mp, Field(small, np.zeros(16)), NL, nt=nt)
     (traj, diags), peak = traced_peak(lambda: solve_nls_multipoint(sym, grid, mp, phi, NL, nt=nt))
     return diags, peak / traj.values.nbytes
+
+
+def test_mixing_with_no_change_of_residual_is_the_plain_step(rng):
+    # Δg = 0 leaves γ undefined: the mixed iterate is f itself, written into Δf's buffer
+    f, g = (rng.standard_normal((5, 8)) + 1j * rng.standard_normal((5, 8)) for _ in range(2))
+    history = (rng.standard_normal((5, 8)) + 0j, g.copy())
+    x = nonlinear._mix(f, g, history)
+    assert x is history[0] and np.array_equal(x, f)
+    plain = nonlinear._mix(f, g, None)
+    assert plain is not f and np.array_equal(plain, f)
 
 
 def test_solver_without_mixing_is_plain_picard(setup):

@@ -60,6 +60,8 @@ def test_lebesgue_zero_and_sup(grid1):
 def test_lebesgue_bad_exponent(grid1):
     with pytest.raises(BadExponentError):
         lebesgue_norm(Field(grid1, np.ones(64)), 0.5)
+    with pytest.raises(BadExponentError, match=r"^time exponent must be >= 1, got 0.5$"):
+        mixed_norm(Trajectory(grid1, 0.0, 1.0, np.ones((3, 64))), 0.5, 2.0)
 
 
 # --- mixed space-time -----------------------------------------------------------
@@ -293,6 +295,15 @@ def test_critical_exponent_table():
 def test_critical_exponent_bad_power():
     with pytest.raises(BadPowerError):
         critical_exponent(2, 0.0, 0.0)
+    # a class only for a positive integer n, a finite p and a finite s: no NaN s_c or class
+    with pytest.raises(BadPowerError, match="^power p must be finite, got inf$"):
+        critical_exponent(2, math.inf, 0.0)
+    for n in (0, -3, 1.5):
+        with pytest.raises(BadExponentError, match=f"^dimension must be a positive integer, got {n}$"):
+            critical_exponent(n, 2.0, 0.0)
+    for s in (math.nan, math.inf, -math.inf):
+        with pytest.raises(BadExponentError, match=f"^regularity s must be finite, got {s}$"):
+            critical_exponent(2, 2.0, s)
 
 
 def test_mass_values(grid1):

@@ -27,7 +27,7 @@ reduced to its per-frame L^r norms only by `norms._frame_norms`, whose one-frame
 is `lebesgue_norm`, and so are the blocks of a propagation that is never stacked; every
 frame is propagated by the one kernel `linear._propagate`, every phase is a row of the one
 exponential `_Phases.table`, the Duhamel step multiplies only in the one recurrence
-`linear._duhamel_rows`, and |ξ|^s is built only by `norms._riesz`, which η's datum
+`linear._duhamel_rows`, which only the one maker of Ĝ, `linear._Duhamel`, drives, and |ξ|^s is built only by `norms._riesz`, which η's datum
 multiplies in frequency space.  These
 tests read the source, so a copy cannot regrow.
 """
@@ -140,6 +140,14 @@ def test_the_duhamel_step_multiplies_in_one_function():
 
     assert [use for use in sites(multiplies_the_step) if use.split(":")[0] != "grid"] == [
         "linear:_duhamel_rows", "linear:_duhamel_rows"]
+
+
+def test_the_duhamel_term_has_one_maker():
+    # Ĝ of every forcing, Φ's among them, is made by `_Duhamel`: stacked through
+    # `_duhamel_spectral`, the name the benchmark traces, or iterated a block at a time
+    assert calls("_duhamel_rows") == ["linear:_Duhamel.__iter__", "linear:_duhamel_spectral"]
+    assert calls("_duhamel_spectral") == ["linear:_Duhamel.stack"]
+    assert calls("_Duhamel") == ["linear:_MultipointCore.duhamel"]
 
 
 def test_resonance_is_judged_in_one_place():

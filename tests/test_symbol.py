@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from mpnls import (
+    GridMismatchError,
     NotEllipticError,
     NotSymmetricError,
     apply_propagator,
@@ -64,6 +65,11 @@ def test_nonsquare_and_complex_rejected():
         validate_symbol([[1.0 + 1e-3j]])
     with pytest.raises(NotSymmetricError):
         validate_symbol([[np.nan]])
+
+
+def test_symbol_lattice_refuses_a_grid_of_another_dimension(sym2):
+    with pytest.raises(GridMismatchError, match="^symbol dimension 2 != grid dimension 1$"):
+        symbol_lattice(sym2, build_grid(1, 16, 1.0))
 
 
 def test_jacobi_3x3_known_spectrum():
