@@ -529,6 +529,33 @@ def test_solver_without_mixing_is_plain_picard(setup):
     assert u.values.tobytes() == traj.values.tobytes()
 
 
+@pytest.mark.parametrize("amplitude, gate", [(0.8, 2), (1.0, 1)])
+def test_solver_with_mixing_is_a_hand_loop_of_picard_steps(amplitude, gate):
+    # past the gate the solver is a hand loop of Φ, the metric and depth-1 mixing, bit for
+    # bit: plain steps until the first ratio above MIX_GATE (at step `gate`), then every
+    # step mixes f = Φ(x) and g = f − x with the previous step's pair
+    sym, grid, mp, phi = focusing_problem(amplitude)
+    traj, diags = solve_nls_multipoint(sym, grid, mp, phi, NL, nt=100)
+    assert next(k for k, q in enumerate(diags.contraction_ratios, 1) if q > MIX_GATE) == gate
+    x = solve_linear_multipoint(sym, grid, mp, phi, None, nt=100)
+    d_history, mixing, history = [], False, None
+    while True:
+        f = picard_step(sym, grid, mp, phi, NL, x)
+        g = difference(f, x)
+        d_history.append(mixed_norm(g, NL.p + 2.0, diags.r_metric))
+        if d_history[-1] < DEFAULT_TOL_FP:
+            break
+        mixing = mixing or (len(d_history) > 1 and d_history[-1] / d_history[-2] > MIX_GATE)
+        if not mixing:
+            x = f
+            continue
+        mixed = nonlinear._mix(f.values, g.values, history)
+        history = (f.values.copy(), g.values.copy())
+        x = Trajectory(grid, mp.t0, mp.T, mixed)
+    assert tuple(d_history) == diags.d_history
+    assert f.values.tobytes() == traj.values.tobytes()
+
+
 def test_solver_mixing_converges_at_amplitude_one():
     # plain Picard takes 49 iterations here, with ratios alternating near 0.88 and 0.39
     sym, grid, mp, phi = focusing_problem(1.0)
