@@ -540,6 +540,19 @@ def _parse_exponent_arg(text: str) -> Fraction | float:
         raise ValidationError(f"cannot parse exponent {text!r}") from exc
 
 
+def _attach_signed_values(argv: list[str]) -> list[str]:
+    """argv with `--s -1e-3` read as `--s=-1e-3` for the exponent options of classify and
+    check-admissible: argparse takes a value that starts with '-' and is not a plain decimal,
+    such as -1e-3 or -inf, for an option."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in ("--p", "--s", "--q", "--r") and arg.startswith("-"):
+            out[-1] = f"{out[-1]}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="mpnls",
                                      description="Multipoint Schrödinger solver and "
@@ -562,7 +575,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def run_command(argv) -> int:
     """Dispatch a subcommand; errors are mapped to the documented exit codes."""
     try:
-        args = _build_parser().parse_args(list(argv))
+        args = _build_parser().parse_args(_attach_signed_values(list(argv)))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

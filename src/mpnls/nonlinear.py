@@ -17,17 +17,25 @@ metric a block at a time as they are made (`blocks`), so η never holds a trajec
 standalone `smallness_indicator` solves nothing, so it builds no core: it runs η's pass
 through `_propagate` with the phases of each block's times, and reads the bits of the
 solver's η.  The solution itself is reduced once, by `frame_observables`, which gives the
-per-frame columns and the Strichartz value of |∇|^s u.  One Φ application allocates one
-trajectory-sized buffer: -F(u) is written into it a block at a time, as the Duhamel
-recurrence reaches the block, transformed and integrated there, then propagated in place.
+per-frame columns and the Strichartz value of |∇|^s u.  Φ (`_phi`) writes -F(u) a block at a
+time, as the Duhamel recurrence reaches the block, where it is transformed and integrated.
+A plain Picard step, whose iterate nothing reads past it, streams Φ over that iterate
+(`_differences`): each block of Φ(x) is measured against x's block, then written over it,
+after the fill has read it.  So the step holds the iterate, the phase table and Φ's Ĝ rows
+up to the block of the last λₖ, which its datum solve reads first.  The final residual and
+`integral_residual` stream the same way with no write.  A mixing step and `picard_step`
+stack Φ (`_solution_map`) in one trajectory-sized buffer: F̂, then Ĝ, then the frames.
 Φ is finite or raises NonFiniteError: `_power_block` checks F(u) and `_propagate` each frame.
 An iterate from outside is checked by `_check_on_axis`, a datum by `_datum_spectrum`.
 
 The iteration is plain Picard until the first contraction ratio above
 MIX_GATE, then depth-1 Anderson mixing (Walker & Ni 2011), which keeps two
-more trajectories; each deeper level would keep two more again.  A distance
-beyond DIVERGENCE_FACTOR·d₀, or a non-finite Φ past the first iterate, is
-divergence (NoConvergenceError), not a non-finite solution.
+more trajectories; each deeper level would keep two more again.  The step that
+opens the gate has written Φ(x_k) over x_k, which the first mix needs: x_k is made
+anew by the k plain steps from the linear solution, with the same bits, at most once
+per solve and at a cost of k Φ and one linear pass.  A distance beyond
+DIVERGENCE_FACTOR·d₀, or a non-finite Φ past the first iterate, is divergence
+(NoConvergenceError), not a non-finite solution.
 """
 
 from dataclasses import dataclass
@@ -143,13 +151,28 @@ def smallness_indicator(sym: EllipticSymbol, grid: SpectralGrid, phi: Field, s: 
 # --- the solution map ----------------------------------------------------------
 
 
-def _solution_map(core: _MultipointCore, current: np.ndarray, nl: PowerNonlinearity) -> np.ndarray:
-    """Φ(current) on a stack of frames: the multipoint solution forced by -F(current), which
-    is λ → -λ in F, written a block at a time where the Duhamel recurrence reads it.
-    Returns a new writeable stack and never writes into `current`; an F(current) or a
-    frame that is not finite raises NonFiniteError."""
+def _phi(core: _MultipointCore, current: np.ndarray, nl: PowerNonlinearity):
+    """The Duhamel maker of Φ(current): the forcing -F(current), which is λ → -λ in F, written
+    a block at a time where the recurrence reads it.  An F(current) or a frame that is not
+    finite raises NonFiniteError."""
     minus_f = PowerNonlinearity(-nl.lam, nl.p)  # i∂ₜu + Lu = -F(u)
-    return core.frames(core.duhamel(lambda rows, out: _power_block(current[rows], minus_f, out)))
+    return core.duhamel(lambda rows, out: _power_block(current[rows], minus_f, out))
+
+
+def _solution_map(core: _MultipointCore, current: np.ndarray, nl: PowerNonlinearity) -> np.ndarray:
+    """Φ(current) in a new writeable stack, which never writes into `current`."""
+    return core.frames(_phi(core, current, nl))
+
+
+def _differences(core: _MultipointCore, x: np.ndarray, nl: PowerNonlinearity, over: bool):
+    """The blocks of Φ(x) − x, a block at a time as Φ's propagation makes them, with no stack:
+    formed in the propagation's buffer, or, `over`, in x's rows, over which the block of Φ(x) is
+    written once it has been read.  The fill reads a block of x before the propagation makes it,
+    so x then ends as Φ(x)."""
+    for rows, block in zip(_frame_blocks(len(x), x[0].nbytes), core.solve(_phi(core, x, nl))):
+        yield np.subtract(block, x[rows], out=x[rows] if over else block)
+        if over:
+            x[rows] = block
 
 
 def _iterate_core(sym: EllipticSymbol, grid: SpectralGrid, mp: MultipointSpec, phi: Field,
@@ -159,9 +182,8 @@ def _iterate_core(sym: EllipticSymbol, grid: SpectralGrid, mp: MultipointSpec, p
 
 
 def _residual(core: _MultipointCore, values: np.ndarray, nl: PowerNonlinearity) -> float:
-    """d(u, Φ(u)), with the difference formed in Φ's own buffer."""
-    diff = _solution_map(core, values, nl)
-    return _metric_norm(core.grid, core.dt, _stack_blocks(np.subtract(diff, values, out=diff)), nl)
+    """d(u, Φ(u)), streamed: no Φ stack, and `values` is not written."""
+    return _metric_norm(core.grid, core.dt, _differences(core, values, nl, over=False), nl)
 
 
 def picard_step(sym: EllipticSymbol, grid: SpectralGrid, mp: MultipointSpec, phi: Field,
@@ -215,6 +237,16 @@ def _mix(f: np.ndarray, g: np.ndarray, history) -> np.ndarray:
     return np.subtract(f, df, out=df)
 
 
+def _plain_steps(core: _MultipointCore, nl: PowerNonlinearity, steps: int) -> np.ndarray:
+    """The iterate after `steps` plain steps from the linear solution, made anew: Φ over its
+    iterate `steps` times, the bits of the loop's own steps."""
+    x = core.frames()
+    for _ in range(steps):
+        for _ in _differences(core, x, nl, over=True):
+            pass
+    return x
+
+
 def _fixed_point(core: _MultipointCore, nl: PowerNonlinearity, tol_fp: float,
                  max_iter: int) -> tuple[np.ndarray | None, list, str | None]:
     """Iterate Φ from the linear multipoint solution.
@@ -224,32 +256,42 @@ def _fixed_point(core: _MultipointCore, nl: PowerNonlinearity, tol_fp: float,
     first contraction ratio above MIX_GATE; from that step on it keeps f = Φ(x) and
     g = f − x of the previous step and mixes them into the next iterate.  Every
     iterate is an affine combination of Φ outputs, so it meets the multipoint condition.
+    A plain step writes Φ(x) over x as it measures d; a mixing step, whose x outlives it,
+    makes Φ(x) in a stack.  The step that opens the gate has written over x_k, which the
+    first mix needs: it is made anew by `_plain_steps`, k Φ and one linear pass.
     """
     x = core.frames()  # the linear multipoint solution
     d_history: list[float] = []
-    mixing, history = False, None
+    history = None  # f = Φ(x) and g = f − x of the last step, kept once the gate is open
     for k in range(max_iter):
-        try:
-            f = _solution_map(core, x, nl)
-        except NonFiniteError:
-            if k == 0:  # F of the linear solution overflows: the data blow up, not the iteration
-                raise
-            return None, d_history, f"Picard iteration diverged: Φ of iterate {k} is not finite"
         with np.errstate(over="ignore", invalid="ignore"):
-            g = np.subtract(f, x, out=x)  # x is not read again
-            d = _metric_norm(core.grid, core.dt, _stack_blocks(g), nl)
+            try:
+                if history is None:  # x becomes Φ(x) as d is measured
+                    blocks = _differences(core, x, nl, over=True)
+                else:
+                    f = _solution_map(core, x, nl)
+                    g = np.subtract(f, x, out=x)  # x is not read again
+                    blocks = _stack_blocks(g)
+                d = _metric_norm(core.grid, core.dt, blocks, nl)
+            except NonFiniteError:
+                if k == 0:  # F of the linear solution overflows: the data blow up, not the iteration
+                    raise
+                return None, d_history, f"Picard iteration diverged: Φ of iterate {k} is not finite"
             if k == 0 and not np.isfinite(d):
                 raise NonFiniteError("the first Picard distance is not finite")
             d_history.append(d)
             if d < tol_fp:
-                return f, d_history, None
+                return x if history is None else f, d_history, None
             if k > 0 and not d <= DIVERGENCE_FACTOR * d_history[0]:
                 return None, d_history, (f"Picard iteration diverged: d_{k} = {d:.3e} exceeds "
                                          f"{DIVERGENCE_FACTOR:.0e}·d_0 = {d_history[0]:.3e}")
-            mixing = mixing or (k > 0 and d / d_history[-2] > MIX_GATE)
-            x = _mix(f, g, history) if mixing else f
-            history = (f, g) if mixing else None
-            del f, g  # a plain step drops g's buffer before the next Φ
+            if history is None:
+                if not (k > 0 and d / d_history[-2] > MIX_GATE):
+                    continue
+                f, x = x, _plain_steps(core, nl, k)  # Φ(x_k) was written over x_k
+                g = np.subtract(f, x, out=x)
+            x = _mix(f, g, history)
+            history = (f, g)
     return None, d_history, (f"Picard iteration did not reach tol_fp={tol_fp:.1e} within "
                              f"{max_iter} iterations")
 

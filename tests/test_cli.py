@@ -870,6 +870,9 @@ CLASSIFY_REFUSALS = [  # (n, p, s), exit code, the error message
     (("3", "2", "inf"), 2, "regularity s must be finite, got inf"),
     (("3", "inf", "0"), 2, "power p must be finite, got inf"),
     (("3", "1e-310", "0"), 5, "summary value 's_c' is not finite"),
+    # a negative value in e-notation, or -inf, reaches the rule, not argparse's usage error
+    (("3", "-2e0", "0"), 2, "power p must be positive, got -2.0"),
+    (("3", "2", "-inf"), 2, "regularity s must be finite, got -inf"),
 ]
 
 
@@ -878,6 +881,11 @@ def test_classify_stdout(capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["class"] == "critical"
     assert out["s_c"] == 1.0
+    # a negative s in e-notation, given after a space as with `=`
+    for args in (["--s", "-1e-3"], ["--s=-1e-3"]):
+        assert run_command(["classify", "--n", "3", "--p", "2", *args]) == 0
+        assert json.loads(capsys.readouterr().out) == {"class": "supercritical", "n": 3,
+                                                       "p": 2.0, "s": -0.001, "s_c": 0.5}
     # a refusal prints nothing on stdout: no NaN or Infinity, which strict JSON rejects
     for (n, p, s), code, message in CLASSIFY_REFUSALS:
         assert run_command(["classify", "--n", n, "--p", p, "--s", s]) == code
@@ -894,7 +902,11 @@ def test_check_admissible_stdout(capsys):
     assert json.loads(capsys.readouterr().out)["result"] == "sharp"
     for args, message in ((["--n", "0", "--q", "2", "--r", "inf"],
                            "dimension must be a positive integer, got 0"),
-                          (["--n", "2", "--q", "abc", "--r", "8"], "cannot parse exponent 'abc'")):
+                          (["--n", "2", "--q", "abc", "--r", "8"], "cannot parse exponent 'abc'"),
+                          (["--n", "2", "--q", "-1e1", "--r", "4"],
+                           "admissible exponents need q, r >= 2, got q=-10, r=4"),
+                          (["--n", "2", "--q", "4", "--r", "-inf"],
+                           "cannot parse exponent '-inf'")):
         assert run_command(["check-admissible", *args]) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
 

@@ -427,9 +427,10 @@ def test_solver_divergence_reports_history():
 def test_nonfinite_iterate_past_the_first_is_divergence(setup, monkeypatch, first_bad, error):
     # F of the linear solution (Φ application 1) is the data blowing up; F of a later
     # iterate is the iteration running away.  F overflows in the first block that Φ
-    # application `first_bad` writes, where the Duhamel recurrence reads it
+    # application `first_bad` writes, where the Duhamel recurrence reads it; every Φ, a plain
+    # step over its iterate or a stacked one, is made by `_phi`
     sym, grid, phi = setup
-    real_map, real_power, calls = nonlinear._solution_map, nonlinear._power_block, []
+    real_map, real_power, calls = nonlinear._phi, nonlinear._power_block, []
 
     def counting(core, current, nl):
         calls.append(None)
@@ -440,7 +441,7 @@ def test_nonfinite_iterate_past_the_first_is_divergence(setup, monkeypatch, firs
             raise NonFiniteError("nonlinearity overflowed to non-finite values")
         return real_power(values, nl, out)
 
-    monkeypatch.setattr(nonlinear, "_solution_map", counting)
+    monkeypatch.setattr(nonlinear, "_phi", counting)
     monkeypatch.setattr(nonlinear, "_power_block", overflowing)
     with pytest.raises(error) as err:
         solve_nls_multipoint(sym, grid, MultipointSpec(0.0, 1.0, ()), phi, NL, nt=50)
@@ -589,6 +590,15 @@ def test_solver_peak_memory_with_a_half_size_phase_table():
     assert peak <= 4.9
 
 
+def test_a_plain_step_writes_phi_over_its_iterate():
+    # below the gate each step measures Φ(x) − x a block at a time and writes Φ(x) over x:
+    # the solve holds the iterate, the phase table and Φ's Ĝ rows up to the block of λ = 0.5,
+    # about 2.43 arrays; a Φ stack beside the iterate reads 2.71
+    diags, peak = traced_solve(0.05, nt=100)
+    assert max(diags.contraction_ratios) <= MIX_GATE
+    assert peak <= 2.6
+
+
 def test_the_gradient_stack_at_positive_s_is_one_array():
     # at s > 0 |∇|^s u is written frame by frame into one block buffer and reduced there, so
     # the solve peaks within 0.1 trajectory arrays of the s = 0 solve, whose Strichartz value
@@ -615,6 +625,23 @@ def test_integral_residual_of_converged_solution(setup):
     mp = MultipointSpec(0.0, 1.0, ((0.3, 0.5),))
     traj, _ = solve_nls_multipoint(sym, grid, mp, phi, NL, nt=50, tol_fp=1e-10)
     assert integral_residual(sym, grid, mp, phi, NL, traj) < 1e-10
+
+
+@pytest.mark.parametrize("terms, bound", [((), 0.6), (((0.3, 0.5),), 1.0)])
+def test_integral_residual_holds_no_phi_stack(terms, bound):
+    # d(u, Φ(u)) is reduced a block at a time as Φ's propagation makes it: the residual holds
+    # block buffers (0.41 arrays here) and the Ĝ rows up to the block of the last λ (0.54
+    # more at λ = 0.5), never a stack of Φ(u), which read 1.23 with either
+    sym, grid, _, phi = focusing_problem(0.05)
+    mp = MultipointSpec(0.0, 1.0, terms)
+    u = solve_linear_multipoint(sym, grid, mp, phi, None, nt=100)
+    small = build_grid(1, 16, 10.0)  # warm-up: lazy imports and allocator caches
+    zero = Field(small, np.zeros(16))
+    integral_residual(sym, small, mp, zero, NL, solve_linear_multipoint(sym, small, mp, zero,
+                                                                        None, nt=100))
+    residual, peak = traced_peak(lambda: integral_residual(sym, grid, mp, phi, NL, u))
+    assert residual > 0.0
+    assert peak / u.values.nbytes <= bound
 
 
 def test_integral_residual_linear_exact(setup):
