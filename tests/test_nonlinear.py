@@ -430,11 +430,11 @@ def test_nonfinite_iterate_past_the_first_is_divergence(setup, monkeypatch, firs
     # application `first_bad` writes, where the Duhamel recurrence reads it; every Φ, a plain
     # step over its iterate or a stacked one, is made by `_phi`
     sym, grid, phi = setup
-    real_map, real_power, calls = nonlinear._phi, nonlinear._power_block, []
+    real_phi, real_power, calls = nonlinear._phi, nonlinear._power_block, []
 
     def counting(core, current, nl):
         calls.append(None)
-        return real_map(core, current, nl)
+        return real_phi(core, current, nl)
 
     def overflowing(values, nl, out=None):
         if len(calls) >= first_bad:
