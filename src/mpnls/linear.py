@@ -32,12 +32,9 @@ table for D(ξ) and the Duhamel step.  `MultipointSpec.times` builds the time ax
 `_check_on_axis` checks a trajectory against it.  `_Duhamel` is the one maker of Ĝ, for
 every forcing: the recurrence `_duhamel_rows` runs over F̂ rows that the forcing's fill writes
 a block at a time, as it reaches them.  Stacked, those rows are the one buffer of the pass:
-F̂, then Ĝ, then the frames.  Iterated, a separable forcing's Ĝ is made anew for each pass in
-two block buffers, so a solve read by blocks holds no trajectory.  A fill that transforms (a
-Trajectory's, Φ's) runs once per frame: the datum solve's pass keeps Ĝ's blocks up to the last
-λₖ in one prefix stack, which the propagation's pass replays before it resumes the recurrence
-in the two block buffers.  So a Picard step can write Φ's frames over its iterate: the fill
-reads each block of the iterate before the propagation makes that block.
+F̂, then Ĝ, then the frames.  Iterated, each pass makes Ĝ anew in two block buffers, so a
+solve read by blocks holds no trajectory, and a Picard step can write Φ's frames over its
+iterate: each pass's fill reads a block of the iterate before the propagation makes that block.
 """
 
 from __future__ import annotations
@@ -238,52 +235,34 @@ def _duhamel_spectral(step: np.ndarray, dt: float, fhat):
 
 
 class _Duhamel:
-    """The one maker of Ĝ: a pass runs `_duhamel_rows` over the F̂ rows that `fill(rows, out)`
+    """The one maker of Ĝ: each pass runs `_duhamel_rows` over the F̂ rows that `fill(rows, out)`
     writes for each `_frame_blocks` block as the recurrence reaches it, in a new stack (`stack`)
-    or, iterated, in two block buffers that take turns.  Without `replay` (a separable forcing,
-    whose fill is a product) each iteration is a new pass.  With it (a fill that transforms),
-    every iteration reads one pass, which keeps its first `kept` blocks, up to the block of the
-    last λₖ, in one prefix stack: the datum solve's iteration stops at that block, and the
-    propagation's replays the prefix, then resumes the pass, so each frame is filled once."""
+    or, iterated, in two block buffers that take turns."""
 
-    def __init__(self, core: _MultipointCore, fill, replay: bool):
+    def __init__(self, core: _MultipointCore, fill):
         self.step, self.dt, self.fill = core.step, core.dt, fill
         self.shape = (core.nt + 1,) + core.grid.shape
         self.slices = list(_frame_blocks(core.nt + 1, core.phi_hat.nbytes))
-        last = max(core.lam_idx, default=-1)
-        self.kept = sum(r.start <= last for r in self.slices) if replay else 0
-        self.ghat, self.blocks, self.made = None, [], 0
 
-    @staticmethod
-    def _fhat(fill, slices, blocks):
-        """The F̂ rows of `blocks`, each block filled as its first row is read; it holds no
-        `_Duhamel`, so a run kept on one is no reference cycle."""
-        for rows, block in zip(slices, blocks):
-            fill(rows, block)
+    def _fhat(self, blocks):
+        for rows, block in zip(self.slices, blocks):
+            self.fill(rows, block)
             yield from block
 
     def stack(self) -> np.ndarray:
         ghat = np.empty(self.shape, dtype=np.complex128)
-        fhat = self._fhat(self.fill, self.slices, _stack_blocks(ghat))
         with np.errstate(over="ignore", invalid="ignore"):  # _propagate judges an overflow
-            _duhamel_spectral(self.step, self.dt, fhat)
+            _duhamel_spectral(self.step, self.dt, self._fhat(_stack_blocks(ghat)))
         return ghat
 
     def __iter__(self):
-        if self.ghat is None or not self.kept:  # a new run of the recurrence
-            prefix = np.empty((self.slices[self.kept - 1].stop if self.kept else 0,)
-                              + self.shape[1:], dtype=np.complex128)
-            pair = np.empty((2, self.slices[0].stop) + self.shape[1:], dtype=np.complex128)
-            frames = range(self.shape[0])  # a slice of it has the length of the block
-            self.blocks = [prefix[r] if i < self.kept else pair[i % 2][:len(frames[r])]
-                           for i, r in enumerate(self.slices)]
-            fhat = self._fhat(self.fill, self.slices, self.blocks)
-            self.ghat, self.made = _duhamel_rows(self.step, self.dt, fhat), 0
-        for i, block in enumerate(self.blocks):
-            if i == self.made:  # else an earlier iteration made it, in the prefix
-                for _ in block:
-                    next(self.ghat)
-                self.made += 1
+        pair = np.empty((2, self.slices[0].stop) + self.shape[1:], dtype=np.complex128)
+        frames = range(self.shape[0])  # a slice of it has the length of the block
+        blocks = [pair[i % 2][:len(frames[r])] for i, r in enumerate(self.slices)]
+        ghat = _duhamel_rows(self.step, self.dt, self._fhat(blocks))
+        for block in blocks:
+            for _ in block:
+                next(ghat)
             yield block
 
 
@@ -364,9 +343,8 @@ class _MultipointCore:
     def duhamel(self, forcing) -> _Duhamel:
         """The `_Duhamel` of a forcing: the one reader and checker of a forcing, and the one fill
         of its F̂.  A SeparableForcing has one envelope value per frame: F̂ₘ = envelope[m]·φ̂_f,
-        on one transform of its profile, a datum of the pass, made anew in each pass.  A Trajectory
-        on the axis, or a writer `forcing(rows, out)` of the frames F(tₘ), m in `rows` (Φ's), is
-        transformed, each frame once across the passes (`_Duhamel`'s replay)."""
+        on one transform of its profile, a datum of the pass.  A Trajectory on the axis, or a
+        writer `forcing(rows, out)` of the frames F(tₘ), m in `rows` (Φ's), is transformed."""
         if isinstance(forcing, SeparableForcing):
             if len(forcing.envelope) != self.nt + 1:
                 raise GridMismatchError(f"forcing envelope has {len(forcing.envelope)} values, "
@@ -383,7 +361,7 @@ class _MultipointCore:
             def fill(rows, out):
                 forcing(rows, out)
                 _forward_frames(self.grid, out, out=out)
-        return _Duhamel(self, fill, replay=not isinstance(forcing, SeparableForcing))
+        return _Duhamel(self, fill)
 
     def blocks(self, u_hat: np.ndarray, ghat=None):
         """`_propagate` of û, plus Ĝ of `duhamel`, on the time axis, by the table if any."""

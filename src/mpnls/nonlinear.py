@@ -21,8 +21,9 @@ per-frame columns and the Strichartz value of |∇|^s u.  Φ (`_phi`) writes -F(
 time, as the Duhamel recurrence reaches the block, where it is transformed and integrated.
 A plain Picard step, whose iterate nothing reads past it, streams Φ over that iterate
 (`_differences`): each block of Φ(x) is measured against x's block, then written over it,
-after the fill has read it.  So the step holds the iterate, the phase table and Φ's Ĝ rows
-up to the block of the last λₖ, which its datum solve reads first.  The final residual and
+after the fill has read it.  So the step holds the iterate, the phase table and block
+buffers: the datum solve's pass of Φ's Duhamel term, which stops at the last λₖ, keeps none
+of it, and the propagation's pass makes it anew.  The final residual and
 `integral_residual` stream the same way with no write.  A mixing step and `picard_step`
 stack Φ (`_solution_map`) in one trajectory-sized buffer: F̂, then Ĝ, then the frames.
 Φ is finite or raises NonFiniteError: `_power_block` checks F(u) and `_propagate` each frame.

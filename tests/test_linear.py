@@ -254,6 +254,32 @@ def test_duhamel_pass_transforms_like_the_per_frame_transform(n, N, nt, rng):
     assert np.array_equal(np.concatenate([block.copy() for block in frames]), expected)
 
 
+@pytest.mark.parametrize("n, N", [(1, 64), (2, 16)])
+def test_a_transformed_forcing_reads_the_same_duhamel_term_pass_after_pass(n, N, rng):
+    # with a λ term the datum solve reads Ĝ up to the block of λ and stops there; each later
+    # pass of the same maker, Φ's writer or a trajectory's frames, reads the bits of its stack
+    from mpnls.linear import _MultipointCore
+
+    nt = 64
+    grid = build_grid(n, N, 3.0)
+    sym = validate_symbol(np.eye(n))
+    mp = MultipointSpec(0.0, 1.0, ((0.3, 0.5),))
+    core = _MultipointCore(sym, grid, mp, gaussian(grid), nt, 1e-8)
+    shape = (nt + 1,) + grid.shape
+    forcing = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    for maker in (core.duhamel(lambda rows, out: np.copyto(out, forcing[rows])),
+                  core.duhamel(Trajectory(grid, 0.0, 1.0, forcing))):
+        expected = maker.stack()
+        read = 0
+        for block in maker:  # the datum solve's pass, which stops at the block of λ
+            read += len(block)
+            if read > max(core.lam_idx):
+                break
+        assert read < nt + 1
+        for _ in range(2):
+            assert np.concatenate([block.copy() for block in maker]).tobytes() == expected.tobytes()
+
+
 @pytest.mark.parametrize("n, N", [(1, 64), (2, 32)])
 @pytest.mark.parametrize("nt", [1, 7, 64])
 def test_rolling_and_in_place_recurrences_give_the_same_duhamel_term(n, N, nt, rng):
