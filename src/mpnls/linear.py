@@ -21,7 +21,7 @@ runs every pass on its time axis through `blocks`.  Its `duhamel` is the one rea
 checker of a forcing and makes the only forward transform of forcing frames (block by block,
 `grid._frame_blocks`).  The free evolutions of `apply_propagator` and of
 the two verifiers solve nothing and build no core.  `_datum_spectrum` is the only transform
-of a datum, |ξ|^s·φ̂ for η, and the one check that it lives on the grid of its pass.
+of a datum, and the one check that it lives on the grid of its pass.
 `_propagate` is the one propagation kernel: it makes the frames a `_frame_blocks` block at a
 time, one inverse transform per frame, and hands each block to its reader, which writes it
 into a stack or, needing only norms (a Strichartz sample, η), reduces it before the next
@@ -55,7 +55,7 @@ from .errors import (
 )
 from .grid import (Field, SpectralGrid, Trajectory, _forward_frames, _frame_blocks, _stack_blocks,
                    check_band, check_time, forward_transform, inverse_transform, random_band_limited)
-from .norms import _TINY, _riesz, _space_time_norm, canonical_pairs, lebesgue_norm
+from .norms import _TINY, _space_time_norm, canonical_pairs, lebesgue_norm
 from .symbol import EllipticSymbol, symbol_lattice
 
 DEFAULT_EPS_RES = 1e-8
@@ -195,16 +195,13 @@ def _denominator(phases: _Phases, mp: MultipointSpec) -> tuple[np.ndarray, float
     return d, float(np.min(np.abs(d)))
 
 
-def _datum_spectrum(phi: Field, grid: SpectralGrid, s: float = 0.0,
-                    what: str = "datum") -> np.ndarray:
-    """The spectrum |ξ|^s·φ̂ of the datum |∇|^s φ (s = 0 by default): one forward transform,
-    times the |ξ|^s of `norms._riesz` when s ≠ 0.  φ lives on `grid`, the grid of its pass, or
-    this raises GridMismatchError naming it `what`.  An overflow is left to `_propagate`'s check."""
+def _datum_spectrum(phi: Field, grid: SpectralGrid, what: str = "datum") -> np.ndarray:
+    """φ̂, the one forward transform of a datum φ that lives on `grid`, the grid of its pass, or
+    else GridMismatchError naming it `what`.  An overflow is left to `_propagate`'s check."""
     if phi.grid != grid:
         raise GridMismatchError(f"{what} does not live on the given grid")
     with np.errstate(over="ignore", invalid="ignore"):
-        spectrum = forward_transform(phi).values
-        return spectrum if s == 0.0 else _riesz(grid, s) * spectrum
+        return forward_transform(phi).values
 
 
 def _duhamel_rows(step: np.ndarray, dt: float, fhat):

@@ -10,13 +10,12 @@ formula leaves [2, ∞); `_metric_norm` is its one definition, the one-pair case
 is the regime where contraction is expected; the solver reports η and the measured
 contraction ratios rather than asserting a threshold.
 
-Every propagation of a solve goes through `_MultipointCore`, its one spectral context:
-each Φ application is one datum solve and one pass of its `frames`, and η one more
-pass, of the spectrum |ξ|^s·φ̂, on the solve's phase table, whose frames are reduced to the
-metric a block at a time as they are made (`blocks`), so η never holds a trajectory.  A
-standalone `smallness_indicator` solves nothing, so it builds no core: it runs η's pass
-through `_propagate` with the phases of each block's times, and reads the bits of the
-solver's η.  The solution itself is reduced once, by `frame_observables`, which gives the
+Every propagation goes through `_MultipointCore`, its one spectral context: each Φ
+application is one datum solve and one pass of its `frames`, and η (`_eta`) one more pass,
+of the core's φ̂ times |ξ|^s, whose frames are reduced to the metric a block at a time as they
+are made (`blocks`), so η never holds a trajectory.  The solver's η reads the solve's phase
+table, and a standalone `smallness_indicator` runs `_eta` on a core of its own with none.
+The solution itself is reduced once, by `frame_observables`, which gives the
 per-frame columns and the Strichartz value of |∇|^s u.  Φ (`_phi`) writes -F(u) a block at a
 time, as the Duhamel recurrence reaches the block, where it is transformed and integrated.
 A plain Picard step, whose iterate nothing reads past it, streams Φ over that iterate
@@ -45,11 +44,10 @@ import numpy as np
 
 from .errors import BadExponentError, NoConvergenceError, NonFiniteError
 from .grid import Field, SpectralGrid, Trajectory, _frame_blocks, _stack_blocks
-from .linear import (DEFAULT_EPS_RES, MultipointSpec, _check_on_axis, _datum_spectrum,
-                     _MultipointCore, _Phases, _propagate)
-from .norms import (FrameObservables, _space_time_norm, canonical_pairs, check_power,
+from .linear import DEFAULT_EPS_RES, MultipointSpec, _check_on_axis, _MultipointCore
+from .norms import (FrameObservables, _riesz, _space_time_norm, canonical_pairs, check_power,
                     check_sobolev_order, frame_observables)
-from .symbol import EllipticSymbol, symbol_lattice
+from .symbol import EllipticSymbol
 
 DEFAULT_TOL_FP = 1e-10
 DEFAULT_MAX_ITER = 50
@@ -139,14 +137,19 @@ def _metric_norm(grid: SpectralGrid, dt: float, blocks, nl: PowerNonlinearity) -
     return _space_time_norm(blocks, grid.h, dt, [(nl.p + 2.0, metric_exponent(grid.n, nl.p)[0])])
 
 
+def _eta(core: _MultipointCore, s: float, nl: PowerNonlinearity) -> float:
+    """η, the metric of the core's free evolution of |∇|^s φ: one pass of its `blocks` over
+    |ξ|^s·φ̂, with the |ξ|^s of `norms._riesz`, which is 1.0 at s = 0."""
+    with np.errstate(over="ignore", invalid="ignore"):  # _propagate judges an overflow
+        spectrum = _riesz(core.grid, s) * core.phi_hat
+    return _metric_norm(core.grid, core.dt, core.blocks(spectrum), nl)
+
+
 def smallness_indicator(sym: EllipticSymbol, grid: SpectralGrid, phi: Field, s: float,
                         nl: PowerNonlinearity, T: float, t0: float = 0.0, nt: int = 200) -> float:
     """η = ‖|∇|^s U_L(t)φ‖ in the contraction metric over [t0, T]."""
     check_regularity(s)
-    times = MultipointSpec(t0, T).times(nt)  # the core's order: axis, L(ξ), datum's grid
-    blocks = _propagate(grid, _Phases(symbol_lattice(sym, grid)), _datum_spectrum(phi, grid, s),
-                        times, t0)
-    return _metric_norm(grid, (T - t0) / nt, blocks, nl)
+    return _eta(_MultipointCore(sym, grid, MultipointSpec(t0, T), phi, nt, DEFAULT_EPS_RES), s, nl)
 
 
 # --- the solution map ----------------------------------------------------------
@@ -315,7 +318,7 @@ def solve_nls_multipoint(sym: EllipticSymbol, grid: SpectralGrid, mp: Multipoint
     ratios = tuple(d_history[j + 1] / d_history[j]
                    for j in range(len(d_history) - 1) if d_history[j] > 0.0)
 
-    eta = _metric_norm(grid, core.dt, core.blocks(_datum_spectrum(phi, grid, s)), nl)
+    eta = _eta(core, s, nl)
     if failure is not None:
         raise NoConvergenceError(
             f"{failure} (last distance {d_history[-1]:.3e}, eta={eta:.3e})",

@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -47,3 +48,23 @@ def count_calls(monkeypatch):
         return calls
 
     return count
+
+
+@pytest.fixture
+def traced_peak():
+    """traced_peak(run) returns (run(), the peak traced memory of the call in bytes above what
+    was traced when it began); tracemalloc runs for the call if it is not running already."""
+    def peak(run):
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = run()
+            return out, tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+
+    return peak

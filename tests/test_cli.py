@@ -582,11 +582,9 @@ def test_streamed_solve_linear_report_is_the_trajectory_report(tmp_path, case):
                 == (tmp_path / "expected.fld").read_bytes())
 
 
-def test_forced_2d_solve_linear_holds_no_trajectory(tmp_path):
+def test_forced_2d_solve_linear_holds_no_trajectory(tmp_path, traced_peak):
     # the benchmark's forced 2-D solve: its blocks stream into the observables, so the run's
     # traced peak is its buffers, its few kept frames and its report, not a trajectory
-    import tracemalloc
-
     nt, grid = 200, {"n": 2, "N": 128, "R": 10.0}
     doc = make_config(
         symbol={"a": [[1.0, 0.2], [0.2, 1.5]]}, grid=grid, time={"t0": 0.0, "T": 1.0, "Nt": nt},
@@ -602,17 +600,8 @@ def test_forced_2d_solve_linear_holds_no_trajectory(tmp_path):
     warm = dict(doc, grid={"n": 2, "N": 16, "R": 10.0}, time={"t0": 0.0, "T": 1.0, "Nt": 10},
                 outputs={"report_path": str(tmp_path / "warm"), "snapshot_frames": [0]})
     assert run_command(["solve-linear", "--config", write_config(tmp_path, warm, "warm.json")]) == 0
-    tracing = tracemalloc.is_tracing()
-    if not tracing:
-        tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        assert run_command(["solve-linear", "--config", path]) == 0
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        if not tracing:
-            tracemalloc.stop()
+    code, peak = traced_peak(lambda: run_command(["solve-linear", "--config", path]))
+    assert code == 0
     assert peak / ((nt + 1) * grid["N"] ** 2 * 16) <= 0.25
 
 

@@ -1,6 +1,5 @@
 import functools
 import math
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -311,23 +310,13 @@ def test_forward_pass_over_a_stack_keeps_the_bits_of_the_allocating_formula(rng)
 
 @pytest.mark.parametrize("n, N", [(2, 128), (3, 16)])
 @pytest.mark.parametrize("transform", [forward_transform, inverse_transform])
-def test_a_transform_allocates_only_its_result(n, N, transform, rng):
+def test_a_transform_allocates_only_its_result(n, N, transform, rng, traced_peak):
     # the FFT runs in place in the result, and the phase and scale are complex, so that no
     # product casts through a buffer: the allocating formulas peak at 3 frames
     grid = build_grid(n, N, 7.3)
     f = Field(grid, rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape))
     transform(f)  # warm-up: lazy imports and FFT plan caches
-    tracing = tracemalloc.is_tracing()
-    if not tracing:
-        tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        transform(f)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        if not tracing:
-            tracemalloc.stop()
+    _, peak = traced_peak(lambda: transform(f))
     assert peak / f.values.nbytes <= 1.6
 
 

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -438,7 +437,7 @@ def test_separable_forced_library_overflow_raises_without_warnings(grid1, sym1):
         solve_linear_multipoint(sym1, grid1, mp, gaussian(grid1), forcing, nt=20)
 
 
-def test_separable_forced_solve_holds_one_trajectory_stack():
+def test_separable_forced_solve_holds_one_trajectory_stack(traced_peak):
     # F̂ = envelope ⊗ φ̂_f is the one stack: integrated to Ĝ and propagated in place
     sym, grid, nt = validate_symbol([[1.0]]), build_grid(1, 256, 10.0), 200
     mp = MultipointSpec(0.0, 1.0, ((0.5, 0.4), (0.2 + 0.1j, 0.8)))
@@ -447,17 +446,7 @@ def test_separable_forced_solve_holds_one_trajectory_stack():
     solve_linear_multipoint(sym, small, mp, gaussian(small),
                             SeparableForcing(gaussian(small), np.ones(11)), nt=10)
     phi = gaussian(grid)
-    tracing = tracemalloc.is_tracing()
-    if not tracing:
-        tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        traj = solve_linear_multipoint(sym, grid, mp, phi, forcing, nt=nt)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        if not tracing:
-            tracemalloc.stop()
+    traj, peak = traced_peak(lambda: solve_linear_multipoint(sym, grid, mp, phi, forcing, nt=nt))
     assert peak / traj.values.nbytes <= 1.2
 
 
@@ -618,45 +607,25 @@ def test_strichartz_ratios_equal_a_per_sample_recomputation(n, t0):
         assert ratio == strichartz_norm(Trajectory(grid, t0, T, frames), canonical_pairs(n)) / l2
 
 
-def test_strichartz_samples_share_one_phase_table_in_memory():
+def test_strichartz_samples_share_one_phase_table_in_memory(traced_peak):
     # the table takes the place of a sample's frames: each sample's frames are
     # released before the next is propagated, so the peak stays below 2.4 arrays
     sym = validate_symbol([[1.0, 0.2], [0.2, 1.5]])
     small = build_grid(2, 16, np.pi)  # warm-up: lazy imports and allocator caches
     verify_strichartz(sym, small, nt=4, num_samples=2, band=4)
     grid, nt = build_grid(2, 64, np.pi), 64
-    tracing = tracemalloc.is_tracing()
-    if not tracing:
-        tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        verify_strichartz(sym, grid, nt=nt, num_samples=8)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        if not tracing:
-            tracemalloc.stop()
+    _, peak = traced_peak(lambda: verify_strichartz(sym, grid, nt=nt, num_samples=8))
     assert peak / ((nt + 1) * grid.shape[0] * grid.shape[1] * 16) <= 2.4
 
 
-def test_a_strichartz_sample_never_holds_a_trajectory():
+def test_a_strichartz_sample_never_holds_a_trajectory(traced_peak):
     # each sample's frames are reduced to their norms a block at a time as they are made,
     # so the call's peak is the phase table (about 0.44 arrays here) and a few blocks
     sym = validate_symbol([[1.0, 0.2], [0.2, 1.5]])
     small = build_grid(2, 16, np.pi)  # warm-up: lazy imports and allocator caches
     verify_strichartz(sym, small, nt=4, num_samples=2, band=4)
     grid, nt = build_grid(2, 64, np.pi), 64
-    tracing = tracemalloc.is_tracing()
-    if not tracing:
-        tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        verify_strichartz(sym, grid, nt=nt, num_samples=8)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        if not tracing:
-            tracemalloc.stop()
+    _, peak = traced_peak(lambda: verify_strichartz(sym, grid, nt=nt, num_samples=8))
     assert peak / ((nt + 1) * grid.shape[0] * grid.shape[1] * 16) <= 0.75
 
 
@@ -711,7 +680,7 @@ def test_phase_evaluator_keeps_the_bits_of_the_lattice_formulas(n, N, rng):
 
 
 @pytest.mark.parametrize("n, N", [(1, 256), (2, 128), (2, 64), (3, 16)])
-def test_a_phase_table_is_built_in_its_own_buffer(n, N):
+def test_a_phase_table_is_built_in_its_own_buffer(n, N, traced_peak):
     # the exponent is written into the table's imaginary part and exponentiated in place:
     # the bits of the formula, at a traced peak within 1.1 tables
     from mpnls.linear import _Phases
@@ -719,17 +688,7 @@ def test_a_phase_table_is_built_in_its_own_buffer(n, N):
     phases = _Phases(symbol_lattice(validate_symbol(PHASE_SYMBOLS[n]), build_grid(n, N, 2.5)))
     times = MultipointSpec(0.25, 1.5).times(64)
     phases.table(times[:2], 0.25)  # warm-up
-    tracing = tracemalloc.is_tracing()
-    if not tracing:
-        tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        table = phases.table(times, 0.25)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        if not tracing:
-            tracemalloc.stop()
+    table, peak = traced_peak(lambda: phases.table(times, 0.25))
     assert peak <= 1.1 * table.nbytes
     assert np.array_equal(table, np.exp(-1j * np.multiply.outer(times - 0.25, phases.values)))
 

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -189,13 +188,14 @@ def test_streamed_eta_and_strichartz_value_equal_their_stack_forms(setup, s):
     from mpnls import apply_riesz, canonical_pairs, strichartz_norm
     from mpnls.grid import _stack_blocks
     from mpnls.linear import _datum_spectrum, _MultipointCore
+    from mpnls.norms import _riesz
 
     sym, grid, phi = setup
     mp = MultipointSpec(0.25, 1.25, ((0.3, 0.75),))
     traj, diags = solve_nls_multipoint(sym, grid, mp, phi, NL, s=s, nt=40)
     core = _MultipointCore(sym, grid, mp, phi, 40, 1e-8, phase_table=True)
-    free = core.wrap(np.concatenate([block.copy()
-                                     for block in core.blocks(_datum_spectrum(phi, grid, s))]))
+    spectrum = _riesz(grid, s) * _datum_spectrum(phi, grid)
+    free = core.wrap(np.concatenate([block.copy() for block in core.blocks(spectrum)]))
     assert diags.eta == nonlinear._metric_norm(grid, core.dt, _stack_blocks(free.values), NL)
     assert diags.eta == mixed_norm(free, NL.p + 2.0, metric_exponent(grid.n, NL.p)[0])
     grad = Trajectory(grid, mp.t0, mp.T, [apply_riesz(traj.frame(m), s).values for m in range(41)])
@@ -249,9 +249,9 @@ def test_the_riesz_filter_is_built_once_per_pass(setup, monkeypatch):
 
 def test_a_positive_order_costs_no_transform(setup, count_calls):
     # the observables pass filters each frame at any s, and its filtered frame gives the
-    # Strichartz value at s > 0; η's datum is |ξ|^s·φ̂ from the one forward transform of φ:
-    # an s = 0.5 solve, or standalone η, makes the transforms of an s = 0 one, however many
-    # frames it has
+    # Strichartz value at s > 0; η's datum is |ξ|^s times the core's φ̂: an s = 0.5 solve, or
+    # standalone η, makes the transforms of an s = 0 one, however many frames it has, and a
+    # solve transforms φ once, then each frame twice in the observables pass
     from mpnls import grid as grid_module
 
     calls = count_calls(grid_module, "forward_transform", "inverse_transform")
@@ -267,6 +267,7 @@ def test_a_positive_order_costs_no_transform(setup, count_calls):
             smallness_indicator(sym, grid, phi, s, NL, mp.T, t0=mp.t0, nt=nt)
             counts.append(dict(calls))
         assert counts[2:] == counts[:2], nt
+        assert counts[0]["forward_transform"] == 1 + 2 * (nt + 1), nt
         assert counts[1] == {"forward_transform": 1, "inverse_transform": nt + 1}, nt
 
 
@@ -283,16 +284,16 @@ def test_a_nan_distance_reads_nan(setup):
 
 
 def test_a_solve_builds_its_spectral_context_once(setup, count_calls):
-    # one L(ξ), one phase evaluator and one D(ξ) per solve: every Φ, its Duhamel step and
-    # η read the core's
+    # one L(ξ), one phase evaluator, one D(ξ) and one φ̂ per solve: every Φ, its Duhamel step
+    # and η read the core's
     from mpnls import linear
 
-    calls = count_calls(linear, "symbol_lattice", "_Phases", "_denominator")
+    calls = count_calls(linear, "symbol_lattice", "_Phases", "_denominator", "_datum_spectrum")
     sym, grid, phi = setup
     _, diags = solve_nls_multipoint(sym, grid, MultipointSpec(0.0, 1.0, ((0.3, 0.5),)), phi,
                                     NL, s=0.5, nt=40)
     assert diags.iterations >= 2
-    assert calls == {"symbol_lattice": 1, "_Phases": 1, "_denominator": 1}
+    assert calls == {"symbol_lattice": 1, "_Phases": 1, "_denominator": 1, "_datum_spectrum": 1}
 
 
 # --- Picard iteration -------------------------------------------------------------------
@@ -480,22 +481,7 @@ def focusing_problem(amplitude):
     return sym, grid, MultipointSpec(0.0, 1.0, ((0.3, 0.5),)), phi
 
 
-def traced_peak(run):
-    """(run(), the peak traced memory of the call in bytes)."""
-    tracing = tracemalloc.is_tracing()
-    if not tracing:
-        tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        out = run()
-        return out, tracemalloc.get_traced_memory()[1] - base
-    finally:
-        if not tracing:
-            tracemalloc.stop()
-
-
-def traced_solve(amplitude, nt):
+def traced_solve(traced_peak, amplitude, nt):
     """(diagnostics, peak traced memory in trajectory arrays) of one solve."""
     sym, grid, mp, phi = focusing_problem(amplitude)
     small = build_grid(1, 16, 10.0)  # warm-up: lazy imports and allocator caches
@@ -557,6 +543,31 @@ def test_solver_with_mixing_is_a_hand_loop_of_picard_steps(amplitude, gate):
     assert f.values.tobytes() == traj.values.tobytes()
 
 
+def test_a_late_gate_replays_its_plain_steps_once(monkeypatch):
+    # the first mix needs x_k, over which the plain step that opened the gate wrote Φ(x_k):
+    # `_plain_steps` makes it anew from the linear solution, once per solve, by k Φ.  Here
+    # the first ratio above MIX_GATE is at k = 10, so the solve applies Φ iterations + k + 1
+    # times, the last for the final residual
+    sym, grid, _, phi = focusing_problem(0.95)
+    mp = MultipointSpec(0.0, 1.0, ((0.3j, 0.5),))
+    real_phi, real_steps, phis, replays = nonlinear._phi, nonlinear._plain_steps, [], []
+
+    def counting(core, current, nl):
+        phis.append(None)
+        return real_phi(core, current, nl)
+
+    def replaying(core, nl, steps):
+        replays.append(steps)
+        return real_steps(core, nl, steps)
+
+    monkeypatch.setattr(nonlinear, "_phi", counting)
+    monkeypatch.setattr(nonlinear, "_plain_steps", replaying)
+    _, diags = solve_nls_multipoint(sym, grid, mp, phi, NL, nt=200)
+    gate = next(k for k, q in enumerate(diags.contraction_ratios, 1) if q > MIX_GATE)
+    assert replays == [gate] == [10]
+    assert len(phis) == diags.iterations + gate + 1 == 31
+
+
 def test_solver_mixing_converges_at_amplitude_one():
     # plain Picard takes 49 iterations here, with ratios alternating near 0.88 and 0.39
     sym, grid, mp, phi = focusing_problem(1.0)
@@ -567,39 +578,39 @@ def test_solver_mixing_converges_at_amplitude_one():
     assert integral_residual(sym, grid, mp, phi, NL, traj) <= 1e-9
 
 
-def test_solver_peak_memory_in_trajectory_arrays():
+def test_solver_peak_memory_in_trajectory_arrays(traced_peak):
     # plain Picard holds the phase table, the iterate and Φ's one buffer; mixing adds
     # the two history arrays
-    diags, peak = traced_solve(0.05, nt=100)
+    diags, peak = traced_solve(traced_peak, 0.05, nt=100)
     assert max(diags.contraction_ratios) <= MIX_GATE
     assert peak <= 3.5
-    diags, peak = traced_solve(1.0, nt=100)
+    diags, peak = traced_solve(traced_peak, 1.0, nt=100)
     assert max(diags.contraction_ratios) > MIX_GATE
     assert peak <= 5.4
 
 
-def test_solver_peak_memory_with_a_half_size_phase_table():
+def test_solver_peak_memory_with_a_half_size_phase_table(traced_peak):
     # the table holds one phase per distinct L(ξ), about half a trajectory array: plain
     # Picard peaks under 2.9 arrays and mixing under 4.9 (a whole-lattice table reads 3.17
     # and 5.18)
-    diags, peak = traced_solve(0.05, nt=100)
+    diags, peak = traced_solve(traced_peak, 0.05, nt=100)
     assert max(diags.contraction_ratios) <= MIX_GATE
     assert peak <= 2.9
-    diags, peak = traced_solve(1.0, nt=100)
+    diags, peak = traced_solve(traced_peak, 1.0, nt=100)
     assert max(diags.contraction_ratios) > MIX_GATE
     assert peak <= 4.9
 
 
-def test_a_plain_step_writes_phi_over_its_iterate():
+def test_a_plain_step_writes_phi_over_its_iterate(traced_peak):
     # below the gate each step measures Φ(x) − x a block at a time and writes Φ(x) over x:
     # the solve holds the iterate, the phase table and block buffers, about 1.89 arrays; a Φ
     # stack beside the iterate reads 2.71, and Φ's Ĝ rows kept up to the block of λ = 0.5 2.43
-    diags, peak = traced_solve(0.05, nt=100)
+    diags, peak = traced_solve(traced_peak, 0.05, nt=100)
     assert max(diags.contraction_ratios) <= MIX_GATE
     assert peak <= 2.1
 
 
-def test_the_gradient_stack_at_positive_s_is_one_array():
+def test_the_gradient_stack_at_positive_s_is_one_array(traced_peak):
     # at s > 0 |∇|^s u is written frame by frame into one block buffer and reduced there, so
     # the solve peaks within 0.1 trajectory arrays of the s = 0 solve, whose Strichartz value
     # reads u itself
@@ -628,7 +639,7 @@ def test_integral_residual_of_converged_solution(setup):
 
 
 @pytest.mark.parametrize("terms", [(), ((0.3, 0.5),)])
-def test_integral_residual_holds_no_phi_stack(terms):
+def test_integral_residual_holds_no_phi_stack(terms, traced_peak):
     # d(u, Φ(u)) is reduced a block at a time as Φ's propagation makes it: the residual holds
     # block buffers (0.41 arrays here, with or without λ), never a stack of Φ(u), which read
     # 1.23 with either

@@ -10,6 +10,12 @@ own error is second order in Δt = dt/8, so what the comparison sees is the solv
 second-order time error in dt: it must fall by about 4 each time nt doubles.  The
 marched frames meet the multipoint condition to the same order, and together the
 trajectory from u(t₀) and the multipoint condition pin the solution.
+
+The datum has an oracle of its own, which starts from φ, not from the solver's u(t₀):
+shooting.  u₀ is the fixed point of u₀ ↦ φ + Σₖ αₖ S(λₖ)u₀, S(λₖ) the march from t₀ to
+λₖ, found by depth-1 Anderson mixing on the one frame u₀, marching only to the last λₖ.
+It shares no datum solve, no D(ξ) and no Duhamel term with the solver, so a wrong datum
+that meets the solver's own residuals still fails it.
 """
 
 import numpy as np
@@ -20,18 +26,20 @@ from mpnls import (Field, MultipointSpec, PowerNonlinearity, Trajectory, build_g
                    solve_nls_multipoint, symbol_lattice, validate_symbol)
 
 SUBSTEPS = 8
+SHOOTING_SUBSTEPS = 4  # the shooting march runs once per iteration, about 24 times
 NL = PowerNonlinearity(-1.0, 2.0)  # cubic focusing
 
 
-def strang_march(sym, grid, nl, u0: np.ndarray, times: np.ndarray) -> np.ndarray:
+def strang_march(sym, grid, nl, u0: np.ndarray, times: np.ndarray,
+                 substeps: int = SUBSTEPS) -> np.ndarray:
     """Frames of the split-step march from u0 at times[0], one per entry of times."""
     larr = symbol_lattice(sym, grid)
     frames = [u0]
     u = u0
     for t_prev, t_next in zip(times, times[1:]):
-        dt = (t_next - t_prev) / SUBSTEPS
+        dt = (t_next - t_prev) / substeps
         free = np.exp(-1j * dt * larr)
-        for _ in range(SUBSTEPS):
+        for _ in range(substeps):
             u = u * np.exp(0.5j * dt * nl.lam * np.abs(u) ** nl.p)
             u_hat = free * forward_transform(Field(grid, u)).values
             u = inverse_transform(Field(grid, u_hat)).values
@@ -70,3 +78,41 @@ def test_picard_trajectory_matches_split_step_marching(amplitude, terms, bound):
     if terms:
         for coarse, fine in zip(residuals, residuals[1:]):
             assert 3.5 <= coarse / fine <= 4.5, residuals
+
+
+def shoot_datum(sym, grid, mp, phi, nt: int) -> np.ndarray:
+    """The fixed point u₀ = φ + Σₖ αₖ S(λₖ)u₀, S(λₖ) the march on the axis of nt steps to the
+    frame of λₖ, by depth-1 Anderson mixing x = f − γ(f − f_prev), γ = ⟨Δg, g⟩/⟨Δg, Δg⟩, on
+    the frame: f the map's value at x, g = f − x."""
+    times, idx = mp.times(nt), mp.frame_indices(nt)
+    x, history = phi.values.astype(complex), None
+    for _ in range(50):
+        marched = strang_march(sym, grid, NL, x, times[:max(idx) + 1], SHOOTING_SUBSTEPS)
+        f = phi.values + sum(alpha * marched[i] for (alpha, _), i in zip(mp.points, idx))
+        g = f - x
+        if np.linalg.norm(g) <= 1e-13 * np.linalg.norm(f):
+            return f
+        x = f
+        if history is not None:
+            df, dg = f - history[0], g - history[1]
+            x = f - np.vdot(dg, g) / np.vdot(dg, dg).real * df
+        history = (f, g)
+    raise AssertionError("the shooting iteration did not converge in 50 steps")
+
+
+def test_picard_datum_matches_shooting():
+    # at amplitude 1.0, where the solve mixes, the datum of the space-time fixed point is
+    # the shooting datum up to both methods' second-order time errors: the gap falls by
+    # about 4 each time nt doubles
+    sym, grid = validate_symbol([[1.0]]), build_grid(1, 256, 10.0)
+    phi = sample_profile(grid, {"kind": "gaussian", "amplitude": 1.0, "width": 1.0,
+                                "center": [0.0]})
+    mp = MultipointSpec(0.0, 1.0, ((0.3, 0.5),))
+    gaps = []
+    for nt in (100, 200, 400):
+        u0 = solve_nls_multipoint(sym, grid, mp, phi, NL, nt=nt)[0].values[0]
+        gaps.append(float(np.linalg.norm(shoot_datum(sym, grid, mp, phi, nt) - u0)
+                          / np.linalg.norm(u0)))
+    assert gaps[1] <= 2e-6, gaps
+    for coarse, fine in zip(gaps, gaps[1:]):
+        assert 3.5 <= coarse / fine <= 4.5, gaps

@@ -100,7 +100,7 @@ def test_the_solvers_filter_no_datum():
     # |∇|^s in physical space
     assert [use for use in calls("apply_riesz") + calls("_filtered")
             if use.split(":")[0] in ("linear", "nonlinear")] == []
-    assert "linear:_datum_spectrum" in calls("_riesz")
+    assert "nonlinear:_eta" in calls("_riesz")
 
 
 def test_the_propagation_has_one_kernel():
