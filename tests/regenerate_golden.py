@@ -62,6 +62,14 @@ SMALL_CASES = {  # name: (command, config)
         "nonlinearity": {"lambda": -1.0, "p": 2.0},
         "regularity": 0.5,
         "outputs": {"report_path": "out/nls_1d_regular"}}),
+    "nls_1d_late_gate": ("solve-nls", {  # the mixing gate opens at k = 10: _plain_steps, _mix
+        "symbol": {"a": [[1.0]]},
+        "grid": {"n": 1, "N": 64, "R": 10.0},
+        "time": {"t0": 0.0, "T": 1.0, "Nt": 50},
+        "multipoint": [{"alpha_im": 0.3, "lambda": 0.5}],
+        "initial": {"kind": "gaussian", "amplitude": 0.95, "width": 1.0, "center": [0.0]},
+        "nonlinearity": {"lambda": -1.0, "p": 2.0},
+        "outputs": {"report_path": "out/nls_1d_late_gate"}}),
     "nls_3d": ("solve-nls", {
         "symbol": {"a": [[1.0, 0.0, 0.0], [0.0, 0.8, 0.0], [0.0, 0.0, 1.2]]},
         "grid": {"n": 3, "N": 16, "R": 4.0},
