@@ -33,7 +33,7 @@ from .errors import (
     UnknownKeyError,
     ValidationError,
 )
-from .grid import Field, build_grid, check_profile, sample_profile, write_field_file
+from .grid import Field, build_grid, check_profile, sample_profile, time_step, write_field_file
 from .linear import (
     DEFAULT_EPS_RES,
     DEFAULT_STRICHARTZ_BAND,
@@ -308,7 +308,8 @@ def parse_config(text: str, command: str | None = None) -> SolveConfig:
     if sym.n != gc.n:
         raise ValidationError(f"symbol dimension {sym.n} does not match grid.n = {gc.n}")
     grid = _checked("grid", build_grid, gc.n, gc.N, gc.R)
-    _checked("time", lambda: MultipointSpec(tc.t0, tc.T).times(tc.nt))
+    _checked("time", MultipointSpec, tc.t0, tc.T)
+    _checked("time", time_step, tc.t0, tc.T, tc.nt)
     for i, term in enumerate(cfg.multipoint):
         # a one-term spec checks λ ∈ (t0, T]; its frame index, that λ is a grid time
         _checked(f"multipoint[{i}].lambda",
@@ -366,19 +367,14 @@ def config_to_dict(cfg: SolveConfig) -> dict:
 # --- runtime assembly ----------------------------------------------------------
 
 
-def _build_runtime(cfg: SolveConfig, datum: bool = True, forcing: bool = True):
-    """A config's objects; the datum and the forcing only if the runner reads them."""
+def _build_runtime(cfg: SolveConfig, datum: bool = True):
+    """A config's objects; the datum only if the runner reads it."""
     sym = validate_symbol(cfg.symbol.a)
     grid = build_grid(cfg.grid.n, cfg.grid.N, cfg.grid.R)
     mp = MultipointSpec(cfg.time.t0, cfg.time.T,
                         tuple((complex(t.alpha_re, t.alpha_im), t.lam) for t in cfg.multipoint))
     phi = sample_profile(grid, cfg.initial) if datum else None
-    source = None
-    if forcing and cfg.forcing is not None:
-        env, times = cfg.forcing.envelope, mp.times(cfg.time.nt)
-        g = np.ones(len(times)) if env.kind == "constant" else np.exp(-1j * env.omega * times)
-        source = SeparableForcing(sample_profile(grid, cfg.forcing.profile), g)
-    return sym, grid, mp, phi, source, cfg.nonlinearity
+    return sym, grid, mp, phi, cfg.nonlinearity
 
 
 # --- report emission -----------------------------------------------------------
@@ -460,10 +456,11 @@ def _load_config(path: str, command: str) -> SolveConfig:
     return parse_config(text, command)
 
 
-def _solve_result(cfg: SolveConfig, grid, mp, frames, obs, residual, summary) -> RunResult:
-    """A solve's report: observables, residual, a summary with its core's min|D|, snapshots."""
+def _solve_result(cfg: SolveConfig, grid, times, frames, obs, residual, summary) -> RunResult:
+    """A solve's report on its time axis: observables, residual, a summary with its core's
+    min|D|, snapshots."""
     snapshots = {m: Field._wrap(grid, frames[m]) for m in cfg.outputs.snapshot_frames}
-    return RunResult(_timeseries_csv(mp.times(cfg.time.nt), obs, residual), summary, snapshots)
+    return RunResult(_timeseries_csv(times, obs, residual), summary, snapshots)
 
 
 def _keeping(blocks, kept: dict):
@@ -475,17 +472,25 @@ def _keeping(blocks, kept: dict):
 
 
 def _run_solve_linear(cfg: SolveConfig) -> RunResult:
-    sym, grid, mp, phi, forcing, nl = _build_runtime(cfg)
+    sym, grid, mp, phi, nl = _build_runtime(cfg)
+    profile = None if cfg.forcing is None else sample_profile(grid, cfg.forcing.profile)
     core = _MultipointCore(sym, grid, mp, phi, cfg.time.nt, cfg.tolerances.eps_res)
+    ghat = None
+    if profile is not None:  # the envelope on the core's axis
+        env, t = cfg.forcing.envelope, core.times
+        with np.errstate(over="ignore", invalid="ignore"):  # SeparableForcing refuses an overflow
+            g = np.ones(len(t)) if env.kind == "constant" else np.exp(-1j * env.omega * t)
+        ghat = core.duhamel(SeparableForcing(profile, g))
     kept = dict.fromkeys([0, *core.lam_idx, *cfg.outputs.snapshot_frames])
-    blocks = _keeping(core.solve(None if forcing is None else core.duhamel(forcing)), kept)
+    blocks = _keeping(core.solve(ghat), kept)
     obs = _observables(blocks, grid, core.dt, core.larr, nl, cfg.regularity)
     residual = _multipoint_defect(kept, mp, phi, cfg.time.nt)
-    return _solve_result(cfg, grid, mp, kept, obs, residual, {"min_abs_denominator": core.min_abs})
+    return _solve_result(cfg, grid, core.times, kept, obs, residual,
+                         {"min_abs_denominator": core.min_abs})
 
 
 def _run_solve_nls(cfg: SolveConfig) -> RunResult:
-    sym, grid, mp, phi, _, nl = _build_runtime(cfg)  # parse refused a forcing
+    sym, grid, mp, phi, nl = _build_runtime(cfg)  # parse refused a forcing
     traj, diags = solve_nls_multipoint(sym, grid, mp, phi, nl, s=cfg.regularity,
                                        nt=cfg.time.nt, tol_fp=cfg.tolerances.tol_fp,
                                        max_iter=cfg.tolerances.max_iter,
@@ -495,12 +500,12 @@ def _run_solve_nls(cfg: SolveConfig) -> RunResult:
     summary["strichartz_pairs"] = [p.label() for p in canonical_pairs(grid.n)]
     if diags.metric_clamped:
         summary["warnings"] = ["contraction metric exponent clamped to r=2 (formula left [2,inf))"]
-    return _solve_result(cfg, grid, mp, traj.values, diags.observables,
+    return _solve_result(cfg, grid, traj.times, traj.values, diags.observables,
                          multipoint_residual(traj, mp, phi), summary)
 
 
 def _run_verify_dispersive(cfg: SolveConfig) -> RunResult:
-    sym, grid, _, phi, _, _ = _build_runtime(cfg, forcing=False)
+    sym, grid, _, phi, _ = _build_runtime(cfg)
     disp = cfg.dispersive or DispersiveConfig()
     rep = verify_dispersive(sym, grid, phi, disp.times, disp.p)
     rows = zip(rep.times, rep.norms, rep.quotients, rep.boundary_fractions)
@@ -513,7 +518,7 @@ def _run_verify_dispersive(cfg: SolveConfig) -> RunResult:
 
 
 def _run_verify_strichartz(cfg: SolveConfig) -> RunResult:
-    sym, grid, _, _, _, _ = _build_runtime(cfg, datum=False, forcing=False)
+    sym, grid, _, _, _ = _build_runtime(cfg, datum=False)
     st = cfg.strichartz or StrichartzConfig()
     rep = verify_strichartz(sym, grid, t0=cfg.time.t0, T=cfg.time.T, nt=cfg.time.nt,
                             num_samples=st.num_samples, seed=st.seed, band=st.band)

@@ -15,10 +15,6 @@ class NotEllipticError(MpnlsError):
     """Coefficient matrix has an eigenvalue at or below the positivity floor."""
 
 
-class DimensionMismatchError(MpnlsError):
-    """Frequency vector length does not match the symbol dimension."""
-
-
 # --- grid and transforms -----------------------------------------------------
 
 class BadDimensionError(MpnlsError):
@@ -75,6 +71,10 @@ class InadmissiblePairError(MpnlsError):
 
 class GridMismatchError(MpnlsError):
     """Fields/trajectories live on different grids or time axes."""
+
+
+class DimensionMismatchError(GridMismatchError):
+    """The symbol's dimension does not match the grid's."""
 
 
 class ResonanceError(MpnlsError):

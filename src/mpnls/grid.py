@@ -145,6 +145,7 @@ class Trajectory:
         check_time(T)
         if not (T > t0):
             raise GridMismatchError("trajectory needs T > t0")
+        time_step(t0, T, arr.shape[0] - 1)
         if not np.all(np.isfinite(arr)):
             raise NonFiniteInputError("trajectory samples contain NaN or Inf")
         arr.flags.writeable = False
@@ -165,11 +166,11 @@ class Trajectory:
 
     @property
     def times(self) -> np.ndarray:
-        return np.linspace(self.t0, self.T, self.nt + 1)  # nt >= 1 and T > t0 by construction
+        return np.linspace(self.t0, self.T, self.nt + 1)  # its time_step was checked when made
 
     @property
     def dt(self) -> float:
-        return (self.T - self.t0) / self.nt
+        return time_step(self.t0, self.T, self.nt)
 
     def frame(self, m: int) -> Field:
         return Field._wrap(self.grid, self.values[m])
@@ -189,8 +190,23 @@ def check_time(t: float) -> None:
         raise ValueError(f"time must be finite, got {t}")
 
 
+def time_step(t0: float, T: float, nt: int) -> float:
+    """The step (T − t0)/nt of the uniform time axis of nt ≥ 1 intervals on [t0, T], its one
+    computation: np.linspace puts frame k at t0 + k·step, and frame nt at T.  A step that is
+    not a positive finite number raises ValueError."""
+    if nt < 1:
+        raise ValueError(f"number of time intervals nt must be >= 1, got {nt}")
+    step = (float(T) - float(t0)) / nt  # Python floats: an overflow is inf, with no warning
+    if not 0.0 < step < math.inf:
+        raise ValueError(f"time step (T - t0)/nt = {step!r} is not a positive finite number "
+                         f"(t0={t0}, T={T}, nt={nt})")
+    return step
+
+
 def build_grid(n: int, N: int, R: float) -> SpectralGrid:
-    """Construct a grid; n ∈ {1,2,3}, N even with 4 ≤ N < 2³², R > 0."""
+    """Construct a grid; n ∈ {1,2,3}, N even with 4 ≤ N < 2³², R > 0 such that the box volume
+    (2R)ⁿ, h = (2R/N)ⁿ and w = (π/R)ⁿ are finite nonzero doubles and the largest |ξ|²,
+    n·(πN/2R)², is finite."""
     if not isinstance(n, (int, np.integer)) or n not in (1, 2, 3):
         raise BadDimensionError(f"dimension must be 1, 2 or 3, got {n!r}")
     if not isinstance(N, (int, np.integer)) or N < 4 or N % 2 != 0 or N >= 2**32:
@@ -198,7 +214,17 @@ def build_grid(n: int, N: int, R: float) -> SpectralGrid:
         raise OddNError(f"points per axis must be even, >= 4 and < 2**32, got {N!r}")
     if not (float(R) > 0.0) or not np.isfinite(R):
         raise NonpositiveRError(f"half-width must be positive, got {R!r}")
-    return SpectralGrid(int(n), int(N), float(R))
+    n, N, R = int(n), int(N), float(R)
+    try:  # a float ** that leaves the double range raises OverflowError, or underflows to 0
+        scales = [(2.0 * R) ** n, (2.0 * R / N) ** n, (math.pi / R) ** n]
+    except OverflowError:
+        scales = [math.inf]
+    xi = math.pi / R * (N // 2)  # the largest |ξ| on an axis, as the lattice has it
+    if not all(0.0 < v < math.inf for v in scales + [n * (xi * xi)]):
+        raise NonpositiveRError(f"half-width R={R!r} takes the box volume (2R)^n, h = (2R/N)^n, "
+                                f"w = (pi/R)^n or the largest |xi|^2 out of the double range "
+                                f"(n={n}, N={N})")
+    return SpectralGrid(n, N, R)
 
 
 # --- transforms --------------------------------------------------------------
@@ -290,10 +316,11 @@ def sample_profile(grid: SpectralGrid, profile: dict) -> Field:
     amp = _as_complex(spec["amplitude"])
     mesh = grid.x_mesh()
     if spec["kind"] == "gaussian":
-        r2 = np.zeros(grid.shape)
-        for ax, c in zip(mesh, spec["center"]):
-            r2 = r2 + (ax - c) ** 2
-        with np.errstate(over="ignore"):  # subnormal 2·width²: r2/(2·width²) = inf, exp(-inf) = 0
+        # an r² past the double range, or a subnormal 2·width², gives exp(-inf) = 0
+        with np.errstate(over="ignore"):
+            r2 = np.zeros(grid.shape)
+            for ax, c in zip(mesh, spec["center"]):
+                r2 = r2 + (ax - c) ** 2
             return Field(grid, amp * np.exp(-r2 / (2.0 * spec["width"]**2)))
     phase = np.zeros(grid.shape)
     for ax, j in zip(mesh, spec["mode"]):

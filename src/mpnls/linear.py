@@ -28,13 +28,14 @@ into a stack or, needing only norms (a Strichartz sample, η), reduces it before
 block is made.  It checks each block for NaN and Inf, and the passes leave an overflow to
 that check.  Every phase e^{-iτL(ξ)} is a row of `_Phases.table`, the one exponential of the
 distinct values of L(ξ), gathered onto the lattice: a row per time for the kernel, a one-row
-table for D(ξ) and the Duhamel step.  `MultipointSpec.times` builds the time axis, and
-`_check_on_axis` checks a trajectory against it.  `_Duhamel` is the one maker of Ĝ, for
-every forcing: the recurrence `_duhamel_rows` runs over F̂ rows that the forcing's fill writes
-a block at a time, as it reaches them.  Stacked, those rows are the one buffer of the pass:
-F̂, then Ĝ, then the frames.  Iterated, each pass makes Ĝ anew in two block buffers, so a
-solve read by blocks holds no trajectory, and a Picard step can write Φ's frames over its
-iterate: each pass's fill reads a block of the iterate before the propagation makes that block.
+table for D(ξ) and the Duhamel step.  `MultipointSpec.times` builds the time axis on the one
+step, `grid.time_step`, and `_check_on_axis` checks a trajectory against it.  `_Duhamel` is the
+one maker of Ĝ, for every forcing: the recurrence `_duhamel_rows` runs over F̂ rows that the
+forcing's fill writes a block at a time, as it reaches them.  Stacked, those rows are the one
+buffer of the pass: F̂, then Ĝ, then the frames.  Iterated, each pass makes Ĝ anew in two block
+buffers, so a solve read by blocks holds no trajectory, and a Picard step can write Φ's frames
+over its iterate: each pass's fill reads a block of the iterate before the propagation makes
+that block.
 """
 
 from __future__ import annotations
@@ -54,7 +55,8 @@ from .errors import (
     ResonanceError,
 )
 from .grid import (Field, SpectralGrid, Trajectory, _forward_frames, _frame_blocks, _stack_blocks,
-                   check_band, check_time, forward_transform, inverse_transform, random_band_limited)
+                   check_band, check_time, forward_transform, inverse_transform, random_band_limited,
+                   time_step)
 from .norms import _TINY, _space_time_norm, canonical_pairs, lebesgue_norm
 from .symbol import EllipticSymbol, symbol_lattice
 
@@ -89,9 +91,9 @@ class MultipointSpec:
         object.__setattr__(self, "points", pts)
 
     def times(self, nt: int) -> np.ndarray:
-        """The time axis t0 + k·(T−t0)/nt, k = 0..nt, of nt ≥ 1 uniform intervals."""
-        if nt < 1:
-            raise ValueError(f"number of time intervals nt must be >= 1, got {nt}")
+        """The time axis t0 + k·(T−t0)/nt, k = 0..nt, of nt ≥ 1 uniform intervals, whose
+        step `time_step` checks."""
+        time_step(self.t0, self.T, nt)
         return np.linspace(self.t0, self.T, nt + 1)
 
     @property
@@ -99,14 +101,15 @@ class MultipointSpec:
         return LAMBDA_GRID_TOL * max(1.0, abs(self.t0), abs(self.T))
 
     def frame_indices(self, nt: int) -> list[int]:
-        """Frame index k of each λ on the time grid t0 + k·(T−t0)/nt; a λ farther
-        than `time_tol` from every grid time raises LambdaOffGridError."""
-        times = self.times(nt)
-        dt = (self.T - self.t0) / nt
+        """Frame index k of each λ on the time grid t0 + k·(T−t0)/nt; a λ farther than
+        `time_tol` from every grid time raises LambdaOffGridError.  Grid time k is read as
+        `times` has it, t0 + k·Δt or T at k = nt, with no axis built."""
+        dt = time_step(self.t0, self.T, nt)
         idxs = []
         for _, lam in self.points:
             idx = int(round((lam - self.t0) / dt))
-            if idx < 0 or idx > nt or abs(times[idx] - lam) > self.time_tol:
+            grid_time = self.T if idx == nt else self.t0 + idx * dt
+            if idx < 0 or idx > nt or abs(grid_time - lam) > self.time_tol:
                 raise LambdaOffGridError(f"lambda={lam} is not on the time grid t0 + k*(T-t0)/nt "
                                          f"(t0={self.t0}, T={self.T}, nt={nt})")
             idxs.append(idx)
@@ -176,9 +179,10 @@ class _Phases:
         own buffer, with the bits of exp(-1j·(tₘ-t0)L): exponent 0 + i·(-(tₘ-t0)L), row by row
         (one strided 2-D product would buffer)."""
         tab = np.zeros((len(times), len(self.values)), dtype=np.complex128)
-        for row, tau in zip(tab.imag, times - t0):
-            np.multiply(-tau, self.values, out=row)
-        return np.exp(tab, out=tab)
+        with np.errstate(over="ignore", invalid="ignore"):  # its readers judge an overflow
+            for row, tau in zip(tab.imag, times - t0):
+                np.multiply(-tau, self.values, out=row)
+            return np.exp(tab, out=tab)
 
     def __call__(self, tau: float) -> np.ndarray:
         """e^{-iτL(ξ)} on the lattice, for a single phase: the one-row table, gathered."""
@@ -187,12 +191,15 @@ class _Phases:
 
 def _denominator(phases: _Phases, mp: MultipointSpec) -> tuple[np.ndarray, float]:
     """D(ξ) = 1 − Σ αₖ e^{-i(λₖ-t0)L(ξ)} from the phases of one L(ξ), read-only, and its
-    minimum modulus: the one build of both."""
+    minimum modulus: the one build of both.  A D(ξ) that is not finite raises NonFiniteError."""
     d = np.ones(phases.where.shape, dtype=np.complex128)
-    for alpha, lam in mp.points:  # α times a lattice phase, as numpy rounds it (see _Phases)
-        d = d - alpha * phases(lam - mp.t0)
-    d.flags.writeable = False
-    return d, float(np.min(np.abs(d)))
+    with np.errstate(over="ignore", invalid="ignore"):  # judged below
+        for alpha, lam in mp.points:  # α times a lattice phase, as numpy rounds it (see _Phases)
+            d = d - alpha * phases(lam - mp.t0)
+        if not np.isfinite(d).all():
+            raise NonFiniteError("multipoint denominator D(xi) is not finite")
+        d.flags.writeable = False
+        return d, float(np.min(np.abs(d)))
 
 
 def _datum_spectrum(phi: Field, grid: SpectralGrid, what: str = "datum") -> np.ndarray:
@@ -325,6 +332,7 @@ class _MultipointCore:
         self.mp = mp
         self.nt = nt
         self.times = mp.times(nt)
+        self.dt = time_step(mp.t0, mp.T, nt)
         self.lam_idx = mp.frame_indices(nt)
         self.larr = symbol_lattice(sym, grid)
         self.phases = _Phases(self.larr)
@@ -332,7 +340,6 @@ class _MultipointCore:
         if self.min_abs <= eps_res:
             raise ResonanceError(f"multipoint denominator min |D(xi)| = {self.min_abs:.6e} <= "
                                  f"eps_res = {eps_res:.1e}", min_abs=self.min_abs, eps_res=eps_res)
-        self.dt = (mp.T - mp.t0) / nt
         self.step = self.phases(self.dt)
         self.phi_hat = _datum_spectrum(phi, grid)
         self.table = self.phases.table(self.times, mp.t0) if phase_table else None
@@ -541,7 +548,7 @@ def verify_strichartz(sym: EllipticSymbol, grid: SpectralGrid, t0: float = 0.0,
     to their norms a block at a time as they are made, so no sample holds a trajectory.
     """
     check_strichartz(grid, num_samples, seed, band)
-    times = MultipointSpec(t0, T).times(nt)
+    times, dt = MultipointSpec(t0, T).times(nt), time_step(t0, T, nt)
     pairs = tuple(canonical_pairs(grid.n))
     exponents = [(pair.q, pair.r) for pair in pairs]
     phases = _Phases(symbol_lattice(sym, grid))
@@ -552,6 +559,6 @@ def verify_strichartz(sym: EllipticSymbol, grid: SpectralGrid, t0: float = 0.0,
         phi = random_band_limited(grid, band, rng)
         blocks = _propagate(grid, phases, _datum_spectrum(phi, grid), times, t0, table=table)
         l2 = lebesgue_norm(phi, 2.0)
-        ratios.append(_space_time_norm(blocks, grid.h, (T - t0) / nt, exponents) / l2)
+        ratios.append(_space_time_norm(blocks, grid.h, dt, exponents) / l2)
         data_norms.append(l2)
     return StrichartzReport(pairs, tuple(ratios), float(max(ratios)), tuple(data_norms))

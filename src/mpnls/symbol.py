@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import GridMismatchError, NotEllipticError, NotSymmetricError
+from .errors import DimensionMismatchError, NonFiniteError, NotEllipticError, NotSymmetricError
 from .grid import SpectralGrid
 
 SYMMETRY_TOL = 1e-12
@@ -43,8 +43,9 @@ def validate_symbol(a) -> EllipticSymbol:
 
     Accepts anything convertible to a square real matrix.  Asymmetry beyond
     1e-12 (absolute) raises NotSymmetricError; a smallest eigenvalue at or
-    below 1e-12 raises NotEllipticError.  The stored matrix is symmetrized so
-    aᵢⱼ = aⱼᵢ holds exactly afterwards.
+    below 1e-12, or not a number, raises NotEllipticError.  The stored matrix is
+    symmetrized so aᵢⱼ = aⱼᵢ holds exactly afterwards, and it must be finite: an entry
+    near the end of the double range can overflow in 0.5·(a + aᵀ).
     """
     arr = np.asarray(a)
     if np.iscomplexobj(arr):
@@ -54,15 +55,16 @@ def validate_symbol(a) -> EllipticSymbol:
     arr = np.asarray(arr, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
         raise NotSymmetricError(f"expected a square matrix, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise NotSymmetricError("coefficient matrix entries must be finite")
-    asym = np.max(np.abs(arr - arr.T))
+    with np.errstate(over="ignore", invalid="ignore"):  # a value that is not finite is refused
+        asym = np.max(np.abs(arr - arr.T))
+        sym = 0.5 * (arr + arr.T)
+    if not np.all(np.isfinite(sym)):  # a non-finite entry, or an overflow of a + aᵀ
+        raise NotSymmetricError("coefficient matrix a, or 0.5*(a + a^T), is not finite")
     if asym > SYMMETRY_TOL:
         raise NotSymmetricError(f"asymmetry {asym:.3e} exceeds {SYMMETRY_TOL:.0e}")
-    sym = 0.5 * (arr + arr.T)
     sym.flags.writeable = False
     eigs = np.linalg.eigvalsh(sym)
-    if eigs[0] <= ELLIPTICITY_FLOOR:
+    if not eigs[0] > ELLIPTICITY_FLOOR:
         raise NotEllipticError(
             f"smallest eigenvalue {eigs[0]:.3e} is at or below {ELLIPTICITY_FLOOR:.0e}"
         )
@@ -70,13 +72,17 @@ def validate_symbol(a) -> EllipticSymbol:
 
 
 def symbol_lattice(sym: EllipticSymbol, grid: SpectralGrid) -> np.ndarray:
-    """L(ξ) evaluated on the full frequency lattice."""
+    """L(ξ) evaluated on the full frequency lattice; an L(ξ) past the double range raises
+    NonFiniteError."""
     if sym.n != grid.n:
-        raise GridMismatchError(f"symbol dimension {sym.n} != grid dimension {grid.n}")
+        raise DimensionMismatchError(f"symbol dimension {sym.n} != grid dimension {grid.n}")
     mesh = grid.freq_mesh()
     out = np.zeros(grid.shape)
-    for i in range(sym.n):
-        for j in range(sym.n):
-            if sym.a[i, j] != 0.0:
-                out = out + sym.a[i, j] * mesh[i] * mesh[j]
+    with np.errstate(over="ignore", invalid="ignore"):  # judged below
+        for i in range(sym.n):
+            for j in range(sym.n):
+                if sym.a[i, j] != 0.0:
+                    out = out + sym.a[i, j] * mesh[i] * mesh[j]
+    if not np.isfinite(out).all():
+        raise NonFiniteError("symbol L(xi) is not finite on the frequency lattice")
     return out

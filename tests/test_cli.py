@@ -109,7 +109,7 @@ def test_parse_named_precondition_failures():
 
 
 def test_parse_checks_nt_on_the_time_axis():
-    # MultipointSpec.times owns nt >= 1; parse names the section
+    # grid.time_step owns nt >= 1; parse names the section
     with pytest.raises(ValidationError, match="time: number of time intervals nt must be >= 1, got 0"):
         parse_config(json.dumps(make_config(time={"t0": 0.0, "T": 1.0, "Nt": 0})))
 
@@ -568,7 +568,12 @@ def test_streamed_solve_linear_report_is_the_trajectory_report(tmp_path, case):
     path = write_config(tmp_path, doc)
     assert run_command(["solve-linear", "--config", path]) == 0
     cfg = parse_config(Path(path).read_text(), "solve-linear")
-    sym, grid, mp, phi, forcing, nl = _build_runtime(cfg)
+    sym, grid, mp, phi, nl = _build_runtime(cfg)
+    forcing = None
+    if cfg.forcing is not None:  # the envelope of the config's kind on the solve's axis
+        times, env = mp.times(cfg.time.nt), cfg.forcing.envelope
+        g = np.ones(len(times)) if env.kind == "constant" else np.exp(-1j * env.omega * times)
+        forcing = mpnls.SeparableForcing(mpnls.sample_profile(grid, cfg.forcing.profile), g)
     traj = solve_linear_multipoint(sym, grid, mp, phi, forcing, cfg.time.nt,
                                    cfg.tolerances.eps_res)
     obs = frame_observables(traj, symbol_lattice(sym, grid), nl, cfg.regularity)
@@ -950,6 +955,86 @@ def test_a_lambda_on_a_long_horizon_is_on_the_time_grid(tmp_path):
                       outputs={"report_path": str(tmp_path / "long")})
     assert run_command(["solve-linear", "--config", write_config(tmp_path, doc)]) == 0
     assert (tmp_path / "long.json").exists()
+
+
+@pytest.mark.parametrize("command, name, builds", [("solve-linear", "forced_harmonic_2d", 1),
+                                                   ("solve-nls", "nls_1d_late_gate", 2),
+                                                   ("verify-strichartz", "strichartz_check", 1)])
+def test_a_run_builds_its_time_axis_once(tmp_path, monkeypatch, command, name, builds):
+    # the solve's core (or the verifier) builds the axis and its report reads it there: parse
+    # checks each λ against t0 + k·Δt with no axis, and a solve-nls CSV reads its trajectory's
+    axes = []
+    linspace = np.linspace
+
+    def counted(*args, **kwargs):
+        axes.append(args)
+        return linspace(*args, **kwargs)
+
+    monkeypatch.setattr(np, "linspace", counted)
+    monkeypatch.chdir(tmp_path)
+    doc = SMALL_CASES[name][1] if name in SMALL_CASES else json.loads(
+        (ROOT / "configs" / f"{name}.json").read_text())
+    parse_config(json.dumps(doc), command)
+    builds_by_parse = len(axes)
+    assert (run_small(name) if name in SMALL_CASES else run_shipped(name)) == 0
+    assert (builds_by_parse, len(axes)) == (0, builds)
+
+
+def _config_of_dimension(n: int, **overrides) -> dict:
+    """MINIMAL in n dimensions, with its overrides."""
+    return make_config(**dict(dict(
+        symbol={"a": np.eye(n).tolist()}, grid={"n": n, "N": 8, "R": math.pi},
+        initial={"kind": "gaussian", "amplitude": 1.0, "width": 0.5, "center": [0.0] * n}),
+        **overrides))
+
+
+NEAR_THE_DOUBLE_RANGE = {  # name: (command, config, exit code, the start of its error line)
+    "subnormal_step": ("solve-linear", make_config(
+        time={"t0": 0.0, "T": 5e-324, "Nt": 2}, multipoint=[{"alpha_re": 0.2, "lambda": 5e-324}]),
+        2, "error: time: time step (T - t0)/nt = 0.0 is not a positive finite number"),
+    "overflowing_step": ("solve-nls", make_config(
+        time={"t0": -1e308, "T": 1e308, "Nt": 8}, nonlinearity={"lambda": -1.0, "p": 2.0}),
+        2, "error: time: time step (T - t0)/nt = inf is not a positive finite number"),
+    "box_2d": ("solve-linear", _config_of_dimension(2, grid={"n": 2, "N": 8, "R": 1e155}),
+               2, "error: grid: half-width R=1e+155 takes the box volume"),
+    "box_3d": ("solve-linear", _config_of_dimension(3, grid={"n": 3, "N": 4, "R": 1e110}),
+               2, "error: grid: half-width R=1e+110 takes the box volume"),
+    "box_3d_small": ("solve-linear", _config_of_dimension(3, grid={"n": 3, "N": 4, "R": 1e-110}),
+                     2, "error: grid: half-width R=1e-110 takes the box volume"),
+    "box_strichartz": ("verify-strichartz", _config_of_dimension(
+        2, grid={"n": 2, "N": 8, "R": 7.6e153}, strichartz={"num_samples": 1, "band": 1}),
+        2, "error: grid: half-width R=7.6e+153 takes the box volume"),
+    "symbol_overflow": ("solve-linear", make_config(symbol={"a": [[1e308]]}),
+                        2, "error: symbol.a: coefficient matrix a, or 0.5*(a + a^T), is not finite"),
+    "lattice_overflow": ("solve-linear", make_config(
+        symbol={"a": [[1e307]]}, grid={"n": 1, "N": 16, "R": 4.0}),
+        5, "error: symbol L(xi) is not finite on the frequency lattice"),
+    "denominator_overflow": ("solve-linear", make_config(
+        symbol={"a": [[1e306]]}, grid={"n": 1, "N": 16, "R": 4.0},
+        time={"t0": 0.0, "T": 1e10, "Nt": 8}, multipoint=[{"alpha_re": 0.2, "lambda": 1e10}]),
+        5, "error: multipoint denominator D(xi) is not finite"),
+    "envelope_overflow": ("solve-linear", make_config(
+        forcing={"profile": {"kind": "gaussian", "amplitude": 0.1},
+                 "envelope": {"kind": "harmonic", "omega": 1e308}}, time={"t0": 0.0, "T": 2.0, "Nt": 8}),
+        5, "error: forcing envelope contains NaN or Inf"),
+    "far_centre": ("solve-linear", make_config(
+        initial={"kind": "gaussian", "amplitude": 1.0, "width": 0.5, "center": [1e200]}), 0, ""),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NEAR_THE_DOUBLE_RANGE))
+def test_a_config_near_the_double_range_ends_by_its_rule(tmp_path, capsys, name):
+    # each was a traceback, a leaked RuntimeWarning (the suite makes one an error) or a NaN
+    # frame: now a refusal at parse that names its section (2), one error line for a value
+    # the run cannot make (5), or a quiet run (0)
+    command, doc, code, error = NEAR_THE_DOUBLE_RANGE[name]
+    doc = dict(doc, outputs={"report_path": str(tmp_path / "r")})
+    if code == 2:
+        with pytest.raises(ValidationError):
+            parse_config(json.dumps(doc), command)
+    assert run_command([command, "--config", write_config(tmp_path, doc)]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(error) and len(err.splitlines()) == (code != 0), err
 
 
 def test_parse_names_the_offending_term():

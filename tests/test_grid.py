@@ -1,5 +1,6 @@
 import functools
 import math
+import re
 import warnings
 
 import numpy as np
@@ -25,7 +26,7 @@ from mpnls import (
     sample_profile,
     write_field_file,
 )
-from mpnls.grid import _forward_frames, _frame_blocks
+from mpnls.grid import _forward_frames, _frame_blocks, time_step
 
 
 def dft_oracle(grid, values):
@@ -249,6 +250,43 @@ def test_trajectory_frames_and_subtraction(grid1, rng):
     bad[2, 5] = np.nan
     with pytest.raises(NonFiniteInputError, match="^trajectory samples contain NaN or Inf$"):
         Trajectory(grid1, 0.0, 1.5, bad)
+
+
+def test_time_step_is_a_positive_finite_number():
+    # the one (T - t0)/nt: the nt rule first, then a step that is 0 (a subnormal span) or
+    # inf (a span past the double range) is refused by name, not read as a ZeroDivisionError
+    # or a NaN frame time
+    assert time_step(0.25, 1.25, 4) == 0.25
+    with pytest.raises(ValueError, match=r"^number of time intervals nt must be >= 1, got 0$"):
+        time_step(0.0, 1.0, 0)
+    for t0, T, nt in [(0.0, 5e-324, 2), (-1e308, 1e308, 8), (1.0, 1.0, 3), (0.0, math.nan, 3)]:
+        with pytest.raises(ValueError, match=r"^time step \(T - t0\)/nt = .* is not a positive finite"):
+            time_step(t0, T, nt)
+    with pytest.raises(ValueError, match=r"^time step \(T - t0\)/nt = inf"):
+        Trajectory(build_grid(1, 4, 1.0), -1e308, 1e308, np.zeros((3, 4)))
+
+
+@pytest.mark.parametrize("n, N, R", [(2, 8, 1e155), (3, 4, 1e110), (3, 4, 1e-110),
+                                     (2, 8, 7.6e153), (1, 4, 1e-320), (1, 2**31, 1e-300)])
+def test_a_box_past_the_double_range_is_refused_naming_r(n, N, R):
+    # (2R)^n, h = (2R/N)^n, w = (π/R)^n or the largest |ξ|² would overflow or vanish: a bare
+    # OverflowError from the grid's own arithmetic before, or an overflow in a later product
+    with pytest.raises(NonpositiveRError, match=rf"^half-width R={re.escape(repr(R))} takes the box volume"):
+        build_grid(n, N, R)
+
+
+def test_a_box_near_the_double_range_builds():
+    grid = build_grid(2, 8, 1e150)
+    assert 0.0 < grid.w and grid.h < math.inf and np.isfinite(grid.radial_freq_sq()).all()
+
+
+def test_a_gaussian_centred_past_the_double_range_samples_zero_quietly():
+    # r² overflows to inf, and exp(-inf) = 0, with no RuntimeWarning (the suite makes one fail)
+    grid = build_grid(1, 16, 4.0)
+    spec = {"kind": "gaussian", "amplitude": 0.1, "width": 1.0}
+    assert not sample_profile(grid, dict(spec, center=[1e200])).values.any()
+    near = sample_profile(grid, dict(spec, center=[1.0])).values
+    assert np.array_equal(near, 0.1 * np.exp(-(grid.x_axes[0] - 1.0) ** 2 / 2.0))
 
 
 def test_random_band_limited_is_grid_independent():

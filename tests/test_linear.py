@@ -450,6 +450,14 @@ def test_separable_forced_solve_holds_one_trajectory_stack(traced_peak):
     assert peak / traj.values.nbytes <= 1.2
 
 
+def test_a_denominator_past_the_double_range_is_refused_quietly():
+    # λL(ξ) = 1e10·3.9e307 overflows: the phase is NaN, and D(ξ) is refused as not finite
+    # rather than read as a NaN min|D| that passes the resonance check
+    sym, grid = validate_symbol([[1e306]]), build_grid(1, 16, 4.0)
+    with pytest.raises(NonFiniteError, match=r"^multipoint denominator D\(xi\) is not finite$"):
+        min_abs_denominator(sym, grid, MultipointSpec(0.0, 1e10, ((0.2, 1e10),)))
+
+
 def test_non_finite_times_are_named(grid1, sym1):
     phi = gaussian(grid1)
     for t in (math.inf, -math.inf, math.nan):
@@ -565,7 +573,8 @@ def test_strichartz_ratios_finite_and_seeded(sym1):
 
 
 @pytest.mark.parametrize("t0, T, nt, rule", [(1.0, 0.5, 16, r"horizon T=0.5 must exceed t0=1.0"),
-                                              (0.0, 1.0, 0, r"nt must be >= 1, got 0")])
+                                              (0.0, 1.0, 0, r"nt must be >= 1, got 0"),
+                                              (-1e308, 1e308, 4, r"time step \(T - t0\)/nt = inf")])
 def test_strichartz_checks_its_time_axis(sym1, grid1, t0, T, nt, rule):
     # a reversed span or an axis with no interval is refused by name, not read as
     # ratios of 1.0, NaN or a ZeroDivisionError

@@ -1,7 +1,10 @@
 """Property: the forced linear solve meets the multipoint condition
 u(t0) = φ + Σ αₖ u(λₖ), its first frame being the datum, over random SPD
 symbols, contracting couplings (Σ|αₖ| < 1), on-grid λₖ and random forcing; and a
-separable forcing solves as the same forcing given frame by frame."""
+separable forcing solves as the same forcing given frame by frame.  A grid time
+that `frame_indices` reads as t0 + k·Δt, or T at k = nt, is the bits of `np.linspace`."""
+
+import math
 
 import numpy as np
 import pytest
@@ -17,6 +20,7 @@ from mpnls import (
     solve_linear_multipoint,
     validate_symbol,
 )
+from mpnls.grid import time_step
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -67,3 +71,17 @@ def test_separable_forcing_solves_as_its_frames(problem):
     ref = solve_linear_multipoint(sym, grid, mp, phi, frames, nt=nt)
     diff = Trajectory(grid, mp.t0, mp.T, sep.values - ref.values)
     assert mixed_norm(diff, np.inf, 2.0) <= 1e-13 * mixed_norm(ref, np.inf, 2.0)
+
+
+@hypothesis.settings(max_examples=200, deadline=None, derandomize=True)
+@hypothesis.given(st.floats(-1e300, 1e300), st.floats(1e-300, 1e300), st.integers(1, 4096),
+                  st.data())
+def test_a_grid_time_is_read_as_linspace_makes_it(t0, span, nt, data):
+    T = t0 + span
+    hypothesis.assume(T > t0 and math.isfinite(T))
+    times = np.linspace(t0, T, nt + 1)
+    dt = time_step(t0, T, nt)
+    assert [t0 + k * dt for k in range(nt)] + [T] == times.tolist()
+    k = data.draw(st.integers(1, nt))
+    if dt > 1e-12 * max(abs(t0), abs(T)):  # an index the rounding of t0 + k·Δt keeps
+        assert MultipointSpec(t0, T, ((0.5, float(times[k])),)).frame_indices(nt) == [k]

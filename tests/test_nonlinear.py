@@ -157,7 +157,8 @@ def test_smallness_refined_quadrature_oracle(setup):
 
 
 @pytest.mark.parametrize("t0, T, nt, rule", [(1.0, 0.5, 50, r"horizon T=0.5 must exceed t0=1.0"),
-                                              (0.0, 1.0, 0, r"nt must be >= 1, got 0")])
+                                              (0.0, 1.0, 0, r"nt must be >= 1, got 0"),
+                                              (-1e308, 1e308, 8, r"time step \(T - t0\)/nt = inf")])
 def test_smallness_checks_its_time_axis(setup, t0, T, nt, rule):
     # a reversed span or an axis with no interval is refused by name, not read as NaN
     sym, grid, phi = setup

@@ -1,8 +1,9 @@
 """Each rule of the time axis, of finiteness and of resonance, and each phase, has one home
 in `src/mpnls`.
 
-The axis t0 + k·(T−t0)/nt is built only by `MultipointSpec.times`, which checks
-nt ≥ 1, and by `Trajectory.times`, whose nt and span were checked when the
+The step (T−t0)/nt of the time axis is computed only by `grid.time_step`, which checks
+nt ≥ 1 and a positive finite step.  The axis t0 + k·(T−t0)/nt is built only by
+`MultipointSpec.times` and by `Trajectory.times`, whose step was checked when the
 trajectory was made.  Neither transform scans its input for NaN or Inf: a
 Field's samples are finite by construction, and `linear._propagate` checks
 every frame it writes.  Every phase e^{-iτL(ξ)} of the solvers comes from
@@ -81,6 +82,19 @@ def raises(error: str) -> list[str]:
 
 def test_the_time_axis_is_built_in_one_place_per_type():
     assert numpy_uses("linspace") == ["grid:Trajectory.times", "linear:MultipointSpec.times"]
+
+
+def test_the_time_step_has_one_home():
+    # (T − t0)/nt, of names or attributes T and t0 however wrapped
+    def names(node):
+        return {getattr(sub, "id", None) or getattr(sub, "attr", None) for sub in ast.walk(node)}
+
+    def is_step(node):
+        return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
+                and isinstance(node.left, ast.BinOp) and isinstance(node.left.op, ast.Sub)
+                and "T" in names(node.left.left) and "t0" in names(node.left.right))
+
+    assert sites(is_step) == ["grid:time_step"]
 
 
 def test_the_transforms_trust_the_finite_field():

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from mpnls import (
+    DimensionMismatchError,
     GridMismatchError,
+    NonFiniteError,
     NotEllipticError,
     NotSymmetricError,
     apply_propagator,
@@ -70,6 +72,25 @@ def test_nonsquare_and_complex_rejected():
 def test_symbol_lattice_refuses_a_grid_of_another_dimension(sym2):
     with pytest.raises(GridMismatchError, match="^symbol dimension 2 != grid dimension 1$"):
         symbol_lattice(sym2, build_grid(1, 16, 1.0))
+    with pytest.raises(DimensionMismatchError):  # the class that names the rule
+        symbol_lattice(sym2, build_grid(1, 16, 1.0))
+
+
+def test_symbol_lattice_refuses_an_overflowing_symbol():
+    # L(ξ) = 1e307·ξ² reaches 3.9e308 on N = 16, R = 4: refused, with no RuntimeWarning
+    with pytest.raises(NonFiniteError, match="^symbol L\\(xi\\) is not finite"):
+        symbol_lattice(validate_symbol([[1e307]]), build_grid(1, 16, 4.0))
+
+
+def test_the_stored_matrix_is_finite_and_its_eigenvalues_numbers(monkeypatch):
+    # 0.5·(a + aᵀ) of [[1e308]] is inf: refused as the stored matrix, not passed on as a
+    # NaN smallest eigenvalue that `NaN <= floor` lets through
+    with pytest.raises(NotSymmetricError, match=r"^coefficient matrix a, or 0\.5\*\(a \+ a\^T\), is not finite$"):
+        validate_symbol([[1e308]])
+    assert validate_symbol([[8e307]]).m1 == 8e307
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: np.array([np.nan, 1.0]))
+    with pytest.raises(NotEllipticError, match="^smallest eigenvalue nan"):
+        validate_symbol([[1.0, 0.0], [0.0, 1.0]])
 
 
 def test_jacobi_3x3_known_spectrum():
