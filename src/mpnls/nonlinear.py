@@ -23,17 +23,16 @@ A plain Picard step, whose iterate nothing reads past it, streams Φ over that i
 after the fill has read it.  So the step holds the iterate, the phase table and block
 buffers: the datum solve's pass of Φ's Duhamel term, which stops at the last λₖ, keeps none
 of it, and the propagation's pass makes it anew.  The final residual and
-`integral_residual` stream the same way with no write.  A mixing step and `picard_step`
+`integral_residual` stream the same way with no write.  A step past the gate and `picard_step`
 stack Φ (`_solution_map`) in one trajectory-sized buffer: F̂, then Ĝ, then the frames.
 Φ is finite or raises NonFiniteError: `_power_block` checks F(u) and `_propagate` each frame.
 An iterate from outside is checked by `_check_on_axis`, a datum by `_datum_spectrum`.
 
-The iteration is plain Picard until the first contraction ratio above
-MIX_GATE, then depth-1 Anderson mixing (Walker & Ni 2011), which keeps two
-more trajectories; each deeper level would keep two more again.  The step that
-opens the gate has written Φ(x_k) over x_k, which the first mix needs: x_k is made
-anew by the k plain steps from the linear solution, with the same bits, at most once
-per solve and at a cost of k Φ and one linear pass.  A distance beyond
+The iteration is plain Picard up to the first contraction ratio above MIX_GATE, then
+depth-1 Anderson mixing (Walker & Ni 2011), which keeps two more trajectories; each deeper
+level would keep two more again.  The step that opens the gate keeps Φ(x_k), written over
+x_k, as its next iterate, so the history starts at the step after it: a mix with no
+history is the plain step, so that step is plain Picard too.  A distance beyond
 DIVERGENCE_FACTOR·d₀, or a non-finite Φ past the first iterate, is divergence
 (NoConvergenceError), not a non-finite solution.
 """
@@ -241,36 +240,27 @@ def _mix(f: np.ndarray, g: np.ndarray, history) -> np.ndarray:
     return np.subtract(f, df, out=df)
 
 
-def _plain_steps(core: _MultipointCore, nl: PowerNonlinearity, steps: int) -> np.ndarray:
-    """The iterate after `steps` plain steps from the linear solution, made anew: Φ over its
-    iterate `steps` times, the bits of the loop's own steps."""
-    x = core.frames()
-    for _ in range(steps):
-        for _ in _differences(core, x, nl, over=True):
-            pass
-    return x
-
-
 def _fixed_point(core: _MultipointCore, nl: PowerNonlinearity, tol_fp: float,
                  max_iter: int) -> tuple[np.ndarray | None, list, str | None]:
     """Iterate Φ from the linear multipoint solution.
 
     Returns the converged Φ output (None on failure), the distances
-    d_k = d(x_k, Φ(x_k)) and, on failure, why.  The loop is plain Picard until the
-    first contraction ratio above MIX_GATE; from that step on it keeps f = Φ(x) and
-    g = f − x of the previous step and mixes them into the next iterate.  Every
-    iterate is an affine combination of Φ outputs, so it meets the multipoint condition.
-    A plain step writes Φ(x) over x as it measures d; a mixing step, whose x outlives it,
-    makes Φ(x) in a stack.  The step that opens the gate has written over x_k, which the
-    first mix needs: it is made anew by `_plain_steps`, k Φ and one linear pass.
+    d_k = d(x_k, Φ(x_k)) and, on failure, why.  The loop is plain Picard up to the
+    first contraction ratio above MIX_GATE: a plain step writes Φ(x) over x as it
+    measures d.  From the next step on Φ(x), whose x outlives the step, is made in a
+    stack, and f = Φ(x) and g = f − x are mixed with the previous step's pair into the
+    next iterate; the first of these steps has no pair to mix with, so its iterate is f.
+    Every iterate is an affine combination of Φ outputs, so it meets the multipoint
+    condition.
     """
     x = core.frames()  # the linear multipoint solution
     d_history: list[float] = []
+    gate = False  # open from the step after the first ratio above MIX_GATE
     history = None  # f = Φ(x) and g = f − x of the last step, kept once the gate is open
     for k in range(max_iter):
         with np.errstate(over="ignore", invalid="ignore"):
             try:
-                if history is None:  # x becomes Φ(x) as d is measured
+                if not gate:  # x becomes Φ(x) as d is measured
                     blocks = _differences(core, x, nl, over=True)
                 else:
                     f = _solution_map(core, x, nl)
@@ -285,15 +275,13 @@ def _fixed_point(core: _MultipointCore, nl: PowerNonlinearity, tol_fp: float,
                 raise NonFiniteError("the first Picard distance is not finite")
             d_history.append(d)
             if d < tol_fp:
-                return x if history is None else f, d_history, None
+                return f if gate else x, d_history, None
             if k > 0 and not d <= DIVERGENCE_FACTOR * d_history[0]:
                 return None, d_history, (f"Picard iteration diverged: d_{k} = {d:.3e} exceeds "
                                          f"{DIVERGENCE_FACTOR:.0e}·d_0 = {d_history[0]:.3e}")
-            if history is None:
-                if not (k > 0 and d / d_history[-2] > MIX_GATE):
-                    continue
-                f, x = x, _plain_steps(core, nl, k)  # Φ(x_k) was written over x_k
-                g = np.subtract(f, x, out=x)
+            if not gate:
+                gate = k > 0 and d / d_history[-2] > MIX_GATE
+                continue
             x = _mix(f, g, history)
             history = (f, g)
     return None, d_history, (f"Picard iteration did not reach tol_fp={tol_fp:.1e} within "

@@ -62,7 +62,7 @@ SMALL_CASES = {  # name: (command, config)
         "nonlinearity": {"lambda": -1.0, "p": 2.0},
         "regularity": 0.5,
         "outputs": {"report_path": "out/nls_1d_regular"}}),
-    "nls_1d_late_gate": ("solve-nls", {  # the mixing gate opens at k = 10: _plain_steps, _mix
+    "nls_1d_late_gate": ("solve-nls", {  # the mixing gate opens at k = 10, the history at 11
         "symbol": {"a": [[1.0]]},
         "grid": {"n": 1, "N": 64, "R": 10.0},
         "time": {"t0": 0.0, "T": 1.0, "Nt": 50},

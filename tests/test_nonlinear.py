@@ -520,53 +520,60 @@ def test_solver_without_mixing_is_plain_picard(setup):
 @pytest.mark.parametrize("amplitude, gate", [(0.8, 2), (1.0, 1)])
 def test_solver_with_mixing_is_a_hand_loop_of_picard_steps(amplitude, gate):
     # past the gate the solver is a hand loop of Φ, the metric and depth-1 mixing, bit for
-    # bit: plain steps until the first ratio above MIX_GATE (at step `gate`), then every
-    # step mixes f = Φ(x) and g = f − x with the previous step's pair
+    # bit: plain steps up to and including the first ratio above MIX_GATE (at step `gate`),
+    # whose f = Φ(x) is the next iterate; the next step's mix has no history, so it is the
+    # plain step f and seeds the history with its pair f = Φ(x), g = f − x; every step
+    # after that mixes its pair with the previous one
     sym, grid, mp, phi = focusing_problem(amplitude)
     traj, diags = solve_nls_multipoint(sym, grid, mp, phi, NL, nt=100)
     assert next(k for k, q in enumerate(diags.contraction_ratios, 1) if q > MIX_GATE) == gate
     x = solve_linear_multipoint(sym, grid, mp, phi, None, nt=100)
-    d_history, mixing, history = [], False, None
+    d_history, gate_open, history = [], False, None
     while True:
         f = picard_step(sym, grid, mp, phi, NL, x)
         g = difference(f, x)
         d_history.append(mixed_norm(g, NL.p + 2.0, diags.r_metric))
         if d_history[-1] < DEFAULT_TOL_FP:
             break
-        mixing = mixing or (len(d_history) > 1 and d_history[-1] / d_history[-2] > MIX_GATE)
-        if not mixing:
+        if not gate_open:
+            gate_open = len(d_history) > 1 and d_history[-1] / d_history[-2] > MIX_GATE
             x = f
             continue
         mixed = nonlinear._mix(f.values, g.values, history)
+        if history is None:  # the step after the gate: the plain step
+            assert len(d_history) == gate + 2 and mixed.tobytes() == f.values.tobytes()
         history = (f.values.copy(), g.values.copy())
         x = Trajectory(grid, mp.t0, mp.T, mixed)
+    assert history is not None
     assert tuple(d_history) == diags.d_history
     assert f.values.tobytes() == traj.values.tobytes()
 
 
-def test_a_late_gate_replays_its_plain_steps_once(monkeypatch):
-    # the first mix needs x_k, over which the plain step that opened the gate wrote Φ(x_k):
-    # `_plain_steps` makes it anew from the linear solution, once per solve, by k Φ.  Here
-    # the first ratio above MIX_GATE is at k = 10, so the solve applies Φ iterations + k + 1
-    # times, the last for the final residual
+def test_a_late_gate_applies_phi_once_per_iteration(monkeypatch):
+    # the step that opens the gate keeps Φ(x_k), written over x_k, as its next iterate, and
+    # the mixing history starts one step later, so no iterate is made anew: the solve
+    # applies Φ once per iteration and once for the final residual.  The first ratio above
+    # MIX_GATE is at k = 10: steps 0..k stream Φ over their iterate, and each later step
+    # stacks it
     sym, grid, _, phi = focusing_problem(0.95)
     mp = MultipointSpec(0.0, 1.0, ((0.3j, 0.5),))
-    real_phi, real_steps, phis, replays = nonlinear._phi, nonlinear._plain_steps, [], []
+    real_phi, real_map, phis, stacks = nonlinear._phi, nonlinear._solution_map, [], []
 
     def counting(core, current, nl):
         phis.append(None)
         return real_phi(core, current, nl)
 
-    def replaying(core, nl, steps):
-        replays.append(steps)
-        return real_steps(core, nl, steps)
+    def stacking(core, current, nl):
+        stacks.append(None)
+        return real_map(core, current, nl)
 
     monkeypatch.setattr(nonlinear, "_phi", counting)
-    monkeypatch.setattr(nonlinear, "_plain_steps", replaying)
+    monkeypatch.setattr(nonlinear, "_solution_map", stacking)
     _, diags = solve_nls_multipoint(sym, grid, mp, phi, NL, nt=200)
     gate = next(k for k, q in enumerate(diags.contraction_ratios, 1) if q > MIX_GATE)
-    assert replays == [gate] == [10]
-    assert len(phis) == diags.iterations + gate + 1 == 31
+    assert gate == 10
+    assert len(phis) == diags.iterations + 1 == 24
+    assert len(stacks) == diags.iterations - gate - 1 == 12
 
 
 def test_solver_mixing_converges_at_amplitude_one():
