@@ -15,10 +15,14 @@ any even N ≥ 4 works.
 A Field's samples are finite (the constructor checks, and `_wrap` callers own
 their arrays), so the transforms do not rescan them; an overflow on the way is
 caught where a frame is written, by the propagation kernel `linear._propagate`.
+`_wrap` hands out a read-only view and leaves the caller's buffer writeable.
 
-A pass over a stack of frames, or over frames made a block at a time, goes a
-block at a time (`_frame_blocks`): at most 1/16 of the frames and 256 KiB, so
-that small frames pay few calls and the scratch of a block stays in cache.
+`forward_transform` and `inverse_transform` are the package's only transforms.
+Each works over the last n axes, of one frame or of a block of frames on the
+leading axis (the `Field._wrap` of a block), so a pass over a stack of frames,
+or over frames made a block at a time, makes one call per block
+(`_frame_blocks`): at most 1/16 of the frames and 256 KiB, so that small frames
+pay few calls and the scratch of a block stays in cache.
 """
 
 from __future__ import annotations
@@ -107,17 +111,16 @@ class Field:
             raise GridMismatchError(f"values shape {arr.shape} does not match grid {grid.shape}")
         if not np.all(np.isfinite(arr)):
             raise NonFiniteInputError("field samples contain NaN or Inf")
-        arr.flags.writeable = False
         self.grid = grid
-        self.values = arr
+        self.values = _read_only(arr)
 
     @classmethod
     def _wrap(cls, grid: SpectralGrid, arr: np.ndarray) -> "Field":
-        """Internal fast path: wrap an array we own without copy/validation."""
-        if arr.flags.writeable:
-            arr.flags.writeable = False
+        """Internal fast path: a read-only view of an array we own, with no copy or validation;
+        the array itself stays writeable.  A block of frames on the leading axis wraps too, as
+        the transforms' operand."""
         obj = object.__new__(cls)
-        obj.grid, obj.values = grid, arr
+        obj.grid, obj.values = grid, _read_only(arr.view())
         return obj
 
     def __mul__(self, c):
@@ -148,20 +151,18 @@ class Trajectory:
         time_step(t0, T, arr.shape[0] - 1)
         if not np.all(np.isfinite(arr)):
             raise NonFiniteInputError("trajectory samples contain NaN or Inf")
-        arr.flags.writeable = False
         self.grid = grid
         self.t0 = t0
         self.T = T
         self.nt = arr.shape[0] - 1
-        self.values = arr
+        self.values = _read_only(arr)
 
     @classmethod
     def _wrap(cls, grid, t0, T, arr) -> "Trajectory":
-        """Internal fast path, as Field._wrap."""
-        if arr.flags.writeable:
-            arr.flags.writeable = False
+        """Internal fast path, as Field._wrap: a read-only view of a stack we own."""
         obj = object.__new__(cls)
-        obj.grid, obj.t0, obj.T, obj.nt, obj.values = grid, t0, T, arr.shape[0] - 1, arr
+        obj.grid, obj.t0, obj.T, obj.nt = grid, t0, T, arr.shape[0] - 1
+        obj.values = _read_only(arr.view())
         return obj
 
     @property
@@ -243,28 +244,35 @@ def _stack_blocks(stack: np.ndarray):
     return (stack[rows] for rows in _frame_blocks(len(stack), stack[0].nbytes))
 
 
-def _forward_frames(grid: SpectralGrid, values: np.ndarray, out=None) -> np.ndarray:
-    """The forward transform of one frame, or of each frame of a stack on the leading axis,
-    written into `out` when given and else into the one array it allocates."""
-    if out is None:
-        out = np.empty(values.shape, dtype=np.complex128)
-    np.fft.fftn(values, axes=tuple(range(-grid.n, 0)), out=out)
-    return np.multiply(grid._fwd_scale, out, out=out)
-
-
 def forward_transform(field: Field, out=None) -> Field:
-    """Plancherel-unitary DFT in FFT order (mode j at index j mod N), into `out` if given."""
-    return Field._wrap(field.grid, _forward_frames(field.grid, field.values, out).view())
+    """Plancherel-unitary DFT in FFT order (mode j at index j mod N) over the last n axes: of
+    one frame, or of each frame of a block on the leading axis.  It is written into `out` when
+    given and else into the one array it allocates, and returned as a read-only view."""
+    g = field.grid
+    out = np.empty_like(field.values) if out is None else out  # fftn would allocate per axis
+    # with s given, numpy's n-D FFT skips an np.take of the shape (4 µs a call at N = 256)
+    np.fft.fftn(field.values, s=g.shape, axes=tuple(range(-g.n, 0)), out=out)
+    return Field._wrap(g, _frame_product(out, g._fwd_scale, out))
 
 
 def inverse_transform(field: Field, out=None) -> Field:
-    """Inverse DFT from the frequency lattice, exact inverse of forward_transform, in place in
-    `out` or in the one array it allocates.  Both return a view, so `out` stays writeable."""
+    """Inverse DFT from the frequency lattice, exact inverse of forward_transform, of one frame
+    or of a block of frames, in place in `out` or in the one array it allocates."""
     g = field.grid
     coef = (2.0 * np.pi) ** (-g.n / 2.0) * g.w * g.N**g.n
-    res = np.multiply(g._phase, field.values, out=out)
-    np.fft.ifftn(res, out=res)
-    return Field._wrap(g, np.multiply(coef, res, out=res).view())
+    res = np.empty_like(field.values) if out is None else out
+    _frame_product(field.values, g._phase, res)
+    np.fft.ifftn(res, s=g.shape, axes=tuple(range(-g.n, 0)), out=res)
+    return Field._wrap(g, np.multiply(coef, res, out=res))
+
+
+def _frame_product(values: np.ndarray, factor: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """values·factor into `out`, for one frame or frame by frame over a block: numpy buffers a
+    product that broadcasts over the frames of a block, up to 128 KiB a call.  The transforms'
+    factors are real, so their products keep the bits of factor·values."""
+    for frame, res in zip(values, out) if values.ndim > factor.ndim else [(values, out)]:
+        np.multiply(frame, factor, out=res)
+    return out
 
 
 # --- initial-data profiles ---------------------------------------------------

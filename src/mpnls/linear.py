@@ -18,12 +18,12 @@ Every solve, here and in the nonlinear module, runs on one private multipoint co
 `_MultipointCore`, the spectral context of a solve, builds L(ξ), its phases, the Duhamel
 step e^{-iΔtL} and D(ξ) once, makes the only datum solve (`solve`, stacked by `frames`) and
 runs every pass on its time axis through `blocks`.  Its `duhamel` is the one reader and
-checker of a forcing and makes the only forward transform of forcing frames (block by block,
-`grid._frame_blocks`).  The free evolutions of `apply_propagator` and of
+checker of a forcing and makes the only forward transform of forcing frames, one call per
+`grid._frame_blocks` block.  The free evolutions of `apply_propagator` and of
 the two verifiers solve nothing and build no core.  `_datum_spectrum` is the only transform
 of a datum, and the one check that it lives on the grid of its pass.
 `_propagate` is the one propagation kernel: it makes the frames a `_frame_blocks` block at a
-time, one inverse transform per frame, and hands each block to its reader, which writes it
+time, one inverse transform per block, and hands each block to its reader, which writes it
 into a stack or, needing only norms (a Strichartz sample, η), reduces it before the next
 block is made.  It checks each block for NaN and Inf, and the passes leave an overflow to
 that check.  Every phase e^{-iτL(ξ)} is a row of `_Phases.table`, the one exponential of the
@@ -54,9 +54,9 @@ from .errors import (
     NonpositiveTimeError,
     ResonanceError,
 )
-from .grid import (Field, SpectralGrid, Trajectory, _forward_frames, _frame_blocks, _stack_blocks,
-                   check_band, check_time, forward_transform, inverse_transform, random_band_limited,
-                   time_step)
+from .grid import (Field, SpectralGrid, Trajectory, _frame_blocks, _frame_product, _read_only,
+                   _stack_blocks, check_band, check_time, forward_transform, inverse_transform,
+                   random_band_limited, time_step)
 from .norms import _TINY, _space_time_norm, canonical_pairs, lebesgue_norm
 from .symbol import EllipticSymbol, symbol_lattice
 
@@ -131,8 +131,7 @@ class SeparableForcing:
             raise GridMismatchError(f"forcing envelope must be 1-D, got shape {env.shape}")
         if not np.isfinite(env).all():
             raise NonFiniteInputError("forcing envelope contains NaN or Inf")
-        env.flags.writeable = False
-        object.__setattr__(self, "envelope", env)
+        object.__setattr__(self, "envelope", _read_only(env))
 
 
 def apply_propagator(sym: EllipticSymbol, grid: SpectralGrid, t: float, f: Field) -> Field:
@@ -198,8 +197,7 @@ def _denominator(phases: _Phases, mp: MultipointSpec) -> tuple[np.ndarray, float
             d = d - alpha * phases(lam - mp.t0)
         if not np.isfinite(d).all():
             raise NonFiniteError("multipoint denominator D(xi) is not finite")
-        d.flags.writeable = False
-        return d, float(np.min(np.abs(d)))
+        return _read_only(d), float(np.min(np.abs(d)))
 
 
 def _datum_spectrum(phi: Field, grid: SpectralGrid, what: str = "datum") -> np.ndarray:
@@ -277,7 +275,7 @@ def _propagate(grid: SpectralGrid, phases: _Phases, u_hat: np.ndarray, times,
 
     A block's phase rows, of `table` (`phases.table` on `times`) or else of `phases.table`
     on its own times, are gathered onto the lattice in the pass's one block buffer, times û,
-    plus the block of Ĝ that `ghat` yields, under this errstate; each frame then gets one
+    plus the block of Ĝ that `ghat` yields, under this errstate; the block then gets one
     `inverse_transform` in place.  A block with a frame that is not finite raises
     NonFiniteError naming the first such frame.
     """
@@ -290,12 +288,10 @@ def _propagate(grid: SpectralGrid, phases: _Phases, u_hat: np.ndarray, times,
             tab = phases.table(times[rows], t0) if table is None else table[rows]
             block = buffer[:len(tab)]
             np.take(tab, phases.where, axis=1, out=block, mode="clip")  # "raise" buffers `out`
-            for frame in block:  # a broadcast product would buffer the block
-                np.multiply(frame, u_hat, out=frame)
+            _frame_product(block, u_hat, block)
             if ghat is not None:
                 np.add(block, next(ghat), out=block)
-            for i in range(len(block)):  # each frame read and written through its own view
-                inverse_transform(Field._wrap(grid, block[i]), out=block[i])
+            inverse_transform(Field._wrap(grid, block), out=block)
         finite = np.isfinite(block.reshape(len(block), -1)).all(axis=1)
         if not finite.all():
             t = times[rows][np.argmin(finite)]
@@ -360,11 +356,11 @@ class _MultipointCore:
         elif isinstance(forcing, Trajectory):
             _check_on_axis(forcing, self.grid, self.mp, self.nt, "forcing")
             def fill(rows, out):
-                _forward_frames(self.grid, forcing.values[rows], out=out)
+                forward_transform(Field._wrap(self.grid, forcing.values[rows]), out=out)
         else:
             def fill(rows, out):
                 forcing(rows, out)
-                _forward_frames(self.grid, out, out=out)
+                forward_transform(Field._wrap(self.grid, out), out=out)
         return _Duhamel(self, fill)
 
     def blocks(self, u_hat: np.ndarray, ghat=None):
@@ -489,7 +485,8 @@ def verify_dispersive(sym: EllipticSymbol, grid: SpectralGrid, phi: Field,
     Reports the per-time quotients, the least-squares slope of
     log‖U_L(t)φ‖_p against log t, and a wrap-around flag when any frame puts
     more than 1% of its mass in the outer 10% shell of the box (the torus
-    surrogate is no longer trustworthy past that point).
+    surrogate is no longer trustworthy past that point).  A quotient whose scale
+    t^{-n(1/2-1/p)}‖φ‖_{p'} or value leaves the double range raises NonFiniteError naming t.
     """
     ts = check_dispersive(times, p)
     p_conj = 1.0 if p == math.inf else p / (p - 1.0)
@@ -505,8 +502,14 @@ def verify_dispersive(sym: EllipticSymbol, grid: SpectralGrid, phi: Field,
     for t, frame in zip(ts, frames):
         u_t = Field._wrap(grid, frame)
         nrm = lebesgue_norm(u_t, p)
+        try:  # a float ** that leaves the double range raises OverflowError, or underflows to 0
+            scale = t ** (-decay_rate) * phi_dual
+        except OverflowError:
+            scale = math.inf
+        if not (0.0 < scale < math.inf and nrm / scale < math.inf):
+            raise NonFiniteError(f"dispersive quotient at t={t} leaves the double range")
         norms.append(nrm)
-        quotients.append(nrm / (t ** (-decay_rate) * phi_dual))
+        quotients.append(nrm / scale)
         fractions.append(boundary_mass_fraction(u_t))
     slope = float(np.polyfit(np.log(ts), np.log(norms), 1)[0])
     wrap = any(frac > 0.01 for frac in fractions)

@@ -152,7 +152,7 @@ def _filtered(field: Field, mult: np.ndarray, scratch=None) -> Field:
     spectrum, product = (None, None) if scratch is None else (scratch.spectrum, scratch.product)
     with np.errstate(over="ignore", invalid="ignore"):
         product = np.multiply(mult, forward_transform(field, spectrum).values, out=product)
-        filtered = inverse_transform(Field._wrap(field.grid, product.view()), spectrum)
+        filtered = inverse_transform(Field._wrap(field.grid, product), spectrum)
     if not np.isfinite(filtered.values).all():
         raise NonFiniteError("|grad|^s of the field is not finite: its transform overflowed")
     return filtered
@@ -299,7 +299,7 @@ def _hamiltonian(field: Field, larr: np.ndarray, nl, scratch: _Scratch) -> float
     with np.errstate(over="ignore", invalid="ignore"):  # judged on the total below
         product = np.multiply(larr, forward_transform(field, scratch.spectrum).values,
                               out=scratch.product)
-        lu = inverse_transform(Field._wrap(g, product.view()), scratch.spectrum).values
+        lu = inverse_transform(Field._wrap(g, product), scratch.spectrum).values
         # numpy's complex product is not commutative to the bit (`linear._Phases`), but its
         # real part, all that the energy keeps, is
         conj = np.conjugate(field.values, out=product)  # the inverse has read the product

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatchError, NonFiniteError, NotEllipticError, NotSymmetricError
-from .grid import SpectralGrid
+from .grid import SpectralGrid, _read_only
 
 SYMMETRY_TOL = 1e-12
 ELLIPTICITY_FLOOR = 1e-12
@@ -57,12 +57,11 @@ def validate_symbol(a) -> EllipticSymbol:
         raise NotSymmetricError(f"expected a square matrix, got shape {arr.shape}")
     with np.errstate(over="ignore", invalid="ignore"):  # a value that is not finite is refused
         asym = np.max(np.abs(arr - arr.T))
-        sym = 0.5 * (arr + arr.T)
+        sym = _read_only(0.5 * (arr + arr.T))
     if not np.all(np.isfinite(sym)):  # a non-finite entry, or an overflow of a + aᵀ
         raise NotSymmetricError("coefficient matrix a, or 0.5*(a + a^T), is not finite")
     if asym > SYMMETRY_TOL:
         raise NotSymmetricError(f"asymmetry {asym:.3e} exceeds {SYMMETRY_TOL:.0e}")
-    sym.flags.writeable = False
     eigs = np.linalg.eigvalsh(sym)
     if not eigs[0] > ELLIPTICITY_FLOOR:
         raise NotEllipticError(

@@ -31,15 +31,16 @@ def rng():
 
 @pytest.fixture
 def count_calls(monkeypatch):
-    """count_calls(module, *names) wraps each named function of `module` wherever an mpnls
-    module binds it, and returns the dict that counts its calls by name, each from 0."""
-    def count(home, *names):
+    """count_calls(module, *names, weight=None) wraps each named function of `module` wherever
+    an mpnls module binds it, and returns the dict that counts its calls by name, each from 0;
+    a call counts weight(*args, **kwargs) when a weight is given, and else 1."""
+    def count(home, *names, weight=None):
         calls = dict.fromkeys(names, 0)
         for name in names:
             original = getattr(home, name)
 
             def counted(*args, _name=name, _original=original, **kwargs):
-                calls[_name] += 1
+                calls[_name] += 1 if weight is None else weight(*args, **kwargs)
                 return _original(*args, **kwargs)
 
             for modname, mod in list(sys.modules.items()):

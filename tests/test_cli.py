@@ -726,6 +726,23 @@ def test_dispersive_zero_datum_exits_5_naming_its_norm(tmp_path, capsys):
     assert not list(tmp_path.glob("disp*"))
 
 
+@pytest.mark.parametrize("N, amplitude, times", [(8, 1.0, [1.0, 1e300]),
+                                                 (4, 1e-300, [1e-300, 1e300])])
+def test_dispersive_quotient_past_the_double_range_exits_5_naming_t(tmp_path, capsys, N,
+                                                                     amplitude, times):
+    # t^{-3/2} underflows to 0 at t = 1e300 and overflows at t = 1e-300: the quotient is
+    # refused where it is made, with one error line and no traceback or warning
+    doc = make_config(symbol={"a": np.eye(3).tolist()}, grid={"n": 3, "N": N, "R": 10.0},
+                      initial={"kind": "gaussian", "amplitude": amplitude, "width": 1.0},
+                      dispersive={"times": times, "p": "inf"},
+                      outputs={"report_path": str(tmp_path / "disp")})
+    assert run_command(["verify-dispersive", "--config", write_config(tmp_path, doc)]) == 5
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: dispersive quotient at t="), err
+    assert "leaves the double range" in err[0]
+    assert not list(tmp_path.glob("disp*"))
+
+
 def test_non_finite_summary_value_raises_naming_its_key():
     cfg = parse_config(json.dumps(MINIMAL), "solve-linear")
     result = RunResult("", {"min_abs_denominator": math.nan})

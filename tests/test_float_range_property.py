@@ -1,12 +1,13 @@
 """Property: over the whole float range, a config either fails to parse or runs quietly.
 
 `test_config_property.py` draws moderate values; this draws the box half-width R, the base
-time t0, the span T − t0, the symbol's scale, the amplitude, the width and the centres
-log-uniformly over about 1e-320..1e308, on small grids (N ≤ 16, Nt ≤ 12, zero or one
-multipoint term on the time grid).  Each config is parsed for each of the four config
-commands.  Parse refuses it with a ConfigError, or `run_command` returns 0, 1, 3, 4 or 5 with
-no exception: a number that leaves the double range is refused where it is made, so no
-RuntimeWarning leaks (the suite's `filterwarnings = error` turns one into a failure).
+time t0, the span T − t0, the symbol's scale, the amplitude, the width, the centres and the
+two dispersive times log-uniformly over about 1e-320..1e308, with the dispersive p in
+{2, 4, ∞}, on small grids (N ≤ 16, Nt ≤ 12, zero or one multipoint term on the time grid).
+Each config is parsed for each of the four config commands.  Parse refuses it with a
+ConfigError, or `run_command` returns 0, 1, 3, 4 or 5 with no exception: a number that
+leaves the double range is refused where it is made, so no RuntimeWarning leaks (the suite's
+`filterwarnings = error` turns one into a failure).
 """
 
 import contextlib
@@ -54,7 +55,8 @@ def float_range_configs(draw):
                     "center": draw(st.lists(SIGNED, min_size=n, max_size=n))},
         "nonlinearity": {"lambda": draw(st.sampled_from([-1.0, 1.0])), "p": 2.0},
         "tolerances": {"max_iter": 4},
-        "dispersive": {"times": [1.0, 2.0]},
+        "dispersive": {"times": sorted(draw(st.lists(MAGNITUDES, min_size=2, max_size=2))),
+                       "p": draw(st.sampled_from([2.0, 4.0, "inf"]))},
         "strichartz": {"num_samples": 1, "band": 1},
     }
 

@@ -26,7 +26,7 @@ from mpnls import (
     sample_profile,
     write_field_file,
 )
-from mpnls.grid import _forward_frames, _frame_blocks, time_step
+from mpnls.grid import _frame_blocks, time_step
 
 
 def dft_oracle(grid, values):
@@ -298,22 +298,29 @@ def test_random_band_limited_is_grid_independent():
     assert np.max(np.abs(f_fine.values[::2] - f_coarse.values)) < 1e-11
 
 
+def random_stack(grid, frames, rng):
+    shape = (frames,) + grid.shape
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
 @pytest.mark.parametrize("n, N", [(1, 64), (2, 16), (3, 16)])
 @pytest.mark.parametrize("frames", [1, 17, 201])
 def test_blocked_forward_pass_equals_the_per_frame_transform(n, N, frames, rng):
-    # the block rule at 201 frames: 12-frame blocks at n = 1, 2, and the 256 KiB bound
-    # (4 frames of 16³) at n = 3; either way the last block is partial
+    # both transforms, of a block of frames or of the whole stack, keep the bits of the
+    # one-frame transform.  The block rule at 201 frames: 12-frame blocks at n = 1, 2, and the
+    # 256 KiB bound (4 frames of 16³) at n = 3; either way the last block is partial
     grid = build_grid(n, N, 3.0)
-    stack = rng.standard_normal((frames,) + grid.shape) + 1j * rng.standard_normal((frames,) + grid.shape)
+    stack = random_stack(grid, frames, rng)
     blocks = list(_frame_blocks(len(stack), stack[0].nbytes))
     if frames == 201:
         assert blocks[0].stop == (12 if n < 3 else 4) and blocks[-1].stop > frames
-    out = np.empty_like(stack)
-    for block in blocks:
-        _forward_frames(grid, stack[block], out=out[block])
-    expected = np.stack([forward_transform(Field(grid, f)).values for f in stack])
-    assert np.array_equal(out, expected)
-    assert np.array_equal(_forward_frames(grid, stack), expected)
+    for transform in (forward_transform, inverse_transform):
+        expected = np.stack([transform(Field(grid, f)).values for f in stack])
+        out = np.empty_like(stack)
+        for block in blocks:
+            transform(Field._wrap(grid, stack[block]), out=out[block])
+        assert np.array_equal(out, expected), transform
+        assert np.array_equal(transform(Field._wrap(grid, stack)).values, expected), transform
 
 
 def allocating_forward(grid, values):
@@ -324,9 +331,10 @@ def allocating_forward(grid, values):
 
 
 def allocating_inverse(grid, values):
+    """The inverse transform as a product of new arrays, frame by frame on a stack."""
     phase = functools.reduce(np.multiply.outer, [(-1.0) ** np.arange(grid.N)] * grid.n)
     coef = (2.0 * np.pi) ** (-grid.n / 2.0) * grid.w * grid.N**grid.n
-    return coef * np.fft.ifftn(phase * values)
+    return coef * np.fft.ifftn(phase * values, axes=tuple(range(-grid.n, 0)))
 
 
 @pytest.mark.parametrize("n, N", [(1, 256), (2, 64), (2, 128), (3, 16)])
@@ -338,12 +346,33 @@ def test_transforms_in_place_keep_the_bits_of_the_allocating_formulas(n, N, rng)
 
 
 def test_forward_pass_over_a_stack_keeps_the_bits_of_the_allocating_formula(rng):
-    grid = build_grid(2, 128, 10.0)
-    stack = rng.standard_normal((4,) + grid.shape) + 1j * rng.standard_normal((4,) + grid.shape)
-    expected = allocating_forward(grid, stack)
-    assert np.array_equal(_forward_frames(grid, stack), expected)
-    out = np.empty_like(stack)
-    assert _forward_frames(grid, stack, out=out) is out and np.array_equal(out, expected)
+    # both transforms of a stack, allocating or into `out`, which stays writeable; 4 frames of
+    # 128² as well, whose products pass numpy's 256 KiB temporary threshold
+    cases = [(n, N, frames) for n, N in [(1, 64), (2, 16), (3, 16)] for frames in [1, 17, 201]]
+    for n, N, frames in cases + [(2, 128, 4)]:
+        grid = build_grid(n, N, 10.0)
+        stack = random_stack(grid, frames, rng)
+        for transform, formula in ((forward_transform, allocating_forward),
+                                   (inverse_transform, allocating_inverse)):
+            expected = formula(grid, stack)
+            assert np.array_equal(transform(Field._wrap(grid, stack)).values, expected)
+            out = np.empty_like(stack)
+            res = transform(Field._wrap(grid, stack), out=out)
+            assert np.shares_memory(res.values, out) and np.array_equal(out, expected)
+            assert out.flags.writeable and not res.values.flags.writeable
+
+
+def test_wrapping_leaves_the_buffer_writeable(rng):
+    # the _wrap fast paths hand out a read-only view and never freeze their argument
+    grid = build_grid(1, 16, 3.0)
+    stack = random_stack(grid, 3, rng)
+    field = Field._wrap(grid, stack[1])
+    traj = Trajectory._wrap(grid, 0.0, 1.0, stack)
+    for wrapped in (field.values, traj.values, traj.frame(2).values):
+        assert not wrapped.flags.writeable and np.shares_memory(wrapped, stack)
+    assert stack.flags.writeable and stack[1].flags.writeable
+    stack[1] = 0.0
+    assert np.all(field.values == 0.0) and np.all(traj.values[1] == 0.0)
 
 
 @pytest.mark.parametrize("n, N", [(2, 128), (3, 16)])

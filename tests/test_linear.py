@@ -379,6 +379,15 @@ def test_multipoint_residual_scales_with_perturbation(grid1, sym1, rng):
         assert res == pytest.approx(expected + res_clean, rel=1e-6)
 
 
+def test_the_kernel_makes_one_inverse_transform_per_block(grid1, sym1, count_calls):
+    # 201 frames of 1 KiB go in 12-frame blocks, the last one partial: 17 blocks
+    from mpnls import grid as grid_module
+
+    calls = count_calls(grid_module, "inverse_transform")
+    solve_linear_multipoint(sym1, grid1, MultipointSpec(0.0, 1.0), gaussian(grid1), nt=200)
+    assert calls["inverse_transform"] == 17
+
+
 def test_solve_leaves_the_forcing_untouched(grid1, sym1, rng):
     nt = 20
     vals = rng.standard_normal((nt + 1, 64)) + 1j * rng.standard_normal((nt + 1, 64))

@@ -249,27 +249,41 @@ def test_the_riesz_filter_is_built_once_per_pass(setup, monkeypatch):
 
 
 def test_a_positive_order_costs_no_transform(setup, count_calls):
-    # the observables pass filters each frame at any s, and its filtered frame gives the
-    # Strichartz value at s > 0; η's datum is |ξ|^s times the core's φ̂: an s = 0.5 solve, or
-    # standalone η, makes the transforms of an s = 0 one, however many frames it has, and a
-    # solve transforms φ once, then each frame twice in the observables pass
+    # transformed frames, as a transform takes a frame or a block of them.  The observables
+    # pass filters each frame at any s, and its filtered frame gives the Strichartz value at
+    # s > 0; η's datum is |ξ|^s times the core's φ̂: an s = 0.5 solve, or standalone η, makes
+    # the transforms of an s = 0 one, however many frames it has
     from mpnls import grid as grid_module
 
-    calls = count_calls(grid_module, "forward_transform", "inverse_transform")
+    def frames(field, out=None):
+        return field.values.size // field.grid.N ** field.grid.n
+
+    calls = count_calls(grid_module, "forward_transform", "inverse_transform", weight=frames)
     sym, grid, phi = setup
     mp = MultipointSpec(0.25, 1.25, ((0.3, 0.75),))
+    # the datum solve's pass of each plain Φ fills Ĝ up to the end of the block of λ's frame
+    # nt/2: one-frame blocks at nt = 8 and 16, two-frame blocks at nt = 32
+    filled_to_lambda = {8: 5, 16: 9, 32: 18}
     for nt in (8, 16, 32):
         counts = []
         for s in (0.0, 0.5):
             calls.update(dict.fromkeys(calls, 0))
-            solve_nls_multipoint(sym, grid, mp, phi, NL, s=s, nt=nt)
+            _, diags = solve_nls_multipoint(sym, grid, mp, phi, NL, s=s, nt=nt)
             counts.append(dict(calls))
             calls.update(dict.fromkeys(calls, 0))
             smallness_indicator(sym, grid, phi, s, NL, mp.T, t0=mp.t0, nt=nt)
             counts.append(dict(calls))
         assert counts[2:] == counts[:2], nt
-        assert counts[0]["forward_transform"] == 1 + 2 * (nt + 1), nt
         assert counts[1] == {"forward_transform": 1, "inverse_transform": nt + 1}, nt
+        # by hand: Φ once per iteration and once for the final residual, each a plain step
+        # whose fills transform λ's blocks, then every frame; forward, φ once and each frame
+        # twice in the observables pass; back, the linear solution, each Φ, η and the
+        # observables pass twice
+        assert max(diags.contraction_ratios) <= MIX_GATE
+        phis = diags.iterations + 1
+        assert counts[0] == {
+            "forward_transform": 1 + 2 * (nt + 1) + phis * (filled_to_lambda[nt] + nt + 1),
+            "inverse_transform": (1 + phis + 1 + 2) * (nt + 1)}, nt
 
 
 def test_a_nan_distance_reads_nan(setup):

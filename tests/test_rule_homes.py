@@ -18,7 +18,9 @@ a ValidationError of its own only for the rules of the CLI alone.  The
 nonlinearity has one type, `PowerNonlinearity`, which is also its config
 section, and its contraction metric one definition, `nonlinear._metric_norm`, a case of the
 one space-time norm, `norms._space_time_norm`.
-numpy's FFT runs only in the two transforms of `grid`, and L(ξ) is built on the
+numpy's FFT runs only in the two transforms of `grid`, each of a frame or of a block of
+frames, and only the two `_wrap`s take a read-only view of a buffer, which only
+`grid._read_only` freezes.  L(ξ) is built on the
 lattice only by `symbol.symbol_lattice`.  Each input of a solve has one home: a
 datum lives on the grid of its pass, which only its one transform,
 `linear._datum_spectrum`, checks, and a trajectory is checked against its axis
@@ -26,11 +28,11 @@ only by `linear._check_on_axis`; a forcing's type is read only by the core's
 `duhamel`, past the type guard of `solve_linear_multipoint`.  A stack of frames is
 reduced to its per-frame L^r norms only by `norms._frame_norms`, whose one-frame case
 is `lebesgue_norm`, and so are the blocks of a propagation that is never stacked; every
-frame is propagated by the one kernel `linear._propagate`, every phase is a row of the one
-exponential `_Phases.table`, the Duhamel step multiplies only in the one recurrence
-`linear._duhamel_rows`, which only the one maker of Ĝ, `linear._Duhamel`, drives, and |ξ|^s is built only by `norms._riesz`, which η's datum
-multiplies in frequency space.  These
-tests read the source, so a copy cannot regrow.
+frame is propagated by the one kernel `linear._propagate`, one transform per block; every
+phase is a row of the one exponential `_Phases.table`, the Duhamel step multiplies only in
+the one recurrence `linear._duhamel_rows`, which only the one maker of Ĝ, `linear._Duhamel`,
+drives, and |ξ|^s is built only by `norms._riesz`, which η's datum multiplies in frequency
+space.  These tests read the source, so a copy cannot regrow.
 """
 
 import ast
@@ -119,7 +121,7 @@ def test_the_solvers_filter_no_datum():
 
 def test_the_propagation_has_one_kernel():
     # every frame a solver or a verifier propagates is made by `_propagate`, one
-    # inverse_transform per frame, and its phases are table rows: the single-phase evaluator
+    # inverse_transform per block, and its phases are table rows: the single-phase evaluator
     # serves D(ξ) and the Duhamel step alone
     assert [use for use in calls("inverse_transform")
             if use.split(":")[0] in ("linear", "nonlinear")] == ["linear:_propagate"]
@@ -132,12 +134,40 @@ def test_the_propagation_has_one_kernel():
     assert sites(calls_the_evaluator) == ["linear:_MultipointCore.__init__", "linear:_denominator"]
 
 
+def test_the_kernel_transforms_a_block_at_a_time():
+    # one transform call in `_propagate`, and the loop over its blocks is the only loop
+    # around it: no loop over the frames of a block encloses a transform
+    tree = ast.parse((SRC / "linear.py").read_text(encoding="utf-8"))
+    kernel = next(node for node in tree.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "_propagate")
+
+    def transforms(node):
+        return [sub for sub in ast.walk(node) if isinstance(sub, ast.Call)
+                and getattr(sub.func, "id", None) in ("forward_transform", "inverse_transform")]
+
+    loops = [node for node in ast.walk(kernel) if isinstance(node, (
+        ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp))]
+    assert len(transforms(kernel)) == 1
+    assert [ast.unparse(getattr(loop, "iter", loop)) for loop in loops if transforms(loop)] \
+        == ["blocks"]
+
+
 def test_the_transforms_have_one_home():
-    # numpy's FFT runs only in the two transforms; L(ξ) has one builder on the lattice, and
-    # |ξ|² one more, so no gradient form of L(ξ) can grow back
-    assert numpy_uses("fft") == ["grid:_forward_frames", "grid:inverse_transform"]
+    # numpy's FFT runs only in the two transforms, each of a frame or a block; L(ξ) has one
+    # builder on the lattice, and |ξ|² one more, so no gradient form of L(ξ) can grow back
+    assert numpy_uses("fft") == ["grid:forward_transform", "grid:inverse_transform"]
     assert sites(lambda node: isinstance(node, ast.Call) and getattr(node.func, "attr", None)
                  == "freq_mesh") == ["grid:SpectralGrid.radial_freq_sq", "symbol:symbol_lattice"]
+
+
+def test_only_the_wrappers_take_a_view():
+    # `Field._wrap` and `Trajectory._wrap` freeze a view of their own, so no caller passes
+    # one to keep its buffer writeable; `grid._read_only` is the one place that freezes
+    assert sites(lambda node: isinstance(node, ast.Call)
+                 and getattr(node.func, "attr", None) == "view") == ["grid:Field._wrap",
+                                                                    "grid:Trajectory._wrap"]
+    assert sites(lambda node: isinstance(node, ast.Attribute)
+                 and node.attr == "writeable") == ["grid:_read_only"]
 
 
 def test_the_duhamel_step_multiplies_in_one_function():
